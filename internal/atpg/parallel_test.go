@@ -9,28 +9,6 @@ import (
 	"repro/internal/gatelib"
 )
 
-// fig9Components builds the library components the default (figure 9)
-// exploration back-annotates: ALU, comparator, register file and the two
-// socket types at the paper's 16-bit width.
-func fig9Components(t testing.TB) []*gatelib.Component {
-	t.Helper()
-	lib := gatelib.NewLibrary()
-	var comps []*gatelib.Component
-	add := func(c *gatelib.Component, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		comps = append(comps, c)
-	}
-	add(lib.ALU(gatelib.ALUConfig{Width: 16, Adder: gatelib.AdderRipple}))
-	add(lib.CMP(16))
-	add(lib.RF(gatelib.RFConfig{Width: 16, NumRegs: 8, NumIn: 1, NumOut: 2}))
-	add(lib.InputSocket(6))
-	add(lib.OutputSocket(6))
-	return comps
-}
-
 // TestShardedPodemDeterministicAcrossWorkers asserts the tentpole's core
 // contract: the ATPG output is a function of (netlist, seed, config) only.
 // Speculative sharded generation plus the canonical-order merge must
@@ -38,18 +16,18 @@ func fig9Components(t testing.TB) []*gatelib.Component {
 // worker count.
 func TestShardedPodemDeterministicAcrossWorkers(t *testing.T) {
 	settings := []int{1, 2, runtime.GOMAXPROCS(0)}
-	for _, c := range fig9Components(t) {
+	for _, c := range libraryClasses(t) {
 		var base *Result
 		var baseWorkers int
 		for _, w := range settings {
-			res := Run(c.Seq, Config{Seed: 7, Workers: w})
+			res := Run(c.comp.Seq, Config{Seed: 7, Workers: w})
 			if base == nil {
 				base, baseWorkers = res, w
 				continue
 			}
 			if !reflect.DeepEqual(base, res) {
 				t.Errorf("%s: Workers=%d result differs from Workers=%d:\n  %v\nvs\n  %v",
-					c.Name, w, baseWorkers, res, base)
+					c.name, w, baseWorkers, res, base)
 			}
 		}
 	}

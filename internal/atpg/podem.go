@@ -51,9 +51,19 @@ type podem struct {
 	// Static fanout cone of the current fault site (topo-sorted, fault
 	// gate first): the only region where a fault effect can live, so the
 	// frontier scan and the test-found check walk it instead of the whole
-	// netlist. Rebuilt once per generate call.
+	// netlist.
 	cone    []int32
 	coneObs []netlist.Net // observable nets inside the cone
+
+	// Relevant region of the current fault gate: the cone plus its
+	// transitive fan-in. Every value the search reads lies inside it and
+	// it is closed under fan-in, so propagate skips gates outside it
+	// without changing a single value inside (see buildRegion). Cone and
+	// region depend on the fault gate alone and are rebuilt only when it
+	// changes.
+	region     []int32
+	inRegion   []bool
+	regionGate int32 // gate the cone and region were built for (-1 = none)
 
 	// Scratch for incremental implication: per-level pending buckets and
 	// their membership marks. Every fanout edge ends at a strictly higher
@@ -97,6 +107,8 @@ func newPodem(t *simTopo, limit int) *podem {
 	}
 	p.xVisited = make([]bool, len(n.Gates))
 	p.inQ = make([]bool, len(n.Gates))
+	p.inRegion = make([]bool, len(n.Gates))
+	p.regionGate = -1
 	p.levelOf = t.fl.GateLevel
 	p.buckets = make([][]int32, t.fl.NumLevels)
 	// Establish the fault-free all-X fixpoint; generate maintains it
@@ -165,18 +177,14 @@ func (p *podem) xPathExists() bool {
 //
 // Implication is incremental: the all-X base state is implied once with a
 // full forward pass, then every decision, flip and unassignment propagates
-// only through the fanout cone of the changed control (values are
-// byte-identical to a full re-implication — gate evaluation is a pure
-// function of the inputs over a DAG, and propagation in topological order
-// with change pruning reaches the same fixpoint).
+// only through the fanout of the changed control inside the fault's
+// relevant region (values inside the region are byte-identical to a full
+// re-implication — gate evaluation is a pure function of the inputs over a
+// DAG, propagation in topological order with change pruning reaches the
+// same fixpoint, and the region is closed under fan-in).
 func (p *podem) generate(f Fault) ([]v3, podemOutcome) {
-	// Return to the all-X base state incrementally: whatever the previous
-	// call left behind is unwound and the injected fault swapped in a
-	// single drain — only the affected cones are re-evaluated, never the
-	// full netlist.
-	p.retarget(f)
+	p.focus(f)
 	p.backtracks = 0
-	p.buildCone()
 	stack := p.stack[:0]
 
 	for {
@@ -222,6 +230,20 @@ func (p *podem) generate(f Fault) ([]v3, podemOutcome) {
 	}
 }
 
+// focus points the engine at fault f: it returns to the all-X base state
+// incrementally (whatever the previous call left behind is unwound and the
+// injected fault swapped in a single drain — only the affected cones are
+// re-evaluated, never the full netlist) and, when the fault gate changed,
+// rebuilds the cone and the relevant region. Faults arrive grouped by
+// gate, so most calls reuse both.
+func (p *podem) focus(f Fault) {
+	p.retarget(f)
+	if f.Gate != p.regionGate {
+		p.buildCone()
+		p.buildRegion()
+	}
+}
+
 // buildCone collects the static fanout cone of the fault gate (the fault
 // gate first, then its transitive fanout in topological order) and the
 // observable nets inside it — the only region a fault effect can reach.
@@ -250,6 +272,44 @@ func (p *podem) buildCone() {
 	}
 	p.cone = cone
 	p.coneObs = obs
+}
+
+// buildRegion marks the relevant region of the fault gate: the cone plus
+// its transitive fan-in. Everything the search reads lies inside it — the
+// fault site, the frontier gates and their side inputs, the X-path
+// corridor (all in the cone), the backtrace path (fan-in of those) and
+// coneObs — and every input of a region gate is driven by a region gate or
+// a control. So propagate may skip gates outside the region: the values
+// inside are exactly those of a full implication, and the search takes
+// the same decisions and backtracks.
+//
+// Values outside the region go stale during a generate call, yet retarget
+// (which unwinds through the full fanout) still restores the exact all-X
+// fixpoint for the next fault: a gate outside the region reads no net of
+// the old fault's cone, so all its inputs are fault-free; the good
+// component of a net does not depend on the injected fault, so a
+// fault-free input that already holds its new all-X value also held it
+// when the stale gate was last evaluated. A stale gate whose inputs do
+// not move in the drain therefore already holds its target value.
+func (p *podem) buildRegion() {
+	inRegion, driver := p.inRegion, p.t.fl.GateDriver
+	for _, gi := range p.region {
+		inRegion[gi] = false
+	}
+	region := append(p.region[:0], p.cone...)
+	for _, gi := range region {
+		inRegion[gi] = true
+	}
+	for qi := 0; qi < len(region); qi++ {
+		for _, in := range p.n.Gates[region[qi]].In {
+			if d := driver[in]; d >= 0 && !inRegion[d] {
+				inRegion[d] = true
+				region = append(region, d)
+			}
+		}
+	}
+	p.region = region
+	p.regionGate = p.fault.Gate
 }
 
 // retarget returns the engine to the all-X fixpoint under fault f without
@@ -348,17 +408,18 @@ func (p *podem) setAssign(ci int, v v3) {
 }
 
 // propagate forwards a changed value on net through its transitive fanout
-// using the per-level pending buckets. The enqueue is written out inline
-// (twice) rather than through a closure: this is the hottest loop in PODEM
-// and the closure call alone showed up with double-digit flat time.
+// inside the relevant region using the per-level pending buckets. The
+// enqueue is written out inline (twice) rather than through a closure:
+// this is the hottest loop in PODEM and the closure call alone showed up
+// with double-digit flat time.
 func (p *podem) propagate(net netlist.Net) {
-	inQ, levelOf, buckets := p.inQ, p.levelOf, p.buckets
+	inQ, inRegion, levelOf, buckets := p.inQ, p.inRegion, p.levelOf, p.buckets
 	faultGate := p.fault.Gate
 	lo := int32(len(buckets))
 	hi := int32(-1)
 	for i, e := p.fanStart[net], p.fanStart[net+1]; i < e; i++ {
 		gi := p.fanGate[i]
-		if inQ[gi] {
+		if inQ[gi] || !inRegion[gi] {
 			continue
 		}
 		inQ[gi] = true
@@ -388,7 +449,7 @@ func (p *podem) propagate(net netlist.Net) {
 			p.vals[g.Out] = out
 			for i, e := p.fanStart[g.Out], p.fanStart[g.Out+1]; i < e; i++ {
 				fg := p.fanGate[i]
-				if inQ[fg] {
+				if inQ[fg] || !inRegion[fg] {
 					continue
 				}
 				inQ[fg] = true

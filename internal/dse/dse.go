@@ -98,10 +98,12 @@ type Config struct {
 	// EventSink, when non-nil, receives the exploration's typed progress
 	// events (candidate/restored completions, isolated panics, degraded
 	// annotations, warnings, and a final "done") synchronously from the
-	// emitting goroutine — it must be fast and concurrency-safe. See
-	// Event for the schema, Config.Events for a channel adapter, and
-	// FrontTracker for a ready-made live-front consumer. A nil sink
-	// costs nothing.
+	// emitting goroutine — it must be fast and concurrency-safe. Calls
+	// are serialized in Seq order, so the sink must not block, and it
+	// must not emit degraded or warning events on Obs, which would call
+	// back into the stream. See Event for the schema, Config.Events for a
+	// channel adapter, and FrontTracker for a ready-made live-front
+	// consumer. A nil sink costs nothing.
 	EventSink func(Event)
 
 	// Obs, when non-nil, collects the exploration's metrics: per-stage

@@ -45,7 +45,6 @@ package dse
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/pareto"
@@ -100,10 +99,13 @@ type Event struct {
 }
 
 // emitter stamps sequence numbers onto one exploration's event stream.
-// A nil emitter (no sink configured) is a no-op, mirroring obs.
+// Stamping and delivery happen under one lock, so the sink sees Seq
+// strictly increasing even when parallel workers emit at once. A nil
+// emitter (no sink configured) is a no-op, mirroring obs.
 type emitter struct {
+	mu   sync.Mutex
 	sink func(Event)
-	seq  atomic.Int64
+	seq  int64
 }
 
 func newEmitter(sink func(Event)) *emitter {
@@ -117,7 +119,10 @@ func (e *emitter) emit(ev Event) {
 	if e == nil {
 		return
 	}
-	ev.Seq = e.seq.Add(1)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.seq++
+	ev.Seq = e.seq
 	e.sink(ev)
 }
 

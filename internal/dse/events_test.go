@@ -77,6 +77,60 @@ func TestEventStreamLifecycle(t *testing.T) {
 	}
 }
 
+// TestEventSeqStrictlyIncreasingInDeliveryOrder is the regression test for
+// the seq delivery race: with Seq stamped outside the delivery lock, two
+// workers finishing together could deliver seq 4 before seq 3. Stamping
+// and delivery now share one lock, so a sink sees 1, 2, 3, ... in call
+// order — under a burst of concurrent emits, and through a parallel
+// exploration whose candidates wait on the same cold ATPG runs and then
+// finish together.
+func TestEventSeqStrictlyIncreasingInDeliveryOrder(t *testing.T) {
+	var mu sync.Mutex
+	var seqs []int64
+	record := func(ev Event) {
+		mu.Lock()
+		seqs = append(seqs, ev.Seq)
+		mu.Unlock()
+	}
+	check := func(what string) {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		for i, s := range seqs {
+			if s != int64(i+1) {
+				t.Fatalf("%s: delivery %d carries seq %d", what, i+1, s)
+			}
+		}
+		seqs = seqs[:0]
+	}
+
+	em := newEmitter(record)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				em.emit(Event{Kind: EventCandidate})
+			}
+		}()
+	}
+	wg.Wait()
+	check("concurrent emits")
+
+	spec := smallSpec()
+	spec.Parallelism = 8
+	cfg, _, err := FromSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.EventSink = record
+	if _, err := ExploreContext(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	check("parallel exploration")
+}
+
 func TestEventStreamDoneOnConfigError(t *testing.T) {
 	cfg, _, err := FromSpec(smallSpec())
 	if err != nil {
