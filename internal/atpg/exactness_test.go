@@ -1,14 +1,12 @@
 package atpg
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"testing"
 
 	"repro/internal/gatelib"
-	"repro/internal/obs"
 )
 
 // libraryClass is one library element the default sweep or the guided
@@ -79,11 +77,12 @@ type exactnessPin struct {
 }
 
 // exactnessPins were recorded with the unrestricted (whole-fanout)
-// implication engine. Any PODEM optimization must reproduce them exactly:
-// not only the same patterns, but the same search — every decision and
-// every backtrack. The w2 pins differ from w1 only in the engine totals,
-// because speculative shards also generate for faults the merge later
-// drops.
+// implication engine and are checked by
+// TestShardedPodemDeterministicAcrossWorkers. Any PODEM optimization must
+// reproduce them exactly: not only the same patterns, but the same search
+// — every decision and every backtrack. The w2 pins differ from w1 only in
+// the engine totals, because speculative shards also generate for faults
+// the merge later drops; "p1" is a PODEM-only serial run.
 var exactnessPins = map[string]exactnessPin{
 	"alu16_ripple/w1": {"175cd0ddbd8bb36f46e07fb2fe1d93714c7df7609dec9dd9b0558f8bfce954dc", 24194, 24036},
 	"alu16_ripple/w2": {"175cd0ddbd8bb36f46e07fb2fe1d93714c7df7609dec9dd9b0558f8bfce954dc", 24517, 24183},
@@ -127,39 +126,4 @@ var exactnessPins = map[string]exactnessPin{
 	"osock6/w1":       {"fa129cd178f9b6b3db522b5d4f67522efa1ff3dd6626e7b2b386228b8e8cdb53", 0, 0},
 	"osock6/w2":       {"fa129cd178f9b6b3db522b5d4f67522efa1ff3dd6626e7b2b386228b8e8cdb53", 0, 0},
 	"osock6/p1":       {"9af8f386f2c367f5e8a439b21cb28e1725782fd3e86974f1065e2a1a805b864b", 74, 0},
-}
-
-// TestPodemExactnessPins runs every library class cold at seed 7 with one
-// and two workers, plus a PODEM-only serial run ("p1") so the engine is
-// exercised on the classes whose random phase leaves it nothing to do,
-// and checks the pinned digest and search totals.
-func TestPodemExactnessPins(t *testing.T) {
-	runs := []struct {
-		tag string
-		cfg Config
-	}{
-		{"w1", Config{Seed: 7, Workers: 1}},
-		{"w2", Config{Seed: 7, Workers: 2}},
-		{"p1", Config{Seed: 7, Workers: 1, MaxRandomPatterns: -1}},
-	}
-	for _, c := range libraryClasses(t) {
-		for _, run := range runs {
-			key := c.name + "/" + run.tag
-			reg := obs.NewRegistry()
-			cfg := run.cfg
-			cfg.Obs = reg
-			res, err := RunContext(context.Background(), c.comp.Seq, cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", key, err)
-			}
-			got := exactnessPin{
-				digest:     resultDigest(res),
-				decisions:  reg.Counter("atpg.podem.decisions").Value(),
-				backtracks: reg.Counter("atpg.podem.backtracks").Value(),
-			}
-			if want, ok := exactnessPins[key]; !ok || got != want {
-				t.Errorf("%s: got pin\n\t%q: {%q, %d, %d},\nwant %+v", key, key, got.digest, got.decisions, got.backtracks, want)
-			}
-		}
-	}
 }

@@ -2,25 +2,57 @@ package atpg
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/gatelib"
+	"repro/internal/obs"
 )
 
 // TestShardedPodemDeterministicAcrossWorkers asserts the tentpole's core
 // contract: the ATPG output is a function of (netlist, seed, config) only.
 // Speculative sharded generation plus the canonical-order merge must
 // reproduce the serial run byte-for-byte — patterns included — at any
-// worker count.
+// worker count. It also holds every class to its exactnessPins entry at
+// one and two workers and in a PODEM-only serial run ("p1"), which
+// exercises the engine on the classes whose random phase leaves it
+// nothing to do.
 func TestShardedPodemDeterministicAcrossWorkers(t *testing.T) {
-	settings := []int{1, 2, runtime.GOMAXPROCS(0)}
+	settings := []int{1, 2}
+	if w := runtime.GOMAXPROCS(0); w > 2 {
+		settings = append(settings, w)
+	}
 	for _, c := range libraryClasses(t) {
+		// run executes one cold ATPG run and, when pinned, checks its
+		// digest and PODEM search totals against exactnessPins.
+		run := func(tag string, cfg Config, pinned bool) *Result {
+			t.Helper()
+			key := c.name + "/" + tag
+			reg := obs.NewRegistry()
+			cfg.Obs = reg
+			res, err := RunContext(context.Background(), c.comp.Seq, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			if !pinned {
+				return res
+			}
+			got := exactnessPin{
+				digest:     resultDigest(res),
+				decisions:  reg.Counter("atpg.podem.decisions").Value(),
+				backtracks: reg.Counter("atpg.podem.backtracks").Value(),
+			}
+			if want, ok := exactnessPins[key]; !ok || got != want {
+				t.Errorf("%s: got pin\n\t%q: {%q, %d, %d},\nwant %+v", key, key, got.digest, got.decisions, got.backtracks, want)
+			}
+			return res
+		}
 		var base *Result
 		var baseWorkers int
 		for _, w := range settings {
-			res := Run(c.comp.Seq, Config{Seed: 7, Workers: w})
+			res := run(fmt.Sprintf("w%d", w), Config{Seed: 7, Workers: w}, w <= 2)
 			if base == nil {
 				base, baseWorkers = res, w
 				continue
@@ -30,6 +62,7 @@ func TestShardedPodemDeterministicAcrossWorkers(t *testing.T) {
 					c.name, w, baseWorkers, res, base)
 			}
 		}
+		run("p1", Config{Seed: 7, Workers: 1, MaxRandomPatterns: -1}, true)
 	}
 }
 

@@ -51,19 +51,17 @@ type podem struct {
 	// Static fanout cone of the current fault site (topo-sorted, fault
 	// gate first): the only region where a fault effect can live, so the
 	// frontier scan and the test-found check walk it instead of the whole
-	// netlist.
+	// netlist. Rebuilt once per generate call.
 	cone    []int32
 	coneObs []netlist.Net // observable nets inside the cone
 
 	// Relevant region of the current fault gate: the cone plus its
 	// transitive fan-in. Every value the search reads lies inside it and
 	// it is closed under fan-in, so propagate skips gates outside it
-	// without changing a single value inside (see buildRegion). Cone and
-	// region depend on the fault gate alone and are rebuilt only when it
-	// changes.
-	region     []int32
-	inRegion   []bool
-	regionGate int32 // gate the cone and region were built for (-1 = none)
+	// without changing a single value inside (see buildRegion). Rebuilt
+	// once per generate call, next to the cone.
+	region   []int32
+	inRegion []bool
 
 	// Scratch for incremental implication: per-level pending buckets and
 	// their membership marks. Every fanout edge ends at a strictly higher
@@ -108,7 +106,6 @@ func newPodem(t *simTopo, limit int) *podem {
 	p.xVisited = make([]bool, len(n.Gates))
 	p.inQ = make([]bool, len(n.Gates))
 	p.inRegion = make([]bool, len(n.Gates))
-	p.regionGate = -1
 	p.levelOf = t.fl.GateLevel
 	p.buckets = make([][]int32, t.fl.NumLevels)
 	// Establish the fault-free all-X fixpoint; generate maintains it
@@ -183,8 +180,14 @@ func (p *podem) xPathExists() bool {
 // DAG, propagation in topological order with change pruning reaches the
 // same fixpoint, and the region is closed under fan-in).
 func (p *podem) generate(f Fault) ([]v3, podemOutcome) {
-	p.focus(f)
+	// Return to the all-X base state incrementally: whatever the previous
+	// call left behind is unwound and the injected fault swapped in a
+	// single drain — only the affected cones are re-evaluated, never the
+	// full netlist.
+	p.retarget(f)
 	p.backtracks = 0
+	p.buildCone()
+	p.buildRegion()
 	stack := p.stack[:0]
 
 	for {
@@ -227,20 +230,6 @@ func (p *podem) generate(f Fault) ([]v3, podemOutcome) {
 			p.stack = stack
 			return nil, podemAborted
 		}
-	}
-}
-
-// focus points the engine at fault f: it returns to the all-X base state
-// incrementally (whatever the previous call left behind is unwound and the
-// injected fault swapped in a single drain — only the affected cones are
-// re-evaluated, never the full netlist) and, when the fault gate changed,
-// rebuilds the cone and the relevant region. Faults arrive grouped by
-// gate, so most calls reuse both.
-func (p *podem) focus(f Fault) {
-	p.retarget(f)
-	if f.Gate != p.regionGate {
-		p.buildCone()
-		p.buildRegion()
 	}
 }
 
@@ -309,7 +298,6 @@ func (p *podem) buildRegion() {
 		}
 	}
 	p.region = region
-	p.regionGate = p.fault.Gate
 }
 
 // retarget returns the engine to the all-X fixpoint under fault f without

@@ -90,7 +90,9 @@ func TestRegionSoundness(t *testing.T) {
 		eng := newPodem(topo, 200)
 		for trial := 0; trial < 24; trial++ {
 			f := u.Faults[rng.Intn(len(u.Faults))]
-			eng.focus(f)
+			eng.retarget(f)
+			eng.buildCone()
+			eng.buildRegion()
 			ref := fullImply5(topo, eng.assign, f)
 			for net := range ref {
 				if eng.vals[net] != ref[net] {
