@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -246,9 +247,10 @@ func BenchmarkScheduleCryptRound(b *testing.B) {
 		b.Fatal(err)
 	}
 	arch := tta.Figure9()
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.Schedule(kernel, arch, sched.Options{}); err != nil {
+		if _, err := sched.ScheduleContext(ctx, kernel, arch, sched.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

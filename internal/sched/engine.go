@@ -5,27 +5,11 @@ import (
 	"repro/internal/tta"
 )
 
-// rfPos maps a component index (of an RF) to its position in s.rfs.
-func (s *scheduler) rfPos(comp int) int {
-	for i, rf := range s.rfs {
-		if rf == comp {
-			return i
-		}
-	}
-	return -1
-}
-
 // allocReg claims a free register, preferring the register file with the
 // most free capacity (balances pressure across RF1/RF2).
 func (s *scheduler) allocReg(cycle int) (RegLoc, bool) {
 	best, bestFree := -1, 0
-	for i := range s.rfs {
-		free := 0
-		for _, f := range s.rfFree[i] {
-			if f {
-				free++
-			}
-		}
+	for i, free := range s.rfFreeN {
 		if free > bestFree {
 			best, bestFree = i, free
 		}
@@ -36,6 +20,7 @@ func (s *scheduler) allocReg(cycle int) (RegLoc, bool) {
 	for j, f := range s.rfFree[best] {
 		if f {
 			s.rfFree[best][j] = false
+			s.rfFreeN[best]--
 			s.live++
 			if s.live > s.peakLive {
 				s.peakLive = s.live
@@ -50,9 +35,10 @@ func (s *scheduler) freeReg(loc RegLoc) {
 	if loc.RF < 0 {
 		return
 	}
-	pos := s.rfPos(loc.RF)
+	pos := s.rfPosOf[loc.RF]
 	if pos >= 0 && !s.rfFree[pos][loc.Reg] {
 		s.rfFree[pos][loc.Reg] = true
+		s.rfFreeN[pos]++
 		s.live--
 	}
 }
@@ -62,25 +48,34 @@ func (s *scheduler) freeReg(loc RegLoc) {
 func (s *scheduler) sourceReadable(v program.ValueID, cycle int) (Endpoint, bool) {
 	vs := &s.vals[v]
 	if vs.isConst {
-		for _, imm := range s.imms {
-			if s.immUsed[imm] == 0 {
-				c := &s.arch.Components[imm]
-				return Endpoint{Comp: imm, Port: c.OutputPorts()[0], Reg: -1, Imm: vs.constVal}, true
-			}
-		}
-		return Endpoint{}, false
+		return s.immSource(vs.constVal)
 	}
 	if !vs.alloc || vs.readyAt > cycle {
 		return Endpoint{}, false
 	}
-	rf := vs.loc.RF
-	c := &s.arch.Components[rf]
-	if s.rfReads[rf] >= c.NumOut {
+	return s.rfReadPort(vs.loc)
+}
+
+// rfReadPort returns the endpoint of the next free read port of loc's
+// register file this cycle, or false when all are in use.
+func (s *scheduler) rfReadPort(loc RegLoc) (Endpoint, bool) {
+	rf := loc.RF
+	if s.rfReads[rf] >= s.arch.Components[rf].NumOut {
 		return Endpoint{}, false
 	}
-	outs := c.OutputPorts()
-	port := outs[s.rfReads[rf]%len(outs)]
-	return Endpoint{Comp: rf, Port: port, Reg: vs.loc.Reg}, true
+	outs := s.outs[rf]
+	return Endpoint{Comp: rf, Port: outs[s.rfReads[rf]%len(outs)], Reg: loc.Reg}, true
+}
+
+// rfWritePort claims the next free write port of register file rf this
+// cycle, or reports false when all are in use.
+func (s *scheduler) rfWritePort(rf, reg int) (Endpoint, bool) {
+	if s.rfWrites[rf] >= s.arch.Components[rf].NumIn {
+		return Endpoint{}, false
+	}
+	s.rfWrites[rf]++
+	ins := s.ins[rf]
+	return Endpoint{Comp: rf, Port: ins[(s.rfWrites[rf]-1)%len(ins)], Reg: reg}, true
 }
 
 // commitRead consumes the per-cycle resources of a scheduled read and
@@ -127,25 +122,29 @@ func portOf(c *tta.Component, role tta.PortRole) int {
 	return -1
 }
 
+// operandReady reports whether value v can be read at this cycle. A value
+// that waits only in its spill slot gets a reload requested.
+func (s *scheduler) operandReady(v program.ValueID, cycle int) bool {
+	vs := &s.vals[v]
+	if vs.isConst || (vs.alloc && vs.readyAt <= cycle) {
+		return true
+	}
+	if !vs.alloc && vs.spillSlot >= 0 {
+		s.requestReload(v)
+	}
+	return false
+}
+
 // tryStart begins an op: the operand move (and, resources permitting, the
 // trigger in the same cycle). Loads have no separate operand move; their
 // address move is the trigger itself.
 func (s *scheduler) tryStart(oi int, cycle int) bool {
-	op := s.g.Ops[oi]
+	op := &s.g.Ops[oi]
 	st := &s.ops[oi]
 
 	// Dataflow readiness (cheap pre-checks before resource commitment).
-	for _, ref := range []program.ValueID{op.A, op.B} {
-		if ref == program.NoValue {
-			continue
-		}
-		vs := &s.vals[ref]
-		if !vs.isConst && (!vs.alloc || vs.readyAt > cycle) {
-			if !vs.alloc && vs.spillSlot >= 0 {
-				s.requestReload(ref)
-			}
-			return false
-		}
+	if !s.operandReady(op.A, cycle) || (op.B != program.NoValue && !s.operandReady(op.B, cycle)) {
+		return false
 	}
 	if op.MemPred != program.NoValue {
 		pst := &s.ops[op.MemPred]
@@ -174,8 +173,7 @@ func (s *scheduler) tryStart(oi int, cycle int) bool {
 			s.wantSpill = true
 			return false
 		}
-		c := &s.arch.Components[fu]
-		dst := Endpoint{Comp: fu, Port: portOf(c, tta.Trigger), Reg: -1}
+		dst := Endpoint{Comp: fu, Port: s.trigPort[fu], Reg: -1}
 		s.busFree--
 		s.commitRead(op.A, src)
 		resLoc, ok := s.allocReg(cycle)
@@ -210,8 +208,7 @@ func (s *scheduler) tryStart(oi int, cycle int) bool {
 		s.wantSpill = true
 		return false
 	}
-	c := &s.arch.Components[fu]
-	dst := Endpoint{Comp: fu, Port: portOf(c, tta.Operand), Reg: -1}
+	dst := Endpoint{Comp: fu, Port: s.opPort[fu], Reg: -1}
 	s.busFree--
 	s.commitRead(op.A, src)
 	if op.Defines() {
@@ -236,7 +233,7 @@ func (s *scheduler) tryStart(oi int, cycle int) bool {
 
 // tryTrigger schedules the trigger move of a started op.
 func (s *scheduler) tryTrigger(oi int, cycle int) bool {
-	op := s.g.Ops[oi]
+	op := &s.g.Ops[oi]
 	st := &s.ops[oi]
 	if st.tTrig >= 0 || !st.started || cycle < st.tFirstIn {
 		return false
@@ -255,8 +252,7 @@ func (s *scheduler) tryTrigger(oi int, cycle int) bool {
 		}
 		return false
 	}
-	c := &s.arch.Components[st.fu]
-	dst := Endpoint{Comp: st.fu, Port: portOf(c, tta.Trigger), Reg: -1}
+	dst := Endpoint{Comp: st.fu, Port: s.trigPort[st.fu], Reg: -1}
 	s.busFree--
 	s.commitRead(op.B, src)
 	s.emit(Move{Cycle: cycle, Src: src, Dst: dst,
@@ -271,7 +267,7 @@ func (s *scheduler) tryTrigger(oi int, cycle int) bool {
 // tryFinish completes an op: stores finish when the memory write commits,
 // value-producing ops when their result moves into a register file.
 func (s *scheduler) tryFinish(oi int, cycle int) bool {
-	op := s.g.Ops[oi]
+	op := &s.g.Ops[oi]
 	st := &s.ops[oi]
 	if op.Op == program.Store {
 		// Memory write commits at the R stage, two cycles after the
@@ -293,17 +289,12 @@ func (s *scheduler) tryFinish(oi int, cycle int) bool {
 	}
 	// The destination register was reserved at start; only the write port
 	// and a bus are needed now.
-	rfComp := st.resLoc.RF
-	c := &s.arch.Components[rfComp]
-	if s.rfWrites[rfComp] >= c.NumIn {
+	dst, ok := s.rfWritePort(st.resLoc.RF, st.resLoc.Reg)
+	if !ok {
 		return false
 	}
-	s.rfWrites[rfComp]++
 	s.busFree--
-	fuC := &s.arch.Components[st.fu]
-	src := Endpoint{Comp: st.fu, Port: portOf(fuC, tta.Result), Reg: -1}
-	ins := c.InputPorts()
-	dst := Endpoint{Comp: rfComp, Port: ins[(s.rfWrites[rfComp]-1)%len(ins)], Reg: st.resLoc.Reg}
+	src := Endpoint{Comp: st.fu, Port: s.resPort[st.fu], Reg: -1}
 	s.emit(Move{Cycle: cycle, Src: src, Dst: dst,
 		Val: program.ValueID(oi), Op: program.ValueID(oi)})
 
@@ -331,5 +322,12 @@ func (s *scheduler) tryFinish(oi int, cycle int) bool {
 	}
 	s.fuBusyBy[st.fu] = -1
 	st.done = true
+	// The value now exists: its consumers through operand A join the
+	// ready set.
+	for _, c := range s.consumers[oi] {
+		if s.g.Ops[c].A == program.ValueID(oi) {
+			s.markReady(int(c))
+		}
+	}
 	return true
 }

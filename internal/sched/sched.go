@@ -21,9 +21,11 @@
 package sched
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/program"
@@ -229,20 +231,40 @@ type scheduler struct {
 
 	height []int // critical-path priority per op
 
-	fuByKind map[tta.Kind][]int
+	// Architecture tables, built once per schedule so the cycle loop
+	// never allocates: function units by kind, the bus-facing port lists
+	// of register files and Immediate units, and the O/T/R port indices
+	// of function units (all indexed by component).
+	fuByKind [tta.LDST + 1][]int
 	rfs      []int // component indices of register files
 	imms     []int
+	ins      [][]int
+	outs     [][]int
+	opPort   []int
+	trigPort []int
+	resPort  []int
+	rfPosOf  []int    // per component: position in rfs (-1 if not an RF)
 	rfFree   [][]bool // per RF: free register map
+	rfFreeN  []int    // per RF: number of free registers
+	regs     int      // total registers over all RFs
 
 	vals     []valueState
 	ops      []opState
 	fuBusyBy []int // per component: cycle until which the FU is busy (-1 free)
 
-	// Per-cycle resource counters (reset each cycle).
+	// ready is a bitset over the priority ranks of the pending ops: an op
+	// enters once its operand A has been produced and leaves when it
+	// starts. byRank maps a rank back to its op, rank the other way.
+	ready  []uint64
+	byRank []int
+	rank   []int
+
+	// Per-cycle resource counters, indexed by component (reset each
+	// cycle).
 	busFree  int
-	rfReads  map[int]int
-	rfWrites map[int]int
-	immUsed  map[int]int
+	rfReads  []int
+	rfWrites []int
+	immUsed  []int
 
 	moves    []Move
 	timings  map[program.ValueID]tta.OpTiming
@@ -256,7 +278,7 @@ type scheduler struct {
 	lastMem  program.ValueID
 
 	// Spill machinery.
-	spills      []*spillJob
+	spills      []spillJob
 	spillSlots  int
 	spillCount  int // total spill stores emitted
 	reloadCount int
@@ -271,25 +293,37 @@ type scheduler struct {
 }
 
 func newScheduler(g *program.Graph, arch *tta.Architecture, opts Options) (*scheduler, error) {
+	n := len(arch.Components)
 	s := &scheduler{
 		g:        g,
 		arch:     arch,
 		opts:     opts,
-		fuByKind: map[tta.Kind][]int{},
-		timings:  map[program.ValueID]tta.OpTiming{},
-		fuOf:     map[program.ValueID]int{},
-		regAlloc: map[program.ValueID]RegLoc{},
-		inputLoc: map[program.ValueID]RegLoc{},
+		ins:      make([][]int, n),
+		outs:     make([][]int, n),
+		opPort:   make([]int, n),
+		trigPort: make([]int, n),
+		resPort:  make([]int, n),
+		rfPosOf:  make([]int, n),
+		rfReads:  make([]int, n),
+		rfWrites: make([]int, n),
+		immUsed:  make([]int, n),
 	}
 	for ci := range arch.Components {
 		c := &arch.Components[ci]
+		s.rfPosOf[ci] = -1
 		switch c.Kind {
 		case tta.RF:
+			s.rfPosOf[ci] = len(s.rfs)
 			s.rfs = append(s.rfs, ci)
+			s.ins[ci], s.outs[ci] = c.InputPorts(), c.OutputPorts()
 		case tta.IMM:
 			s.imms = append(s.imms, ci)
-		default:
+			s.outs[ci] = c.OutputPorts()
+		case tta.ALU, tta.CMP, tta.LDST:
 			s.fuByKind[c.Kind] = append(s.fuByKind[c.Kind], ci)
+			s.opPort[ci] = portOf(c, tta.Operand)
+			s.trigPort[ci] = portOf(c, tta.Trigger)
+			s.resPort[ci] = portOf(c, tta.Result)
 		}
 	}
 	st := g.Stats()
@@ -308,23 +342,24 @@ func newScheduler(g *program.Graph, arch *tta.Architecture, opts Options) (*sche
 	if len(s.rfs) == 0 {
 		return nil, fmt.Errorf("sched: architecture has no register file")
 	}
-	totalRegs := 0
 	for _, rf := range s.rfs {
-		totalRegs += arch.Components[rf].NumRegs
+		s.regs += arch.Components[rf].NumRegs
 	}
-	if totalRegs < st.Inputs+st.Outputs {
+	if s.regs < st.Inputs+st.Outputs {
 		return nil, fmt.Errorf("sched: %d registers cannot hold %d inputs + %d outputs",
-			totalRegs, st.Inputs, st.Outputs)
+			s.regs, st.Inputs, st.Outputs)
 	}
 
 	s.rfFree = make([][]bool, len(s.rfs))
+	s.rfFreeN = make([]int, len(s.rfs))
 	for i, rf := range s.rfs {
 		s.rfFree[i] = make([]bool, arch.Components[rf].NumRegs)
 		for j := range s.rfFree[i] {
 			s.rfFree[i][j] = true
 		}
+		s.rfFreeN[i] = len(s.rfFree[i])
 	}
-	s.fuBusyBy = make([]int, len(arch.Components))
+	s.fuBusyBy = make([]int, n)
 	for i := range s.fuBusyBy {
 		s.fuBusyBy[i] = -1
 	}
@@ -333,29 +368,33 @@ func newScheduler(g *program.Graph, arch *tta.Architecture, opts Options) (*sche
 	s.ops = make([]opState, len(g.Ops))
 	s.memReady = 0
 	s.lastMem = program.NoValue
+
+	// Presize the outputs: every ALU/CMP op moves two operands and a
+	// result, every load an address and a result, every store an address
+	// and its data; only spill traffic appends beyond this.
+	fuOps := st.ALU + st.CMP + st.Loads + st.Stores
+	defines := fuOps - st.Stores
+	s.moves = make([]Move, 0, 3*(st.ALU+st.CMP)+2*(st.Loads+st.Stores))
+	s.timings = make(map[program.ValueID]tta.OpTiming, defines)
+	s.fuOf = make(map[program.ValueID]int, fuOps)
+	s.regAlloc = make(map[program.ValueID]RegLoc, st.Inputs+defines)
+	s.inputLoc = make(map[program.ValueID]RegLoc, st.Inputs)
 	return s, nil
 }
 
 // computeHeights returns the longest path (in ops) from each op to a
-// graph output — the list-scheduling priority.
+// graph output — the list-scheduling priority. Every user of an op has a
+// higher index, so one reverse pass that pushes each op's height onto its
+// operands sees final heights only.
 func computeHeights(g *program.Graph) []int {
 	h := make([]int, len(g.Ops))
-	users := make([][]int32, len(g.Ops))
-	for i, op := range g.Ops {
-		for _, ref := range []program.ValueID{op.A, op.B, op.MemPred} {
-			if ref != program.NoValue {
-				users[ref] = append(users[ref], int32(i))
+	for u := len(g.Ops) - 1; u >= 0; u-- {
+		op := &g.Ops[u]
+		for _, ref := range [...]program.ValueID{op.A, op.B, op.MemPred} {
+			if ref != program.NoValue && h[u]+1 > h[ref] {
+				h[ref] = h[u] + 1
 			}
 		}
-	}
-	for i := len(g.Ops) - 1; i >= 0; i-- {
-		best := 0
-		for _, u := range users[i] {
-			if h[u]+1 > best {
-				best = h[u] + 1
-			}
-		}
-		h[i] = best
 	}
 	return h
 }
@@ -371,11 +410,27 @@ func (s *scheduler) run(ctx context.Context) (*Result, error) {
 	for i := range s.vals {
 		s.vals[i].loc = RegLoc{-1, -1}
 	}
-	s.consumers = make([][]int32, len(g.Ops))
-	for i, op := range g.Ops {
-		for _, ref := range []program.ValueID{op.A, op.B} {
+	uses := 0
+	for _, op := range g.Ops {
+		for _, ref := range [...]program.ValueID{op.A, op.B} {
 			if ref != program.NoValue {
 				s.vals[ref].usesLeft++
+				uses++
+			}
+		}
+	}
+	// Consumer lists share one backing array: each value's slice has
+	// exactly the capacity of its use count, so the appends below never
+	// reallocate.
+	flat := make([]int32, uses)
+	s.consumers = make([][]int32, len(g.Ops))
+	for v := range s.consumers {
+		n := s.vals[v].usesLeft
+		s.consumers[v], flat = flat[:0:n], flat[n:]
+	}
+	for i, op := range g.Ops {
+		for _, ref := range [...]program.ValueID{op.A, op.B} {
+			if ref != program.NoValue {
 				s.consumers[ref] = append(s.consumers[ref], int32(i))
 			}
 		}
@@ -409,7 +464,8 @@ func (s *scheduler) run(ctx context.Context) (*Result, error) {
 		s.ops[i] = opState{id: program.ValueID(i), fu: -1, tTrig: -1, resLoc: RegLoc{-1, -1}}
 	}
 
-	// Pending FU operations in priority order.
+	// Pending FU operations in priority order; an op's rank is its
+	// position in that order.
 	var pendings []int
 	for i, op := range g.Ops {
 		switch op.Op.Class() {
@@ -420,7 +476,16 @@ func (s *scheduler) run(ctx context.Context) (*Result, error) {
 		}
 	}
 	if s.opts.Priority == CriticalPath {
-		sort.SliceStable(pendings, func(a, b int) bool { return s.height[pendings[a]] > s.height[pendings[b]] })
+		slices.SortStableFunc(pendings, func(a, b int) int { return cmp.Compare(s.height[b], s.height[a]) })
+	}
+	s.byRank = pendings
+	s.rank = make([]int, len(g.Ops))
+	s.ready = make([]uint64, (len(pendings)+63)/64)
+	for r, oi := range pendings {
+		s.rank[oi] = r
+		if a := &s.vals[g.Ops[oi].A]; a.isConst || a.alloc {
+			s.markReady(oi)
+		}
 	}
 
 	maxCycles := s.opts.MaxCycles
@@ -473,27 +538,23 @@ func (s *scheduler) run(ctx context.Context) (*Result, error) {
 			}
 		}
 		inflight = keep
-		// Phase 2: start ready ops by priority (inflight ops were handled
-		// above; newly started ops join the in-flight set).
-		if s.busFree > 0 {
-			kept := pendings[:0]
-			for _, oi := range pendings {
-				st := &s.ops[oi]
-				if st.started {
-					continue // moved to inflight in an earlier cycle
-				}
-				if s.busFree > 0 {
-					s.tryStart(oi, cycle)
-				}
-				if st.started {
+		// Phase 2: start ready ops by priority while buses remain. Only
+		// ops whose operand A exists are visited: for any other op
+		// tryStart fails on A before touching any state, so skipping it
+		// leaves the schedule unchanged. Visiting the rest in rank order
+		// keeps every side effect (starts, reload requests, spill
+		// demands) in the order of a full priority-list scan.
+		for w := 0; w < len(s.ready) && s.busFree > 0; w++ {
+			for word := s.ready[w]; word != 0 && s.busFree > 0; word &= word - 1 {
+				b := word & -word
+				oi := s.byRank[w<<6|bits.TrailingZeros64(b)]
+				if s.tryStart(oi, cycle) {
+					s.ready[w] &^= b
 					// Stores whose trigger landed in the same cycle may
 					// finish in a later phase-1 pass.
 					inflight = append(inflight, oi)
-				} else {
-					kept = append(kept, oi)
 				}
 			}
-			pendings = kept
 		}
 		// Phase 3: reloads run last so they never starve op starts.
 		s.stepSpills(cycle, true)
@@ -533,19 +594,23 @@ func (s *scheduler) run(ctx context.Context) (*Result, error) {
 		Spills:   s.spillCount,
 		Reloads:  s.reloadCount,
 	}
-	for _, m := range s.moves {
-		// Last bus cycle + the register-load cycle after it.
-		if m.Cycle+1 > res.Cycles {
-			res.Cycles = m.Cycle + 1
-		}
+	// Every move is emitted at the current cycle, so the last one holds
+	// the last bus cycle; add the register-load cycle after it.
+	if n := len(s.moves); n > 0 {
+		res.Cycles = s.moves[n-1].Cycle + 1
 	}
-	sort.SliceStable(res.Moves, func(a, b int) bool { return res.Moves[a].Cycle < res.Moves[b].Cycle })
 	return res, nil
 }
 
 func (s *scheduler) resetCycle() {
 	s.busFree = s.arch.Buses
-	s.rfReads = map[int]int{}
-	s.rfWrites = map[int]int{}
-	s.immUsed = map[int]int{}
+	clear(s.rfReads)
+	clear(s.rfWrites)
+	clear(s.immUsed)
+}
+
+// markReady enters op oi into the ready set (its operand A exists).
+func (s *scheduler) markReady(oi int) {
+	r := s.rank[oi]
+	s.ready[r>>6] |= 1 << (r & 63)
 }

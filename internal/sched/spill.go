@@ -31,8 +31,8 @@ func (s *scheduler) emit(m Move) {
 
 // spillsIdle reports whether no spill job is outstanding.
 func (s *scheduler) spillsIdle() bool {
-	for _, j := range s.spills {
-		if !j.done {
+	for i := range s.spills {
+		if !s.spills[i].done {
 			return false
 		}
 	}
@@ -46,8 +46,7 @@ func spillAddr(slot int) uint64 { return SpillBase + uint64(slot) }
 func (s *scheduler) immSource(v uint64) (Endpoint, bool) {
 	for _, imm := range s.imms {
 		if s.immUsed[imm] == 0 {
-			c := &s.arch.Components[imm]
-			return Endpoint{Comp: imm, Port: c.OutputPorts()[0], Reg: -1, Imm: v}, true
+			return Endpoint{Comp: imm, Port: s.outs[imm][0], Reg: -1, Imm: v}, true
 		}
 	}
 	return Endpoint{}, false
@@ -61,7 +60,7 @@ func (s *scheduler) requestReload(v program.ValueID) {
 		return
 	}
 	vs.loadPending = true
-	s.spills = append(s.spills, &spillJob{val: v, isLoad: true, fu: -1, tAddr: -1, tTrig: -1, resLoc: RegLoc{-1, -1}})
+	s.spills = append(s.spills, spillJob{val: v, isLoad: true, fu: -1, tAddr: -1, tTrig: -1, resLoc: RegLoc{-1, -1}})
 	s.reloadCount++
 }
 
@@ -70,7 +69,8 @@ func (s *scheduler) requestReload(v program.ValueID) {
 // pending operations claim result registers first and reloads cannot
 // starve them).
 func (s *scheduler) stepSpills(cycle int, loads bool) {
-	for _, j := range s.spills {
+	for i := range s.spills {
+		j := &s.spills[i]
 		if j.done || j.isLoad != loads {
 			continue
 		}
@@ -93,16 +93,7 @@ func (s *scheduler) stepSpills(cycle int, loads bool) {
 }
 
 // hasFreeReg reports whether any register file has a free register.
-func (s *scheduler) hasFreeReg() bool {
-	for i := range s.rfFree {
-		for _, f := range s.rfFree[i] {
-			if f {
-				return true
-			}
-		}
-	}
-	return false
-}
+func (s *scheduler) hasFreeReg() bool { return s.live < s.regs }
 
 // readWillFree reports whether reading value v (once) releases its
 // register.
@@ -146,11 +137,10 @@ func (s *scheduler) stepSpillStore(j *spillJob, cycle int) {
 		if !ok {
 			return
 		}
-		c := &s.arch.Components[fu]
 		s.busFree--
 		s.immUsed[src.Comp]++
 		s.emit(Move{Cycle: cycle, Src: src,
-			Dst: Endpoint{Comp: fu, Port: portOf(c, tta.Operand), Reg: -1},
+			Dst: Endpoint{Comp: fu, Port: s.opPort[fu], Reg: -1},
 			Val: program.NoValue, Op: program.NoValue, Spill: SpillStoreAddr})
 		j.fu = fu
 		j.tAddr = cycle
@@ -162,18 +152,14 @@ func (s *scheduler) stepSpillStore(j *spillJob, cycle int) {
 		if s.busFree < 1 || !vs.alloc {
 			return
 		}
-		rf := vs.loc.RF
-		c := &s.arch.Components[rf]
-		if s.rfReads[rf] >= c.NumOut {
+		src, ok := s.rfReadPort(vs.loc)
+		if !ok {
 			return
 		}
-		outs := c.OutputPorts()
-		src := Endpoint{Comp: rf, Port: outs[s.rfReads[rf]%len(outs)], Reg: vs.loc.Reg}
-		s.rfReads[rf]++
+		s.rfReads[src.Comp]++
 		s.busFree--
-		fuC := &s.arch.Components[j.fu]
 		s.emit(Move{Cycle: cycle, Src: src,
-			Dst: Endpoint{Comp: j.fu, Port: portOf(fuC, tta.Trigger), Reg: -1},
+			Dst: Endpoint{Comp: j.fu, Port: s.trigPort[j.fu], Reg: -1},
 			Val: j.val, Op: program.NoValue, Trigger: true, Spill: SpillStoreData})
 		j.tTrig = cycle
 		// The register copy is gone after this cycle's read; the memory
@@ -217,11 +203,10 @@ func (s *scheduler) stepSpillLoad(j *spillJob, cycle int) {
 		if !ok {
 			return // a future maybeSpill will free capacity
 		}
-		c := &s.arch.Components[fu]
 		s.busFree--
 		s.immUsed[src.Comp]++
 		s.emit(Move{Cycle: cycle, Src: src,
-			Dst: Endpoint{Comp: fu, Port: portOf(c, tta.Trigger), Reg: -1},
+			Dst: Endpoint{Comp: fu, Port: s.trigPort[fu], Reg: -1},
 			Val: program.NoValue, Op: program.NoValue, Trigger: true, Spill: SpillLoadTrig})
 		j.fu = fu
 		j.tTrig = cycle
@@ -233,18 +218,14 @@ func (s *scheduler) stepSpillLoad(j *spillJob, cycle int) {
 	if cycle < j.tTrig+3 || s.busFree < 1 {
 		return
 	}
-	rf := j.resLoc.RF
-	c := &s.arch.Components[rf]
-	if s.rfWrites[rf] >= c.NumIn {
+	dst, ok := s.rfWritePort(j.resLoc.RF, j.resLoc.Reg)
+	if !ok {
 		return
 	}
-	s.rfWrites[rf]++
 	s.busFree--
-	fuC := &s.arch.Components[j.fu]
-	ins := c.InputPorts()
 	s.emit(Move{Cycle: cycle,
-		Src: Endpoint{Comp: j.fu, Port: portOf(fuC, tta.Result), Reg: -1},
-		Dst: Endpoint{Comp: rf, Port: ins[(s.rfWrites[rf]-1)%len(ins)], Reg: j.resLoc.Reg},
+		Src: Endpoint{Comp: j.fu, Port: s.resPort[j.fu], Reg: -1},
+		Dst: dst,
 		Val: j.val, Op: program.NoValue, Spill: SpillLoadResult})
 	vs.loc = j.resLoc
 	vs.readyAt = cycle + 1
@@ -263,8 +244,8 @@ func (s *scheduler) stepSpillLoad(j *spillJob, cycle int) {
 func (s *scheduler) maybeSpill(cycle int) bool {
 	// At most one spill store in flight keeps the LD/ST unit available for
 	// program memory traffic.
-	for _, j := range s.spills {
-		if !j.done && !j.isLoad {
+	for i := range s.spills {
+		if !s.spills[i].done && !s.spills[i].isLoad {
 			return false
 		}
 	}
@@ -295,7 +276,7 @@ func (s *scheduler) maybeSpill(cycle int) bool {
 	vs.spillSlot = s.spillSlots
 	s.spillSlots++
 	s.spillCount++
-	s.spills = append(s.spills, &spillJob{val: victim, fu: -1, tAddr: -1, tTrig: -1, resLoc: RegLoc{-1, -1}})
+	s.spills = append(s.spills, spillJob{val: victim, fu: -1, tAddr: -1, tTrig: -1, resLoc: RegLoc{-1, -1}})
 	return true
 }
 

@@ -183,7 +183,11 @@ func (s *Server) runSharded(job *Job) {
 	cfg.Obs = job.reg
 	cfg.Inject = s.opts.Inject
 	cfg.Annotator = ann
-	cfg.EventSink = job.sink
+	// Worker events, restart warnings and the final merge share one
+	// numbering: the merge's own emitter stamps from 1, and the
+	// sequencer re-stamps on delivery.
+	events := &sequencer{sink: job.sink}
+	cfg.EventSink = events.emit
 
 	// With a CheckpointDir the shard files persist across daemon
 	// restarts (resubmitting the spec resumes every worker); without
@@ -242,7 +246,6 @@ func (s *Server) runSharded(job *Job) {
 	// worker from the shard checkpoint up to maxRestarts times.
 	workersGauge := job.reg.Gauge("dse.shard.workers")
 	var live atomic.Int64
-	var seq atomic.Int64 // coordinator-stamped sequence over all workers
 	werrs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -255,7 +258,7 @@ func (s *Server) runSharded(job *Job) {
 			var restarts []time.Time // actual restarts, for the window budget
 			for attempt := 0; ; attempt++ {
 				workersGauge.Set(float64(live.Add(1)))
-				err := s.runShardWorkerOnce(runCtx, job, &seq, specPath, seedCache, ckpt, cacheOut, i, n, sup)
+				err := s.runShardWorkerOnce(runCtx, job, events.emit, specPath, seedCache, ckpt, cacheOut, i, n, sup)
 				workersGauge.Set(float64(live.Add(-1)))
 				if err == nil {
 					return
@@ -287,7 +290,7 @@ func (s *Server) runSharded(job *Job) {
 					job.reg.Counter("dse.shard.restarts_crash").Inc()
 				}
 				job.reg.Counter("dse.shard.restarts").Inc()
-				job.sink(dse.Event{Kind: dse.EventWarning, Seq: seq.Add(1),
+				events.emit(dse.Event{Kind: dse.EventWarning,
 					Msg: fmt.Sprintf("shard %d/%d worker %s (attempt %d of %d), resuming from its checkpoint: %v",
 						i, n, cause, attempt+1, sup.maxRestarts+1, err)})
 				delay := backoffDelay(len(restarts)-1, sup, rng)
@@ -363,12 +366,13 @@ func (s *Server) runSharded(job *Job) {
 }
 
 // runShardWorkerOnce execs one worker process, forwards its NDJSON
-// event stream into the job's sink, and returns the worker's failure
-// (exit status plus a stderr tail) if any. Worker "done" events are
-// swallowed — the merge emits the job's single terminal event — and so
-// are "heartbeat" (pure liveness: any line resets the stall watchdog)
-// and "counter" events (folded into the job registry instead).
-func (s *Server) runShardWorkerOnce(ctx context.Context, job *Job, seq *atomic.Int64,
+// event stream through emit (the job's sequencer), and returns the
+// worker's failure (exit status plus a stderr tail) if any. Worker
+// "done" events are swallowed — the merge emits the job's single
+// terminal event — and so are "heartbeat" (pure liveness: any line
+// resets the stall watchdog) and "counter" events (folded into the job
+// registry instead).
+func (s *Server) runShardWorkerOnce(ctx context.Context, job *Job, emit func(dse.Event),
 	specPath, seedCache, ckpt, cacheOut string, index, shards int, sup supervision) error {
 	argv := s.opts.ShardWorkerCommand
 	if len(argv) == 0 {
@@ -445,10 +449,9 @@ func (s *Server) runShardWorkerOnce(ctx context.Context, job *Job, seq *atomic.I
 			// the event stream.
 			job.reg.Counter(ev.Code).Inc()
 		}
-		// Re-stamp: each worker numbers its own stream from 1; the job's
-		// stream needs one monotone sequence across all of them.
-		ev.Seq = seq.Add(1)
-		job.sink(ev)
+		// Each worker numbers its own stream from 1; emit re-stamps it
+		// into the job's single sequence.
+		emit(ev)
 	}
 	scanErr := sc.Err()
 	if err := cmd.Wait(); err != nil {
@@ -461,6 +464,24 @@ func (s *Server) runShardWorkerOnce(ctx context.Context, job *Job, seq *atomic.I
 		return err
 	}
 	return scanErr
+}
+
+// sequencer numbers one job's event stream across every source that
+// feeds it. Stamping and delivery happen under one lock, so consumers
+// see Seq strictly increasing in delivery order. The sink (the job's
+// front tracker and event hub) never blocks.
+type sequencer struct {
+	mu   sync.Mutex
+	seq  int64
+	sink func(dse.Event)
+}
+
+func (q *sequencer) emit(ev dse.Event) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.seq++
+	ev.Seq = q.seq
+	q.sink(ev)
 }
 
 // stderrTail returns the last few hundred bytes of a worker's stderr —

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/dse"
 	"repro/internal/jobspec"
 	"repro/internal/obs"
 )
@@ -97,6 +98,18 @@ func TestShardedJobMatchesUnsharded(t *testing.T) {
 			}
 			if got := job.reg.Counter("dse.shard.merged").Value(); got != int64(shards) {
 				t.Fatalf("dse.shard.merged = %d, want %d", got, shards)
+			}
+			// Worker streams and the merge replay form one sequence:
+			// Seq strictly increasing through the final "done".
+			history, _, cancel := job.hub.subscribe()
+			cancel()
+			for i := 1; i < len(history); i++ {
+				if history[i].Seq <= history[i-1].Seq {
+					t.Fatalf("event %d (%s) has seq %d after seq %d", i, history[i].Kind, history[i].Seq, history[i-1].Seq)
+				}
+			}
+			if n := len(history); n == 0 || history[n-1].Kind != dse.EventDone {
+				t.Fatalf("event history does not end in done: %d events", n)
 			}
 		})
 	}
