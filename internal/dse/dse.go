@@ -74,11 +74,13 @@ type Config struct {
 	// every candidate (an extension beyond the paper's three axes).
 	EnergyModel *power.Model
 
-	// Parallelism bounds the number of candidates evaluated concurrently.
-	// 0 selects GOMAXPROCS; negative values are a configuration error
-	// (reported by Explore/ExploreContext). Results are identical at any
-	// setting: candidates are independent and the annotator cache is
-	// synchronized.
+	// Parallelism bounds the number of evaluation workers. They first run
+	// the warm-up jobs (one schedule per distinct structure, one
+	// gate-level annotation per component key of a feasible structure),
+	// then the candidates. 0 selects GOMAXPROCS; negative values are a
+	// configuration error (reported by Explore/ExploreContext). Results
+	// are identical at any setting: candidates are independent and the
+	// schedule memo and the annotator cache are synchronized.
 	Parallelism int
 
 	// ATPGWorkers bounds the parallelism inside each gate-level ATPG run
@@ -563,10 +565,15 @@ func partialErrorFor(ctx context.Context, res *Result, errs []error, lo, hi int)
 // range; a shard run its own slice — events always carry the global
 // index and total, so downstream consumers never remap. Evaluations
 // recorded in cfg.Checkpoint are restored instead of recomputed, and new
-// completions are recorded back. A panicking evaluation is recovered
-// into its own error slot (*EvalPanicError); the sweep continues. The
-// "dse.worker.utilization" gauge is set on every exit path — including a
-// cancelled context or a candidate error surfacing to the caller.
+// completions are recorded back. The workers first run the warm-up
+// stage (warmUp: every schedule and every annotation the candidates will
+// read), then the candidates; a run cancelled during the stage
+// evaluates no candidate. A panicking evaluation is recovered into its
+// own error slot (*EvalPanicError), and a failed warm-up job into the
+// slot of the lowest-index candidate depending on it; the sweep
+// continues. The "dse.worker.utilization" gauge is set on every exit
+// path — including a cancelled context or a candidate error surfacing
+// to the caller.
 func runEvaluations(ctx context.Context, cfg *Config, root *obs.Span, archs []*tta.Architecture, res *Result, em *emitter, nEvents *atomic.Int64, lo, hi int) []error {
 	reg := cfg.Obs
 	res.Candidates = make([]Candidate, len(archs))
@@ -618,6 +625,10 @@ func runEvaluations(ctx context.Context, cfg *Config, root *obs.Span, archs []*t
 		}
 		reg.Gauge("dse.worker.utilization").Set(util)
 	}()
+	handoff := warmUp(ctx, cfg, root, archs, restored, lo, hi, workers, memo, &busyNS)
+	if ctx.Err() != nil {
+		return errs
+	}
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -627,7 +638,11 @@ func runEvaluations(ctx context.Context, cfg *Config, root *obs.Span, archs []*t
 			for i := range next {
 				t0 := time.Now()
 				sp := root.Child("evaluate")
-				res.Candidates[i], errs[i] = safeEvaluate(ctx, cfg, archs[i], sp, memo, em)
+				if f := handoff[i]; f != nil {
+					res.Candidates[i], errs[i] = Candidate{Arch: archs[i]}, f.report(cfg, em, archs[i])
+				} else {
+					res.Candidates[i], errs[i] = safeEvaluate(ctx, cfg, archs[i], sp, memo, em)
+				}
 				sp.End()
 				busyNS.Add(int64(time.Since(t0)))
 				if errs[i] == nil {
@@ -683,18 +698,24 @@ feed:
 func safeEvaluate(ctx context.Context, cfg *Config, arch *tta.Architecture, sp *obs.Span, memo *schedMemo, em *emitter) (cand Candidate, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			pe := &EvalPanicError{Arch: arch.Name, Value: r, Stack: debug.Stack()}
-			cand, err = Candidate{Arch: arch}, pe
-			cfg.Obs.Counter("dse.eval.panics").Inc()
-			msg := fmt.Sprintf("%v\n%s", pe, pe.Stack)
-			em.emit(Event{Kind: EventPanic, Msg: msg})
-			cfg.Obs.Emit(obs.Event{Kind: "panic", Msg: msg})
+			cand, err = Candidate{Arch: arch}, recordPanic(cfg, em, arch, r, debug.Stack())
 		}
 	}()
 	if err := cfg.Inject.Hit(faultinject.DSEEval); err != nil {
 		return Candidate{Arch: arch}, err
 	}
 	return evaluate(ctx, cfg, arch, sp, memo)
+}
+
+// recordPanic turns a recovered panic into arch's *EvalPanicError,
+// counted on "dse.eval.panics" and emitted as a "panic" event.
+func recordPanic(cfg *Config, em *emitter, arch *tta.Architecture, value any, stack []byte) error {
+	pe := &EvalPanicError{Arch: arch.Name, Value: value, Stack: stack}
+	cfg.Obs.Counter("dse.eval.panics").Inc()
+	msg := fmt.Sprintf("%v\n%s", pe, pe.Stack)
+	em.emit(Event{Kind: EventPanic, Msg: msg})
+	cfg.Obs.Emit(obs.Event{Kind: "panic", Msg: msg})
+	return pe
 }
 
 // candidateEventMsg renders one progress-event line for a completed
@@ -793,6 +814,9 @@ func structKey(a *tta.Architecture) string {
 type schedMemo struct {
 	mu sync.Mutex
 	m  map[string]*schedMemoEntry
+	// eval computes a missing entry: evalStructural, or a stand-in in
+	// tests of the latch.
+	eval func(context.Context, *Config, *tta.Architecture, *obs.Span) (structEval, error)
 }
 
 type schedMemoEntry struct {
@@ -802,26 +826,14 @@ type schedMemoEntry struct {
 }
 
 func newSchedMemo() *schedMemo {
-	return &schedMemo{m: make(map[string]*schedMemoEntry)}
+	return &schedMemo{m: make(map[string]*schedMemoEntry), eval: evalStructural}
 }
-
-// structEvalFn computes the structural part of a candidate evaluation —
-// evalStructural (exact annotations) or evalStructuralBound (the guided
-// search's cheap tier).
-type structEvalFn func(context.Context, *Config, *tta.Architecture, *obs.Span) (structEval, error)
 
 // get returns the structural evaluation for arch, computing it at most
 // once per structural signature ("dse.sched.memo.hit"/".miss" count the
-// reuse). sp is the requesting candidate's "evaluate" span; only the
-// computing request records "sched"/"atpg" children under it.
+// reuse). sp is the requesting job's "evaluate" span; only the computing
+// request records a "sched" child under it.
 func (m *schedMemo) get(ctx context.Context, cfg *Config, arch *tta.Architecture, sp *obs.Span) (structEval, error) {
-	return m.getWith(ctx, cfg, arch, sp, evalStructural)
-}
-
-// getWith is get with a pluggable structural evaluator. One memo
-// instance must stick to one evaluator — the full and cheap tiers use
-// separate memos, so a key never mixes fidelities.
-func (m *schedMemo) getWith(ctx context.Context, cfg *Config, arch *tta.Architecture, sp *obs.Span, fn structEvalFn) (structEval, error) {
 	key := structKey(arch)
 	m.mu.Lock()
 	e, ok := m.m[key]
@@ -842,8 +854,8 @@ func (m *schedMemo) getWith(ctx context.Context, cfg *Config, arch *tta.Architec
 	// The latch must settle even if the structural evaluation panics:
 	// variants of the same structure are blocked on e.done, and a leader
 	// that dies without closing it would strand them forever. The panic
-	// itself still propagates (safeEvaluate isolates it to the leader's
-	// candidate); the waiters get an ordinary error.
+	// itself still propagates (to the warm-up job or the candidate that
+	// led, which isolates it); the waiters get an ordinary error.
 	defer func() {
 		if r := recover(); r != nil {
 			e.err = fmt.Errorf("dse: structural evaluation of %s panicked: %v", arch.Name, r)
@@ -851,26 +863,17 @@ func (m *schedMemo) getWith(ctx context.Context, cfg *Config, arch *tta.Architec
 			panic(r)
 		}
 	}()
-	e.val, e.err = fn(ctx, cfg, arch, sp)
+	e.val, e.err = m.eval(ctx, cfg, arch, sp)
 	close(e.done)
 	return e.val, e.err
 }
 
 // evalStructural schedules the kernel and derives area, clock and energy
-// for one structure — the memoized part of evaluate.
+// for one structure — the memoized part of evaluate, and the structural
+// part of the guided search's screen. Area and clock are read off the
+// component netlists (Annotator.AreaDelayContext), so they never wait on
+// a gate-level ATPG run.
 func evalStructural(ctx context.Context, cfg *Config, arch *tta.Architecture, sp *obs.Span) (structEval, error) {
-	return evalStructuralWith(ctx, cfg, arch, sp, cfg.Annotator.AreaDelayContext)
-}
-
-// evalStructuralBound is evalStructural on the annotator's cheap tier:
-// identical scheduling, area and clock (both tiers measure them from the
-// netlist), but no gate-level ATPG behind the annotation — the guided
-// search screens generations with it.
-func evalStructuralBound(ctx context.Context, cfg *Config, arch *tta.Architecture, sp *obs.Span) (structEval, error) {
-	return evalStructuralWith(ctx, cfg, arch, sp, cfg.Annotator.AreaDelayBoundContext)
-}
-
-func evalStructuralWith(ctx context.Context, cfg *Config, arch *tta.Architecture, sp *obs.Span, areaDelay func(context.Context, *tta.Component) (float64, float64, error)) (structEval, error) {
 	// Throughput axis: schedule the kernel.
 	schedSp := sp.Child("sched")
 	schedRes, err := sched.ScheduleContext(ctx, cfg.Workload, arch, sched.Options{Obs: cfg.Obs})
@@ -888,12 +891,10 @@ func evalStructuralWith(ctx context.Context, cfg *Config, arch *tta.Architecture
 	}
 
 	// Area and clock axes from the gate-level library.
-	atpgSp := sp.Child("atpg")
-	defer atpgSp.End()
 	area := 0.0
 	clock := cfg.BusDelay
 	for ci := range arch.Components {
-		ar, dl, err := areaDelay(ctx, &arch.Components[ci])
+		ar, dl, err := cfg.Annotator.AreaDelayContext(ctx, &arch.Components[ci])
 		if err != nil {
 			return structEval{}, err
 		}
@@ -921,10 +922,11 @@ func evalStructuralWith(ctx context.Context, cfg *Config, arch *tta.Architecture
 }
 
 // evaluate computes all three axes for one candidate. sp (nil allowed)
-// is the candidate's "evaluate" span; scheduling and gate-level
-// annotation time are recorded under its "sched" and "atpg" children.
-// The structural part (cycles, area, clock, energy) comes from the shared
-// memo; only the assignment-dependent test cost is computed per variant.
+// is the candidate's "evaluate" span. The structural part (cycles, area,
+// clock, energy) comes from the shared memo and the test cost from the
+// annotator's cache — the warm-up stage of runEvaluations has normally
+// computed both — so only the assignment-dependent eq. (14) assembly is
+// computed per variant.
 func evaluate(ctx context.Context, cfg *Config, arch *tta.Architecture, sp *obs.Span, memo *schedMemo) (Candidate, error) {
 	cand := Candidate{Arch: arch}
 	se, err := memo.get(ctx, cfg, arch, sp)

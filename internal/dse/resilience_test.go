@@ -5,7 +5,9 @@ import (
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
@@ -110,34 +112,59 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestPanicInStructuralEvalReleasesMemoWaiters panics inside the shared
-// structural evaluation (via the ATPG injection point, under the memo
-// leader) with a variant of the same structure waiting on the latch: the
-// waiter must get an error, not hang — the regression this guards is a
-// leader dying without settling the single-flight latch.
+// TestPanicInStructuralEvalReleasesMemoWaiters drives the schedule memo
+// with a structural evaluator that panics while a variant of the same
+// structure waits on the latch: the leader's panic must propagate and
+// the waiter must get an error, not hang — the regression this guards is
+// a leader dying without settling the single-flight latch.
 func TestPanicInStructuralEvalReleasesMemoWaiters(t *testing.T) {
-	cfg := smallConfig(t)
-	cfg.Assigns = []tta.AssignStrategy{tta.SpreadFirst, tta.Packed} // two variants, one structure
-	inj := faultinject.New(1)
-	inj.Arm(faultinject.ATPGPattern, faultinject.Plan{Mode: faultinject.ModePanic, Limit: 1})
-	cfg.Inject = inj
+	reg := obs.NewRegistry()
+	cfg := &Config{Obs: reg}
+	rfs := []RFSpec{{16, 1, 2}}
+	leader := buildArch(8, 2, 1, 1, rfs, tta.SpreadFirst, 0, 0)
+	waiter := buildArch(8, 2, 1, 1, rfs, tta.Packed, 1, 0)
 
-	res, err := ExploreContext(context.Background(), cfg)
-	var pe *PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %T (%v), want *PartialError", err, err)
+	memo := newSchedMemo()
+	release := make(chan struct{})
+	memo.eval = func(context.Context, *Config, *tta.Architecture, *obs.Span) (structEval, error) {
+		<-release
+		panic("structural evaluation blew up")
 	}
-	if pe.Panics < 1 {
-		t.Fatalf("no recovered panic in %+v", pe)
+	waitCounter := func(name string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for reg.Counter(name).Value() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never counted", name)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
-	if len(pe.Errs) != 2 {
-		// The leader panicked; the waiter must surface the latch error
-		// rather than hang (the test completing at all proves no hang,
-		// this pins the error visibility).
-		t.Fatalf("got %d candidate errors, want 2 (leader panic + waiter error): %+v", len(pe.Errs), pe.Errs)
+
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		memo.get(context.Background(), cfg, leader, nil)
+	}()
+	waitCounter("dse.sched.memo.miss") // the leader owns the entry
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, err := memo.get(context.Background(), cfg, waiter, nil)
+		waiterErr <- err
+	}()
+	waitCounter("dse.sched.memo.hit") // the waiter latched on
+	close(release)
+
+	if r := <-leaderPanic; r == nil {
+		t.Fatal("the leader's panic did not propagate")
 	}
-	if res == nil {
-		t.Fatal("no result returned")
+	select {
+	case err := <-waiterErr:
+		if err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("waiter got %v, want the latch's panic error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("waiter hangs on a latch its panicking leader never settled")
 	}
 }
 

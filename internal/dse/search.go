@@ -329,7 +329,7 @@ func cheapEvalOne(ctx context.Context, cfg *Config, g *genome, memo *schedMemo, 
 	if err := arch.Validate(); err != nil {
 		return cheapResult{feasible: false}
 	}
-	se, err := memo.getWith(ctx, cfg, arch, sp, evalStructuralBound)
+	se, err := memo.get(ctx, cfg, arch, sp)
 	if err != nil {
 		return cheapResult{err: err}
 	}

@@ -158,12 +158,24 @@ func TestChaosCacheIOErrors(t *testing.T) {
 	// A tiny real cache to attempt loading.
 	donor := testcost.NewAnnotator(4, 7)
 	comp := tta.NewFU(tta.ALU, "ALU1")
-	if _, _, err := donor.AreaDelay(&comp); err != nil {
+	if err := donor.AnnotateContext(context.Background(), &comp); err != nil {
 		t.Fatal(err)
 	}
 	var file bytes.Buffer
 	if err := donor.Save(&file); err != nil {
 		t.Fatal(err)
+	}
+	// The saved cache holds the entry: a clean load serves it as a hit.
+	probe := testcost.NewAnnotator(4, 7)
+	probe.Obs = obs.NewRegistry()
+	if err := probe.Load(bytes.NewReader(file.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if err := probe.AnnotateContext(context.Background(), &comp); err != nil {
+		t.Fatal(err)
+	}
+	if hit, miss := probe.Obs.Counter("testcost.cache.hit").Value(), probe.Obs.Counter("testcost.cache.miss").Value(); hit != 1 || miss != 0 {
+		t.Fatalf("saved cache does not hold the ALU entry: %d hits, %d misses", hit, miss)
 	}
 
 	inj := faultinject.New(4)
@@ -178,9 +190,9 @@ func TestChaosCacheIOErrors(t *testing.T) {
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("corrupt error does not unwrap to ErrInjected: %v", err)
 	}
-	// The failed load must leave the annotator usable: a full evaluation
-	// still works (cold).
-	if _, _, err := a.AreaDelay(&comp); err != nil {
+	// The failed load must leave the annotator usable: the annotation
+	// still runs (cold).
+	if err := a.AnnotateContext(context.Background(), &comp); err != nil {
 		t.Fatalf("annotator unusable after failed load: %v", err)
 	}
 

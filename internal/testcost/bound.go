@@ -15,9 +15,10 @@ import (
 // replaces the measured pattern count with the analytical SCOAP bound
 // (atpg.EstimateBound): a pure function of the netlist — deterministic,
 // no search, no deadline — that is an upper bound on the converged n_p,
-// so screening never flatters a candidate. Area and critical path are
-// read off the same generated netlist and are exact, identical to the
-// full tier.
+// so screening never flatters a candidate. Area and critical path need
+// no tier of their own: AreaDelayContext serves both tiers with the
+// netlist's values, whether a cached annotation or the netlist itself
+// supplies them.
 //
 // Bound annotations live in their own map (Annotator.bounds), strictly
 // separated from the main cache in both directions. Outward: the main
@@ -60,8 +61,6 @@ func (a *Annotator) componentBound(ctx context.Context, c *tta.Component) (annot
 		nl:       comp.SeqFFs(),
 		coverage: b.Coverage(),
 		scanNP:   b.Patterns,
-		area:     comp.Seq.Area(),
-		delay:    comp.Seq.CriticalPath(),
 		degraded: true,
 	}
 	a.mu.Lock()
@@ -86,16 +85,4 @@ func (a *Annotator) componentBound(ctx context.Context, c *tta.Component) (annot
 // measured n_p anchors the f_ts term for both tiers.
 func (a *Annotator) EvaluateBoundContext(ctx context.Context, arch *tta.Architecture) (*ArchCost, error) {
 	return a.evaluateWith(ctx, arch, a.componentBound)
-}
-
-// AreaDelayBoundContext returns the component's exact area and critical
-// path from the cheap tier: the values are measured from the generated
-// netlist either way, so this matches AreaDelayContext without ever
-// paying for an ATPG run.
-func (a *Annotator) AreaDelayBoundContext(ctx context.Context, c *tta.Component) (area, delay float64, err error) {
-	an, err := a.componentBound(ctx, c)
-	if err != nil {
-		return 0, 0, err
-	}
-	return an.area, an.delay, nil
 }

@@ -1,6 +1,7 @@
 package testcost
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
@@ -102,26 +103,65 @@ func TestBoundTierIndependentOfExactCache(t *testing.T) {
 	}
 }
 
-// TestBoundTierAreaDelayExact: area/critical-path come from the netlist
-// in both tiers and must agree.
+// TestBoundTierAreaDelayExact: area and critical path are pure functions
+// of the netlist, which is what lets the bound tier and the exact tier
+// share AreaDelayContext. It must return the same values on a cold
+// annotator (measured from the netlist), after AnnotateContext (read from
+// the exact cache) and after a Save/Load round trip (read from a warm
+// start), and the cold path must run no ATPG.
 func TestBoundTierAreaDelayExact(t *testing.T) {
-	cheap := NewAnnotator(16, 7)
-	full := NewAnnotator(16, 7)
+	ctx := context.Background()
+	ann := NewAnnotator(16, 7)
+	reg := obs.NewRegistry()
+	ann.Obs = reg
 	arch := boundTestArch()
+	type ad struct{ area, delay float64 }
+	cold := make([]ad, len(arch.Components))
 	for ci := range arch.Components {
 		c := &arch.Components[ci]
-		ba, bd, err := cheap.AreaDelayBoundContext(context.Background(), c)
+		area, delay, err := ann.AreaDelayContext(ctx, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ea, ed, err := full.AreaDelayContext(context.Background(), c)
-		if err != nil {
-			t.Fatal(err)
+		if area <= 0 || delay <= 0 {
+			t.Fatalf("%s: cold area/delay %v/%v", c.Name, area, delay)
 		}
-		if ba != ea || bd != ed {
-			t.Errorf("%s: bound tier area/delay %v/%v != exact %v/%v", c.Name, ba, bd, ea, ed)
+		cold[ci] = ad{area, delay}
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["testcost.cache.miss"] != 0 || snap.Counters["atpg.podem.decisions"] != 0 {
+		t.Fatalf("cold AreaDelayContext ran ATPG: %+v", snap.Counters)
+	}
+
+	check := func(tier string, a *Annotator) {
+		t.Helper()
+		for ci := range arch.Components {
+			c := &arch.Components[ci]
+			area, delay, err := a.AreaDelayContext(ctx, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (ad{area, delay}) != cold[ci] {
+				t.Errorf("%s: %s area/delay %v/%v != netlist %v/%v", c.Name, tier, area, delay, cold[ci].area, cold[ci].delay)
+			}
 		}
 	}
+	for ci := range arch.Components {
+		if err := ann.AnnotateContext(ctx, &arch.Components[ci]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("exact-cache", ann)
+
+	var file bytes.Buffer
+	if err := ann.Save(&file); err != nil {
+		t.Fatal(err)
+	}
+	warm := NewAnnotator(16, 7)
+	if err := warm.Load(&file); err != nil {
+		t.Fatal(err)
+	}
+	check("warm-start", warm)
 }
 
 // TestBoundTierConcurrent: concurrent cheap-tier evaluations against one

@@ -2,6 +2,7 @@ package testcost
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -22,12 +23,19 @@ func FuzzAnnotatorLoad(f *testing.F) {
 	// (width 4 keeps the seed ATPG fast) but the JSON shape is the real
 	// one.
 	seedAnn := NewAnnotator(4, 7)
-	if _, _, err := seedAnn.AreaDelay(&tta4ALU); err != nil {
+	if err := seedAnn.AnnotateContext(context.Background(), &tta4ALU); err != nil {
 		f.Fatal(err)
 	}
 	var valid bytes.Buffer
 	if err := seedAnn.Save(&valid); err != nil {
 		f.Fatal(err)
+	}
+	key, err := seedAnn.ComponentKey(&tta4ALU)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if !loadedKeys(f, 4, 7, valid.Bytes())[key] {
+		f.Fatalf("seed ancestor cache lacks the %s entry", key)
 	}
 	f.Add(valid.Bytes())
 	f.Add(valid.Bytes()[:valid.Len()/2]) // truncation
@@ -59,4 +67,21 @@ func FuzzAnnotatorLoad(f *testing.F) {
 			t.Fatalf("rejected load left %d entries in the cache", n)
 		}
 	})
+}
+
+// loadedKeys loads a saved cache into a fresh annotator of the given
+// width and seed and returns the annotation keys it holds.
+func loadedKeys(tb testing.TB, width int, seed int64, data []byte) map[string]bool {
+	tb.Helper()
+	a := NewAnnotator(width, seed)
+	if err := a.Load(bytes.NewReader(data)); err != nil {
+		tb.Fatal(err)
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	keys := make(map[string]bool, len(a.cache))
+	for k := range a.cache {
+		keys[k] = true
+	}
+	return keys
 }

@@ -96,6 +96,11 @@ type annotation struct {
 	degraded bool
 }
 
+// areaDelay is a component netlist's cell area and critical path.
+type areaDelay struct {
+	area, delay float64
+}
+
 // Annotator back-annotates pattern counts from the gate-level library and
 // evaluates the cost model for candidate architectures. It is safe for
 // concurrent use: annotation-cache misses run their gate-level ATPG
@@ -150,6 +155,7 @@ type Annotator struct {
 	mu       sync.Mutex
 	cache    map[string]annotation
 	bounds   map[string]annotation // cheap-tier analytical bounds, keyed like cache
+	nets     map[string]areaDelay  // netlist area/delay of keys AreaDelayContext missed in cache
 	inflight map[string]*inflightRun
 
 	sockIn   annotation
@@ -178,6 +184,7 @@ func NewAnnotator(width int, seed int64) *Annotator {
 		March:    march.MarchCMinus,
 		cache:    make(map[string]annotation),
 		bounds:   make(map[string]annotation),
+		nets:     make(map[string]areaDelay),
 		inflight: make(map[string]*inflightRun),
 	}
 }
@@ -402,6 +409,24 @@ func (a *Annotator) marchOverride(c *tta.Component, an annotation) annotation {
 	return an
 }
 
+// ComponentKey returns the annotation-cache key a component resolves to:
+// components with equal keys share one library element and hence one
+// annotation.
+func (a *Annotator) ComponentKey(c *tta.Component) (string, error) {
+	key, _, err := a.componentKeyGen(c)
+	return key, err
+}
+
+// AnnotateContext back-annotates c's library component: the gate-level
+// ATPG run behind EvaluateContext's test axis, single-flight per key and
+// cached on success. Callers that know which components an exploration
+// will cost can start their ATPG early; EvaluateContext then reads the
+// cache. A failed annotation is not cached, so a later request retries.
+func (a *Annotator) AnnotateContext(ctx context.Context, c *tta.Component) error {
+	_, err := a.componentAnnotation(ctx, c)
+	return err
+}
+
 // componentAnnotation fetches the library annotation for an architecture
 // component.
 func (a *Annotator) componentAnnotation(ctx context.Context, c *tta.Component) (annotation, error) {
@@ -509,22 +534,42 @@ func rfCost(np, cd, nIn, nOut, buses int) int {
 	return ceilDiv(np*m, buses) * cd
 }
 
-// AreaDelay exposes the library's area and critical-path annotation for a
-// component (used by the DSE's area/throughput axes).
-//
-// Deprecated: AreaDelay is a thin shim over AreaDelayContext with a
-// background context. Use AreaDelayContext.
-func (a *Annotator) AreaDelay(c *tta.Component) (area, delay float64, err error) {
-	return a.AreaDelayContext(context.Background(), c)
-}
-
-// AreaDelayContext is AreaDelay with cancellation (see EvaluateContext).
+// AreaDelayContext returns a component's cell area and critical path
+// (the DSE's area and clock axes). Both are pure functions of the
+// component's netlist, so they never wait on ATPG: a cached annotation
+// (converged, degraded or loaded from a warm-start file) already carries
+// them, and otherwise the netlist is generated and measured once per key.
 func (a *Annotator) AreaDelayContext(ctx context.Context, c *tta.Component) (area, delay float64, err error) {
-	an, err := a.componentAnnotation(ctx, c)
+	if err := ctx.Err(); err != nil {
+		return 0, 0, err
+	}
+	key, gen, err := a.componentKeyGen(c)
 	if err != nil {
 		return 0, 0, err
 	}
-	return an.area, an.delay, nil
+	a.mu.Lock()
+	if an, ok := a.cache[key]; ok {
+		a.mu.Unlock()
+		return an.area, an.delay, nil
+	}
+	if ad, ok := a.nets[key]; ok {
+		a.mu.Unlock()
+		return ad.area, ad.delay, nil
+	}
+	a.mu.Unlock()
+	comp, err := gen()
+	if err != nil {
+		return 0, 0, err
+	}
+	ad := areaDelay{area: comp.Seq.Area(), delay: comp.Seq.CriticalPath()}
+	a.mu.Lock()
+	if a.nets == nil {
+		a.nets = make(map[string]areaDelay)
+	}
+	// Concurrent misses for one key measure the same netlist.
+	a.nets[key] = ad
+	a.mu.Unlock()
+	return ad.area, ad.delay, nil
 }
 
 // SocketArea returns the cell area of one input plus one output socket —

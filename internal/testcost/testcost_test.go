@@ -1,6 +1,8 @@
 package testcost
 
 import (
+	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/tta"
@@ -208,28 +210,46 @@ func TestEvaluateRejectsUnassigned(t *testing.T) {
 }
 
 func TestAreaDelayAnnotation(t *testing.T) {
+	ctx := context.Background()
 	a := tta.Figure9()
-	var prevArea float64
 	for ci := range a.Components {
-		area, delay, err := sharedAnn.AreaDelay(&a.Components[ci])
+		c := &a.Components[ci]
+		if err := sharedAnn.AnnotateContext(ctx, c); err != nil {
+			t.Fatal(err)
+		}
+		area, delay, err := sharedAnn.AreaDelayContext(ctx, c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if area <= 0 || delay <= 0 {
-			t.Errorf("%s: area=%.1f delay=%.1f", a.Components[ci].Name, area, delay)
+			t.Errorf("%s: area=%.1f delay=%.1f", c.Name, area, delay)
 		}
-		_ = prevArea
 	}
 	// RF2 (12 regs) must be larger than RF1 (8 regs).
 	rfs := a.ComponentsOf(tta.RF)
-	a1, _, _ := sharedAnn.AreaDelay(&a.Components[rfs[0]])
-	a2, _, _ := sharedAnn.AreaDelay(&a.Components[rfs[1]])
+	a1, _, _ := sharedAnn.AreaDelayContext(ctx, &a.Components[rfs[0]])
+	a2, _, _ := sharedAnn.AreaDelayContext(ctx, &a.Components[rfs[1]])
 	if a2 <= a1 {
 		t.Errorf("RF2 area %.1f not above RF1 area %.1f", a2, a1)
 	}
 	in, out, err := sharedAnn.SocketArea()
 	if err != nil || in <= 0 || out <= 0 {
 		t.Errorf("socket areas in=%.1f out=%.1f err=%v", in, out, err)
+	}
+	// Every annotated component reaches the warm-start file.
+	var file bytes.Buffer
+	if err := sharedAnn.Save(&file); err != nil {
+		t.Fatal(err)
+	}
+	saved := loadedKeys(t, sharedAnn.Width, sharedAnn.Seed, file.Bytes())
+	for ci := range a.Components {
+		key, err := sharedAnn.ComponentKey(&a.Components[ci])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !saved[key] {
+			t.Errorf("%s: saved cache lacks %s", a.Components[ci].Name, key)
+		}
 	}
 }
 
