@@ -13,21 +13,31 @@ import (
 
 // The warm-up stage runs ahead of the candidates of runEvaluations, on
 // the same workers. A cold exploration is about one ATPG run long (the
-// ripple ALU's PODEM), and a candidate evaluation needs its structure's
-// schedule before it can ask for any annotation, so candidate-ordered
-// evaluation left the long pole waiting behind the first candidates and
-// most of the sweep waiting behind it. The stage instead queues, over
-// the unrestored candidates in candidate order, one structural job per
+// ripple ALU's PODEM). Evaluated in candidate order, the first candidate
+// ran that ATPG while its assign variant waited on the schedule memo, and
+// every later candidate needed the same annotation, so most of the sweep
+// queued behind one busy core. The stage instead queues, over the
+// unrestored candidates in candidate order, one structural job per
 // distinct structure (memo.get: the schedule plus area and clock, which
-// never need ATPG). When a structural job finds its structure feasible
-// it queues one annotation job per component key not queued yet, and
-// workers take queued annotation jobs before the next structural job.
-// buildArch lists ALUs first, so the ALU's ATPG starts right after the
-// first schedule and overlaps every other job. Only feasible structures
-// queue annotations, so exactly the keys the candidates' EvaluateContext
-// calls read are annotated, and the annotator's misses and saved cache
-// are those of an exploration without the stage. Candidates start once
-// the stage has drained and then only read the memo and the cache.
+// never need ATPG). When a structural job finds its structure feasible it
+// queues one annotation job per component key not queued yet.
+//
+// While structural jobs remain, the workers form two lanes: one runs the
+// queued annotation jobs one at a time, the others (at least one, at
+// most all but one worker) run structural jobs. buildArch lists ALUs
+// first, so the long pole starts right after the first schedule and
+// overlaps every other job. The lanes also bound the stage's memory:
+// schedules are its allocation-heavy jobs, and running one on every
+// worker, or beside several ATPG working sets, leaves the collector
+// marking their churn as live; on two workers that raised the resident
+// set about 15%. Once the structural jobs are handed out, every worker
+// takes annotation jobs.
+//
+// Only feasible structures queue annotations, so exactly the keys the
+// candidates' EvaluateContext calls read are annotated, and the
+// annotator's misses and saved cache are those of an exploration without
+// the stage. Candidates start once the stage has drained and then only
+// read the memo and the cache.
 
 // warmFailure is a failed warm-up job: its error, or the value and
 // original stack of its recovered panic (stack != nil).
@@ -81,6 +91,8 @@ type warmStage struct {
 	structs []warmStruct
 	next    int // next structural job to hand out
 	running int // structural jobs in flight: they may still queue annotations
+	lanes   int // structural jobs allowed in flight at once
+	atpg    int // annotation jobs in flight
 	anns    []annJob
 	queued  map[string]bool
 	annFail map[string]*warmFailure
@@ -92,7 +104,7 @@ type warmStage struct {
 // candidates, by candidate index. A cancelled context stops the stage;
 // its caller then evaluates no candidate.
 func warmUp(ctx context.Context, cfg *Config, root *obs.Span, archs []*tta.Architecture, restored []bool, lo, hi, workers int, memo *schedMemo, busyNS *atomic.Int64) map[int]*warmFailure {
-	st := &warmStage{queued: make(map[string]bool), annFail: make(map[string]*warmFailure)}
+	st := &warmStage{lanes: max(1, workers-1), queued: make(map[string]bool), annFail: make(map[string]*warmFailure)}
 	st.cond.L = &st.mu
 	structOf := make([]int, hi-lo)
 	byKey := make(map[string]int)
@@ -157,10 +169,11 @@ func (st *warmStage) work(ctx context.Context, cfg *Config, root *obs.Span, memo
 	}
 }
 
-// take hands out the next job: a queued annotation first, else the next
-// structural job. It waits while structural jobs in flight may still
-// queue annotations, and reports false once the stage has drained or
-// the context is done.
+// take hands out the next job: a queued annotation first while no other
+// annotation job runs or no structural job is left, else the next
+// structural job while a structural lane is free. It waits while jobs in
+// flight may still queue or unblock work, and reports false once the
+// stage has drained or the context is done.
 func (st *warmStage) take(ctx context.Context) (si int, ann *annJob, ok bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -168,12 +181,13 @@ func (st *warmStage) take(ctx context.Context) (si int, ann *annJob, ok bool) {
 		if ctx.Err() != nil {
 			return 0, nil, false
 		}
-		if len(st.anns) > 0 {
+		if len(st.anns) > 0 && (st.atpg == 0 || st.next == len(st.structs)) {
 			job := st.anns[0]
 			st.anns = st.anns[1:]
+			st.atpg++
 			return 0, &job, true
 		}
-		if st.next < len(st.structs) {
+		if st.next < len(st.structs) && st.running < st.lanes {
 			si = st.next
 			st.next++
 			st.running++
@@ -223,13 +237,14 @@ func (st *warmStage) scheduled(si int, f *warmFailure, keys []string) {
 
 // annotated records an annotation job's outcome.
 func (st *warmStage) annotated(key string, f *warmFailure) {
-	if f == nil {
-		return
-	}
 	st.mu.Lock()
-	st.annFail[key] = f
-	st.failed = true
-	st.mu.Unlock()
+	defer st.mu.Unlock()
+	st.atpg--
+	if f != nil {
+		st.annFail[key] = f
+		st.failed = true
+	}
+	st.cond.Broadcast()
 }
 
 // handoffs gives each failure to the lowest-index candidate that depends

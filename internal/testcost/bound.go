@@ -39,7 +39,7 @@ func (a *Annotator) componentBound(ctx context.Context, c *tta.Component) (annot
 	if err := ctx.Err(); err != nil {
 		return annotation{}, err
 	}
-	key, gen, err := a.componentKeyGen(c)
+	key, gen, err := a.componentKeyGen(a.Lib, c)
 	if err != nil {
 		return annotation{}, err
 	}

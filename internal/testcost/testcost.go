@@ -365,34 +365,36 @@ func ceilDiv(x, y int) int {
 
 // componentKeyGen maps an architecture component to its library cache
 // key and netlist generator — the single source of truth shared by the
-// exact annotation path and the bound tier, so both tiers always agree
-// on which library element a component resolves to.
-func (a *Annotator) componentKeyGen(c *tta.Component) (string, func() (*gatelib.Component, error), error) {
+// exact annotation path, the bound tier and the netlist measurements, so
+// all of them agree on which library element a component resolves to.
+// gen builds through lib: the annotator's own library, which keeps the
+// netlist for the ATPG runs that need it, or a throwaway one.
+func (a *Annotator) componentKeyGen(lib *gatelib.Library, c *tta.Component) (string, func() (*gatelib.Component, error), error) {
 	switch c.Kind {
 	case tta.ALU:
 		return fmt.Sprintf("alu/%d/%s", a.Width, c.Adder), func() (*gatelib.Component, error) {
-			return a.Lib.ALU(gatelib.ALUConfig{Width: a.Width, Adder: c.Adder})
+			return lib.ALU(gatelib.ALUConfig{Width: a.Width, Adder: c.Adder})
 		}, nil
 	case tta.CMP:
 		return fmt.Sprintf("cmp/%d", a.Width), func() (*gatelib.Component, error) {
-			return a.Lib.CMP(a.Width)
+			return lib.CMP(a.Width)
 		}, nil
 	case tta.RF:
 		cfg := gatelib.RFConfig{Width: a.Width, NumRegs: c.NumRegs, NumIn: c.NumIn, NumOut: c.NumOut}
 		return "rf/" + cfg.String(), func() (*gatelib.Component, error) {
-			return a.Lib.RF(cfg)
+			return lib.RF(cfg)
 		}, nil
 	case tta.LDST:
 		return fmt.Sprintf("ldst/%d", a.Width), func() (*gatelib.Component, error) {
-			return a.Lib.LDST(a.Width)
+			return lib.LDST(a.Width)
 		}, nil
 	case tta.PC:
 		return fmt.Sprintf("pc/%d", a.Width), func() (*gatelib.Component, error) {
-			return a.Lib.PC(a.Width)
+			return lib.PC(a.Width)
 		}, nil
 	case tta.IMM:
 		return fmt.Sprintf("imm/%d", a.Width), func() (*gatelib.Component, error) {
-			return a.Lib.IMM(a.Width)
+			return lib.IMM(a.Width)
 		}, nil
 	default:
 		return "", nil, fmt.Errorf("testcost: unknown component kind %v", c.Kind)
@@ -413,7 +415,7 @@ func (a *Annotator) marchOverride(c *tta.Component, an annotation) annotation {
 // components with equal keys share one library element and hence one
 // annotation.
 func (a *Annotator) ComponentKey(c *tta.Component) (string, error) {
-	key, _, err := a.componentKeyGen(c)
+	key, _, err := a.componentKeyGen(a.Lib, c)
 	return key, err
 }
 
@@ -430,7 +432,7 @@ func (a *Annotator) AnnotateContext(ctx context.Context, c *tta.Component) error
 // componentAnnotation fetches the library annotation for an architecture
 // component.
 func (a *Annotator) componentAnnotation(ctx context.Context, c *tta.Component) (annotation, error) {
-	key, gen, err := a.componentKeyGen(c)
+	key, gen, err := a.componentKeyGen(a.Lib, c)
 	if err != nil {
 		return annotation{}, err
 	}
@@ -539,11 +541,15 @@ func rfCost(np, cd, nIn, nOut, buses int) int {
 // component's netlist, so they never wait on ATPG: a cached annotation
 // (converged, degraded or loaded from a warm-start file) already carries
 // them, and otherwise the netlist is generated and measured once per key.
+// That netlist is built outside the annotator's library and dropped: an
+// exploration measures each structure before its components' ATPG runs,
+// and keeping every netlist from then on would hold them all in memory
+// while the schedules churn. The ATPG run that needs one builds it again.
 func (a *Annotator) AreaDelayContext(ctx context.Context, c *tta.Component) (area, delay float64, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
 	}
-	key, gen, err := a.componentKeyGen(c)
+	key, err := a.ComponentKey(c)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -557,6 +563,7 @@ func (a *Annotator) AreaDelayContext(ctx context.Context, c *tta.Component) (are
 		return ad.area, ad.delay, nil
 	}
 	a.mu.Unlock()
+	_, gen, _ := a.componentKeyGen(gatelib.NewLibrary(), c)
 	comp, err := gen()
 	if err != nil {
 		return 0, 0, err
