@@ -13,13 +13,13 @@ import (
 
 // The warm-up stage runs ahead of the candidates of runEvaluations, on
 // the same workers. A cold exploration is about one ATPG run long (the
-// ripple ALU's PODEM). Evaluated in candidate order, the first candidate
-// ran that ATPG while its assign variant waited on the schedule memo, and
-// every later candidate needed the same annotation, so most of the sweep
-// queued behind one busy core. The stage instead queues, over the
-// unrestored candidates in candidate order, one structural job per
-// distinct structure (memo.get: the schedule plus area and clock, which
-// never need ATPG). When a structural job finds its structure feasible it
+// ripple ALU's PODEM), and every candidate of the default sweep needs
+// that annotation; a candidate asks for it only after its structure is
+// scheduled, so evaluating candidates in order leaves most of them
+// waiting on one run. The stage instead queues, over the unrestored
+// candidates in candidate order, one structural job per distinct
+// structure (memo.get: the schedule plus area and clock, which never
+// need ATPG). When a structural job finds its structure feasible it
 // queues one annotation job per component key not queued yet.
 //
 // While structural jobs remain, the workers form two lanes: one runs the
@@ -29,8 +29,8 @@ import (
 // overlaps every other job. The lanes also bound the stage's memory:
 // schedules are its allocation-heavy jobs, and running one on every
 // worker, or beside several ATPG working sets, leaves the collector
-// marking their churn as live; on two workers that raised the resident
-// set about 15%. Once the structural jobs are handed out, every worker
+// marking their churn as live (about 15% more resident memory on a
+// 2-vCPU Xeon). Once the structural jobs are handed out, every worker
 // takes annotation jobs.
 //
 // Only feasible structures queue annotations, so exactly the keys the
@@ -72,10 +72,9 @@ func guard(job func() error) (f *warmFailure) {
 
 // warmStruct is one distinct structure of the stage.
 type warmStruct struct {
-	arch     *tta.Architecture // its lowest-index candidate
-	feasible bool
-	keys     []string // annotation key per component, once feasible ("" when unresolvable)
-	fail     *warmFailure
+	arch *tta.Architecture // its lowest-index candidate
+	keys []string          // annotation key per component; nil unless feasible
+	fail *warmFailure
 }
 
 // annJob annotates the library component of one key.
@@ -222,7 +221,6 @@ func (st *warmStage) scheduled(si int, f *warmFailure, keys []string) {
 		st.failed = true
 	}
 	if keys != nil {
-		s.feasible = true
 		s.keys = keys
 		for ci, k := range keys {
 			if k != "" && !st.queued[k] {
@@ -270,7 +268,7 @@ func (st *warmStage) handoffs(restored []bool, lo, hi int, structOf []int) map[i
 			continue
 		}
 		s := &st.structs[structOf[i-lo]]
-		if give(i, s.fail) || !s.feasible {
+		if give(i, s.fail) {
 			continue
 		}
 		for _, k := range s.keys {

@@ -126,10 +126,10 @@ type Spec struct {
 	Timeout      Duration `json:"timeout,omitempty"`
 	ATPGDeadline Duration `json:"atpg_deadline,omitempty"`
 
-	// Parallelism bounds concurrent candidate evaluations (0 =
-	// GOMAXPROCS); ATPGWorkers bounds workers inside each gate-level ATPG
-	// run (0 = split the core budget automatically). Results are identical
-	// at any setting.
+	// Parallelism bounds the evaluation workers, which run the warm-up
+	// jobs and then the candidates (0 = GOMAXPROCS); ATPGWorkers bounds
+	// workers inside each gate-level ATPG run (0 = split the core budget
+	// automatically). Results are identical at any setting.
 	Parallelism int `json:"parallelism,omitempty"`
 	ATPGWorkers int `json:"atpg_workers,omitempty"`
 
