@@ -15,7 +15,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -792,20 +792,33 @@ type structEval struct {
 // microarchitecture, register-file shapes) — everything that feeds the
 // structural evaluation, and nothing of the port assignment.
 func structKey(a *tta.Architecture) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "w%d/b%d", a.Width, a.Buses)
+	// Built with strconv rather than fmt: the warm-up stage and every
+	// candidate look structures up by this key.
+	b := make([]byte, 0, 96)
+	b = append(b, 'w')
+	b = strconv.AppendInt(b, int64(a.Width), 10)
+	b = append(b, "/b"...)
+	b = strconv.AppendInt(b, int64(a.Buses), 10)
 	for ci := range a.Components {
 		c := &a.Components[ci]
 		switch c.Kind {
 		case tta.ALU:
-			fmt.Fprintf(&b, "/alu:%s", c.Adder)
+			b = append(b, "/alu:"...)
+			b = append(b, c.Adder.String()...)
 		case tta.RF:
-			fmt.Fprintf(&b, "/rf:%dx%dw%dr", c.NumRegs, c.NumIn, c.NumOut)
+			b = append(b, "/rf:"...)
+			b = strconv.AppendInt(b, int64(c.NumRegs), 10)
+			b = append(b, 'x')
+			b = strconv.AppendInt(b, int64(c.NumIn), 10)
+			b = append(b, 'w')
+			b = strconv.AppendInt(b, int64(c.NumOut), 10)
+			b = append(b, 'r')
 		default:
-			fmt.Fprintf(&b, "/%s", c.Kind)
+			b = append(b, '/')
+			b = append(b, c.Kind.String()...)
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // schedMemo shares structural evaluations across the assign-strategy
