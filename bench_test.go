@@ -264,7 +264,7 @@ func BenchmarkSimulateCryptRound(b *testing.B) {
 		b.Fatal(err)
 	}
 	arch := tta.Figure9()
-	res, err := sched.Schedule(kernel, arch, sched.Options{})
+	res, err := sched.ScheduleContext(context.Background(), kernel, arch, sched.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -887,9 +887,18 @@ func (m *schedMemo) get(ctx context.Context, cfg *Config, arch *tta.Architecture
 // component netlists (Annotator.AreaDelayContext), so they never wait on
 // a gate-level ATPG run.
 func evalStructural(ctx context.Context, cfg *Config, arch *tta.Architecture, sp *obs.Span) (structEval, error) {
-	// Throughput axis: schedule the kernel.
+	// Throughput axis: schedule the kernel. Only the energy axis reads the
+	// move program; without it the schedule's summary is enough.
 	schedSp := sp.Child("sched")
-	schedRes, err := sched.ScheduleContext(ctx, cfg.Workload, arch, sched.Options{Obs: cfg.Obs})
+	opts := sched.Options{Obs: cfg.Obs}
+	var sum sched.Summary
+	var schedRes *sched.Result
+	var err error
+	if cfg.EnergyModel == nil {
+		sum, err = sched.MeasureContext(ctx, cfg.Workload, arch, opts)
+	} else if schedRes, err = sched.ScheduleContext(ctx, cfg.Workload, arch, opts); err == nil {
+		sum = sched.Summary{Cycles: schedRes.Cycles, Spills: schedRes.Spills}
+	}
 	schedSp.End()
 	if err != nil {
 		if ctx.Err() != nil {
@@ -899,8 +908,8 @@ func evalStructural(ctx context.Context, cfg *Config, arch *tta.Architecture, sp
 	}
 	se := structEval{
 		feasible: true,
-		cycles:   schedRes.Cycles,
-		spills:   schedRes.Spills,
+		cycles:   sum.Cycles,
+		spills:   sum.Spills,
 	}
 
 	// Area and clock axes from the gate-level library.

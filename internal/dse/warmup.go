@@ -22,16 +22,16 @@ import (
 // need ATPG). When a structural job finds its structure feasible it
 // queues one annotation job per component key not queued yet.
 //
-// While structural jobs remain, the workers form two lanes: one runs the
-// queued annotation jobs one at a time, the others (at least one, at
-// most all but one worker) run structural jobs. buildArch lists ALUs
-// first, so the long pole starts right after the first schedule and
-// overlaps every other job. The lanes also bound the stage's memory:
-// schedules are its allocation-heavy jobs, and running one on every
-// worker, or beside several ATPG working sets, leaves the collector
-// marking their churn as live (about 15% more resident memory on a
-// 2-vCPU Xeon). Once the structural jobs are handed out, every worker
-// takes annotation jobs.
+// While structural jobs remain, one worker at most runs the queued
+// annotation jobs, one at a time, and every other worker runs structural
+// jobs. buildArch lists ALUs first, so the long pole starts right after
+// the first schedule and overlaps every other job. Structural jobs can
+// run on every worker because they barely touch the heap: they read only
+// sched.MeasureContext's summary, which schedules in a pooled state and
+// builds no move program. The one-annotation rule bounds the stage's
+// memory: ATPG working sets side by side raise the cold sweep's resident
+// memory (about 3% on a 2-vCPU Xeon) with no speed gain. Once the
+// structural jobs are handed out, every worker takes annotation jobs.
 //
 // Only feasible structures queue annotations, so exactly the keys the
 // candidates' EvaluateContext calls read are annotated, and the
@@ -90,7 +90,6 @@ type warmStage struct {
 	structs []warmStruct
 	next    int // next structural job to hand out
 	running int // structural jobs in flight: they may still queue annotations
-	lanes   int // structural jobs allowed in flight at once
 	atpg    int // annotation jobs in flight
 	anns    []annJob
 	queued  map[string]bool
@@ -98,13 +97,19 @@ type warmStage struct {
 	failed  bool
 }
 
+// newWarmStage returns an empty job queue.
+func newWarmStage() *warmStage {
+	st := &warmStage{queued: make(map[string]bool), annFail: make(map[string]*warmFailure)}
+	st.cond.L = &st.mu
+	return st
+}
+
 // warmUp runs the stage over the unrestored candidates of [lo, hi) on
 // the given number of workers and returns the failures it handed to
 // candidates, by candidate index. A cancelled context stops the stage;
 // its caller then evaluates no candidate.
 func warmUp(ctx context.Context, cfg *Config, root *obs.Span, archs []*tta.Architecture, restored []bool, lo, hi, workers int, memo *schedMemo, busyNS *atomic.Int64) map[int]*warmFailure {
-	st := &warmStage{lanes: max(1, workers-1), queued: make(map[string]bool), annFail: make(map[string]*warmFailure)}
-	st.cond.L = &st.mu
+	st := newWarmStage()
 	structOf := make([]int, hi-lo)
 	byKey := make(map[string]int)
 	for i := lo; i < hi; i++ {
@@ -170,9 +175,9 @@ func (st *warmStage) work(ctx context.Context, cfg *Config, root *obs.Span, memo
 
 // take hands out the next job: a queued annotation first while no other
 // annotation job runs or no structural job is left, else the next
-// structural job while a structural lane is free. It waits while jobs in
-// flight may still queue or unblock work, and reports false once the
-// stage has drained or the context is done.
+// structural job. It waits while jobs in flight may still queue or
+// unblock work, and reports false once the stage has drained or the
+// context is done.
 func (st *warmStage) take(ctx context.Context) (si int, ann *annJob, ok bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -186,7 +191,7 @@ func (st *warmStage) take(ctx context.Context) (si int, ann *annJob, ok bool) {
 			st.atpg++
 			return 0, &job, true
 		}
-		if st.next < len(st.structs) && st.running < st.lanes {
+		if st.next < len(st.structs) {
 			si = st.next
 			st.next++
 			st.running++

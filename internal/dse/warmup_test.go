@@ -203,3 +203,68 @@ func TestWarmUpCancelEvaluatesNoCandidate(t *testing.T) {
 		}
 	}
 }
+
+// takeNow calls st.take and fails the test if it blocks: every call in
+// TestWarmUpTake has a job to hand out.
+func takeNow(t *testing.T, st *warmStage) (si int, ann *annJob) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	type taken struct {
+		si  int
+		ann *annJob
+		ok  bool
+	}
+	got := make(chan taken, 1)
+	go func() {
+		si, ann, ok := st.take(ctx)
+		got <- taken{si, ann, ok}
+	}()
+	select {
+	case r := <-got:
+		if !r.ok {
+			t.Fatal("take reported the stage drained")
+		}
+		return r.si, r.ann
+	case <-time.After(2 * time.Second):
+		cancel()
+		st.mu.Lock()
+		st.cond.Broadcast()
+		st.mu.Unlock()
+		<-got
+		t.Fatal("take blocked with a job to hand out")
+		return 0, nil
+	}
+}
+
+// TestWarmUpTake drives the stage's queue directly. Structural jobs go
+// to every worker that asks, none of them completed. While structures
+// remain to be handed out, a queued annotation waits for the one in
+// flight, and the worker gets the next structure instead; once every
+// structure is out, the queued annotation goes to the next worker.
+func TestWarmUpTake(t *testing.T) {
+	st := newWarmStage()
+	st.structs = make([]warmStruct, 3)
+	for want := 0; want < 2; want++ {
+		if si, ann := takeNow(t, st); ann != nil || si != want {
+			t.Fatalf("take %d = structure %d, annotation %v; want structure %d", want, si, ann, want)
+		}
+	}
+	if st.running != 2 {
+		t.Fatalf("%d structural jobs in flight, want 2", st.running)
+	}
+
+	st.anns = []annJob{{key: "alu"}, {key: "rf"}}
+	if _, ann := takeNow(t, st); ann == nil || ann.key != "alu" {
+		t.Fatalf("take = annotation %v, want alu", ann)
+	}
+	if si, ann := takeNow(t, st); ann != nil || si != 2 {
+		t.Fatalf("take with an annotation in flight = structure %d, annotation %v; want structure 2", si, ann)
+	}
+	if len(st.anns) != 1 || st.atpg != 1 {
+		t.Fatalf("queued %v with %d annotation jobs in flight; want rf queued beside one", st.anns, st.atpg)
+	}
+	if _, ann := takeNow(t, st); ann == nil || ann.key != "rf" {
+		t.Fatalf("take with every structure out = annotation %v, want rf", ann)
+	}
+}

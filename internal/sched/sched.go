@@ -24,8 +24,10 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/program"
@@ -195,40 +197,82 @@ type opState struct {
 	resLoc RegLoc
 }
 
-// Schedule maps the graph onto the architecture. It returns an error when
-// the architecture cannot execute the graph (missing unit kinds, too few
-// registers) or when scheduling exceeds the cycle bound.
-//
-// Deprecated: Schedule is a thin shim over ScheduleContext with a
-// background context; a pathological schedule then cannot be cancelled.
-// Use ScheduleContext.
-func Schedule(g *program.Graph, arch *tta.Architecture, opts Options) (*Result, error) {
-	return ScheduleContext(context.Background(), g, arch, opts)
+// Summary is the scalar part of a schedule, the fields of Result the
+// explorer prices a structure by.
+type Summary struct {
+	Cycles   int
+	Spills   int
+	Reloads  int
+	PeakLive int
 }
 
-// ScheduleContext is Schedule with cancellation: the scheduling loop
-// checks ctx periodically and returns ctx.Err() when it is done, so a
-// pathological schedule inside a large exploration cannot outlive its
-// caller's deadline.
+// ScheduleContext maps the graph onto the architecture. It returns an
+// error when the architecture cannot execute the graph (missing unit
+// kinds, too few registers) or when scheduling exceeds the cycle bound.
+// The scheduling loop checks ctx periodically and returns ctx.Err() when
+// it is done, so a pathological schedule inside a large exploration
+// cannot outlive its caller's deadline.
 func ScheduleContext(ctx context.Context, g *program.Graph, arch *tta.Architecture, opts Options) (*Result, error) {
-	if err := g.Validate(); err != nil {
+	s := states.Get().(*scheduler)
+	defer s.release()
+	if err := s.schedule(ctx, g, arch, opts); err != nil {
 		return nil, err
 	}
-	if err := arch.Validate(); err != nil {
-		return nil, err
-	}
-	s, err := newScheduler(g, arch, opts)
-	if err != nil {
-		return nil, err
-	}
-	return s.run(ctx)
+	return s.result(), nil
 }
 
+// MeasureContext schedules exactly as ScheduleContext does, with the same
+// errors and "sched.*" counters, but returns only the schedule's Summary.
+// It copies nothing out of the reused scheduler state, so a warm call
+// allocates only what validating its inputs does.
+func MeasureContext(ctx context.Context, g *program.Graph, arch *tta.Architecture, opts Options) (Summary, error) {
+	s := states.Get().(*scheduler)
+	defer s.release()
+	if err := s.schedule(ctx, g, arch, opts); err != nil {
+		return Summary{}, err
+	}
+	return s.summary(), nil
+}
+
+// states pools scheduler states across calls and goroutines. A state
+// keeps its buffers between schedules; reset resizes them in place.
+var states = sync.Pool{New: func() any { return new(scheduler) }}
+
+// scheduler is the working state of one schedule at a time. Its buffers
+// survive from one schedule to the next; every other field is zeroed by
+// reset, and release drops the graph, architecture and options.
 type scheduler struct {
 	g    *program.Graph
 	arch *tta.Architecture
 	opts Options
 
+	buffers
+
+	regs int // total registers over all RFs
+
+	busFree  int // buses left this cycle
+	live     int
+	peakLive int
+
+	memReady int // earliest cycle the next memory op may trigger
+
+	// Spill machinery.
+	spillSlots  int
+	spillCount  int // total spill stores emitted
+	reloadCount int
+	stallStreak int
+	stallTotal  int // cycles in which no move was emitted
+	movedNow    bool
+	// wantSpill is raised when an op could start but for register
+	// capacity — demand-driven spilling keeps function units busy even
+	// when other traffic prevents a full stall.
+	wantSpill bool
+}
+
+// buffers is every slice and map of a scheduler state: storage that
+// reset resizes for the next graph and architecture instead of
+// reallocating.
+type buffers struct {
 	height []int // critical-path priority per op
 
 	// Architecture tables, built once per schedule so the cycle loop
@@ -246,7 +290,6 @@ type scheduler struct {
 	rfPosOf  []int    // per component: position in rfs (-1 if not an RF)
 	rfFree   [][]bool // per RF: free register map
 	rfFreeN  []int    // per RF: number of free registers
-	regs     int      // total registers over all RFs
 
 	vals     []valueState
 	ops      []opState
@@ -255,70 +298,114 @@ type scheduler struct {
 	// ready is a bitset over the priority ranks of the pending ops: an op
 	// enters once its operand A has been produced and leaves when it
 	// starts. byRank maps a rank back to its op, rank the other way.
-	ready  []uint64
-	byRank []int
-	rank   []int
+	ready    []uint64
+	byRank   []int
+	rank     []int
+	inflight []int // started ops that are not done, in start order
 
 	// Per-cycle resource counters, indexed by component (reset each
 	// cycle).
-	busFree  int
 	rfReads  []int
 	rfWrites []int
 	immUsed  []int
 
+	// consumers lists each value's consuming op indices (ascending); the
+	// lists share the backing array consumed.
+	consumers [][]int32
+	consumed  []int32
+	spills    []spillJob
+
+	// The schedule: ScheduleContext copies these out, MeasureContext
+	// reads only their summary.
 	moves    []Move
 	timings  map[program.ValueID]tta.OpTiming
 	fuOf     map[program.ValueID]int
 	regAlloc map[program.ValueID]RegLoc
 	inputLoc map[program.ValueID]RegLoc
-	live     int
-	peakLive int
-
-	memReady int // earliest cycle the next memory op may trigger
-	lastMem  program.ValueID
-
-	// Spill machinery.
-	spills      []spillJob
-	spillSlots  int
-	spillCount  int // total spill stores emitted
-	reloadCount int
-	consumers   [][]int32 // per value: consuming op indices (ascending)
-	stallStreak int
-	stallTotal  int // cycles in which no move was emitted
-	movedNow    bool
-	// wantSpill is raised when an op could start but for register
-	// capacity — demand-driven spilling keeps function units busy even
-	// when other traffic prevents a full stall.
-	wantSpill bool
 }
 
-func newScheduler(g *program.Graph, arch *tta.Architecture, opts Options) (*scheduler, error) {
-	n := len(arch.Components)
-	s := &scheduler{
-		g:        g,
-		arch:     arch,
-		opts:     opts,
-		ins:      make([][]int, n),
-		outs:     make([][]int, n),
-		opPort:   make([]int, n),
-		trigPort: make([]int, n),
-		resPort:  make([]int, n),
-		rfPosOf:  make([]int, n),
-		rfReads:  make([]int, n),
-		rfWrites: make([]int, n),
-		immUsed:  make([]int, n),
+// grow returns s with length n, keeping its backing array when it is
+// large enough. Elements left from an earlier schedule keep their values,
+// and an element that is itself a slice keeps its backing array; callers
+// overwrite or clear them.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return append(s[:cap(s)], make([]T, n-cap(s))...)
 	}
+	return s[:n]
+}
+
+// appendPorts appends the indices of c's input ports (input) or
+// bus-driving ports (!input) to dst.
+func appendPorts(dst []int, c *tta.Component, input bool) []int {
+	for i, p := range c.Ports {
+		if p.Role.IsInput() == input {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// schedule validates the graph and the architecture, then schedules the
+// graph in the state.
+func (s *scheduler) schedule(ctx context.Context, g *program.Graph, arch *tta.Architecture, opts Options) error {
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	if err := arch.Validate(); err != nil {
+		return err
+	}
+	if err := s.reset(g, arch, opts); err != nil {
+		return err
+	}
+	return s.run(ctx)
+}
+
+// release returns the state to the pool, keeping only its buffers. The
+// entry points defer it, so it runs on every exit, a panic included.
+func (s *scheduler) release() {
+	*s = scheduler{buffers: s.buffers}
+	states.Put(s)
+}
+
+// reset prepares the state for scheduling g onto arch: every field other
+// than the buffers starts at zero, and every buffer is resized in place
+// and re-initialised. It rejects architectures that lack a unit kind the
+// graph needs or the registers for its inputs and outputs.
+func (s *scheduler) reset(g *program.Graph, arch *tta.Architecture, opts Options) error {
+	*s = scheduler{g: g, arch: arch, opts: opts, buffers: s.buffers}
+	// Per-component tables. The O/T/R port indices are set (and read)
+	// only for function units; resetCycle zeroes the per-cycle counters
+	// before each cycle.
+	n := len(arch.Components)
+	s.ins = grow(s.ins, n)
+	s.outs = grow(s.outs, n)
+	s.opPort = grow(s.opPort, n)
+	s.trigPort = grow(s.trigPort, n)
+	s.resPort = grow(s.resPort, n)
+	s.rfPosOf = grow(s.rfPosOf, n)
+	s.fuBusyBy = grow(s.fuBusyBy, n)
+	s.rfReads = grow(s.rfReads, n)
+	s.rfWrites = grow(s.rfWrites, n)
+	s.immUsed = grow(s.immUsed, n)
+	for k := range s.fuByKind {
+		s.fuByKind[k] = s.fuByKind[k][:0]
+	}
+	s.rfs, s.imms = s.rfs[:0], s.imms[:0]
 	for ci := range arch.Components {
 		c := &arch.Components[ci]
 		s.rfPosOf[ci] = -1
+		s.fuBusyBy[ci] = -1
+		s.ins[ci], s.outs[ci] = s.ins[ci][:0], s.outs[ci][:0]
 		switch c.Kind {
 		case tta.RF:
 			s.rfPosOf[ci] = len(s.rfs)
 			s.rfs = append(s.rfs, ci)
-			s.ins[ci], s.outs[ci] = c.InputPorts(), c.OutputPorts()
+			s.ins[ci] = appendPorts(s.ins[ci], c, true)
+			s.outs[ci] = appendPorts(s.outs[ci], c, false)
 		case tta.IMM:
 			s.imms = append(s.imms, ci)
-			s.outs[ci] = c.OutputPorts()
+			s.outs[ci] = appendPorts(s.outs[ci], c, false)
 		case tta.ALU, tta.CMP, tta.LDST:
 			s.fuByKind[c.Kind] = append(s.fuByKind[c.Kind], ci)
 			s.opPort[ci] = portOf(c, tta.Operand)
@@ -328,66 +415,73 @@ func newScheduler(g *program.Graph, arch *tta.Architecture, opts Options) (*sche
 	}
 	st := g.Stats()
 	if st.ALU > 0 && len(s.fuByKind[tta.ALU]) == 0 {
-		return nil, fmt.Errorf("sched: graph needs an ALU, architecture has none")
+		return fmt.Errorf("sched: graph needs an ALU, architecture has none")
 	}
 	if st.CMP > 0 && len(s.fuByKind[tta.CMP]) == 0 {
-		return nil, fmt.Errorf("sched: graph needs a CMP unit, architecture has none")
+		return fmt.Errorf("sched: graph needs a CMP unit, architecture has none")
 	}
 	if st.Loads+st.Stores > 0 && len(s.fuByKind[tta.LDST]) == 0 {
-		return nil, fmt.Errorf("sched: graph needs a LD/ST unit, architecture has none")
+		return fmt.Errorf("sched: graph needs a LD/ST unit, architecture has none")
 	}
 	if st.Consts > 0 && len(s.imms) == 0 {
-		return nil, fmt.Errorf("sched: graph needs an Immediate unit, architecture has none")
+		return fmt.Errorf("sched: graph needs an Immediate unit, architecture has none")
 	}
 	if len(s.rfs) == 0 {
-		return nil, fmt.Errorf("sched: architecture has no register file")
+		return fmt.Errorf("sched: architecture has no register file")
 	}
 	for _, rf := range s.rfs {
 		s.regs += arch.Components[rf].NumRegs
 	}
 	if s.regs < st.Inputs+st.Outputs {
-		return nil, fmt.Errorf("sched: %d registers cannot hold %d inputs + %d outputs",
+		return fmt.Errorf("sched: %d registers cannot hold %d inputs + %d outputs",
 			s.regs, st.Inputs, st.Outputs)
 	}
 
-	s.rfFree = make([][]bool, len(s.rfs))
-	s.rfFreeN = make([]int, len(s.rfs))
+	s.rfFree = grow(s.rfFree, len(s.rfs))
+	s.rfFreeN = grow(s.rfFreeN, len(s.rfs))
 	for i, rf := range s.rfs {
-		s.rfFree[i] = make([]bool, arch.Components[rf].NumRegs)
-		for j := range s.rfFree[i] {
-			s.rfFree[i][j] = true
+		free := grow(s.rfFree[i], arch.Components[rf].NumRegs)
+		for j := range free {
+			free[j] = true
 		}
-		s.rfFreeN[i] = len(s.rfFree[i])
+		s.rfFree[i] = free
+		s.rfFreeN[i] = len(free)
 	}
-	s.fuBusyBy = make([]int, n)
-	for i := range s.fuBusyBy {
-		s.fuBusyBy[i] = -1
-	}
-	s.height = computeHeights(g)
-	s.vals = make([]valueState, len(g.Ops))
-	s.ops = make([]opState, len(g.Ops))
-	s.memReady = 0
-	s.lastMem = program.NoValue
+	s.computeHeights()
+	s.vals = grow(s.vals, len(g.Ops))
+	clear(s.vals)
+	s.ops = grow(s.ops, len(g.Ops)) // run sets every op's state
+	s.inflight = s.inflight[:0]
+	s.spills = s.spills[:0]
 
-	// Presize the outputs: every ALU/CMP op moves two operands and a
-	// result, every load an address and a result, every store an address
-	// and its data; only spill traffic appends beyond this.
+	// Size the outputs: every ALU/CMP op moves two operands and a result,
+	// every load an address and a result, every store an address and its
+	// data; only spill traffic appends beyond this. The maps keep their
+	// buckets once a first schedule has made them.
 	fuOps := st.ALU + st.CMP + st.Loads + st.Stores
 	defines := fuOps - st.Stores
-	s.moves = make([]Move, 0, 3*(st.ALU+st.CMP)+2*(st.Loads+st.Stores))
-	s.timings = make(map[program.ValueID]tta.OpTiming, defines)
-	s.fuOf = make(map[program.ValueID]int, fuOps)
-	s.regAlloc = make(map[program.ValueID]RegLoc, st.Inputs+defines)
-	s.inputLoc = make(map[program.ValueID]RegLoc, st.Inputs)
-	return s, nil
+	s.moves = slices.Grow(s.moves[:0], 3*(st.ALU+st.CMP)+2*(st.Loads+st.Stores))
+	if s.timings == nil {
+		s.timings = make(map[program.ValueID]tta.OpTiming, defines)
+		s.fuOf = make(map[program.ValueID]int, fuOps)
+		s.regAlloc = make(map[program.ValueID]RegLoc, st.Inputs+defines)
+		s.inputLoc = make(map[program.ValueID]RegLoc, st.Inputs)
+	}
+	clear(s.timings)
+	clear(s.fuOf)
+	clear(s.regAlloc)
+	clear(s.inputLoc)
+	return nil
 }
 
-// computeHeights returns the longest path (in ops) from each op to a
-// graph output — the list-scheduling priority. Every user of an op has a
+// computeHeights sets the longest path (in ops) from each op to a graph
+// output — the list-scheduling priority. Every user of an op has a
 // higher index, so one reverse pass that pushes each op's height onto its
 // operands sees final heights only.
-func computeHeights(g *program.Graph) []int {
-	h := make([]int, len(g.Ops))
+func (s *scheduler) computeHeights() {
+	g := s.g
+	h := grow(s.height, len(g.Ops))
+	clear(h)
 	for u := len(g.Ops) - 1; u >= 0; u-- {
 		op := &g.Ops[u]
 		for _, ref := range [...]program.ValueID{op.A, op.B, op.MemPred} {
@@ -396,7 +490,39 @@ func computeHeights(g *program.Graph) []int {
 			}
 		}
 	}
-	return h
+	s.height = h
+}
+
+// summary returns the scalar fields of the schedule in the state.
+func (s *scheduler) summary() Summary {
+	sum := Summary{Spills: s.spillCount, Reloads: s.reloadCount, PeakLive: s.peakLive}
+	// Every move is emitted at the current cycle, so the last one holds
+	// the last bus cycle; add the register-load cycle after it.
+	if n := len(s.moves); n > 0 {
+		sum.Cycles = s.moves[n-1].Cycle + 1
+	}
+	return sum
+}
+
+// result copies the schedule out of the state: the moves at their exact
+// length, and the four maps.
+func (s *scheduler) result() *Result {
+	sum := s.summary()
+	moves := make([]Move, len(s.moves))
+	copy(moves, s.moves)
+	return &Result{
+		Arch:     s.arch,
+		Graph:    s.g,
+		Moves:    moves,
+		Cycles:   sum.Cycles,
+		Timings:  maps.Clone(s.timings),
+		FUOf:     maps.Clone(s.fuOf),
+		RegAlloc: maps.Clone(s.regAlloc),
+		InputLoc: maps.Clone(s.inputLoc),
+		PeakLive: sum.PeakLive,
+		Spills:   sum.Spills,
+		Reloads:  sum.Reloads,
+	}
 }
 
 // ctxCheckInterval is how many scheduling cycles pass between context
@@ -404,7 +530,8 @@ func computeHeights(g *program.Graph) []int {
 // off the per-cycle fast path.
 const ctxCheckInterval = 64
 
-func (s *scheduler) run(ctx context.Context) (*Result, error) {
+// run schedules the graph, leaving the schedule in the state.
+func (s *scheduler) run(ctx context.Context) error {
 	g := s.g
 	// Count uses so registers can be freed after the last read.
 	for i := range s.vals {
@@ -422,8 +549,9 @@ func (s *scheduler) run(ctx context.Context) (*Result, error) {
 	// Consumer lists share one backing array: each value's slice has
 	// exactly the capacity of its use count, so the appends below never
 	// reallocate.
-	flat := make([]int32, uses)
-	s.consumers = make([][]int32, len(g.Ops))
+	s.consumed = grow(s.consumed, uses)
+	s.consumers = grow(s.consumers, len(g.Ops))
+	flat := s.consumed
 	for v := range s.consumers {
 		n := s.vals[v].usesLeft
 		s.consumers[v], flat = flat[:0:n], flat[n:]
@@ -449,7 +577,7 @@ func (s *scheduler) run(ctx context.Context) (*Result, error) {
 		case program.Input:
 			loc, ok := s.allocReg(0)
 			if !ok {
-				return nil, fmt.Errorf("sched: not enough registers for program inputs")
+				return fmt.Errorf("sched: not enough registers for program inputs")
 			}
 			s.vals[i].loc = loc
 			s.vals[i].readyAt = 0
@@ -466,7 +594,7 @@ func (s *scheduler) run(ctx context.Context) (*Result, error) {
 
 	// Pending FU operations in priority order; an op's rank is its
 	// position in that order.
-	var pendings []int
+	pendings := s.byRank[:0]
 	for i, op := range g.Ops {
 		switch op.Op.Class() {
 		case program.ClassALU, program.ClassCMP, program.ClassMem:
@@ -479,22 +607,21 @@ func (s *scheduler) run(ctx context.Context) (*Result, error) {
 		slices.SortStableFunc(pendings, func(a, b int) int { return cmp.Compare(s.height[b], s.height[a]) })
 	}
 	s.byRank = pendings
-	s.rank = make([]int, len(g.Ops))
-	s.ready = make([]uint64, (len(pendings)+63)/64)
+	s.rank = grow(s.rank, len(g.Ops))
+	s.ready = grow(s.ready, (len(pendings)+63)/64)
+	clear(s.ready)
 	for r, oi := range pendings {
 		s.rank[oi] = r
 		if a := &s.vals[g.Ops[oi].A]; a.isConst || a.alloc {
 			s.markReady(oi)
 		}
 	}
-
 	maxCycles := s.opts.MaxCycles
 	if maxCycles == 0 {
 		maxCycles = 40*len(g.Ops) + 2000
 	}
 
 	remaining := len(pendings)
-	var inflight []int
 	cycle := 0
 	if r := s.opts.Obs; r != nil {
 		defer func() {
@@ -509,11 +636,11 @@ func (s *scheduler) run(ctx context.Context) (*Result, error) {
 	for remaining > 0 {
 		if cycle%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if cycle > maxCycles {
-			return nil, fmt.Errorf("sched: no convergence after %d cycles (%d ops left; register pressure?)",
+			return fmt.Errorf("sched: no convergence after %d cycles (%d ops left; register pressure?)",
 				cycle, remaining)
 		}
 		s.resetCycle()
@@ -523,8 +650,8 @@ func (s *scheduler) run(ctx context.Context) (*Result, error) {
 		// Phase 1: drain results of in-flight ops (frees FUs and feeds
 		// dependents), and trigger in-flight ops still awaiting their
 		// trigger move.
-		keep := inflight[:0]
-		for _, oi := range inflight {
+		keep := s.inflight[:0]
+		for _, oi := range s.inflight {
 			st := &s.ops[oi]
 			if st.tTrig >= 0 {
 				s.tryFinish(oi, cycle)
@@ -537,7 +664,7 @@ func (s *scheduler) run(ctx context.Context) (*Result, error) {
 				keep = append(keep, oi)
 			}
 		}
-		inflight = keep
+		s.inflight = keep
 		// Phase 2: start ready ops by priority while buses remain. Only
 		// ops whose operand A exists are visited: for any other op
 		// tryStart fails on A before touching any state, so skipping it
@@ -552,7 +679,7 @@ func (s *scheduler) run(ctx context.Context) (*Result, error) {
 					s.ready[w] &^= b
 					// Stores whose trigger landed in the same cycle may
 					// finish in a later phase-1 pass.
-					inflight = append(inflight, oi)
+					s.inflight = append(s.inflight, oi)
 				}
 			}
 		}
@@ -574,32 +701,14 @@ func (s *scheduler) run(ctx context.Context) (*Result, error) {
 			s.stallTotal++
 			if s.stallStreak >= 4 {
 				if !s.maybeSpill(cycle) && s.spillsIdle() && s.stallStreak > 8 {
-					return nil, fmt.Errorf("sched: starved at cycle %d (%d ops left, %d live registers, no spillable victim)",
+					return fmt.Errorf("sched: starved at cycle %d (%d ops left, %d live registers, no spillable victim)",
 						cycle, remaining, s.live)
 				}
 			}
 		}
 		cycle++
 	}
-
-	res := &Result{
-		Arch:     s.arch,
-		Graph:    g,
-		Moves:    s.moves,
-		Timings:  s.timings,
-		FUOf:     s.fuOf,
-		RegAlloc: s.regAlloc,
-		InputLoc: s.inputLoc,
-		PeakLive: s.peakLive,
-		Spills:   s.spillCount,
-		Reloads:  s.reloadCount,
-	}
-	// Every move is emitted at the current cycle, so the last one holds
-	// the last bus cycle; add the register-load cycle after it.
-	if n := len(s.moves); n > 0 {
-		res.Cycles = s.moves[n-1].Cycle + 1
-	}
-	return res, nil
+	return nil
 }
 
 func (s *scheduler) resetCycle() {

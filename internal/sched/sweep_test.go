@@ -6,7 +6,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/crypt"
@@ -246,33 +248,223 @@ func TestScheduleOracleDefaultSweep(t *testing.T) {
 	t.Logf("%d feasible structures checked (%d with spill code)", feasible, spilled)
 }
 
+// raceEnabled reports a build with the race detector (race_test.go).
+var raceEnabled bool
+
 // TestScheduleAllocsFlatInCycles pins that the scheduler's per-cycle
 // state is reused, not reallocated: a 1-bus structure takes far more
-// cycles than a 4-bus one, yet must not allocate more per schedule.
+// cycles than a 4-bus one, yet neither entry point may allocate more per
+// schedule. MeasureContext copies nothing out of the pooled state, so
+// once warm it allocates only for validating its inputs.
 func TestScheduleAllocsFlatInCycles(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop pooled states at random; allocation counts vary")
+	}
 	g := workloadKernel(t, "crypt")
 	rfs := rfShapes([3]int{16, 2, 2}, [3]int{16, 1, 2})
-	measure := func(buses int) (allocs float64, cycles int) {
-		arch := structArch(buses, 1, 1, rfs)
-		allocs = testing.AllocsPerRun(20, func() {
-			res, err := sched.ScheduleContext(context.Background(), g, arch, sched.Options{})
+	ctx := context.Background()
+	entries := []struct {
+		name string
+		run  func(*tta.Architecture) (cycles int, err error)
+	}{
+		{"ScheduleContext", func(arch *tta.Architecture) (int, error) {
+			res, err := sched.ScheduleContext(ctx, g, arch, sched.Options{})
 			if err != nil {
-				t.Fatal(err)
+				return 0, err
 			}
-			cycles = res.Cycles
-		})
-		return allocs, cycles
+			return res.Cycles, nil
+		}},
+		{"MeasureContext", func(arch *tta.Architecture) (int, error) {
+			sum, err := sched.MeasureContext(ctx, g, arch, sched.Options{})
+			return sum.Cycles, err
+		}},
 	}
-	narrowAllocs, narrowCycles := measure(1)
-	wideAllocs, wideCycles := measure(4)
-	t.Logf("1 bus: %d cycles, %.0f allocs; 4 buses: %d cycles, %.0f allocs",
-		narrowCycles, narrowAllocs, wideCycles, wideAllocs)
-	if narrowCycles < wideCycles*3/2 {
-		t.Fatalf("1-bus schedule (%d cycles) not clearly longer than 4-bus (%d)", narrowCycles, wideCycles)
+	for _, e := range entries {
+		measure := func(buses int) (allocs float64, cycles int) {
+			arch := structArch(buses, 1, 1, rfs)
+			allocs = testing.AllocsPerRun(20, func() {
+				var err error
+				if cycles, err = e.run(arch); err != nil {
+					t.Fatal(err)
+				}
+			})
+			return allocs, cycles
+		}
+		narrowAllocs, narrowCycles := measure(1)
+		wideAllocs, wideCycles := measure(4)
+		t.Logf("%s: 1 bus: %d cycles, %.0f allocs; 4 buses: %d cycles, %.0f allocs",
+			e.name, narrowCycles, narrowAllocs, wideCycles, wideAllocs)
+		if narrowCycles < wideCycles*3/2 {
+			t.Fatalf("1-bus schedule (%d cycles) not clearly longer than 4-bus (%d)", narrowCycles, wideCycles)
+		}
+		if narrowAllocs > wideAllocs {
+			t.Errorf("%s: allocations grow with cycle count: %.0f at %d cycles vs %.0f at %d",
+				e.name, narrowAllocs, narrowCycles, wideAllocs, wideCycles)
+		}
+		if e.name == "MeasureContext" && max(narrowAllocs, wideAllocs) > 40 {
+			t.Errorf("MeasureContext allocates %.0f times per warm call, want at most 40",
+				max(narrowAllocs, wideAllocs))
+		}
 	}
-	if narrowAllocs > wideAllocs {
-		t.Errorf("allocations grow with cycle count: %.0f at %d cycles vs %.0f at %d",
-			narrowAllocs, narrowCycles, wideAllocs, wideCycles)
+}
+
+// scheduleCase is one (workload, structure, priority) triple of the pin
+// suite.
+type scheduleCase struct {
+	workload string
+	g        *program.Graph
+	arch     *tta.Architecture
+	prio     sched.Priority
+}
+
+// pinCases returns the pin suite's triples in pin order: each workload
+// over pinStructures under both priorities.
+func pinCases(tb testing.TB) []scheduleCase {
+	archs := pinStructures(tb)
+	var out []scheduleCase
+	for _, name := range jobspec.Workloads {
+		g := workloadKernel(tb, name)
+		for _, arch := range archs {
+			for _, prio := range []sched.Priority{sched.CriticalPath, sched.SourceOrder} {
+				out = append(out, scheduleCase{name, g, arch, prio})
+			}
+		}
+	}
+	return out
+}
+
+// scheduleDigest schedules one case with ScheduleContext and returns the
+// sha256 of every Result field (or of the error), with the Result's
+// Summary fields (zero on error).
+func scheduleDigest(c scheduleCase) (string, sched.Summary) {
+	h := sha256.New()
+	res, err := sched.ScheduleContext(context.Background(), c.g, c.arch, sched.Options{Priority: c.prio})
+	if err != nil {
+		fmt.Fprintf(h, "err %s\n", err)
+		return hex.EncodeToString(h.Sum(nil)), sched.Summary{}
+	}
+	writeResult(h, res)
+	return hex.EncodeToString(h.Sum(nil)), sched.Summary{
+		Cycles: res.Cycles, Spills: res.Spills, Reloads: res.Reloads, PeakLive: res.PeakLive,
+	}
+}
+
+// TestMeasureMatchesSchedule: on every pin case MeasureContext returns
+// exactly the scalar fields of ScheduleContext's Result, and the same
+// error where the structure is infeasible.
+func TestMeasureMatchesSchedule(t *testing.T) {
+	ctx := context.Background()
+	var feasible, infeasible int
+	for _, c := range pinCases(t) {
+		opts := sched.Options{Priority: c.prio}
+		res, err := sched.ScheduleContext(ctx, c.g, c.arch, opts)
+		sum, merr := sched.MeasureContext(ctx, c.g, c.arch, opts)
+		if err != nil || merr != nil {
+			infeasible++
+			if err == nil || merr == nil || err.Error() != merr.Error() {
+				t.Errorf("%s on %s (%s): ScheduleContext error %v, MeasureContext error %v",
+					c.workload, c.arch.Name, c.prio, err, merr)
+			}
+			continue
+		}
+		feasible++
+		want := sched.Summary{Cycles: res.Cycles, Spills: res.Spills, Reloads: res.Reloads, PeakLive: res.PeakLive}
+		if sum != want {
+			t.Errorf("%s on %s (%s): MeasureContext %+v, ScheduleContext %+v",
+				c.workload, c.arch.Name, c.prio, sum, want)
+		}
+	}
+	t.Logf("%d feasible, %d infeasible cases", feasible, infeasible)
+}
+
+// TestScheduleStateReuse schedules the pin cases on one goroutine, so
+// each call reuses the pooled state the previous one left, in a seeded
+// shuffle that interleaves workloads of different sizes with the wide
+// and spilling shapes. Between them it runs schedules that stop midway,
+// at a small cycle bound or on a cancelled context, leaving ops in
+// flight, spill jobs pending and the ready set populated. Every schedule
+// and summary must equal its pin-order counterpart: no state leaks from
+// one schedule into the next.
+func TestScheduleStateReuse(t *testing.T) {
+	cases := pinCases(t)
+	wantDigest := make([]string, len(cases))
+	wantSum := make([]sched.Summary, len(cases))
+	for i, c := range cases {
+		wantDigest[i], wantSum[i] = scheduleDigest(c)
+	}
+	ctx := context.Background()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	rng := rand.New(rand.NewSource(15))
+	for _, i := range rng.Perm(len(cases)) {
+		abort := cases[rng.Intn(len(cases))]
+		if rng.Intn(2) == 0 {
+			_, _ = sched.MeasureContext(ctx, abort.g, abort.arch, sched.Options{Priority: abort.prio, MaxCycles: 1 + rng.Intn(200)})
+		} else {
+			_, _ = sched.ScheduleContext(cancelled, abort.g, abort.arch, sched.Options{Priority: abort.prio})
+		}
+		c := cases[i]
+		if got, _ := scheduleDigest(c); got != wantDigest[i] {
+			t.Errorf("%s on %s (%s): schedule differs after reuse", c.workload, c.arch.Name, c.prio)
+		}
+		sum, _ := sched.MeasureContext(ctx, c.g, c.arch, sched.Options{Priority: c.prio})
+		if sum != wantSum[i] {
+			t.Errorf("%s on %s (%s): summary %+v after reuse, %+v in pin order",
+				c.workload, c.arch.Name, c.prio, sum, wantSum[i])
+		}
+	}
+}
+
+// TestScheduleConcurrentReuse: eight goroutines share the state pool,
+// each scheduling its own seeded shuffle of the default structures for
+// one workload (workloads alternate between goroutines, so pooled
+// states move between graph sizes). Every Result and Summary must equal
+// the serial one. Run it under -race.
+func TestScheduleConcurrentReuse(t *testing.T) {
+	archs := defaultStructures(t)
+	type want struct {
+		digest string
+		sum    sched.Summary
+	}
+	serial := make(map[string][]want)
+	for _, name := range jobspec.Workloads {
+		g := workloadKernel(t, name)
+		ws := make([]want, len(archs))
+		for i, arch := range archs {
+			ws[i].digest, ws[i].sum = scheduleDigest(scheduleCase{name, g, arch, sched.CriticalPath})
+		}
+		serial[name] = ws
+	}
+	const goroutines = 8
+	errs := make(chan error, goroutines)
+	var wg sync.WaitGroup
+	for gi := 0; gi < goroutines; gi++ {
+		name := jobspec.Workloads[gi%len(jobspec.Workloads)]
+		g := workloadKernel(t, name)
+		order := rand.New(rand.NewSource(int64(gi))).Perm(len(archs))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := context.Background()
+			for _, i := range order {
+				c := scheduleCase{name, g, archs[i], sched.CriticalPath}
+				w := serial[name][i]
+				if got, _ := scheduleDigest(c); got != w.digest {
+					errs <- fmt.Errorf("%s on %s: schedule differs from the serial one", name, archs[i].Name)
+					return
+				}
+				sum, _ := sched.MeasureContext(ctx, g, archs[i], sched.Options{})
+				if sum != w.sum {
+					errs <- fmt.Errorf("%s on %s: summary %+v, serial %+v", name, archs[i].Name, sum, w.sum)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
@@ -289,6 +481,22 @@ func BenchmarkScheduleDefaultSweep(b *testing.B) {
 		for _, arch := range archs {
 			// Infeasible structures fail fast; their cost is part of the sweep.
 			_, _ = sched.ScheduleContext(ctx, g, arch, sched.Options{})
+		}
+	}
+}
+
+// BenchmarkMeasureDefaultSweep is BenchmarkScheduleDefaultSweep through
+// MeasureContext, the entry point the explorer's structural memo calls:
+// the same schedules, with only their summaries read out.
+func BenchmarkMeasureDefaultSweep(b *testing.B) {
+	g := workloadKernel(b, "crypt")
+	archs := defaultStructures(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, arch := range archs {
+			_, _ = sched.MeasureContext(ctx, g, arch, sched.Options{})
 		}
 	}
 }
