@@ -194,6 +194,71 @@ func TestSchedulePins(t *testing.T) {
 	}
 }
 
+// searchSpaceStructures draws n structures from the guided search's
+// widened space with a fixed seed: 1–16 buses, 1–8 ALUs, 1–4 CMPs and
+// 1–3 register files of {4, 8, 12, 16, 24, 32} registers with 1–2 write
+// and 1–3 read ports.
+func searchSpaceStructures(n int) []*tta.Architecture {
+	regs := []int{4, 8, 12, 16, 24, 32}
+	rng := rand.New(rand.NewSource(1))
+	out := make([]*tta.Architecture, n)
+	for i := range out {
+		buses, alus, cmps := 1+rng.Intn(16), 1+rng.Intn(8), 1+rng.Intn(4)
+		rfs := make([]dse.RFSpec, 1+rng.Intn(3))
+		for j := range rfs {
+			rfs[j] = dse.RFSpec{Regs: regs[rng.Intn(len(regs))], In: 1 + rng.Intn(2), Out: 1 + rng.Intn(3)}
+		}
+		out[i] = structArch(buses, alus, cmps, rfs)
+	}
+	return out
+}
+
+// searchSpacePins are sha256 digests over every schedule of one kernel on
+// the 256 searchSpaceStructures under both priorities, serialized as in
+// TestSchedulePins. They were recorded with the scheduler that offered a
+// start to every pending op whose operand A existed.
+var searchSpacePins = map[string]string{
+	"crypt":      "7a96bfd12eaf84823ddebbb4a74dd4a52289f97b96c37ffe04e6ca74dce9d49f",
+	"crc16":      "3c5a79e4dac606ff6047f5d5794abe2ad3677cc35e3f6ed68c2ace6871ee502d",
+	"vecmax":     "9c89c0b41c97e06abb3b01a8358676e1abcba5e3efc009a0e44034df05632cd8",
+	"countbelow": "b329b138c27a85631afeb01d4ebde0f9e386baec578b8928bcff9fac374e078c",
+	"checksum":   "278938212c409e8c3bf7399f3b509f33db414e9494d76f143b8d16b29daee1ed",
+}
+
+// TestScheduleSearchSpacePins widens TestSchedulePins to the unit counts,
+// bus counts and register-file shapes the guided search schedules: the
+// start walk's behaviour depends on all three and on spill traffic.
+func TestScheduleSearchSpacePins(t *testing.T) {
+	archs := searchSpaceStructures(256)
+	for _, name := range jobspec.Workloads {
+		t.Run(name, func(t *testing.T) {
+			g := workloadKernel(t, name)
+			h := sha256.New()
+			var feasible, spilled int
+			for _, arch := range archs {
+				for _, prio := range []sched.Priority{sched.CriticalPath, sched.SourceOrder} {
+					fmt.Fprintf(h, "== %s %s\n", arch.Name, prio)
+					res, err := sched.ScheduleContext(context.Background(), g, arch, sched.Options{Priority: prio})
+					if err != nil {
+						fmt.Fprintf(h, "err %s\n", err)
+						continue
+					}
+					feasible++
+					if res.Spills > 0 {
+						spilled++
+					}
+					writeResult(h, res)
+				}
+			}
+			got := hex.EncodeToString(h.Sum(nil))
+			t.Logf("%s: %d feasible (%d spilling) of %d", name, feasible, spilled, 2*len(archs))
+			if want := searchSpacePins[name]; got != want {
+				t.Errorf("%s schedule digest %s, pinned %s", name, got, want)
+			}
+		})
+	}
+}
+
 // cryptInputs is a non-zero input vector for the sweep's crypt loop
 // kernel: L and R halves, the round counter, one round key.
 func cryptInputs() []uint64 {
