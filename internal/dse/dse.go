@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/crypt"
 	"repro/internal/faultinject"
+	"repro/internal/gatelib"
 	"repro/internal/obs"
 	"repro/internal/pareto"
 	"repro/internal/power"
@@ -389,7 +390,7 @@ func ExploreContext(ctx context.Context, cfg Config) (*Result, error) {
 	defer root.End()
 	res := &Result{Config: cfg, Selected: -1}
 
-	archs, err := produceArchs(ctx, &cfg, root)
+	archs, memo, err := produceArchs(ctx, &cfg, root)
 	if err != nil {
 		cfg.Obs.Gauge("dse.worker.utilization").Set(0)
 		return nil, err
@@ -413,7 +414,7 @@ func ExploreContext(ctx context.Context, cfg Config) (*Result, error) {
 		})
 	}
 
-	errs := runEvaluations(ctx, &cfg, root, archs, res, em, nEvents, lo, hi)
+	errs := runEvaluations(ctx, &cfg, root, archs, memo, res, em, nEvents, lo, hi)
 	partial := partialErrorFor(ctx, res, errs, lo, hi)
 	if hit, miss := reg.Counter("testcost.cache.hit").Value(), reg.Counter("testcost.cache.miss").Value(); hit+miss > 0 {
 		reg.Gauge("testcost.cache.hit_rate").Set(float64(hit) / float64(hit+miss))
@@ -484,17 +485,19 @@ func ExploreContext(ctx context.Context, cfg Config) (*Result, error) {
 // default, the guided GA screen when Search is set. It is a pure
 // function of the config (the GA draws from a control-thread-only rng
 // and screens with the pure bound tier), which is what lets shard
-// workers and the merge each derive the identical list.
-func produceArchs(ctx context.Context, cfg *Config, root *obs.Span) ([]*tta.Architecture, error) {
+// workers and the merge each derive the identical list. It also returns
+// the structural memo the candidates are to read: the screen's, which
+// already holds every survivor's structure, or an empty one.
+func produceArchs(ctx context.Context, cfg *Config, root *obs.Span) ([]*tta.Architecture, *schedMemo, error) {
 	if cfg.Search != nil {
 		spec := *cfg.Search
 		if err := spec.fillDefaults(cfg.Seed); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		searchSp := root.Child("search")
-		archs, err := searchCandidates(ctx, cfg, searchSp, spec)
+		archs, memo, err := searchCandidates(ctx, cfg, searchSp, spec)
 		searchSp.End()
-		return archs, err
+		return archs, memo, err
 	}
 	enumSp := root.Child("enumerate")
 	defer enumSp.End()
@@ -512,7 +515,7 @@ func produceArchs(ctx context.Context, cfg *Config, root *obs.Span) ([]*tta.Arch
 			}
 		}
 	}
-	return archs, nil
+	return archs, newSchedMemo(), nil
 }
 
 // partialErrorFor tallies the holes an evaluation sweep left behind over
@@ -561,8 +564,10 @@ func partialErrorFor(ctx context.Context, res *Result, errs []error, lo, hi int)
 // runEvaluations evaluates the [lo, hi) slice of the candidate list over
 // a bounded worker pool, filling the matching res.Candidates slots
 // (indexed, so ordering is deterministic at any parallelism) and
-// returning the per-candidate errors. An unsharded run passes the whole
-// range; a shard run its own slice — events always carry the global
+// returning the per-candidate errors. Structures come from memo, shared
+// with the guided search's screen when it produced the list, so a
+// structure the screen scheduled is not scheduled again. An unsharded
+// run passes the whole range; a shard run its own slice — events always carry the global
 // index and total, so downstream consumers never remap. Evaluations
 // recorded in cfg.Checkpoint are restored instead of recomputed, and new
 // completions are recorded back. The workers first run the warm-up
@@ -574,7 +579,7 @@ func partialErrorFor(ctx context.Context, res *Result, errs []error, lo, hi int)
 // continues. The "dse.worker.utilization" gauge is set on every exit
 // path — including a cancelled context or a candidate error surfacing
 // to the caller.
-func runEvaluations(ctx context.Context, cfg *Config, root *obs.Span, archs []*tta.Architecture, res *Result, em *emitter, nEvents *atomic.Int64, lo, hi int) []error {
+func runEvaluations(ctx context.Context, cfg *Config, root *obs.Span, archs []*tta.Architecture, memo *schedMemo, res *Result, em *emitter, nEvents *atomic.Int64, lo, hi int) []error {
 	reg := cfg.Obs
 	res.Candidates = make([]Candidate, len(archs))
 	errs := make([]error, len(archs))
@@ -614,7 +619,6 @@ func runEvaluations(ctx context.Context, cfg *Config, root *obs.Span, archs []*t
 		workers = hi - lo - nRestored
 	}
 	reg.Gauge("dse.workers").Set(float64(workers))
-	memo := newSchedMemo()
 	evalStart := time.Now()
 	var busyNS, completed atomic.Int64
 	completed.Store(int64(nRestored))
@@ -747,21 +751,32 @@ func verifySelected(ctx context.Context, cfg *Config, res *Result) error {
 	return err
 }
 
-// buildArch assembles one candidate architecture.
+// buildArch assembles one candidate architecture of the sweep.
 func buildArch(width, buses, nALU, nCMP int, rfs []RFSpec, strat tta.AssignStrategy, id, rfi int) *tta.Architecture {
+	name := fmt.Sprintf("c%03d_b%d_a%d_c%d_rf%d_%s", id, buses, nALU, nCMP, rfi, strat)
+	return assembleArch(name, width, buses, nALU, nCMP, gatelib.AdderRipple, rfs, strat)
+}
+
+// assembleArch builds an architecture of the paper's template: nALU ALUs
+// of the given adder (ALU1, ALU2, ...), nCMP CMPs, the register files (RF1,
+// ...), then LD/ST, PC and Immediate, with ports assigned by strat.
+func assembleArch(name string, width, buses, nALU, nCMP int, adder gatelib.AdderKind, rfs []RFSpec, strat tta.AssignStrategy) *tta.Architecture {
 	a := &tta.Architecture{
-		Name:  fmt.Sprintf("c%03d_b%d_a%d_c%d_rf%d_%s", id, buses, nALU, nCMP, rfi, strat),
-		Width: width,
-		Buses: buses,
+		Name:       name,
+		Width:      width,
+		Buses:      buses,
+		Components: make([]tta.Component, 0, nALU+nCMP+len(rfs)+3),
 	}
-	for i := 0; i < nALU; i++ {
-		a.Components = append(a.Components, tta.NewFU(tta.ALU, fmt.Sprintf("ALU%d", i+1)))
+	for i := 1; i <= nALU; i++ {
+		fu := tta.NewFU(tta.ALU, "ALU"+strconv.Itoa(i))
+		fu.Adder = adder
+		a.Components = append(a.Components, fu)
 	}
-	for i := 0; i < nCMP; i++ {
-		a.Components = append(a.Components, tta.NewFU(tta.CMP, fmt.Sprintf("CMP%d", i+1)))
+	for i := 1; i <= nCMP; i++ {
+		a.Components = append(a.Components, tta.NewFU(tta.CMP, "CMP"+strconv.Itoa(i)))
 	}
 	for i, rf := range rfs {
-		a.Components = append(a.Components, tta.NewRF(fmt.Sprintf("RF%d", i+1), rf.Regs, rf.In, rf.Out))
+		a.Components = append(a.Components, tta.NewRF("RF"+strconv.Itoa(i+1), rf.Regs, rf.In, rf.Out))
 	}
 	a.Components = append(a.Components,
 		tta.NewFU(tta.LDST, "LD/ST"),
@@ -930,8 +945,8 @@ func evalStructural(ctx context.Context, cfg *Config, arch *tta.Architecture, sp
 		return structEval{}, err
 	}
 	for ci := range arch.Components {
-		c := &arch.Components[ci]
-		area += float64(len(c.InputPorts()))*inA + float64(len(c.OutputPorts()))*outA
+		in, out := arch.Components[ci].PortCounts()
+		area += float64(in)*inA + float64(out)*outA
 	}
 	area += float64(arch.Buses) * float64(arch.Width) * cfg.BusAreaPerBit
 	se.area = area

@@ -7,7 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 
 	"repro/internal/gatelib"
@@ -134,44 +134,62 @@ func (g *genome) canon() {
 }
 
 // key is the genome's canonical identity — the dedupe and deterministic
-// tie-break key.
+// tie-break key: "b%02d/a%d/c%d/<adder>/<assign>" and "/rf%02dx%dw%dr"
+// per register file, built with strconv.
 func (g *genome) key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "b%02d/a%d/c%d/%s/%s", g.buses, g.alus, g.cmps, g.adder, g.assign)
+	b := make([]byte, 0, 96)
+	b = append(b, 'b')
+	b = appendPadded(b, g.buses, 2)
+	b = append(b, "/a"...)
+	b = strconv.AppendInt(b, int64(g.alus), 10)
+	b = append(b, "/c"...)
+	b = strconv.AppendInt(b, int64(g.cmps), 10)
+	b = append(b, '/')
+	b = append(b, g.adder.String()...)
+	b = append(b, '/')
+	b = append(b, g.assign.String()...)
 	for _, rf := range g.rfs {
-		fmt.Fprintf(&b, "/rf%02dx%dw%dr", rf.Regs, rf.In, rf.Out)
+		b = append(b, "/rf"...)
+		b = appendPadded(b, rf.Regs, 2)
+		b = append(b, 'x')
+		b = strconv.AppendInt(b, int64(rf.In), 10)
+		b = append(b, 'w')
+		b = strconv.AppendInt(b, int64(rf.Out), 10)
+		b = append(b, 'r')
 	}
-	return b.String()
+	return string(b)
 }
 
-// arch builds the genome's architecture. The name embeds the stable
-// promotion index, so checkpointKey (structKey + name) survives a
-// resume: for a fixed seed the survivor sequence — and hence the index
-// assignment — is identical on every run.
+// appendPadded appends n in decimal, zero-padded to width digits as
+// fmt's %0<width>d pads a non-negative number.
+func appendPadded(b []byte, n, width int) []byte {
+	for p := 1; width > 1; width-- {
+		p *= 10
+		if n >= 0 && n < p {
+			b = append(b, '0')
+		}
+	}
+	return strconv.AppendInt(b, int64(n), 10)
+}
+
+// arch builds the genome's architecture, named
+// "s%06d_b%d_a%d_c%d_<assign>". The name embeds the stable promotion
+// index, so checkpointKey (structKey + name) survives a resume: for a
+// fixed seed the survivor sequence — and hence the index assignment — is
+// identical on every run.
 func (g *genome) arch(width, index int) *tta.Architecture {
-	a := &tta.Architecture{
-		Name:  fmt.Sprintf("s%06d_b%d_a%d_c%d_%s", index, g.buses, g.alus, g.cmps, g.assign),
-		Width: width,
-		Buses: g.buses,
-	}
-	for i := 0; i < g.alus; i++ {
-		fu := tta.NewFU(tta.ALU, fmt.Sprintf("ALU%d", i+1))
-		fu.Adder = g.adder
-		a.Components = append(a.Components, fu)
-	}
-	for i := 0; i < g.cmps; i++ {
-		a.Components = append(a.Components, tta.NewFU(tta.CMP, fmt.Sprintf("CMP%d", i+1)))
-	}
-	for i, rf := range g.rfs {
-		a.Components = append(a.Components, tta.NewRF(fmt.Sprintf("RF%d", i+1), rf.Regs, rf.In, rf.Out))
-	}
-	a.Components = append(a.Components,
-		tta.NewFU(tta.LDST, "LD/ST"),
-		tta.NewPC("PC"),
-		tta.NewIMM("Immediate"),
-	)
-	tta.AssignPorts(a, g.assign)
-	return a
+	name := make([]byte, 0, 48)
+	name = append(name, 's')
+	name = appendPadded(name, index, 6)
+	name = append(name, "_b"...)
+	name = strconv.AppendInt(name, int64(g.buses), 10)
+	name = append(name, "_a"...)
+	name = strconv.AppendInt(name, int64(g.alus), 10)
+	name = append(name, "_c"...)
+	name = strconv.AppendInt(name, int64(g.cmps), 10)
+	name = append(name, '_')
+	name = append(name, g.assign.String()...)
+	return assembleArch(string(name), width, g.buses, g.alus, g.cmps, g.adder, g.rfs, g.assign)
 }
 
 // randGenome draws a uniform genome. Every rng consumption below is on
@@ -353,8 +371,9 @@ func cheapEvalOne(ctx context.Context, cfg *Config, g *genome, memo *schedMemo, 
 // rankGeneration orders the generation for promotion: feasible genomes by
 // ascending scalarized fitness (equal-weight L1 over min-max normalized
 // coordinates — cheap, and monotone enough for a screen), ties and the
-// infeasible tail by canonical key. The fitness slice is parallel to pop.
-func rankGeneration(pop []genome, res []cheapResult) (order []int, fitness []float64) {
+// infeasible tail by canonical key. keys, res and the returned fitness
+// are parallel to the population.
+func rankGeneration(keys []string, res []cheapResult) (order []int, fitness []float64) {
 	lo := [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)}
 	hi := [3]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1)}
 	for i := range res {
@@ -370,7 +389,7 @@ func rankGeneration(pop []genome, res []cheapResult) (order []int, fitness []flo
 			}
 		}
 	}
-	fitness = make([]float64, len(pop))
+	fitness = make([]float64, len(res))
 	for i := range res {
 		if !res[i].feasible || res[i].err != nil {
 			fitness[i] = math.Inf(1)
@@ -384,7 +403,7 @@ func rankGeneration(pop []genome, res []cheapResult) (order []int, fitness []flo
 		}
 		fitness[i] = f
 	}
-	order = make([]int, len(pop))
+	order = make([]int, len(res))
 	for i := range order {
 		order[i] = i
 	}
@@ -393,7 +412,7 @@ func rankGeneration(pop []genome, res []cheapResult) (order []int, fitness []flo
 		if fa != fb {
 			return fa < fb
 		}
-		return pop[order[a]].key() < pop[order[b]].key()
+		return keys[order[a]] < keys[order[b]]
 	})
 	return order, fitness
 }
@@ -429,10 +448,13 @@ func nextGeneration(rng *rand.Rand, pop []genome, order []int, fitness []float64
 
 // searchCandidates runs the GA + successive-halving screen and returns
 // the promoted architectures, in promotion order (generation, then
-// cheap-tier rank), deduplicated by genome. The returned list feeds the
-// unchanged full-evaluation pipeline: converged ATPG, checkpoints, live
-// fronts, selection.
-func searchCandidates(ctx context.Context, cfg *Config, sp *obs.Span, spec SearchSpec) ([]*tta.Architecture, error) {
+// cheap-tier rank), deduplicated by genome, with the screen's structural
+// memo. The list feeds the unchanged full-evaluation pipeline (converged
+// ATPG, checkpoints, live fronts, selection), which reads every
+// survivor's structure from the memo: the screen computed it with the
+// same configuration, and a structural evaluation ignores names and port
+// assignment.
+func searchCandidates(ctx context.Context, cfg *Config, sp *obs.Span, spec SearchSpec) ([]*tta.Architecture, *schedMemo, error) {
 	reg := cfg.Obs
 	rng := rand.New(rand.NewSource(spec.Seed))
 	pop := make([]genome, spec.Population)
@@ -443,27 +465,30 @@ func searchCandidates(ctx context.Context, cfg *Config, sp *obs.Span, spec Searc
 	promote := ceilDiv(spec.Population, spec.Eta)
 	var survivors []genome
 	seen := make(map[string]bool)
+	keys := make([]string, spec.Population)
 	for gen := 0; gen < spec.Generations; gen++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		genSp := sp.Child("generation")
 		res := evalCheap(ctx, cfg, pop, memo, genSp)
 		if err := ctx.Err(); err != nil {
 			genSp.End()
-			return nil, err
+			return nil, nil, err
 		}
-		order, fitness := rankGeneration(pop, res)
+		for i := range pop {
+			keys[i] = pop[i].key()
+		}
+		order, fitness := rankGeneration(keys, res)
 		promoted := 0
 		for _, i := range order[:promote] {
 			if !res[i].feasible || res[i].err != nil {
 				continue // never promote what the screen could not place
 			}
-			k := pop[i].key()
-			if seen[k] {
+			if seen[keys[i]] {
 				continue
 			}
-			seen[k] = true
+			seen[keys[i]] = true
 			survivors = append(survivors, pop[i])
 			promoted++
 		}
@@ -482,13 +507,13 @@ func searchCandidates(ctx context.Context, cfg *Config, sp *obs.Span, spec Searc
 		}
 	}
 	if len(survivors) == 0 {
-		return nil, fmt.Errorf("dse: guided search promoted no feasible candidate (pop %d, gens %d)", spec.Population, spec.Generations)
+		return nil, nil, fmt.Errorf("dse: guided search promoted no feasible candidate (pop %d, gens %d)", spec.Population, spec.Generations)
 	}
 	archs := make([]*tta.Architecture, len(survivors))
 	for i := range survivors {
 		archs[i] = survivors[i].arch(cfg.Width, i)
 	}
-	return archs, nil
+	return archs, memo, nil
 }
 
 // ceilDiv is also defined in testcost; dse keeps its own to avoid the

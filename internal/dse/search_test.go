@@ -2,12 +2,16 @@ package dse
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/gatelib"
 	"repro/internal/obs"
 	"repro/internal/testcost"
+	"repro/internal/tta"
 )
 
 // searchTestConfig returns a small guided exploration sharing ann (so
@@ -21,6 +25,81 @@ func searchTestConfig(ann *testcost.Annotator, parallelism int) (Config, error) 
 	cfg.Parallelism = parallelism
 	cfg.Search = &SearchSpec{Population: 12, Generations: 3, Eta: 3, Seed: 99}
 	return cfg, nil
+}
+
+// raceEnabled reports a build with the race detector (race_test.go).
+var raceEnabled bool
+
+// TestCheapEvalAllocs bounds what screening one genome allocates once its
+// structure is in the memo and its bound annotations are cached: the
+// genome's architecture, its structure key, the component keys and the
+// cost breakdown. Port index lists or fmt-built strings per component
+// would exceed the bound.
+func TestCheapEvalAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	cfg, err := DefaultConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.fillDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	g := genome{
+		buses: 4, alus: 2, cmps: 1, adder: gatelib.AdderCarrySelect,
+		rfs:    []RFSpec{{Regs: 8, In: 1, Out: 2}, {Regs: 12, In: 2, Out: 3}},
+		assign: tta.SpreadFirst,
+	}
+	ctx := context.Background()
+	memo := newSchedMemo()
+	if res := cheapEvalOne(ctx, &cfg, &g, memo, nil); !res.feasible || res.err != nil {
+		t.Fatalf("genome %s: feasible %t, error %v", g.key(), res.feasible, res.err)
+	}
+	allocs := testing.AllocsPerRun(50, func() { cheapEvalOne(ctx, &cfg, &g, memo, nil) })
+	t.Logf("%s: %.0f allocations per screened genome", g.key(), allocs)
+	if allocs > 40 {
+		t.Errorf("screening a memoized genome allocates %.0f times, want at most 40", allocs)
+	}
+}
+
+// TestGenomeStringsMatchFormat pins the genome key, the architecture
+// name and the component names to their fmt formats: the key orders ties
+// in the screen, and names reach reports and checkpoint keys.
+func TestGenomeStringsMatchFormat(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 500; i++ {
+		g := randGenome(rng)
+		var key strings.Builder
+		fmt.Fprintf(&key, "b%02d/a%d/c%d/%s/%s", g.buses, g.alus, g.cmps, g.adder, g.assign)
+		for _, rf := range g.rfs {
+			fmt.Fprintf(&key, "/rf%02dx%dw%dr", rf.Regs, rf.In, rf.Out)
+		}
+		if got := g.key(); got != key.String() {
+			t.Fatalf("key %q, fmt gives %q", got, key.String())
+		}
+		index := []int{0, 7, 42, 999, 123456, 1234567}[i%6]
+		a := g.arch(16, index)
+		if want := fmt.Sprintf("s%06d_b%d_a%d_c%d_%s", index, g.buses, g.alus, g.cmps, g.assign); a.Name != want {
+			t.Fatalf("name %q, fmt gives %q", a.Name, want)
+		}
+		var names []string
+		for j := 1; j <= g.alus; j++ {
+			names = append(names, fmt.Sprintf("ALU%d", j))
+		}
+		for j := 1; j <= g.cmps; j++ {
+			names = append(names, fmt.Sprintf("CMP%d", j))
+		}
+		for j := range g.rfs {
+			names = append(names, fmt.Sprintf("RF%d", j+1))
+		}
+		names = append(names, "LD/ST", "PC", "Immediate")
+		for ci, c := range a.Components {
+			if c.Name != names[ci] {
+				t.Fatalf("%s: component %d named %q, want %q", a.Name, ci, c.Name, names[ci])
+			}
+		}
+	}
 }
 
 func TestSearchSpaceSize(t *testing.T) {

@@ -95,7 +95,7 @@ func MergeExploreContext(ctx context.Context, cfg Config, paths []string) (*Resu
 	defer root.End()
 	res := &Result{Config: cfg, Selected: -1}
 
-	archs, err := produceArchs(ctx, &cfg, root)
+	archs, _, err := produceArchs(ctx, &cfg, root)
 	if err != nil {
 		return nil, err
 	}

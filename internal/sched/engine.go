@@ -94,17 +94,8 @@ func (s *scheduler) commitRead(v program.ValueID, src Endpoint) {
 	}
 }
 
-// fuFor returns a free function unit executing the op class, or -1.
-func (s *scheduler) fuFor(class program.Class, cycle int) int {
-	var kind tta.Kind
-	switch class {
-	case program.ClassALU:
-		kind = tta.ALU
-	case program.ClassCMP:
-		kind = tta.CMP
-	default:
-		kind = tta.LDST
-	}
+// fuFor returns a free function unit of the kind, or -1.
+func (s *scheduler) fuFor(kind tta.Kind, cycle int) int {
 	for _, fu := range s.fuByKind[kind] {
 		if s.fuBusyBy[fu] < cycle {
 			return fu
@@ -153,7 +144,7 @@ func (s *scheduler) tryStart(oi int, cycle int) bool {
 		}
 	}
 
-	fu := s.fuFor(op.Op.Class(), cycle)
+	fu := s.fuFor(kindOf(op.Op.Class()), cycle)
 	if fu == -1 {
 		return false
 	}
@@ -188,7 +179,9 @@ func (s *scheduler) tryStart(oi int, cycle int) bool {
 		st.tFirstIn = cycle
 		st.tTrig = cycle
 		st.fu = fu
-		s.fuOf[program.ValueID(oi)] = fu
+		if s.record {
+			s.fuOf[program.ValueID(oi)] = fu
+		}
 		s.fuBusyBy[fu] = cycle + 1000000 // released by tryFinish
 		s.memReady = cycle + 1
 		return true
@@ -223,7 +216,9 @@ func (s *scheduler) tryStart(oi int, cycle int) bool {
 	st.started = true
 	st.tFirstIn = cycle
 	st.fu = fu
-	s.fuOf[program.ValueID(oi)] = fu
+	if s.record {
+		s.fuOf[program.ValueID(oi)] = fu
+	}
 	s.fuBusyBy[fu] = cycle + 1000000
 
 	// Opportunistic same-cycle trigger (relation (2) allows C(T) == C(O)).
@@ -307,27 +302,22 @@ func (s *scheduler) tryFinish(oi int, cycle int) bool {
 		s.freeReg(vs.loc)
 		vs.alloc = false
 	}
-	s.regAlloc[program.ValueID(oi)] = vs.loc
-
-	oT := st.tFirstIn + 1
-	if op.Op == program.Load {
-		oT = -1
-	}
-	s.timings[program.ValueID(oi)] = tta.OpTiming{
-		Fin:  st.tFirstIn,
-		O:    oT,
-		T:    st.tTrig + 1,
-		R:    st.tTrig + 2,
-		Fout: cycle,
+	if s.record {
+		s.regAlloc[program.ValueID(oi)] = vs.loc
+		oT := st.tFirstIn + 1
+		if op.Op == program.Load {
+			oT = -1
+		}
+		s.timings[program.ValueID(oi)] = tta.OpTiming{
+			Fin:  st.tFirstIn,
+			O:    oT,
+			T:    st.tTrig + 1,
+			R:    st.tTrig + 2,
+			Fout: cycle,
+		}
 	}
 	s.fuBusyBy[st.fu] = -1
 	st.done = true
-	// The value now exists: its consumers through operand A join the
-	// ready set.
-	for _, c := range s.consumers[oi] {
-		if s.g.Ops[c].A == program.ValueID(oi) {
-			s.markReady(int(c))
-		}
-	}
+	s.gained(program.ValueID(oi))
 	return true
 }

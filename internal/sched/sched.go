@@ -215,7 +215,7 @@ type Summary struct {
 func ScheduleContext(ctx context.Context, g *program.Graph, arch *tta.Architecture, opts Options) (*Result, error) {
 	s := states.Get().(*scheduler)
 	defer s.release()
-	if err := s.schedule(ctx, g, arch, opts); err != nil {
+	if err := s.schedule(ctx, g, arch, opts, true); err != nil {
 		return nil, err
 	}
 	return s.result(), nil
@@ -223,12 +223,13 @@ func ScheduleContext(ctx context.Context, g *program.Graph, arch *tta.Architectu
 
 // MeasureContext schedules exactly as ScheduleContext does, with the same
 // errors and "sched.*" counters, but returns only the schedule's Summary.
-// It copies nothing out of the reused scheduler state, so a warm call
-// allocates only what validating its inputs does.
+// It fills none of Result's maps and copies nothing out of the reused
+// scheduler state, so a warm call allocates only what validating its
+// inputs does.
 func MeasureContext(ctx context.Context, g *program.Graph, arch *tta.Architecture, opts Options) (Summary, error) {
 	s := states.Get().(*scheduler)
 	defer s.release()
-	if err := s.schedule(ctx, g, arch, opts); err != nil {
+	if err := s.schedule(ctx, g, arch, opts, false); err != nil {
 		return Summary{}, err
 	}
 	return s.summary(), nil
@@ -245,6 +246,9 @@ type scheduler struct {
 	g    *program.Graph
 	arch *tta.Architecture
 	opts Options
+	// record fills Result's four maps (ScheduleContext); nothing the
+	// scheduler decides reads them.
+	record bool
 
 	buffers
 
@@ -295,13 +299,18 @@ type buffers struct {
 	ops      []opState
 	fuBusyBy []int // per component: cycle until which the FU is busy (-1 free)
 
-	// ready is a bitset over the priority ranks of the pending ops: an op
-	// enters once its operand A has been produced and leaves when it
-	// starts. byRank maps a rank back to its op, rank the other way.
-	ready    []uint64
-	byRank   []int
-	rank     []int
-	inflight []int // started ops that are not done, in start order
+	// Bitsets over the priority ranks of the pending ops, which the start
+	// walk (startOps) reads. full holds ops whose operands are all
+	// present, a constant or in a register; reload holds consumers of a
+	// value that left its register for its spill slot. An op leaves both
+	// when it starts. kindRanks holds the ranks of each function-unit
+	// kind's ops. byRank maps a rank back to its op, rank the other way.
+	full      []uint64
+	reload    []uint64
+	kindRanks [tta.LDST + 1][]uint64
+	byRank    []int
+	rank      []int
+	inflight  []int // started ops that are not done, in start order
 
 	// Per-cycle resource counters, indexed by component (reset each
 	// cycle).
@@ -347,15 +356,15 @@ func appendPorts(dst []int, c *tta.Component, input bool) []int {
 }
 
 // schedule validates the graph and the architecture, then schedules the
-// graph in the state.
-func (s *scheduler) schedule(ctx context.Context, g *program.Graph, arch *tta.Architecture, opts Options) error {
+// graph in the state, filling the result maps when record is set.
+func (s *scheduler) schedule(ctx context.Context, g *program.Graph, arch *tta.Architecture, opts Options, record bool) error {
 	if err := g.Validate(); err != nil {
 		return err
 	}
 	if err := arch.Validate(); err != nil {
 		return err
 	}
-	if err := s.reset(g, arch, opts); err != nil {
+	if err := s.reset(g, arch, opts, record); err != nil {
 		return err
 	}
 	return s.run(ctx)
@@ -372,8 +381,8 @@ func (s *scheduler) release() {
 // than the buffers starts at zero, and every buffer is resized in place
 // and re-initialised. It rejects architectures that lack a unit kind the
 // graph needs or the registers for its inputs and outputs.
-func (s *scheduler) reset(g *program.Graph, arch *tta.Architecture, opts Options) error {
-	*s = scheduler{g: g, arch: arch, opts: opts, buffers: s.buffers}
+func (s *scheduler) reset(g *program.Graph, arch *tta.Architecture, opts Options, record bool) error {
+	*s = scheduler{g: g, arch: arch, opts: opts, record: record, buffers: s.buffers}
 	// Per-component tables. The O/T/R port indices are set (and read)
 	// only for function units; resetCycle zeroes the per-cycle counters
 	// before each cycle.
@@ -413,7 +422,7 @@ func (s *scheduler) reset(g *program.Graph, arch *tta.Architecture, opts Options
 			s.resPort[ci] = portOf(c, tta.Result)
 		}
 	}
-	st := g.Stats()
+	st := opMix(g)
 	if st.ALU > 0 && len(s.fuByKind[tta.ALU]) == 0 {
 		return fmt.Errorf("sched: graph needs an ALU, architecture has none")
 	}
@@ -457,10 +466,14 @@ func (s *scheduler) reset(g *program.Graph, arch *tta.Architecture, opts Options
 	// Size the outputs: every ALU/CMP op moves two operands and a result,
 	// every load an address and a result, every store an address and its
 	// data; only spill traffic appends beyond this. The maps keep their
-	// buckets once a first schedule has made them.
+	// buckets once a first recording schedule has made them; a measuring
+	// one leaves them as they are.
 	fuOps := st.ALU + st.CMP + st.Loads + st.Stores
 	defines := fuOps - st.Stores
 	s.moves = slices.Grow(s.moves[:0], 3*(st.ALU+st.CMP)+2*(st.Loads+st.Stores))
+	if !record {
+		return nil
+	}
 	if s.timings == nil {
 		s.timings = make(map[program.ValueID]tta.OpTiming, defines)
 		s.fuOf = make(map[program.ValueID]int, fuOps)
@@ -472,6 +485,32 @@ func (s *scheduler) reset(g *program.Graph, arch *tta.Architecture, opts Options
 	clear(s.regAlloc)
 	clear(s.inputLoc)
 	return nil
+}
+
+// opMix counts the graph's operations by class, its inputs and its
+// outputs: Graph.Stats without the dataflow depth, which the scheduler
+// never reads and Stats allocates for.
+func opMix(g *program.Graph) program.Stats {
+	st := program.Stats{Ops: len(g.Ops), Outputs: len(g.Outputs)}
+	for _, op := range g.Ops {
+		switch op.Op.Class() {
+		case program.ClassALU:
+			st.ALU++
+		case program.ClassCMP:
+			st.CMP++
+		case program.ClassMem:
+			if op.Op == program.Load {
+				st.Loads++
+			} else {
+				st.Stores++
+			}
+		case program.ClassConst:
+			st.Consts++
+		case program.ClassInput:
+			st.Inputs++
+		}
+	}
+	return st
 }
 
 // computeHeights sets the longest path (in ops) from each op to a graph
@@ -582,8 +621,10 @@ func (s *scheduler) run(ctx context.Context) error {
 			s.vals[i].loc = loc
 			s.vals[i].readyAt = 0
 			s.vals[i].alloc = true
-			s.regAlloc[program.ValueID(i)] = loc
-			s.inputLoc[program.ValueID(i)] = loc
+			if s.record {
+				s.regAlloc[program.ValueID(i)] = loc
+				s.inputLoc[program.ValueID(i)] = loc
+			}
 		case program.Const:
 			s.vals[i].isConst = true
 			s.vals[i].constVal = op.Imm
@@ -608,12 +649,20 @@ func (s *scheduler) run(ctx context.Context) error {
 	}
 	s.byRank = pendings
 	s.rank = grow(s.rank, len(g.Ops))
-	s.ready = grow(s.ready, (len(pendings)+63)/64)
-	clear(s.ready)
+	words := (len(pendings) + 63) / 64
+	s.full = grow(s.full, words)
+	s.reload = grow(s.reload, words)
+	clear(s.full)
+	clear(s.reload)
+	for _, k := range fuKinds {
+		s.kindRanks[k] = grow(s.kindRanks[k], words)
+		clear(s.kindRanks[k])
+	}
 	for r, oi := range pendings {
 		s.rank[oi] = r
-		if a := &s.vals[g.Ops[oi].A]; a.isConst || a.alloc {
-			s.markReady(oi)
+		s.kindRanks[kindOf(g.Ops[oi].Op.Class())][r>>6] |= 1 << (r & 63)
+		if s.operandsPresent(oi) {
+			s.full[r>>6] |= 1 << (r & 63)
 		}
 	}
 	maxCycles := s.opts.MaxCycles
@@ -665,24 +714,8 @@ func (s *scheduler) run(ctx context.Context) error {
 			}
 		}
 		s.inflight = keep
-		// Phase 2: start ready ops by priority while buses remain. Only
-		// ops whose operand A exists are visited: for any other op
-		// tryStart fails on A before touching any state, so skipping it
-		// leaves the schedule unchanged. Visiting the rest in rank order
-		// keeps every side effect (starts, reload requests, spill
-		// demands) in the order of a full priority-list scan.
-		for w := 0; w < len(s.ready) && s.busFree > 0; w++ {
-			for word := s.ready[w]; word != 0 && s.busFree > 0; word &= word - 1 {
-				b := word & -word
-				oi := s.byRank[w<<6|bits.TrailingZeros64(b)]
-				if s.tryStart(oi, cycle) {
-					s.ready[w] &^= b
-					// Stores whose trigger landed in the same cycle may
-					// finish in a later phase-1 pass.
-					s.inflight = append(s.inflight, oi)
-				}
-			}
-		}
+		// Phase 2: start ops by priority while buses remain.
+		s.startOps(cycle)
 		// Phase 3: reloads run last so they never starve op starts.
 		s.stepSpills(cycle, true)
 		// Demand-driven spilling: a ready op was blocked purely by
@@ -718,8 +751,105 @@ func (s *scheduler) resetCycle() {
 	clear(s.immUsed)
 }
 
-// markReady enters op oi into the ready set (its operand A exists).
-func (s *scheduler) markReady(oi int) {
-	r := s.rank[oi]
-	s.ready[r>>6] |= 1 << (r & 63)
+// startOps offers a start to pending ops in rank order while buses
+// remain. It visits only the ops in full whose kind has a free unit, and
+// the ops in reload. Skipping any other pending op leaves the schedule
+// unchanged, because tryStart would fail on it before touching any state:
+//
+//   - an operand is missing and is not in its spill slot: tryStart
+//     fails on it, and only an operand waiting in its slot would have
+//     queued a reload (such an op is in reload);
+//   - every operand is present but no unit of the op's kind is free:
+//     tryStart fails at the unit check, before any resource or spill
+//     demand. A start inside the walk only takes units, so the free
+//     kinds never grow during it.
+//
+// A stale bit, such as a full op whose operand was since spilled, only
+// adds a visit that does what a scan of every pending op would do. The
+// visited ops keep their rank order, so starts, reload requests (whose
+// order is the order of s.spills) and spill demands fire in the order of
+// that full scan.
+func (s *scheduler) startOps(cycle int) {
+	free := s.freeKinds(cycle)
+	for w := 0; w < len(s.full) && s.busFree > 0; w++ {
+		word := s.reload[w]
+		if f := s.full[w]; f != 0 {
+			for _, k := range fuKinds {
+				if free[k] {
+					word |= f & s.kindRanks[k][w]
+				}
+			}
+		}
+		for ; word != 0 && s.busFree > 0; word &= word - 1 {
+			b := word & -word
+			oi := s.byRank[w<<6|bits.TrailingZeros64(b)]
+			if s.tryStart(oi, cycle) {
+				s.full[w] &^= b
+				s.reload[w] &^= b
+				// Stores whose trigger landed in the same cycle may
+				// finish in a later phase-1 pass.
+				s.inflight = append(s.inflight, oi)
+				free = s.freeKinds(cycle)
+			}
+		}
+	}
+}
+
+// fuKinds are the function-unit kinds that execute graph operations.
+var fuKinds = [...]tta.Kind{tta.ALU, tta.CMP, tta.LDST}
+
+// kindOf returns the function-unit kind executing an op class.
+func kindOf(class program.Class) tta.Kind {
+	switch class {
+	case program.ClassALU:
+		return tta.ALU
+	case program.ClassCMP:
+		return tta.CMP
+	default:
+		return tta.LDST
+	}
+}
+
+// freeKinds reports, per function-unit kind, whether a unit of the kind
+// is free this cycle.
+func (s *scheduler) freeKinds(cycle int) (free [tta.LDST + 1]bool) {
+	for _, k := range fuKinds {
+		free[k] = s.fuFor(k, cycle) >= 0
+	}
+	return free
+}
+
+// present reports whether value v is a constant or sits in a register.
+func (s *scheduler) present(v program.ValueID) bool {
+	vs := &s.vals[v]
+	return vs.isConst || vs.alloc
+}
+
+// operandsPresent reports whether every operand of op oi is present.
+func (s *scheduler) operandsPresent(oi int) bool {
+	op := &s.g.Ops[oi]
+	return s.present(op.A) && (op.B == program.NoValue || s.present(op.B))
+}
+
+// gained enters into full the unstarted consumers of value v, which has
+// just become present, whose operands are now all present.
+func (s *scheduler) gained(v program.ValueID) {
+	for _, c := range s.consumers[v] {
+		if st := &s.ops[c]; !st.started && !st.done && s.operandsPresent(int(c)) {
+			r := s.rank[c]
+			s.full[r>>6] |= 1 << (r & 63)
+		}
+	}
+}
+
+// spilled enters into reload the unstarted consumers of value v, which
+// has just left its register for its spill slot: a start attempt on them
+// may queue its reload.
+func (s *scheduler) spilled(v program.ValueID) {
+	for _, c := range s.consumers[v] {
+		if st := &s.ops[c]; !st.started && !st.done {
+			r := s.rank[c]
+			s.reload[r>>6] |= 1 << (r & 63)
+		}
+	}
 }

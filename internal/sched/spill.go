@@ -168,6 +168,7 @@ func (s *scheduler) stepSpillStore(j *spillJob, cycle int) {
 		vs.alloc = false
 		vs.spillValid = true
 		vs.spillReadyAt = cycle + 1
+		s.spilled(j.val)
 		return
 	}
 	// Stage 3: memory committed two cycles after the trigger.
@@ -232,9 +233,12 @@ func (s *scheduler) stepSpillLoad(j *spillJob, cycle int) {
 	vs.alloc = true
 	vs.loadPending = false
 	vs.noEvictUntil = cycle + 16
-	s.regAlloc[j.val] = vs.loc
+	if s.record {
+		s.regAlloc[j.val] = vs.loc
+	}
 	s.fuBusyBy[j.fu] = -1
 	j.done = true
+	s.gained(j.val)
 }
 
 // maybeSpill frees register capacity when the schedule is starved: it
@@ -271,6 +275,7 @@ func (s *scheduler) maybeSpill(cycle int) bool {
 		// change); just drop the register.
 		s.freeReg(vs.loc)
 		vs.alloc = false
+		s.spilled(victim)
 		return true
 	}
 	vs.spillSlot = s.spillSlots

@@ -39,7 +39,7 @@ func (a *Annotator) componentBound(ctx context.Context, c *tta.Component) (annot
 	if err := ctx.Err(); err != nil {
 		return annotation{}, err
 	}
-	key, gen, err := a.componentKeyGen(a.Lib, c)
+	key, err := a.ComponentKey(c)
 	if err != nil {
 		return annotation{}, err
 	}
@@ -51,7 +51,7 @@ func (a *Annotator) componentBound(ctx context.Context, c *tta.Component) (annot
 	}
 	a.mu.Unlock()
 	a.Obs.Counter("testcost.bound.miss").Inc()
-	comp, err := gen()
+	comp, err := a.componentNetlist(a.Lib, c)
 	if err != nil {
 		return annotation{}, fmt.Errorf("testcost: bound tier generating %s: %w", key, err)
 	}

@@ -12,6 +12,7 @@ package testcost
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -189,7 +190,7 @@ func NewAnnotator(width int, seed int64) *Annotator {
 	}
 }
 
-func (a *Annotator) annotate(ctx context.Context, key string, gen func() (*gatelib.Component, error)) (annotation, error) {
+func (a *Annotator) annotate(ctx context.Context, key string, c *tta.Component) (annotation, error) {
 	for {
 		a.mu.Lock()
 		if an, ok := a.cache[key]; ok {
@@ -205,7 +206,7 @@ func (a *Annotator) annotate(ctx context.Context, key string, gen func() (*gatel
 			a.inflight[key] = run
 			a.mu.Unlock()
 			a.Obs.Counter("testcost.cache.miss").Inc()
-			return a.lead(ctx, key, run, gen)
+			return a.lead(ctx, key, run, c)
 		}
 		a.mu.Unlock()
 		// Duplicate request: latch onto the in-flight run for this key.
@@ -236,7 +237,7 @@ func (a *Annotator) annotate(ctx context.Context, key string, gen func() (*gatel
 // chaos panic) must not strand the waiters — they receive the failure
 // through the latch while the panic itself propagates to the leader's
 // caller, where the DSE worker's recover isolates it to one candidate.
-func (a *Annotator) lead(ctx context.Context, key string, run *inflightRun, gen func() (*gatelib.Component, error)) (an annotation, err error) {
+func (a *Annotator) lead(ctx context.Context, key string, run *inflightRun, c *tta.Component) (an annotation, err error) {
 	settled := false
 	settle := func() {
 		a.mu.Lock()
@@ -257,7 +258,7 @@ func (a *Annotator) lead(ctx context.Context, key string, run *inflightRun, gen 
 			panic(r)
 		}
 	}()
-	run.an, run.err = a.runAnnotation(ctx, gen)
+	run.an, run.err = a.runAnnotation(ctx, c)
 	settle()
 	return run.an, run.err
 }
@@ -269,8 +270,8 @@ func (a *Annotator) lead(ctx context.Context, key string, run *inflightRun, gen 
 // marked degraded: deterministic (a pure function of the netlist, however
 // far the partial run got) and pessimistic (an upper bound, so degraded
 // candidates are never flattered).
-func (a *Annotator) runAnnotation(ctx context.Context, gen func() (*gatelib.Component, error)) (annotation, error) {
-	comp, err := gen()
+func (a *Annotator) runAnnotation(ctx context.Context, c *tta.Component) (annotation, error) {
+	comp, err := a.componentNetlist(a.Lib, c)
 	if err != nil {
 		return annotation{}, err
 	}
@@ -353,7 +354,8 @@ func (a *Annotator) sockets() error {
 // component (one input socket per input port, one output socket per
 // output port).
 func (a *Annotator) socketFFs(c *tta.Component) int {
-	return len(c.InputPorts())*a.sockIn.nl + len(c.OutputPorts())*a.sockOut.nl
+	in, out := c.PortCounts()
+	return in*a.sockIn.nl + out*a.sockOut.nl
 }
 
 func ceilDiv(x, y int) int {
@@ -363,41 +365,54 @@ func ceilDiv(x, y int) int {
 	return (x + y - 1) / y
 }
 
-// componentKeyGen maps an architecture component to its library cache
-// key and netlist generator — the single source of truth shared by the
-// exact annotation path, the bound tier and the netlist measurements, so
-// all of them agree on which library element a component resolves to.
-// gen builds through lib: the annotator's own library, which keeps the
-// netlist for the ATPG runs that need it, or a throwaway one.
-func (a *Annotator) componentKeyGen(lib *gatelib.Library, c *tta.Component) (string, func() (*gatelib.Component, error), error) {
+// ComponentKey returns the annotation-cache key a component resolves to:
+// components with equal keys share one library element and hence one
+// annotation. The exact annotation path, the bound tier and the netlist
+// measurements all key by it, and componentNetlist builds the element it
+// names. The strings key the warm-start cache files: "alu/16/ripple",
+// "cmp/16", "rf/" + gatelib.RFConfig.String(), "ldst/16", "pc/16",
+// "imm/16". They are built with strconv rather than fmt, because the
+// bound tier resolves every component of every screened genome.
+func (a *Annotator) ComponentKey(c *tta.Component) (string, error) {
+	w := strconv.Itoa(a.Width)
 	switch c.Kind {
 	case tta.ALU:
-		return fmt.Sprintf("alu/%d/%s", a.Width, c.Adder), func() (*gatelib.Component, error) {
-			return lib.ALU(gatelib.ALUConfig{Width: a.Width, Adder: c.Adder})
-		}, nil
+		return "alu/" + w + "/" + c.Adder.String(), nil
 	case tta.CMP:
-		return fmt.Sprintf("cmp/%d", a.Width), func() (*gatelib.Component, error) {
-			return lib.CMP(a.Width)
-		}, nil
+		return "cmp/" + w, nil
 	case tta.RF:
-		cfg := gatelib.RFConfig{Width: a.Width, NumRegs: c.NumRegs, NumIn: c.NumIn, NumOut: c.NumOut}
-		return "rf/" + cfg.String(), func() (*gatelib.Component, error) {
-			return lib.RF(cfg)
-		}, nil
+		return "rf/RF" + strconv.Itoa(c.NumRegs) + "x" + w + "_" +
+			strconv.Itoa(c.NumIn) + "w" + strconv.Itoa(c.NumOut) + "r", nil
 	case tta.LDST:
-		return fmt.Sprintf("ldst/%d", a.Width), func() (*gatelib.Component, error) {
-			return lib.LDST(a.Width)
-		}, nil
+		return "ldst/" + w, nil
 	case tta.PC:
-		return fmt.Sprintf("pc/%d", a.Width), func() (*gatelib.Component, error) {
-			return lib.PC(a.Width)
-		}, nil
+		return "pc/" + w, nil
 	case tta.IMM:
-		return fmt.Sprintf("imm/%d", a.Width), func() (*gatelib.Component, error) {
-			return lib.IMM(a.Width)
-		}, nil
+		return "imm/" + w, nil
 	default:
-		return "", nil, fmt.Errorf("testcost: unknown component kind %v", c.Kind)
+		return "", fmt.Errorf("testcost: unknown component kind %v", c.Kind)
+	}
+}
+
+// componentNetlist builds the library element c's ComponentKey names,
+// through lib: the annotator's own library, which keeps the netlist for
+// the ATPG runs that need it, or a throwaway one.
+func (a *Annotator) componentNetlist(lib *gatelib.Library, c *tta.Component) (*gatelib.Component, error) {
+	switch c.Kind {
+	case tta.ALU:
+		return lib.ALU(gatelib.ALUConfig{Width: a.Width, Adder: c.Adder})
+	case tta.CMP:
+		return lib.CMP(a.Width)
+	case tta.RF:
+		return lib.RF(gatelib.RFConfig{Width: a.Width, NumRegs: c.NumRegs, NumIn: c.NumIn, NumOut: c.NumOut})
+	case tta.LDST:
+		return lib.LDST(a.Width)
+	case tta.PC:
+		return lib.PC(a.Width)
+	case tta.IMM:
+		return lib.IMM(a.Width)
+	default:
+		return nil, fmt.Errorf("testcost: unknown component kind %v", c.Kind)
 	}
 }
 
@@ -409,14 +424,6 @@ func (a *Annotator) marchOverride(c *tta.Component, an annotation) annotation {
 		an.np = march.MultiPortPatternCount(a.March, c.NumRegs, c.NumIn, c.NumOut)
 	}
 	return an
-}
-
-// ComponentKey returns the annotation-cache key a component resolves to:
-// components with equal keys share one library element and hence one
-// annotation.
-func (a *Annotator) ComponentKey(c *tta.Component) (string, error) {
-	key, _, err := a.componentKeyGen(a.Lib, c)
-	return key, err
 }
 
 // AnnotateContext back-annotates c's library component: the gate-level
@@ -432,11 +439,11 @@ func (a *Annotator) AnnotateContext(ctx context.Context, c *tta.Component) error
 // componentAnnotation fetches the library annotation for an architecture
 // component.
 func (a *Annotator) componentAnnotation(ctx context.Context, c *tta.Component) (annotation, error) {
-	key, gen, err := a.componentKeyGen(a.Lib, c)
+	key, err := a.ComponentKey(c)
 	if err != nil {
 		return annotation{}, err
 	}
-	an, err := a.annotate(ctx, key, gen)
+	an, err := a.annotate(ctx, key, c)
 	if err != nil {
 		return annotation{}, err
 	}
@@ -471,7 +478,7 @@ func (a *Annotator) evaluateWith(ctx context.Context, arch *tta.Architecture, fe
 	if err := a.sockets(); err != nil {
 		return nil, err
 	}
-	out := &ArchCost{Arch: arch}
+	out := &ArchCost{Arch: arch, Components: make([]ComponentCost, 0, len(arch.Components))}
 	for ci := range arch.Components {
 		c := &arch.Components[ci]
 		an, err := fetch(ctx, c)
@@ -563,8 +570,7 @@ func (a *Annotator) AreaDelayContext(ctx context.Context, c *tta.Component) (are
 		return ad.area, ad.delay, nil
 	}
 	a.mu.Unlock()
-	_, gen, _ := a.componentKeyGen(gatelib.NewLibrary(), c)
-	comp, err := gen()
+	comp, err := a.componentNetlist(gatelib.NewLibrary(), c)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -3,7 +3,10 @@ package testcost
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
+
+	"repro/internal/gatelib"
 
 	"repro/internal/tta"
 )
@@ -250,6 +253,40 @@ func TestAreaDelayAnnotation(t *testing.T) {
 		if !saved[key] {
 			t.Errorf("%s: saved cache lacks %s", a.Components[ci].Name, key)
 		}
+	}
+}
+
+// TestComponentKeyStrings pins the annotation-cache key of every
+// component kind to the format warm-start cache files were written with.
+func TestComponentKeyStrings(t *testing.T) {
+	for _, width := range []int{8, 16, 32} {
+		a := &Annotator{Width: width}
+		alu := tta.NewFU(tta.ALU, "ALU1")
+		want := map[*tta.Component]string{
+			&alu: fmt.Sprintf("alu/%d/%s", width, gatelib.AdderRipple),
+		}
+		csel := tta.NewFU(tta.ALU, "ALU2")
+		csel.Adder = gatelib.AdderCarrySelect
+		want[&csel] = fmt.Sprintf("alu/%d/%s", width, gatelib.AdderCarrySelect)
+		for _, sh := range [][3]int{{4, 1, 1}, {12, 2, 3}, {32, 2, 1}} {
+			rf := tta.NewRF("RF1", sh[0], sh[1], sh[2])
+			want[&rf] = "rf/" + gatelib.RFConfig{Width: width, NumRegs: sh[0], NumIn: sh[1], NumOut: sh[2]}.String()
+		}
+		for kind, prefix := range map[tta.Kind]string{tta.CMP: "cmp", tta.LDST: "ldst"} {
+			fu := tta.NewFU(kind, prefix)
+			want[&fu] = fmt.Sprintf("%s/%d", prefix, width)
+		}
+		pc, imm := tta.NewPC("PC"), tta.NewIMM("Immediate")
+		want[&pc] = fmt.Sprintf("pc/%d", width)
+		want[&imm] = fmt.Sprintf("imm/%d", width)
+		for c, w := range want {
+			if got, err := a.ComponentKey(c); err != nil || got != w {
+				t.Errorf("%s at width %d: key %q (%v), want %q", c.Name, width, got, err, w)
+			}
+		}
+	}
+	if _, err := (&Annotator{Width: 16}).ComponentKey(&tta.Component{Kind: tta.Kind(99)}); err == nil {
+		t.Error("unknown component kind resolved to a key")
 	}
 }
 

@@ -90,6 +90,17 @@ type Component struct {
 // function.
 func (c *Component) NumConnectors() int { return len(c.Ports) }
 
+// PortCounts returns the number of bus-receiving (in) and bus-driving
+// (out) ports, without building InputPorts' and OutputPorts' index lists.
+func (c *Component) PortCounts() (in, out int) {
+	for _, p := range c.Ports {
+		if p.Role.IsInput() {
+			in++
+		}
+	}
+	return in, len(c.Ports) - in
+}
+
 // InputPorts returns the indices of bus-receiving ports.
 func (c *Component) InputPorts() []int {
 	var out []int
@@ -127,7 +138,8 @@ func NewFU(kind Kind, name string) Component {
 
 // NewRF builds a register file with nIn write and nOut read ports.
 func NewRF(name string, numRegs, nIn, nOut int) Component {
-	c := Component{Kind: RF, Name: name, NumRegs: numRegs, NumIn: nIn, NumOut: nOut}
+	c := Component{Kind: RF, Name: name, NumRegs: numRegs, NumIn: nIn, NumOut: nOut,
+		Ports: make([]Port, 0, max(nIn, 0)+max(nOut, 0))}
 	for i := 0; i < nIn; i++ {
 		c.Ports = append(c.Ports, Port{Role: WritePort, Bus: -1})
 	}
@@ -214,24 +226,25 @@ func (a *Architecture) Validate() error {
 	}
 	for ci := range a.Components {
 		c := &a.Components[ci]
+		in, out := c.PortCounts()
 		switch c.Kind {
 		case ALU, CMP, LDST:
-			if len(c.InputPorts()) != 2 || len(c.OutputPorts()) != 1 {
+			if in != 2 || out != 1 {
 				return fmt.Errorf("tta: %s %q must have 2 inputs + 1 output", c.Kind, c.Name)
 			}
 		case RF:
 			if c.NumRegs < 2 {
 				return fmt.Errorf("tta: RF %q has %d registers", c.Name, c.NumRegs)
 			}
-			if len(c.InputPorts()) != c.NumIn || len(c.OutputPorts()) != c.NumOut {
+			if in != c.NumIn || out != c.NumOut {
 				return fmt.Errorf("tta: RF %q port/shape mismatch", c.Name)
 			}
 		case PC:
-			if len(c.InputPorts()) != 1 || len(c.OutputPorts()) != 1 {
+			if in != 1 || out != 1 {
 				return fmt.Errorf("tta: PC %q must have 1 input + 1 output", c.Name)
 			}
 		case IMM:
-			if len(c.InputPorts()) != 0 || len(c.OutputPorts()) != 1 {
+			if in != 0 || out != 1 {
 				return fmt.Errorf("tta: IMM %q must have exactly 1 output", c.Name)
 			}
 		}

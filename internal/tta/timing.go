@@ -68,21 +68,30 @@ func CheckRelations(ops []OpTiming) error {
 // slot ("the number of cycles will further increase if all of the
 // registers are tied to the same bus").
 func (c *Component) CD() int {
-	perBus := map[int]int{}
-	maxShare := 1
-	for _, pi := range c.InputPorts() {
-		b := c.Ports[pi].Bus
-		perBus[b]++
-		if perBus[b] > maxShare {
-			maxShare = perBus[b]
+	// A component has a handful of ports, so each input port counts the
+	// input ports sharing its bus, and notes an output port there, by a
+	// scan of all ports.
+	maxShare, turnaround := 1, false
+	for _, p := range c.Ports {
+		if !p.Role.IsInput() {
+			continue
 		}
+		share := 0
+		for _, q := range c.Ports {
+			if q.Bus != p.Bus {
+				continue
+			}
+			if q.Role.IsInput() {
+				share++
+			} else {
+				turnaround = true
+			}
+		}
+		maxShare = max(maxShare, share)
 	}
 	cd := maxShare + 2
-	for _, po := range c.OutputPorts() {
-		if perBus[c.Ports[po].Bus] > 0 {
-			cd++
-			break
-		}
+	if turnaround {
+		cd++
 	}
 	return cd
 }

@@ -2,6 +2,7 @@ package tta
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -88,6 +89,57 @@ func TestCDMatchesEquations9And10(t *testing.T) {
 	fu.Ports[2].Bus = 1
 	if got := fu.CD(); got != 4 {
 		t.Errorf("result on trigger bus: CD=%d, want 4", got)
+	}
+}
+
+// cdByPortLists is CD as equations (9)-(10) read over the port index
+// lists: the largest number of input ports on one bus, plus two, plus one
+// when an output port shares a bus with an input port.
+func cdByPortLists(c *Component) int {
+	perBus := map[int]int{}
+	maxShare := 1
+	for _, pi := range c.InputPorts() {
+		perBus[c.Ports[pi].Bus]++
+		maxShare = max(maxShare, perBus[c.Ports[pi].Bus])
+	}
+	cd := maxShare + 2
+	for _, po := range c.OutputPorts() {
+		if perBus[c.Ports[po].Bus] > 0 {
+			return cd + 1
+		}
+	}
+	return cd
+}
+
+// TestCDAndPortCountsMatchPortLists checks CD and PortCounts against the
+// port index lists on every component kind under random bus assignments,
+// unassigned ports (bus -1) included.
+func TestCDAndPortCountsMatchPortLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 5000; i++ {
+		var c Component
+		switch rng.Intn(4) {
+		case 0:
+			c = NewFU(Kind(rng.Intn(2)), "fu")
+		case 1:
+			c = NewRF("rf", 8, 1+rng.Intn(3), 1+rng.Intn(4))
+		case 2:
+			c = NewPC("pc")
+		default:
+			c = NewIMM("imm")
+		}
+		buses := 1 + rng.Intn(5)
+		for pi := range c.Ports {
+			c.Ports[pi].Bus = rng.Intn(buses+1) - 1
+		}
+		if got, want := c.CD(), cdByPortLists(&c); got != want {
+			t.Fatalf("%s ports %v: CD %d, port lists give %d", c.Kind, c.Ports, got, want)
+		}
+		in, out := c.PortCounts()
+		if in != len(c.InputPorts()) || out != len(c.OutputPorts()) {
+			t.Fatalf("%s ports %v: PortCounts %d/%d, port lists %d/%d",
+				c.Kind, c.Ports, in, out, len(c.InputPorts()), len(c.OutputPorts()))
+		}
 	}
 }
 
