@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -53,11 +55,30 @@ func (s *Server) withJob(h func(http.ResponseWriter, *http.Request, *Job)) http.
 	}
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec reads a request body that holds exactly one JSON object
+// with no field jobspec.Spec lacks and nothing after it but whitespace.
+func decodeSpec(body io.Reader) (jobspec.Spec, error) {
 	var spec jobspec.Spec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	dec := json.NewDecoder(body)
+	var raw json.RawMessage
+	if err := dec.Decode(&raw); err != nil {
+		return spec, err
+	}
+	if raw[0] != '{' {
+		return spec, errors.New("a job spec is a JSON object")
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return spec, errors.New("data after the job spec")
+	}
+	strict := json.NewDecoder(bytes.NewReader(raw))
+	strict.DisallowUnknownFields()
+	err := strict.Decode(&spec)
+	return spec, err
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding job spec: %v", err)
 		return
 	}
