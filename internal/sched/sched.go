@@ -762,7 +762,8 @@ func (s *scheduler) resetCycle() {
 //   - every operand is present but no unit of the op's kind is free:
 //     tryStart fails at the unit check, before any resource or spill
 //     demand. A start inside the walk only takes units, so the free
-//     kinds never grow during it.
+//     kinds never grow during it; after each start the walk drops the
+//     rest of the current word's ops of kinds left without a free unit.
 //
 // A stale bit, such as a full op whose operand was since spilled, only
 // adds a visit that does what a scan of every pending op would do. The
@@ -772,16 +773,10 @@ func (s *scheduler) resetCycle() {
 func (s *scheduler) startOps(cycle int) {
 	free := s.freeKinds(cycle)
 	for w := 0; w < len(s.full) && s.busFree > 0; w++ {
-		word := s.reload[w]
-		if f := s.full[w]; f != 0 {
-			for _, k := range fuKinds {
-				if free[k] {
-					word |= f & s.kindRanks[k][w]
-				}
-			}
-		}
-		for ; word != 0 && s.busFree > 0; word &= word - 1 {
+		word := s.candidates(w, free)
+		for word != 0 && s.busFree > 0 {
 			b := word & -word
+			word ^= b
 			oi := s.byRank[w<<6|bits.TrailingZeros64(b)]
 			if s.tryStart(oi, cycle) {
 				s.full[w] &^= b
@@ -790,9 +785,24 @@ func (s *scheduler) startOps(cycle int) {
 				// finish in a later phase-1 pass.
 				s.inflight = append(s.inflight, oi)
 				free = s.freeKinds(cycle)
+				word &= s.candidates(w, free)
 			}
 		}
 	}
+}
+
+// candidates returns word w of the walk's set: reload, and full masked
+// to the kinds marked free.
+func (s *scheduler) candidates(w int, free [tta.LDST + 1]bool) uint64 {
+	word := s.reload[w]
+	if f := s.full[w]; f != 0 {
+		for _, k := range fuKinds {
+			if free[k] {
+				word |= f & s.kindRanks[k][w]
+			}
+		}
+	}
+	return word
 }
 
 // fuKinds are the function-unit kinds that execute graph operations.
