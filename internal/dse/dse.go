@@ -567,8 +567,8 @@ func partialErrorFor(ctx context.Context, res *Result, errs []error, lo, hi int)
 // returning the per-candidate errors. Structures come from memo, shared
 // with the guided search's screen when it produced the list, so a
 // structure the screen scheduled is not scheduled again. An unsharded
-// run passes the whole range; a shard run its own slice — events always carry the global
-// index and total, so downstream consumers never remap. Evaluations
+// run passes the whole range; a shard run its own slice — events always
+// carry the global index and total, so downstream consumers never remap. Evaluations
 // recorded in cfg.Checkpoint are restored instead of recomputed, and new
 // completions are recorded back. The workers first run the warm-up
 // stage (warmUp: every schedule and every annotation the candidates will

@@ -660,9 +660,9 @@ func (s *scheduler) run(ctx context.Context) error {
 	}
 	for r, oi := range pendings {
 		s.rank[oi] = r
-		s.kindRanks[kindOf(g.Ops[oi].Op.Class())][r>>6] |= 1 << (r & 63)
+		addRank(s.kindRanks[kindOf(g.Ops[oi].Op.Class())], r)
 		if s.operandsPresent(oi) {
-			s.full[r>>6] |= 1 << (r & 63)
+			addRank(s.full, r)
 		}
 	}
 	maxCycles := s.opts.MaxCycles
@@ -805,6 +805,9 @@ func (s *scheduler) candidates(w int, free [tta.LDST + 1]bool) uint64 {
 	return word
 }
 
+// addRank adds rank r to a bitset over ranks.
+func addRank(set []uint64, r int) { set[r>>6] |= 1 << (r & 63) }
+
 // fuKinds are the function-unit kinds that execute graph operations.
 var fuKinds = [...]tta.Kind{tta.ALU, tta.CMP, tta.LDST}
 
@@ -846,8 +849,7 @@ func (s *scheduler) operandsPresent(oi int) bool {
 func (s *scheduler) gained(v program.ValueID) {
 	for _, c := range s.consumers[v] {
 		if st := &s.ops[c]; !st.started && !st.done && s.operandsPresent(int(c)) {
-			r := s.rank[c]
-			s.full[r>>6] |= 1 << (r & 63)
+			addRank(s.full, s.rank[c])
 		}
 	}
 }
@@ -858,8 +860,7 @@ func (s *scheduler) gained(v program.ValueID) {
 func (s *scheduler) spilled(v program.ValueID) {
 	for _, c := range s.consumers[v] {
 		if st := &s.ops[c]; !st.started && !st.done {
-			r := s.rank[c]
-			s.reload[r>>6] |= 1 << (r & 63)
+			addRank(s.reload, s.rank[c])
 		}
 	}
 }
