@@ -25,6 +25,7 @@ package gatelib
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/netlist"
@@ -149,8 +150,13 @@ func (c RFConfig) Validate() error {
 	return nil
 }
 
+// String names the configuration "RF<regs>x<width>_<in>w<out>r", the
+// register file's key in the library and in the annotation cache. It is
+// built with strconv rather than fmt: the guided search's screen keys
+// every register file of every genome by it.
 func (c RFConfig) String() string {
-	return fmt.Sprintf("RF%dx%d_%dw%dr", c.NumRegs, c.Width, c.NumIn, c.NumOut)
+	return "RF" + strconv.Itoa(c.NumRegs) + "x" + strconv.Itoa(c.Width) + "_" +
+		strconv.Itoa(c.NumIn) + "w" + strconv.Itoa(c.NumOut) + "r"
 }
 
 // Library caches generated components by configuration so the (expensive)

@@ -371,8 +371,8 @@ func ceilDiv(x, y int) int {
 // measurements all key by it, and componentNetlist builds the element it
 // names. The strings key the warm-start cache files: "alu/16/ripple",
 // "cmp/16", "rf/" + gatelib.RFConfig.String(), "ldst/16", "pc/16",
-// "imm/16". They are built with strconv rather than fmt, because the
-// bound tier resolves every component of every screened genome.
+// "imm/16". They are built without fmt, because the bound tier resolves
+// every component of every screened genome.
 func (a *Annotator) ComponentKey(c *tta.Component) (string, error) {
 	w := strconv.Itoa(a.Width)
 	switch c.Kind {
@@ -381,8 +381,7 @@ func (a *Annotator) ComponentKey(c *tta.Component) (string, error) {
 	case tta.CMP:
 		return "cmp/" + w, nil
 	case tta.RF:
-		return "rf/RF" + strconv.Itoa(c.NumRegs) + "x" + w + "_" +
-			strconv.Itoa(c.NumIn) + "w" + strconv.Itoa(c.NumOut) + "r", nil
+		return "rf/" + a.rfConfig(c).String(), nil
 	case tta.LDST:
 		return "ldst/" + w, nil
 	case tta.PC:
@@ -404,7 +403,7 @@ func (a *Annotator) componentNetlist(lib *gatelib.Library, c *tta.Component) (*g
 	case tta.CMP:
 		return lib.CMP(a.Width)
 	case tta.RF:
-		return lib.RF(gatelib.RFConfig{Width: a.Width, NumRegs: c.NumRegs, NumIn: c.NumIn, NumOut: c.NumOut})
+		return lib.RF(a.rfConfig(c))
 	case tta.LDST:
 		return lib.LDST(a.Width)
 	case tta.PC:
@@ -414,6 +413,11 @@ func (a *Annotator) componentNetlist(lib *gatelib.Library, c *tta.Component) (*g
 	default:
 		return nil, fmt.Errorf("testcost: unknown component kind %v", c.Kind)
 	}
+}
+
+// rfConfig returns the library configuration of register file c.
+func (a *Annotator) rfConfig(c *tta.Component) gatelib.RFConfig {
+	return gatelib.RFConfig{Width: a.Width, NumRegs: c.NumRegs, NumIn: c.NumIn, NumOut: c.NumOut}
 }
 
 // marchOverride applies the register-file pattern-count convention: the

@@ -270,7 +270,7 @@ func TestComponentKeyStrings(t *testing.T) {
 		want[&csel] = fmt.Sprintf("alu/%d/%s", width, gatelib.AdderCarrySelect)
 		for _, sh := range [][3]int{{4, 1, 1}, {12, 2, 3}, {32, 2, 1}} {
 			rf := tta.NewRF("RF1", sh[0], sh[1], sh[2])
-			want[&rf] = "rf/" + gatelib.RFConfig{Width: width, NumRegs: sh[0], NumIn: sh[1], NumOut: sh[2]}.String()
+			want[&rf] = fmt.Sprintf("rf/RF%dx%d_%dw%dr", sh[0], width, sh[1], sh[2])
 		}
 		for kind, prefix := range map[tta.Kind]string{tta.CMP: "cmp", tta.LDST: "ldst"} {
 			fu := tta.NewFU(kind, prefix)
