@@ -300,11 +300,12 @@ type buffers struct {
 	fuBusyBy []int // per component: cycle until which the FU is busy (-1 free)
 
 	// Bitsets over the priority ranks of the pending ops, which the start
-	// walk (startOps) reads. full holds ops whose operands are all
-	// present, a constant or in a register; reload holds consumers of a
-	// value that left its register for its spill slot. An op leaves both
-	// when it starts. kindRanks holds the ranks of each function-unit
-	// kind's ops. byRank maps a rank back to its op, rank the other way.
+	// walk (startOps) reads. An op enters full when its operands are all
+	// present (a constant or in a register) at placement or when a result
+	// is written, and reload when a spill store moves one of its operands
+	// to memory. It leaves both only when it starts. kindRanks holds the
+	// ranks of each function-unit kind's ops. byRank maps a rank back to
+	// its op, rank the other way.
 	full      []uint64
 	reload    []uint64
 	kindRanks [tta.LDST + 1][]uint64
@@ -753,8 +754,14 @@ func (s *scheduler) resetCycle() {
 
 // startOps offers a start to pending ops in rank order while buses
 // remain. It visits only the ops in full whose kind has a free unit, and
-// the ops in reload. Skipping any other pending op leaves the schedule
-// unchanged, because tryStart would fail on it before touching any state:
+// the ops in reload. A value first leaves its register for its slot
+// through a spill store, which puts each of its unstarted consumers in
+// reload until they start; a later clean drop or reload of the value
+// comes after that store. So an op with an operand that was ever spilled
+// is in reload, and an op whose operands never were is in full once they
+// are all present. Skipping any other pending op leaves the schedule
+// unchanged, because tryStart would fail on it before touching any
+// state:
 //
 //   - an operand is missing and is not in its spill slot: tryStart
 //     fails on it, and only an operand waiting in its slot would have
@@ -844,8 +851,8 @@ func (s *scheduler) operandsPresent(oi int) bool {
 	return s.present(op.A) && (op.B == program.NoValue || s.present(op.B))
 }
 
-// gained enters into full the unstarted consumers of value v, which has
-// just become present, whose operands are now all present.
+// gained enters into full the unstarted consumers of value v, whose
+// result has just been written, that now have all operands present.
 func (s *scheduler) gained(v program.ValueID) {
 	for _, c := range s.consumers[v] {
 		if st := &s.ops[c]; !st.started && !st.done && s.operandsPresent(int(c)) {
@@ -854,9 +861,9 @@ func (s *scheduler) gained(v program.ValueID) {
 	}
 }
 
-// spilled enters into reload the unstarted consumers of value v, which
-// has just left its register for its spill slot: a start attempt on them
-// may queue its reload.
+// spilled enters into reload the unstarted consumers of value v, whose
+// spill store has just moved it to memory: from now on a start attempt
+// on them may queue its reload.
 func (s *scheduler) spilled(v program.ValueID) {
 	for _, c := range s.consumers[v] {
 		if st := &s.ops[c]; !st.started && !st.done {

@@ -238,7 +238,6 @@ func (s *scheduler) stepSpillLoad(j *spillJob, cycle int) {
 	}
 	s.fuBusyBy[j.fu] = -1
 	j.done = true
-	s.gained(j.val)
 }
 
 // maybeSpill frees register capacity when the schedule is starved: it
@@ -275,7 +274,6 @@ func (s *scheduler) maybeSpill(cycle int) bool {
 		// change); just drop the register.
 		s.freeReg(vs.loc)
 		vs.alloc = false
-		s.spilled(victim)
 		return true
 	}
 	vs.spillSlot = s.spillSlots
