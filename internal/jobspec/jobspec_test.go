@@ -212,3 +212,30 @@ func TestAnnotatorKey(t *testing.T) {
 		t.Error("different widths must not share an annotator")
 	}
 }
+
+// TestHashGolden pins Spec.Hash for a few specs. The hash names daemon
+// checkpoint files and fills their spec_hash binding, so a moved value
+// would orphan every checkpoint written before the move: any change to
+// the Spec fields or to the hash inputs must leave these literals alone.
+func TestHashGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		s    Spec
+		want string
+	}{
+		{"zero", Spec{}, "44136fa355b3678a"},
+		{"crc16-manhattan-buses", Spec{Workload: "crc16", Norm: "manhattan", Buses: []int{2, 1}, ALUs: []int{1}, CMPs: []int{1, 2}}, "78c2478a415cc016"},
+		{"search", Spec{Search: &SearchSpec{Population: 512, Generations: 4, Eta: 4, Seed: 11}}, "fc7b202673766867"},
+		{"atpg-deadline", Spec{ATPGDeadline: Duration(5 * time.Millisecond)}, "362d7d79a627ad6a"},
+		{"throughput-and-io", Spec{
+			Parallelism: 4, ATPGWorkers: 2, LaneWidth: 256,
+			Cache: "/var/cache/ann.cache", Checkpoint: "/var/lib/ck.ckpt",
+			Timeout: Duration(90 * time.Second),
+		}, "44136fa355b3678a"},
+	}
+	for _, tc := range cases {
+		if got := tc.s.Hash(); got != tc.want {
+			t.Errorf("%s: Hash() = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
