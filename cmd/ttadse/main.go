@@ -34,16 +34,6 @@
 // ceil(pop/eta) candidates receive full gate-level evaluation. Tune with
 // -search-pop, -search-gens, -search-eta and -search-seed; a fixed seed
 // reproduces the identical report at any parallelism.
-//
-// Process sharding: -shards N -shard-index i runs this invocation as
-// worker i of an N-process fan-out — it evaluates only its
-// deterministic contiguous slice of the candidate space and persists it
-// to -checkpoint (mandatory; the file carries a shard header binding it
-// to the slot). A killed worker rerun with the same flags resumes from
-// its checkpoint. -merge a.ckpt,b.ckpt,... combines the workers' files
-// into the full report, byte-identical to the unsharded run at any
-// shard count; with -cache the workers' per-shard caches
-// (<cache>.shard<i>of<N>) are unioned back into the base file.
 package main
 
 import (
@@ -54,7 +44,6 @@ import (
 	"io/fs"
 	"log"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -97,9 +86,6 @@ func main() {
 	searchGens := flag.Int("search-gens", 0, "guided search: number of generations (0 = default 8)")
 	searchEta := flag.Int("search-eta", 0, "guided search: successive-halving ratio, top ceil(pop/eta) of each generation get full evaluation (0 = default 4)")
 	searchSeed := flag.Int64("search-seed", 0, "guided search: GA random seed (0 = follow the job seed)")
-	shards := flag.Int("shards", 0, "run as one worker of an N-process sharded exploration: evaluate only this process's deterministic slice of the candidate space and write it to -checkpoint (0 = unsharded)")
-	shardIndex := flag.Int("shard-index", 0, "this worker's shard in [0, shards)")
-	merge := flag.String("merge", "", "comma-separated shard checkpoint files: merge them into the full report instead of exploring (byte-identical to the unsharded run)")
 	flag.Parse()
 
 	// The flags are a thin veneer over a jobspec.Spec — the same
@@ -197,30 +183,6 @@ func main() {
 		cfg.Annotator.ATPGDeadline = *atpgDeadline
 	}
 
-	// Process sharding: -shards/-shard-index makes this invocation one
-	// worker of an N-process fan-out. Its product is its shard
-	// checkpoint, so -checkpoint is mandatory; the shard slot must be
-	// fixed before the checkpoint opens, because the file's shard header
-	// binds to it.
-	if *shards < 0 {
-		log.Fatalf("-shards %d is negative (use 0 for unsharded)", *shards)
-	}
-	if *shards > 0 {
-		if *merge != "" {
-			log.Fatal("-shards and -merge are mutually exclusive (workers explore, the merge combines)")
-		}
-		if *checkpoint == "" {
-			log.Fatal("-shards requires -checkpoint: the shard checkpoint file is the worker's product")
-		}
-		if *shardIndex < 0 || *shardIndex >= *shards {
-			log.Fatalf("-shard-index %d out of range [0,%d)", *shardIndex, *shards)
-		}
-		cfg.Shard = &dse.ShardRange{Count: *shards, Index: *shardIndex}
-	}
-	if *merge != "" && *checkpoint != "" {
-		log.Fatal("-merge ignores -checkpoint (the shard files are the inputs); drop one")
-	}
-
 	// Checkpoint/resume: restore completed evaluations from a previous
 	// (killed) run of the same exploration. A stale file is ignored with
 	// a warning and overwritten; a file with a torn tail (the previous
@@ -276,38 +238,9 @@ func main() {
 		close(progressDone)
 	}
 
-	// The merge path evaluates nothing, but the report's tables re-run
-	// the annotator on the selected architecture — default it here the
-	// way Study.ExploreContext does for an exploring run.
-	if *merge != "" && cfg.Annotator == nil {
-		cfg.Annotator = testcost.NewAnnotator(cfg.Width, cfg.Seed)
-		cfg.Annotator.Obs = cfg.Obs
-	}
 	study := core.NewStudyWithConfig(cfg)
 	exitCode := 0
-	var exploreErr error
-	if *merge != "" {
-		// Canonical merge: validate that the shard checkpoints tile this
-		// config's candidate space and rebuild the result in index order.
-		// Any gap, overlap or incomplete shard is fatal — resume the
-		// offending worker and merge again.
-		res, err := dse.MergeExploreContext(ctx, cfg, splitPaths(*merge))
-		if err != nil {
-			log.Fatal(err)
-		}
-		study.Result = res
-		// Union the workers' annotation caches into the base cache (the
-		// existing save below rewrites it), so the next run of any
-		// topology warm-starts from the whole fan-out's work.
-		if *cache != "" {
-			shardCaches, _ := filepath.Glob(*cache + ".shard*")
-			if _, err := cfg.Annotator.MergeFiles(shardCaches...); err != nil {
-				log.Printf("warning: shard caches not merged: %v", err)
-			}
-		}
-	} else {
-		exploreErr = study.ExploreContext(ctx)
-	}
+	exploreErr := study.ExploreContext(ctx)
 	// The exploration flushes its checkpoint on completion; a cut-short
 	// one must persist its tail explicitly or the resume loses the last
 	// few entries. Safe on nil.
@@ -336,19 +269,6 @@ func main() {
 			log.Printf("no usable result to report")
 			os.Exit(exitCode)
 		}
-	}
-	// A shard worker's product is its checkpoint, not a report: persist
-	// the per-shard annotation cache (the base cache stays read-only —
-	// concurrent workers share it) and stop before any printing.
-	if cfg.Shard != nil {
-		if *cache != "" {
-			out := fmt.Sprintf("%s.shard%dof%d", *cache, *shardIndex, *shards)
-			if err := cfg.Annotator.SaveFile(out); err != nil {
-				log.Fatal(err)
-			}
-		}
-		log.Printf("shard %d/%d complete: %s", *shardIndex, *shards, *checkpoint)
-		os.Exit(exitCode)
 	}
 	if *cache != "" {
 		if err := cfg.Annotator.SaveFile(*cache); err != nil {
@@ -417,17 +337,6 @@ func main() {
 	if exitCode != 0 {
 		os.Exit(exitCode)
 	}
-}
-
-// splitPaths parses the -merge operand: a comma-separated path list.
-func splitPaths(raw string) []string {
-	var out []string
-	for _, p := range strings.Split(raw, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // parseIntList parses a comma-separated list of positive ints for the

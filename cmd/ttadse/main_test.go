@@ -2,21 +2,18 @@ package main
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"errors"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestMain doubles as the CLI under test: re-execing this test binary
 // with TTADSE_RUN_MAIN=1 runs the real main() over the re-exec's argv,
-// so the shard/merge tests drive ttadse as separate OS processes
-// without building the command.
+// so the CLI tests drive ttadse as separate OS processes without
+// building the command.
 func TestMain(m *testing.M) {
 	if os.Getenv("TTADSE_RUN_MAIN") == "1" {
 		main()
@@ -49,111 +46,58 @@ func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	return out.String(), errb.String(), code
 }
 
-// TestShardMergeCLIByteIdentical is the CLI half of the determinism
-// contract: N worker invocations plus one -merge must print exactly the
-// unsharded run's bytes, at every shard count and with the worker count
-// varying per process (-atpg-workers 1 vs 8 — results are identical at
-// any setting, so shards may disagree on it), with the per-shard
-// annotation caches unioned back into the base file.
-func TestShardMergeCLIByteIdentical(t *testing.T) {
+// TestCheckpointResumeCLIByteIdentical drives the checkpoint/resume
+// contract through the ttadse binary: a run cut short by -timeout exits
+// 2 and leaves its checkpoint; the rerun with the same -checkpoint exits
+// 0 and prints exactly the uninterrupted run's bytes; a further rerun
+// restores every candidate from the file and still prints those bytes.
+func TestCheckpointResumeCLIByteIdentical(t *testing.T) {
 	base := []string{"-buses", "1", "-alus", "1", "-cmps", "1"}
 	ref, errText, code := runCLI(t, base...)
 	if code != 0 {
-		t.Fatalf("unsharded run exited %d: %s", code, errText)
+		t.Fatalf("uninterrupted run exited %d: %s", code, errText)
 	}
-	want := sha256.Sum256([]byte(ref))
-
-	for _, n := range []int{2, 4, 8} {
-		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			dir := t.TempDir()
-			cache := filepath.Join(dir, "anno.cache")
-			var paths []string
-			for i := 0; i < n; i++ {
-				ckpt := filepath.Join(dir, fmt.Sprintf("s%dof%d.ckpt", i, n))
-				paths = append(paths, ckpt)
-				workers := "1"
-				if i%2 == 0 {
-					workers = "8"
-				}
-				args := append(append([]string(nil), base...),
-					"-shards", strconv.Itoa(n), "-shard-index", strconv.Itoa(i),
-					"-checkpoint", ckpt, "-cache", cache, "-atpg-workers", workers)
-				if _, errText, code := runCLI(t, args...); code != 0 {
-					t.Fatalf("shard %d/%d exited %d: %s", i, n, code, errText)
-				}
-				shardCache := fmt.Sprintf("%s.shard%dof%d", cache, i, n)
-				if _, err := os.Stat(shardCache); err != nil {
-					t.Fatalf("worker %d wrote no per-shard cache: %v", i, err)
-				}
-			}
-			out, errText, code := runCLI(t, append(append([]string(nil), base...),
-				"-merge", strings.Join(paths, ","), "-cache", cache, "-atpg-workers", "8")...)
-			if code != 0 {
-				t.Fatalf("merge exited %d: %s", code, errText)
-			}
-			if got := sha256.Sum256([]byte(out)); got != want {
-				t.Fatalf("%d-shard merged report differs from the unsharded run", n)
-			}
-			if _, err := os.Stat(cache); err != nil {
-				t.Fatalf("merge left no base cache: %v", err)
-			}
-		})
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	withCkpt := append(append([]string(nil), base...), "-checkpoint", ckpt)
+	if _, errText, code := runCLI(t, append(withCkpt, "-timeout", "1ns")...); code != 2 {
+		t.Fatalf("timed-out run exited %d, want 2: %s", code, errText)
 	}
-}
-
-// TestShardWorkerResumeAfterKill kills worker 0 mid-flight (via an
-// immediate -timeout), checks the merge refuses the incomplete fan-out,
-// resumes the worker, and checks the merged bytes still match the
-// unsharded run exactly.
-func TestShardWorkerResumeAfterKill(t *testing.T) {
-	base := []string{"-buses", "1", "-alus", "1", "-cmps", "1"}
-	ref, errText, code := runCLI(t, base...)
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Fatalf("timed-out run left no checkpoint: %v", err)
+	}
+	out, errText, code := runCLI(t, withCkpt...)
 	if code != 0 {
-		t.Fatalf("unsharded run exited %d: %s", code, errText)
-	}
-	dir := t.TempDir()
-	ckpt0 := filepath.Join(dir, "s0of2.ckpt")
-	ckpt1 := filepath.Join(dir, "s1of2.ckpt")
-	worker := func(index int, ckpt string, extra ...string) (string, int) {
-		args := append(append([]string(nil), base...),
-			"-shards", "2", "-shard-index", strconv.Itoa(index), "-checkpoint", ckpt)
-		_, errText, code := runCLI(t, append(args, extra...)...)
-		return errText, code
-	}
-	if errText, code := worker(1, ckpt1); code != 0 {
-		t.Fatalf("shard 1 exited %d: %s", code, errText)
-	}
-	if errText, code := worker(0, ckpt0, "-timeout", "1ns"); code != 2 {
-		t.Fatalf("killed shard 0 exited %d, want 2 (timeout): %s", code, errText)
-	}
-	mergeArgs := append(append([]string(nil), base...), "-merge", ckpt0+","+ckpt1)
-	if _, errText, code := runCLI(t, mergeArgs...); code == 0 {
-		t.Fatalf("merge accepted an incomplete fan-out: %s", errText)
-	}
-	if errText, code := worker(0, ckpt0); code != 0 {
-		t.Fatalf("resumed shard 0 exited %d: %s", code, errText)
-	}
-	out, errText, code := runCLI(t, mergeArgs...)
-	if code != 0 {
-		t.Fatalf("merge after resume exited %d: %s", code, errText)
+		t.Fatalf("rerun exited %d: %s", code, errText)
 	}
 	if out != ref {
-		t.Fatal("merged report after kill + resume differs from the unsharded run")
+		t.Fatal("rerun after the timeout differs from the uninterrupted run")
+	}
+	out, errText, code = runCLI(t, withCkpt...)
+	if code != 0 {
+		t.Fatalf("restoring rerun exited %d: %s", code, errText)
+	}
+	if !strings.Contains(errText, "12 completed evaluations") {
+		t.Fatalf("restoring rerun did not restore all 12 candidates: %s", errText)
+	}
+	if out != ref {
+		t.Fatal("report restored from the checkpoint differs from the uninterrupted run")
 	}
 }
 
-// TestShardFlagValidation pins the CLI-boundary rejections.
-func TestShardFlagValidation(t *testing.T) {
-	cases := [][]string{
-		{"-shards", "2"},                                          // no -checkpoint
-		{"-shards", "2", "-shard-index", "2", "-checkpoint", "x"}, // index out of range
-		{"-shards", "2", "-checkpoint", "x", "-merge", "a"},       // worker and merge at once
-		{"-merge", "a.ckpt", "-checkpoint", "x"},                  // merge ignores -checkpoint
-		{"-lane-width", "128"},                                    // invalid lane width
+// TestFlagValidation pins CLI-boundary rejections: an invalid lane
+// width, and the process-sharding flags, which no longer exist.
+func TestFlagValidation(t *testing.T) {
+	if _, errText, code := runCLI(t, "-lane-width", "128"); code == 0 {
+		t.Fatalf("ttadse -lane-width 128 succeeded, want a flag error (%s)", errText)
 	}
-	for _, args := range cases {
-		if _, errText, code := runCLI(t, args...); code == 0 {
-			t.Fatalf("ttadse %v succeeded, want a flag error (%s)", args, errText)
+	for _, args := range [][]string{
+		{"-shards", "2"},
+		{"-shard-index", "1"},
+		{"-merge", "a.ckpt,b.ckpt"},
+	} {
+		_, errText, code := runCLI(t, args...)
+		if code != 2 || !strings.Contains(errText, "flag provided but not defined: "+args[0]) {
+			t.Fatalf("ttadse %v exited %d, want 2 for an unknown flag: %s", args, code, errText)
 		}
 	}
 }

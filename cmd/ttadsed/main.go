@@ -23,24 +23,10 @@
 // and the process exits. A restarted daemon given the same flags
 // resumes resubmitted specs from their checkpoints.
 //
-// Sharded jobs (spec field "shard") fan out over worker processes of
-// this same binary, supervised for hangs as well as crashes: a worker
-// silent past shard.stall_timeout (default 2m) is killed and restarted
-// from its checkpoint, with deterministic exponential backoff between
-// restarts and a budget of shard.max_restarts per worker (optionally
-// per shard.restart_window). Checkpoint and cache files are CRC-framed
-// and written atomically; a file torn by a kill resumes from its intact
-// prefix, an irrecoverably corrupt one is quarantined to *.corrupt.
-// Every incident is countable under durability.* and dse.shard.* in
-// GET /v1/metrics.
-//
-// Chaos drills: setting TTADSE_FAULT_INJECT in a worker's environment
-// to a faultinject.ParsePlans spec (e.g.
-// "dse.checkpoint.write=torn:frac=0.5;shard.worker=stall") arms fault
-// injection inside every worker process; TTADSE_FAULT_INJECT_ONCE*
-// variables hold "markerfile|spec" pairs armed in exactly one worker
-// process per fan-out (the marker file is claimed atomically). See
-// internal/service.armWorkerFaults.
+// Checkpoint and cache files are CRC-framed and written atomically; a
+// file torn by a kill resumes from its intact prefix, an irrecoverably
+// corrupt one is quarantined to *.corrupt. Every incident is countable
+// under durability.* in GET /v1/metrics.
 package main
 
 import (
@@ -58,12 +44,6 @@ import (
 )
 
 func main() {
-	// A sharded job's worker processes are this same binary: the
-	// coordinator (internal/service) execs "ttadsed -shard-worker
-	// <flags>", dispatched here before the daemon's own flag parsing.
-	if len(os.Args) > 1 && os.Args[1] == "-shard-worker" {
-		os.Exit(service.ShardWorkerMain(os.Args[2:]))
-	}
 	log.SetFlags(0)
 	log.SetPrefix("ttadsed: ")
 	addr := flag.String("addr", ":8080", "listen address")

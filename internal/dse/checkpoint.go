@@ -50,10 +50,13 @@ const CheckpointFormatVersion = 1
 // completion).
 const checkpointFlushEvery = 16
 
-// checkpointFile is the serialized form. SpecHash and Shard were added
-// for process-sharded exploration without bumping the format version:
-// both are omitempty, so a pre-shard file decodes as an unsharded
-// checkpoint with an unknown spec, exactly what it is.
+// checkpointFile is the serialized form. SpecHash was added without
+// bumping the format version: it is omitempty, so a file written before
+// it decodes as a checkpoint with an unknown spec, exactly what it is.
+// Files written by the process-sharded workers of earlier builds carry
+// an extra "shard" header block; decoding ignores it, so such a file
+// opens as a partial checkpoint whose entries are exactly evaluations
+// this run would compute, and the next flush drops the block.
 type checkpointFile struct {
 	Version  int    `json:"version"`
 	Library  string `json:"library"`
@@ -62,14 +65,10 @@ type checkpointFile struct {
 	Workload string `json:"workload"`
 
 	// SpecHash is jobspec.Spec.Hash() of the job that wrote the file —
-	// the topology-independent result identity. Empty when the writer
-	// predates sharding or ran outside a spec (direct Config use).
+	// the result identity, independent of parallelism and I/O paths.
+	// Empty when the writer predates the field or ran outside a spec
+	// (direct Config use).
 	SpecHash string `json:"spec_hash,omitempty"`
-
-	// Shard, when non-nil, marks the file as one shard's output and makes
-	// it a merge input: it holds exactly the evaluations for candidate
-	// indices [Lo, Hi) of a Total-candidate space split Shards ways.
-	Shard *checkpointShard `json:"shard,omitempty"`
 
 	// Entries is populated in the legacy whole-document format and left
 	// empty in the framed header record (entries follow as records).
@@ -81,20 +80,6 @@ type checkpointFile struct {
 type checkpointRecord struct {
 	Key   string          `json:"k"`
 	Entry checkpointEntry `json:"e"`
-}
-
-// checkpointShard is the shard header: which contiguous slice of the
-// deterministic candidate list this file covers.
-type checkpointShard struct {
-	Shards int `json:"shards"`
-	Index  int `json:"index"`
-	Lo     int `json:"lo"`
-	Hi     int `json:"hi"`
-	Total  int `json:"total"`
-}
-
-func (s checkpointShard) String() string {
-	return fmt.Sprintf("shard %d/%d [%d,%d) of %d", s.Index, s.Shards, s.Lo, s.Hi, s.Total)
 }
 
 // checkpointEntry is one completed candidate evaluation — every
@@ -185,60 +170,8 @@ type Checkpoint struct {
 	entries    map[string]checkpointEntry
 	sinceFlush int
 
-	// loadedShard is the shard header of the file that was resumed from
-	// (zero when fresh or unsharded); setShard cross-checks it against
-	// the range the run actually computes.
-	loadedShard checkpointShard
-
 	obs    *obs.Registry
 	inject *faultinject.Injector
-}
-
-// matchShardHeader rejects opening a shard checkpoint from an unsharded
-// run and vice versa, and any topology drift between the file and the
-// run. A fresh file (got == nil is only reached with data present) must
-// agree on Shards and Index; Lo/Hi/Total are validated later by setShard
-// once the candidate count is known.
-func matchShardHeader(want, got *checkpointShard) error {
-	describe := func(s *checkpointShard) string {
-		if s == nil {
-			return "unsharded"
-		}
-		return fmt.Sprintf("shard %d/%d", s.Index, s.Shards)
-	}
-	if (want == nil) != (got == nil) {
-		return &CheckpointMismatchError{Field: "shard topology", Want: describe(want), Got: describe(got)}
-	}
-	if want != nil && (want.Shards != got.Shards || want.Index != got.Index) {
-		return &CheckpointMismatchError{Field: "shard topology", Want: describe(want), Got: describe(got)}
-	}
-	return nil
-}
-
-// setShard stamps the computed candidate range onto the checkpoint
-// header before any restore or record. If the file this checkpoint was
-// resumed from recorded a different range (the candidate space changed
-// under the same weak workload signature), the loaded entries are
-// dropped — resuming them could silently restore evaluations from
-// outside this shard's slice.
-func (ck *Checkpoint) setShard(s checkpointShard) {
-	if ck == nil {
-		return
-	}
-	ck.mu.Lock()
-	ck.header.Shard = &s
-	stale := len(ck.entries) > 0 && ck.loadedShard.Total != 0 && ck.loadedShard != s
-	if stale {
-		ck.entries = make(map[string]checkpointEntry)
-	}
-	reg := ck.obs
-	loaded := ck.loadedShard
-	ck.mu.Unlock()
-	if stale {
-		reg.Counter("dse.checkpoint.shard_range_drops").Inc()
-		reg.Emit(obs.Event{Kind: "warning", Msg: fmt.Sprintf(
-			"checkpoint range changed (%s, run wants %s); dropping restored entries", loaded, s)})
-	}
 }
 
 // workloadSignature is the weak identity a checkpoint binds to: enough
@@ -276,11 +209,6 @@ func OpenCheckpoint(path string, cfg Config) (*Checkpoint, error) {
 		obs:     cfg.Obs,
 		inject:  cfg.Inject,
 	}
-	if cfg.Shard != nil {
-		// Lo/Hi/Total are unknown until the candidate list exists;
-		// ExploreContext fills them in via setShard.
-		ck.header.Shard = &checkpointShard{Shards: cfg.Shard.Count, Index: cfg.Shard.Index}
-	}
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return ck, nil
@@ -307,17 +235,11 @@ func OpenCheckpoint(path string, cfg Config) (*Checkpoint, error) {
 			return ck, &CheckpointMismatchError{Field: m.field, Want: m.want, Got: m.got}
 		}
 	}
-	// Spec hashes bind only when both sides carry one: files written by
-	// pre-shard builds (or direct Config runs) have no hash and stay
-	// loadable, guarded by the weaker header fields above.
+	// Spec hashes bind only when both sides carry one: files written
+	// before the field existed (or by direct Config runs) have no hash
+	// and stay loadable, guarded by the weaker header fields above.
 	if ck.header.SpecHash != "" && f.SpecHash != "" && ck.header.SpecHash != f.SpecHash {
 		return ck, &CheckpointMismatchError{Field: "spec hash", Want: ck.header.SpecHash, Got: f.SpecHash}
-	}
-	if err := matchShardHeader(ck.header.Shard, f.Shard); err != nil {
-		return ck, err
-	}
-	if f.Shard != nil {
-		ck.loadedShard = *f.Shard
 	}
 	for k, e := range f.Entries {
 		if err := validCheckpointEntry(e); err != nil {
@@ -495,10 +417,9 @@ func (ck *Checkpoint) Flush() { ck.flushReport(false) }
 
 // FlushErr rewrites the checkpoint file through the fully durable path
 // (framed records, unique temp file, fsync, rename, directory fsync) and
-// returns the write error after reporting it. Shard workers use the
-// error form for their final flush: a torn interchange file must fail
-// the worker — so the coordinator restarts it and the restart
-// prefix-recovers — rather than hand the merge damaged input.
+// returns the write error after reporting it. The daemon uses it for a
+// job's final flush: a drained job's checkpoint is what the restarted
+// daemon resumes from.
 func (ck *Checkpoint) FlushErr() error { return ck.flushReport(true) }
 
 func (ck *Checkpoint) flushReport(dirSync bool) error {

@@ -147,21 +147,10 @@ type Config struct {
 	// over the survivor list. The enumeration fields above are ignored.
 	Search *SearchSpec
 
-	// Shard, when non-nil, makes this run one worker of a process-sharded
-	// exploration: the full candidate list is still produced (it is a
-	// pure function of the config, so every shard derives the same list
-	// with the same global indices), but only the contiguous slice
-	// shardBounds assigns to Shard.Index is evaluated. The run's product
-	// is its checkpoint file — Checkpoint is required — stamped with the
-	// shard header; fronts and selection are left to the merge
-	// (MergeExploreContext), which is the only way to see the whole
-	// picture. Events keep global candidate indices and the global total.
-	Shard *ShardRange
-
 	// SpecHash, when non-empty, is the jobspec.Spec.Hash() result
-	// identity stamped into checkpoint files, binding a shard checkpoint
-	// to its job across resumes and merges. Empty skips the check
-	// (direct Config users have no spec).
+	// identity stamped into checkpoint files, binding a checkpoint to
+	// its job across resumes. Empty skips the check (direct Config users
+	// have no spec).
 	SpecHash string
 }
 
@@ -206,14 +195,6 @@ func (c *Config) fillDefaults() error {
 	case 0, 64, 256, 512:
 	default:
 		return fmt.Errorf("dse: LaneWidth %d is invalid (use 0 for auto, or 64, 256, 512)", c.LaneWidth)
-	}
-	if c.Shard != nil {
-		if c.Shard.Count < 1 {
-			return fmt.Errorf("dse: shard count %d (want >= 1)", c.Shard.Count)
-		}
-		if c.Shard.Index < 0 || c.Shard.Index >= c.Shard.Count {
-			return fmt.Errorf("dse: shard index %d out of range [0,%d)", c.Shard.Index, c.Shard.Count)
-		}
 	}
 	if c.Width == 0 {
 		c.Width = 16
@@ -398,35 +379,10 @@ func ExploreContext(ctx context.Context, cfg Config) (*Result, error) {
 	total = len(archs)
 	reg.Counter("dse.candidates.total").Add(int64(len(archs)))
 
-	// A shard run evaluates only its contiguous slice of the list.
-	// Candidate production above is a pure function of the config, so
-	// every shard (and the merge) derives the same list with the same
-	// global indices — no index remapping anywhere.
-	lo, hi := 0, len(archs)
-	if cfg.Shard != nil {
-		if cfg.Checkpoint == nil {
-			cfg.Obs.Gauge("dse.worker.utilization").Set(0)
-			return nil, fmt.Errorf("dse: a shard run requires a Checkpoint (the shard's product is its checkpoint file)")
-		}
-		lo, hi = shardBounds(len(archs), cfg.Shard.Count, cfg.Shard.Index)
-		cfg.Checkpoint.setShard(checkpointShard{
-			Shards: cfg.Shard.Count, Index: cfg.Shard.Index, Lo: lo, Hi: hi, Total: len(archs),
-		})
-	}
-
-	errs := runEvaluations(ctx, &cfg, root, archs, memo, res, em, nEvents, lo, hi)
-	partial := partialErrorFor(ctx, res, errs, lo, hi)
+	errs := runEvaluations(ctx, &cfg, root, archs, memo, res, em, nEvents)
+	partial := partialErrorFor(ctx, res, errs)
 	if hit, miss := reg.Counter("testcost.cache.hit").Value(), reg.Counter("testcost.cache.miss").Value(); hit+miss > 0 {
 		reg.Gauge("testcost.cache.hit_rate").Set(float64(hit) / float64(hit+miss))
-	}
-
-	if cfg.Shard != nil {
-		// Fronts and selection need the whole picture; a shard stops at
-		// its checkpoint and lets MergeExploreContext compute them once.
-		if partial != nil {
-			return res, partial
-		}
-		return res, nil
 	}
 
 	paretoSp := root.Child("pareto")
@@ -484,8 +440,8 @@ func ExploreContext(ctx context.Context, cfg Config) (*Result, error) {
 // produceArchs builds the candidate list — exhaustive enumeration by
 // default, the guided GA screen when Search is set. It is a pure
 // function of the config (the GA draws from a control-thread-only rng
-// and screens with the pure bound tier), which is what lets shard
-// workers and the merge each derive the identical list. It also returns
+// and screens with the pure bound tier), which is what lets a resumed
+// run restore its checkpoint against the identical list. It also returns
 // the structural memo the candidates are to read: the screen's, which
 // already holds every survivor's structure, or an empty one.
 func produceArchs(ctx context.Context, cfg *Config, root *obs.Span) ([]*tta.Architecture, *schedMemo, error) {
@@ -518,14 +474,13 @@ func produceArchs(ctx context.Context, cfg *Config, root *obs.Span) ([]*tta.Arch
 	return archs, newSchedMemo(), nil
 }
 
-// partialErrorFor tallies the holes an evaluation sweep left behind over
-// its [lo, hi) slice and builds the *PartialError describing them — nil
-// when every candidate of the slice evaluated cleanly.
-func partialErrorFor(ctx context.Context, res *Result, errs []error, lo, hi int) *PartialError {
+// partialErrorFor tallies the holes an evaluation sweep left behind and
+// builds the *PartialError describing them — nil when every candidate
+// evaluated cleanly.
+func partialErrorFor(ctx context.Context, res *Result, errs []error) *PartialError {
 	evaluated, panics := 0, 0
 	var errMap map[int]error
-	for i := lo; i < hi; i++ {
-		err := errs[i]
+	for i, err := range errs {
 		switch {
 		case err != nil:
 			if errMap == nil {
@@ -540,7 +495,7 @@ func partialErrorFor(ctx context.Context, res *Result, errs []error, lo, hi int)
 			evaluated++
 		}
 	}
-	if errMap == nil && evaluated == hi-lo && ctx.Err() == nil {
+	if errMap == nil && evaluated == len(errs) && ctx.Err() == nil {
 		return nil
 	}
 	cause := ctx.Err()
@@ -550,10 +505,10 @@ func partialErrorFor(ctx context.Context, res *Result, errs []error, lo, hi int)
 	if cause == nil {
 		// No context error and no per-candidate error, yet holes remain —
 		// defensive; the feed loop only skips candidates on ctx.Done().
-		cause = fmt.Errorf("dse: %d candidates never evaluated", hi-lo-evaluated)
+		cause = fmt.Errorf("dse: %d candidates never evaluated", len(errs)-evaluated)
 	}
 	return &PartialError{
-		Total:     hi - lo,
+		Total:     len(errs),
 		Evaluated: evaluated,
 		Panics:    panics,
 		Errs:      errMap,
@@ -561,25 +516,22 @@ func partialErrorFor(ctx context.Context, res *Result, errs []error, lo, hi int)
 	}
 }
 
-// runEvaluations evaluates the [lo, hi) slice of the candidate list over
-// a bounded worker pool, filling the matching res.Candidates slots
-// (indexed, so ordering is deterministic at any parallelism) and
-// returning the per-candidate errors. Structures come from memo, shared
-// with the guided search's screen when it produced the list, so a
-// structure the screen scheduled is not scheduled again. An unsharded
-// run passes the whole range; a shard run its own slice — events always
-// carry the global index and total, so downstream consumers never remap. Evaluations
-// recorded in cfg.Checkpoint are restored instead of recomputed, and new
-// completions are recorded back. The workers first run the warm-up
-// stage (warmUp: every schedule and every annotation the candidates will
-// read), then the candidates; a run cancelled during the stage
-// evaluates no candidate. A panicking evaluation is recovered into its
-// own error slot (*EvalPanicError), and a failed warm-up job into the
-// slot of the lowest-index candidate depending on it; the sweep
-// continues. The "dse.worker.utilization" gauge is set on every exit
-// path — including a cancelled context or a candidate error surfacing
-// to the caller.
-func runEvaluations(ctx context.Context, cfg *Config, root *obs.Span, archs []*tta.Architecture, memo *schedMemo, res *Result, em *emitter, nEvents *atomic.Int64, lo, hi int) []error {
+// runEvaluations evaluates the candidate list over a bounded worker
+// pool, filling the matching res.Candidates slots (indexed, so ordering
+// is deterministic at any parallelism) and returning the per-candidate
+// errors. Structures come from memo, shared with the guided search's
+// screen when it produced the list, so a structure the screen scheduled
+// is not scheduled again. Evaluations recorded in cfg.Checkpoint are
+// restored instead of recomputed, and new completions are recorded
+// back. The workers first run the warm-up stage (warmUp: every schedule
+// and every annotation the candidates will read), then the candidates;
+// a run cancelled during the stage evaluates no candidate. A panicking
+// evaluation is recovered into its own error slot (*EvalPanicError),
+// and a failed warm-up job into the slot of the lowest-index candidate
+// depending on it; the sweep continues. The "dse.worker.utilization"
+// gauge is set on every exit path — including a cancelled context or a
+// candidate error surfacing to the caller.
+func runEvaluations(ctx context.Context, cfg *Config, root *obs.Span, archs []*tta.Architecture, memo *schedMemo, res *Result, em *emitter, nEvents *atomic.Int64) []error {
 	reg := cfg.Obs
 	res.Candidates = make([]Candidate, len(archs))
 	errs := make([]error, len(archs))
@@ -590,8 +542,7 @@ func runEvaluations(ctx context.Context, cfg *Config, root *obs.Span, archs []*t
 	// consumers of a resumed run see the full picture.
 	restored := make([]bool, len(archs))
 	nRestored := 0
-	for i := lo; i < hi; i++ {
-		arch := archs[i]
+	for i, arch := range archs {
 		if e, ok := cfg.Checkpoint.lookup(checkpointKey(arch)); ok {
 			res.Candidates[i] = e.candidate(arch)
 			restored[i] = true
@@ -615,8 +566,8 @@ func runEvaluations(ctx context.Context, cfg *Config, root *obs.Span, archs []*t
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > hi-lo-nRestored {
-		workers = hi - lo - nRestored
+	if workers > len(archs)-nRestored {
+		workers = len(archs) - nRestored
 	}
 	reg.Gauge("dse.workers").Set(float64(workers))
 	evalStart := time.Now()
@@ -629,7 +580,7 @@ func runEvaluations(ctx context.Context, cfg *Config, root *obs.Span, archs []*t
 		}
 		reg.Gauge("dse.worker.utilization").Set(util)
 	}()
-	handoff := warmUp(ctx, cfg, root, archs, restored, lo, hi, workers, memo, &busyNS)
+	handoff := warmUp(ctx, cfg, root, archs, restored, workers, memo, &busyNS)
 	if ctx.Err() != nil {
 		return errs
 	}
@@ -677,7 +628,7 @@ func runEvaluations(ctx context.Context, cfg *Config, root *obs.Span, archs []*t
 		}()
 	}
 feed:
-	for i := lo; i < hi; i++ {
+	for i := range archs {
 		if restored[i] {
 			continue
 		}

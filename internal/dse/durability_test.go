@@ -371,3 +371,121 @@ func FuzzOpenCheckpoint(f *testing.F) {
 		}
 	})
 }
+
+// TestOldShardCheckpointResumes opens a checkpoint in the format the
+// process-sharded workers of earlier builds wrote: a framed file whose
+// header record carries a "shard" block and whose entries cover only the
+// worker's slice of the candidate list. The file restores as a partial
+// checkpoint: its entries are evaluations this run computes too, the
+// rest of the candidates are evaluated, and the next flush writes the
+// file an unsharded run writes, header without the block.
+func TestOldShardCheckpointResumes(t *testing.T) {
+	cfg, ref, framed := recordedCheckpoint(t)
+	f, _, err := decodeCheckpointData(framed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Worker 1 of a two-process fan-out evaluated candidate 1 of 2.
+	key := checkpointKey(ref.Candidates[1].Arch)
+	entry, ok := f.Entries[key]
+	if !ok {
+		t.Fatalf("recorded checkpoint has no entry %q", key)
+	}
+	type shardBlock struct {
+		Shards int `json:"shards"`
+		Index  int `json:"index"`
+		Lo     int `json:"lo"`
+		Hi     int `json:"hi"`
+		Total  int `json:"total"`
+	}
+	f.Entries = nil
+	head, err := json.Marshal(struct {
+		checkpointFile
+		Shard shardBlock `json:"shard"`
+	}{f, shardBlock{Shards: 2, Index: 1, Lo: 1, Hi: 2, Total: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(head, []byte(`,"shard":{"shards":2,"index":1,"lo":1,"hi":2,"total":2}}`)) {
+		t.Fatalf("header is not in the shard format: %s", head)
+	}
+	rec, err := json.Marshal(&checkpointRecord{Key: key, Entry: entry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "shard1of2.ckpt")
+	if err := os.WriteFile(path, durable.AppendRecord(durable.AppendRecord(nil, head), rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.NewRegistry()
+	c := cfg
+	c.Obs = reg
+	ck, err := OpenCheckpoint(path, c)
+	if err != nil {
+		t.Fatalf("opening a shard checkpoint: %v", err)
+	}
+	if ck.Len() != 1 {
+		t.Fatalf("shard checkpoint restored %d entries, want 1", ck.Len())
+	}
+	c.Checkpoint = ck
+	res, err := ExploreContext(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, ref, res)
+	if got := reg.Counter("dse.checkpoint.restored").Value(); got != 1 {
+		t.Fatalf("dse.checkpoint.restored = %d, want 1", got)
+	}
+	flushed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(flushed, []byte(`"shard"`)) {
+		t.Fatalf("the flush kept the shard block: %q", flushed)
+	}
+	if !bytes.Equal(flushed, framed) {
+		t.Fatalf("flushed file differs from an unsharded run's:\n%q\nvs\n%q", flushed, framed)
+	}
+}
+
+// TestCheckpointSpecHashBinding pins the spec_hash header check: a file
+// and a run that both carry a hash must agree on it, while a file or a
+// run without one stays loadable.
+func TestCheckpointSpecHashBinding(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hashed.ckpt")
+	cfg := twoCandConfig(t)
+	cfg.SpecHash = "aaaaaaaaaaaaaaaa"
+	ck, err := OpenCheckpoint(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Checkpoint = ck
+	if _, err := ExploreContext(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	other := twoCandConfig(t)
+	other.SpecHash = "bbbbbbbbbbbbbbbb"
+	ck, err = OpenCheckpoint(path, other)
+	var mm *CheckpointMismatchError
+	if !errors.As(err, &mm) || mm.Field != "spec hash" {
+		t.Fatalf("different spec hash: err = %v, want a spec hash mismatch", err)
+	}
+	if ck.Len() != 0 {
+		t.Fatalf("mismatched open kept %d entries", ck.Len())
+	}
+	if ck, err := OpenCheckpoint(path, twoCandConfig(t)); err != nil || ck.Len() != 2 {
+		t.Fatalf("hashless run, hashed file: %d entries, err %v; want 2 and nil", ck.Len(), err)
+	}
+
+	hashless, _, framed := recordedCheckpoint(t)
+	plain := filepath.Join(t.TempDir(), "plain.ckpt")
+	if err := os.WriteFile(plain, framed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hashless.SpecHash = "aaaaaaaaaaaaaaaa"
+	if ck, err := OpenCheckpoint(plain, hashless); err != nil || ck.Len() != 2 {
+		t.Fatalf("hashed run, hashless file: %d entries, err %v; want 2 and nil", ck.Len(), err)
+	}
+}

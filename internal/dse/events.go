@@ -10,12 +10,10 @@
 //
 //	seq        monotone 1-based sequence number within one exploration
 //	kind       "candidate" | "restored" | "panic" | "degraded" |
-//	           "warning" | "heartbeat" | "counter" | "done"
+//	           "warning" | "done"
 //	msg        human-readable one-liner (matches the historical
 //	           -progress stderr text)
 //	n, total   progress counters when known (n completed of total)
-//	code       machine-readable counter name on "counter" events and on
-//	           warnings a supervisor should also count
 //	candidate  the full evaluation record, on "candidate" and
 //	           "restored" events
 //
@@ -31,13 +29,6 @@
 //     because its ATPG budget ran out (bridged from the obs stream).
 //   - "warning": a non-fatal infrastructure problem, e.g. a checkpoint
 //     flush failure (bridged from the obs stream).
-//   - "heartbeat": a liveness tick from an otherwise quiet shard worker;
-//     carries no payload and is consumed by the coordinator's stall
-//     watchdog, never forwarded to job consumers.
-//   - "counter": a metrics relay from a shard worker process — Code
-//     names the counter, N the delta. Worker-local durability counters
-//     cross the process boundary this way; the coordinator folds them
-//     into the job registry and swallows the event.
 //   - "done": the exploration is over; always the final event, emitted
 //     on every exit path including configuration errors.
 package dse
@@ -61,8 +52,6 @@ const (
 	EventPanic     EventKind = "panic"
 	EventDegraded  EventKind = "degraded"
 	EventWarning   EventKind = "warning"
-	EventHeartbeat EventKind = "heartbeat"
-	EventCounter   EventKind = "counter"
 	EventDone      EventKind = "done"
 )
 
@@ -94,7 +83,6 @@ type Event struct {
 	Msg       string           `json:"msg,omitempty"`
 	N         int              `json:"n,omitempty"`
 	Total     int              `json:"total,omitempty"`
-	Code      string           `json:"code,omitempty"`
 	Candidate *CandidateUpdate `json:"candidate,omitempty"`
 }
 

@@ -57,10 +57,7 @@ func FromSpec(spec jobspec.Spec) (Config, SelectionSpec, error) {
 	cfg.LaneWidth = spec.LaneWidth
 	cfg.VerifySelected = spec.VerifySelected
 	// The spec's result identity travels with the config so checkpoint
-	// files bind to it. Shard topology deliberately does NOT map here:
-	// the spec's Shard block describes the coordinator-level fan-out
-	// (internal/service), while Config.Shard is one worker's own slot —
-	// set by the worker entry point, never by the spec.
+	// files bind to it.
 	cfg.SpecHash = spec.Hash()
 	if spec.Search != nil {
 		cfg.Search = &SearchSpec{

@@ -149,12 +149,6 @@ func FuzzSpecValidate(f *testing.F) {
 		Timeout: d(90 * time.Second), ATPGDeadline: d(250 * time.Millisecond),
 		Parallelism: 4, ATPGWorkers: 2, LaneWidth: 256, VerifySelected: true,
 		Search: &jobspec.SearchSpec{Population: 128, Generations: 10, Eta: 4, Seed: 42},
-		Shard: &jobspec.ShardSpec{
-			Shards: 4, MaxRestarts: 1,
-			StallTimeout: d(45 * time.Second), HeartbeatInterval: d(5 * time.Second),
-			BackoffBase: d(100 * time.Millisecond), BackoffMax: d(4 * time.Second),
-			RestartWindow: d(10 * time.Minute),
-		},
 	}
 	seeds := []jobspec.Spec{
 		{}, full,
@@ -168,15 +162,6 @@ func FuzzSpecValidate(f *testing.F) {
 		{Search: &jobspec.SearchSpec{Eta: -1}},
 		{Search: &jobspec.SearchSpec{Eta: 1}},
 		{Search: &jobspec.SearchSpec{Seed: -4}},
-		{Shard: &jobspec.ShardSpec{Shards: 0}},
-		{Shard: &jobspec.ShardSpec{Shards: -2}},
-		{Shard: &jobspec.ShardSpec{Shards: jobspec.MaxShards + 1}},
-		{Shard: &jobspec.ShardSpec{Shards: 2, MaxRestarts: -1}},
-		{Shard: &jobspec.ShardSpec{Shards: 2, HeartbeatInterval: -1}},
-		{Shard: &jobspec.ShardSpec{Shards: 2, StallTimeout: d(time.Second), HeartbeatInterval: d(2 * time.Second)}},
-		{Shard: &jobspec.ShardSpec{Shards: 2, BackoffBase: -1}},
-		{Shard: &jobspec.ShardSpec{Shards: 2, RestartWindow: -1}},
-		{Shard: &jobspec.ShardSpec{Shards: 2, BackoffBase: d(time.Minute), BackoffMax: d(time.Second)}},
 	}
 	for _, s := range seeds {
 		data, err := json.Marshal(&s)
@@ -184,6 +169,22 @@ func FuzzSpecValidate(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(data)
+	}
+	// Bodies with the "shard" block that process-sharded jobs carried.
+	// Spec has no such field, so a lenient decode drops the block and
+	// the rest of the body is an ordinary spec.
+	for _, body := range []string{
+		`{"shard":{"shards":0}}`,
+		`{"shard":{"shards":-2}}`,
+		`{"shard":{"shards":257}}`,
+		`{"shard":{"shards":2,"max_restarts":-1}}`,
+		`{"shard":{"shards":2,"heartbeat_interval":"-1ns"}}`,
+		`{"shard":{"shards":2,"stall_timeout":"1s","heartbeat_interval":"2s"}}`,
+		`{"shard":{"shards":2,"backoff_base":"-1ns"}}`,
+		`{"shard":{"shards":2,"restart_window":"-1ns"}}`,
+		`{"shard":{"shards":2,"backoff_base":"1m0s","backoff_max":"1s"}}`,
+	} {
+		f.Add([]byte(body))
 	}
 	body, err := json.Marshal(&full)
 	if err != nil {

@@ -104,26 +104,26 @@ func newWarmStage() *warmStage {
 	return st
 }
 
-// warmUp runs the stage over the unrestored candidates of [lo, hi) on
-// the given number of workers and returns the failures it handed to
+// warmUp runs the stage over the unrestored candidates on the given
+// number of workers and returns the failures it handed to
 // candidates, by candidate index. A cancelled context stops the stage;
 // its caller then evaluates no candidate.
-func warmUp(ctx context.Context, cfg *Config, root *obs.Span, archs []*tta.Architecture, restored []bool, lo, hi, workers int, memo *schedMemo, busyNS *atomic.Int64) map[int]*warmFailure {
+func warmUp(ctx context.Context, cfg *Config, root *obs.Span, archs []*tta.Architecture, restored []bool, workers int, memo *schedMemo, busyNS *atomic.Int64) map[int]*warmFailure {
 	st := newWarmStage()
-	structOf := make([]int, hi-lo)
+	structOf := make([]int, len(archs))
 	byKey := make(map[string]int)
-	for i := lo; i < hi; i++ {
+	for i, arch := range archs {
 		if restored[i] {
 			continue
 		}
-		k := structKey(archs[i])
+		k := structKey(arch)
 		si, ok := byKey[k]
 		if !ok {
 			si = len(st.structs)
 			byKey[k] = si
-			st.structs = append(st.structs, warmStruct{arch: archs[i]})
+			st.structs = append(st.structs, warmStruct{arch: arch})
 		}
-		structOf[i-lo] = si
+		structOf[i] = si
 	}
 
 	var wg sync.WaitGroup
@@ -138,7 +138,7 @@ func warmUp(ctx context.Context, cfg *Config, root *obs.Span, archs []*tta.Archi
 	if ctx.Err() != nil || !st.failed {
 		return nil
 	}
-	return st.handoffs(restored, lo, hi, structOf)
+	return st.handoffs(restored, structOf)
 }
 
 // work is one worker's loop: take a job, run it, record its outcome.
@@ -257,7 +257,7 @@ func (st *warmStage) annotated(key string, f *warmFailure) {
 // dependents evaluate normally: a failed annotation is not cached, so
 // they retry it through the annotator, while a failed structural
 // evaluation stays memoized and they report the memo's error.
-func (st *warmStage) handoffs(restored []bool, lo, hi int, structOf []int) map[int]*warmFailure {
+func (st *warmStage) handoffs(restored []bool, structOf []int) map[int]*warmFailure {
 	out := make(map[int]*warmFailure)
 	handed := make(map[*warmFailure]bool)
 	give := func(i int, f *warmFailure) bool {
@@ -268,11 +268,11 @@ func (st *warmStage) handoffs(restored []bool, lo, hi int, structOf []int) map[i
 		out[i] = f
 		return true
 	}
-	for i := lo; i < hi; i++ {
+	for i, si := range structOf {
 		if restored[i] {
 			continue
 		}
-		s := &st.structs[structOf[i-lo]]
+		s := &st.structs[si]
 		if give(i, s.fail) {
 			continue
 		}

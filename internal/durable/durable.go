@@ -1,7 +1,7 @@
 // Package durable is the engine's crash-safe persistence layer: every
-// artifact that crosses a process boundary (dse checkpoints, the
-// testcost warm-annotation cache, shard interchange files) is written
-// through it and read back through it.
+// artifact that outlives a process (dse checkpoints, the testcost
+// warm-annotation cache) is written through it and read back through
+// it.
 //
 // Two primitives:
 //
@@ -13,7 +13,7 @@
 //     bit-flipped file yields its longest valid record prefix instead
 //     of nothing. ScanRecords reports exactly how the walk ended;
 //     callers decide whether a prefix is usable (a checkpoint resumes
-//     from it) or fatal (a merge demands completeness).
+//     from it, a cache warm-starts from it).
 //
 //   - Atomic, synced file replacement. WriteFileAtomic writes to a
 //     unique temp file in the destination directory, fsyncs the file,

@@ -24,8 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -51,11 +49,6 @@ const (
 	// Checkpoint fires on every checkpoint file write
 	// (internal/dse.(*Checkpoint).flush).
 	Checkpoint Point = "dse.checkpoint.write"
-	// ShardWorker fires once at the top of a shard worker process's run
-	// (internal/service.runShardWorker), before the worker has emitted
-	// anything — the place to make a whole worker hang (ModeStall) or die
-	// at birth, exercising the coordinator's supervision.
-	ShardWorker Point = "shard.worker"
 )
 
 // Mode selects what a firing plan does to the instrumented call.
@@ -78,10 +71,6 @@ const (
 	// plan's Frac prefix of the payload to the final path and failing —
 	// simulating a torn write that landed on disk.
 	ModeTornWrite
-	// ModeStall makes Hit block until the injector's ReleaseStalls is
-	// called (in cross-process use: until the coordinator kills the
-	// process) — the "hung worker" scenario behind stall supervision.
-	ModeStall
 )
 
 func (m Mode) String() string {
@@ -96,8 +85,6 @@ func (m Mode) String() string {
 		return "sleep"
 	case ModeTornWrite:
 		return "torn"
-	case ModeStall:
-		return "stall"
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
@@ -165,18 +152,14 @@ type Injector struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
 	plans map[Point]*plan
-
-	stallOnce sync.Once
-	stallCh   chan struct{} // closed by ReleaseStalls; ModeStall blocks on it
 }
 
 // New returns an injector whose probabilistic decisions are driven by
 // seed (deterministic per hit order).
 func New(seed int64) *Injector {
 	return &Injector{
-		rng:     rand.New(rand.NewSource(seed)),
-		plans:   make(map[Point]*plan),
-		stallCh: make(chan struct{}),
+		rng:   rand.New(rand.NewSource(seed)),
+		plans: make(map[Point]*plan),
 	}
 }
 
@@ -248,26 +231,12 @@ func (i *Injector) Hit(p Point) error {
 			frac = 0.5
 		}
 		return &TornWriteError{Point: p, N: n, Frac: frac}
-	case ModeStall:
-		<-i.stallCh
-		return fmt.Errorf("%s: %w", p, ErrInjected)
 	default:
 		if err == nil {
 			err = ErrInjected
 		}
 		return fmt.Errorf("%s: %w", p, err)
 	}
-}
-
-// ReleaseStalls unblocks every Hit currently (and subsequently) parked in
-// a ModeStall plan — the in-process escape hatch for tests. Cross-process
-// stalls need no release: the supervising coordinator kills the stalled
-// worker. Idempotent; safe on a nil injector.
-func (i *Injector) ReleaseStalls() {
-	if i == nil {
-		return
-	}
-	i.stallOnce.Do(func() { close(i.stallCh) })
 }
 
 // Fires returns how many times the point's plan has fired (0 for a nil
@@ -297,96 +266,4 @@ func (i *Injector) Hits(p Point) int64 {
 		return pl.hits
 	}
 	return 0
-}
-
-// ParsePlans parses the textual injection spec used to arm chaos across
-// process boundaries (a shard worker reads it from its environment, since
-// live *Injector values cannot cross an exec). The grammar:
-//
-//	spec    := plan (";" plan)*
-//	plan    := point "=" mode (":" opt)*
-//	mode    := "error" | "panic" | "cancel" | "sleep" | "torn" | "stall"
-//	opt     := ("every"|"limit") "=" int
-//	         | "prob"  "=" float
-//	         | "frac"  "=" float
-//	         | "delay" "=" goDuration
-//
-// Example: "dse.checkpoint.write=torn:limit=1;shard.worker=stall".
-// Unknown modes, options or malformed values are errors — a chaos drill
-// that silently arms nothing would pass vacuously.
-func ParsePlans(spec string) (map[Point]Plan, error) {
-	out := make(map[Point]Plan)
-	for _, raw := range strings.Split(spec, ";") {
-		raw = strings.TrimSpace(raw)
-		if raw == "" {
-			continue
-		}
-		point, rest, ok := strings.Cut(raw, "=")
-		if !ok || point == "" {
-			return nil, fmt.Errorf("faultinject: plan %q: want point=mode[:opt...]", raw)
-		}
-		parts := strings.Split(rest, ":")
-		var pl Plan
-		switch parts[0] {
-		case "error":
-			pl.Mode = ModeError
-		case "panic":
-			pl.Mode = ModePanic
-		case "cancel":
-			pl.Mode = ModeCancel
-		case "sleep":
-			pl.Mode = ModeSleep
-		case "torn":
-			pl.Mode = ModeTornWrite
-		case "stall":
-			pl.Mode = ModeStall
-		default:
-			return nil, fmt.Errorf("faultinject: plan %q: unknown mode %q", raw, parts[0])
-		}
-		for _, opt := range parts[1:] {
-			k, v, ok := strings.Cut(opt, "=")
-			if !ok {
-				return nil, fmt.Errorf("faultinject: plan %q: option %q is not key=value", raw, opt)
-			}
-			var err error
-			switch k {
-			case "every":
-				pl.Every, err = strconv.Atoi(v)
-			case "limit":
-				pl.Limit, err = strconv.Atoi(v)
-			case "prob":
-				pl.Prob, err = strconv.ParseFloat(v, 64)
-			case "frac":
-				pl.Frac, err = strconv.ParseFloat(v, 64)
-			case "delay":
-				pl.Delay, err = time.ParseDuration(v)
-			default:
-				return nil, fmt.Errorf("faultinject: plan %q: unknown option %q", raw, k)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("faultinject: plan %q: option %q: %v", raw, opt, err)
-			}
-		}
-		out[Point(point)] = pl
-	}
-	return out, nil
-}
-
-// ArmSpec parses spec (see ParsePlans) and arms every plan it names.
-// Safe on a nil injector only when the spec is empty.
-func (i *Injector) ArmSpec(spec string) error {
-	plans, err := ParsePlans(spec)
-	if err != nil {
-		return err
-	}
-	if len(plans) == 0 {
-		return nil
-	}
-	if i == nil {
-		return errors.New("faultinject: arming a nil injector")
-	}
-	for p, pl := range plans {
-		i.Arm(p, pl)
-	}
-	return nil
 }

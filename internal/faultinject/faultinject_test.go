@@ -184,75 +184,3 @@ func TestTornWriteMode(t *testing.T) {
 		t.Fatalf("Hit = %v, want torn with frac 0.25", err)
 	}
 }
-
-// TestStallModeBlocksUntilReleased parks a Hit in a stall plan and
-// checks it does not return until ReleaseStalls.
-func TestStallModeBlocksUntilReleased(t *testing.T) {
-	inj := New(1)
-	inj.Arm(ShardWorker, Plan{Mode: ModeStall})
-	done := make(chan error, 1)
-	go func() { done <- inj.Hit(ShardWorker) }()
-	select {
-	case err := <-done:
-		t.Fatalf("stalled Hit returned early: %v", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	inj.ReleaseStalls()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrInjected) {
-			t.Fatalf("released stall returned %v, want ErrInjected", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Hit still blocked after ReleaseStalls")
-	}
-	// Later stalled hits pass straight through the closed channel.
-	if err := inj.Hit(ShardWorker); !errors.Is(err, ErrInjected) {
-		t.Fatalf("post-release stall Hit = %v, want ErrInjected", err)
-	}
-}
-
-// TestParsePlans covers the cross-process arming grammar: happy path,
-// every option key, and the rejection of malformed specs.
-func TestParsePlans(t *testing.T) {
-	plans, err := ParsePlans("dse.checkpoint.write=torn:limit=1:frac=0.3; shard.worker=stall;" +
-		"atpg.pattern=sleep:delay=2ms:every=4:prob=0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := plans[Checkpoint]; got.Mode != ModeTornWrite || got.Limit != 1 || got.Frac != 0.3 {
-		t.Fatalf("checkpoint plan = %+v", got)
-	}
-	if got := plans[ShardWorker]; got.Mode != ModeStall {
-		t.Fatalf("shard.worker plan = %+v", got)
-	}
-	if got := plans[ATPGPattern]; got.Mode != ModeSleep || got.Delay != 2*time.Millisecond || got.Every != 4 || got.Prob != 0.5 {
-		t.Fatalf("atpg plan = %+v", got)
-	}
-	if p, err := ParsePlans(""); err != nil || len(p) != 0 {
-		t.Fatalf("empty spec = %v, %v", p, err)
-	}
-	for _, bad := range []string{"nomode", "p=warp", "p=error:odd", "p=error:every=x", "p=sleep:delay=fast"} {
-		if _, err := ParsePlans(bad); err == nil {
-			t.Fatalf("ParsePlans(%q) accepted a malformed spec", bad)
-		}
-	}
-}
-
-// TestArmSpec arms plans from a spec and checks they fire.
-func TestArmSpec(t *testing.T) {
-	inj := New(1)
-	if err := inj.ArmSpec("dse.eval=error:limit=2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := inj.Hit(DSEEval); err == nil {
-		t.Fatal("armed plan did not fire")
-	}
-	var nilInj *Injector
-	if err := nilInj.ArmSpec(""); err != nil {
-		t.Fatalf("empty spec on nil injector = %v", err)
-	}
-	if err := nilInj.ArmSpec("dse.eval=error"); err == nil {
-		t.Fatal("non-empty spec on nil injector must error")
-	}
-}

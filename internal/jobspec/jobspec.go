@@ -148,84 +148,6 @@ type Spec struct {
 	// parameter space; Buses/ALUs/CMPs are then ignored. See
 	// dse.SearchSpec for the engine semantics.
 	Search *SearchSpec `json:"search,omitempty"`
-
-	// Shard, when non-nil, runs the job as a sharded fan-out: the daemon
-	// forks Shards local worker processes, each evaluating a deterministic
-	// contiguous slice of the candidate space, and merges their shard
-	// checkpoints into one report byte-identical to the unsharded run.
-	// Sharding is a throughput topology, not a result parameter: Hash
-	// ignores it.
-	Shard *ShardSpec `json:"shard,omitempty"`
-}
-
-// ShardSpec configures process-sharded execution of a job.
-type ShardSpec struct {
-	// Shards is the number of worker processes (>= 1).
-	Shards int `json:"shards"`
-
-	// MaxRestarts bounds how many times each worker is restarted — after
-	// a crash or a stall kill alike — and resumed from its own shard
-	// checkpoint (0 = the default, 2). When RestartWindow is set the
-	// budget applies per sliding window instead of per worker lifetime.
-	MaxRestarts int `json:"max_restarts,omitempty"`
-
-	// StallTimeout is how long a worker may stay silent (no event, no
-	// heartbeat on its NDJSON pipe) before the coordinator kills and
-	// restarts it — the hang-detection analogue of a crash. 0 takes the
-	// default (2m); negative disables stall detection entirely.
-	StallTimeout Duration `json:"stall_timeout,omitempty"`
-
-	// HeartbeatInterval is how often an otherwise quiet worker writes a
-	// heartbeat event, proving process liveness to the coordinator's
-	// stall watchdog. 0 takes the default (StallTimeout/4).
-	HeartbeatInterval Duration `json:"heartbeat_interval,omitempty"`
-
-	// BackoffBase and BackoffMax shape the deterministic exponential
-	// backoff between restarts of the same worker: the nth restart waits
-	// min(BackoffMax, BackoffBase<<n) plus seeded jitter. Zero values
-	// take the defaults (250ms base, 10s max) — a poisoned worker binary
-	// backs off instead of hot-looping through its budget in
-	// milliseconds.
-	BackoffBase Duration `json:"backoff_base,omitempty"`
-	BackoffMax  Duration `json:"backoff_max,omitempty"`
-
-	// RestartWindow, when positive, turns MaxRestarts into a sliding-
-	// window budget: only restarts within the last RestartWindow count
-	// against it, so a long-running worker survives occasional faults
-	// while a crash-looping one still fails the job fast. 0 keeps the
-	// lifetime budget.
-	RestartWindow Duration `json:"restart_window,omitempty"`
-}
-
-// MaxShards caps ShardSpec.Shards: each shard is a full OS process, so
-// the useful count is bounded by cores, not candidates.
-const MaxShards = 256
-
-// Validate reports whether the shard topology is runnable.
-func (s *ShardSpec) Validate() error {
-	if s.Shards < 1 {
-		return fmt.Errorf("jobspec: shard count %d (want >= 1)", s.Shards)
-	}
-	if s.Shards > MaxShards {
-		return fmt.Errorf("jobspec: shard count %d exceeds the maximum %d", s.Shards, MaxShards)
-	}
-	if s.MaxRestarts < 0 {
-		return fmt.Errorf("jobspec: shard max_restarts %d is negative (use 0 for the default)", s.MaxRestarts)
-	}
-	if s.HeartbeatInterval < 0 {
-		return fmt.Errorf("jobspec: shard heartbeat_interval %s is negative (use 0 for the default)", s.HeartbeatInterval)
-	}
-	if s.StallTimeout > 0 && s.HeartbeatInterval > s.StallTimeout {
-		return fmt.Errorf("jobspec: shard heartbeat_interval %s exceeds stall_timeout %s — every worker would be killed as stalled",
-			s.HeartbeatInterval, s.StallTimeout)
-	}
-	if s.BackoffBase < 0 || s.BackoffMax < 0 || s.RestartWindow < 0 {
-		return fmt.Errorf("jobspec: shard backoff/restart-window durations must not be negative")
-	}
-	if s.BackoffBase > 0 && s.BackoffMax > 0 && s.BackoffBase > s.BackoffMax {
-		return fmt.Errorf("jobspec: shard backoff_base %s exceeds backoff_max %s", s.BackoffBase, s.BackoffMax)
-	}
-	return nil
 }
 
 // SearchSpec configures guided search (mirrors dse.SearchSpec field for
@@ -282,11 +204,6 @@ func (s *Spec) Validate() error {
 	default:
 		return &LaneWidthError{Width: s.LaneWidth}
 	}
-	if s.Shard != nil {
-		if err := s.Shard.Validate(); err != nil {
-			return err
-		}
-	}
 	for _, l := range []struct {
 		name string
 		vals []int
@@ -324,13 +241,13 @@ func (s *Spec) Normalize() {
 
 // Hash returns a short stable identity for the job's RESULT: two specs
 // hash equal exactly when they describe the same deterministic report.
-// Topology and throughput knobs (shard layout, parallelism, ATPG workers,
-// lane width) and I/O paths (cache, checkpoint) are excluded — results
-// are byte-identical across all of them — as is Timeout, which changes
-// only where a run may be cut off, never the converged bytes. ATPGDeadline
-// stays in: a budgeted run records degraded annotations with different
-// values. The hash names checkpoint files, so every shard of a job and
-// its unsharded twin agree on it.
+// Throughput knobs (parallelism, ATPG workers, lane width) and I/O paths
+// (cache, checkpoint) are excluded — results are byte-identical across
+// all of them — as is Timeout, which changes only where a run may be cut
+// off, never the converged bytes. ATPGDeadline stays in: a budgeted run
+// records degraded annotations with different values. The hash names
+// the daemon's checkpoint files, so a resubmitted spec finds its
+// interrupted run's file at any parallelism.
 func (s Spec) Hash() string {
 	// The receiver is a shallow copy; Normalize would otherwise sort the
 	// caller's slices in place through the shared backing arrays.
@@ -341,7 +258,6 @@ func (s Spec) Hash() string {
 		sr := *s.Search
 		s.Search = &sr
 	}
-	s.Shard = nil
 	s.Parallelism = 0
 	s.ATPGWorkers = 0
 	s.LaneWidth = 0

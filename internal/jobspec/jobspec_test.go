@@ -42,15 +42,6 @@ func TestValidateRejects(t *testing.T) {
 		{"search-eta-negative", Spec{Search: &SearchSpec{Eta: -1}}, "search"},
 		{"search-eta-one", Spec{Search: &SearchSpec{Eta: 1}}, "eta 1"},
 		{"search-seed", Spec{Search: &SearchSpec{Seed: -4}}, "search seed"},
-		{"shard-zero", Spec{Shard: &ShardSpec{Shards: 0}}, "shard count"},
-		{"shard-negative", Spec{Shard: &ShardSpec{Shards: -2}}, "shard count"},
-		{"shard-huge", Spec{Shard: &ShardSpec{Shards: MaxShards + 1}}, "maximum"},
-		{"shard-restarts", Spec{Shard: &ShardSpec{Shards: 2, MaxRestarts: -1}}, "max_restarts"},
-		{"shard-heartbeat-negative", Spec{Shard: &ShardSpec{Shards: 2, HeartbeatInterval: -1}}, "heartbeat_interval"},
-		{"shard-heartbeat-over-stall", Spec{Shard: &ShardSpec{Shards: 2, StallTimeout: Duration(time.Second), HeartbeatInterval: Duration(2 * time.Second)}}, "exceeds stall_timeout"},
-		{"shard-backoff-negative", Spec{Shard: &ShardSpec{Shards: 2, BackoffBase: -1}}, "must not be negative"},
-		{"shard-window-negative", Spec{Shard: &ShardSpec{Shards: 2, RestartWindow: -1}}, "must not be negative"},
-		{"shard-backoff-inverted", Spec{Shard: &ShardSpec{Shards: 2, BackoffBase: Duration(time.Minute), BackoffMax: Duration(time.Second)}}, "backoff_base"},
 	}
 	for _, tc := range cases {
 		err := tc.s.Validate()
@@ -87,14 +78,6 @@ func TestJSONRoundTrip(t *testing.T) {
 		LaneWidth:       256,
 		VerifySelected:  true,
 		Search:          &SearchSpec{Population: 128, Generations: 10, Eta: 4, Seed: 42},
-		Shard: &ShardSpec{
-			Shards: 4, MaxRestarts: 1,
-			StallTimeout:      Duration(45 * time.Second),
-			HeartbeatInterval: Duration(5 * time.Second),
-			BackoffBase:       Duration(100 * time.Millisecond),
-			BackoffMax:        Duration(4 * time.Second),
-			RestartWindow:     Duration(10 * time.Minute),
-		},
 	}
 	data, err := json.Marshal(&in)
 	if err != nil {
@@ -166,7 +149,6 @@ func TestHashIgnoresTopology(t *testing.T) {
 	}
 	same := []Spec{
 		{Workload: "crc16", Buses: []int{2, 1, 2}, ALUs: []int{1}, Norm: "manhattan"}, // normalization
-		func() Spec { s := base; s.Shard = &ShardSpec{Shards: 8}; return s }(),
 		func() Spec { s := base; s.Parallelism = 7; return s }(),
 		func() Spec { s := base; s.ATPGWorkers = 3; return s }(),
 		func() Spec { s := base; s.LaneWidth = 512; return s }(),

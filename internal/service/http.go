@@ -208,11 +208,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the server registry's snapshot with the per-job
-// exploration metrics folded in: the streaming-front counters
-// (pareto.stream.*) and the shard fan-out counters (dse.shard.*) live
-// on each job's own registry, so the server-wide view sums them across
-// jobs (counters and gauges alike — the workers gauge then reads as
-// "live shard workers, all jobs").
+// exploration metrics folded in: the streaming-front metrics
+// (pareto.stream.*) and the durability incidents (durability.*) live on
+// each job's own registry, so the server-wide view sums them across
+// jobs, counters and gauges alike.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.reg.Snapshot()
 	for _, job := range s.Jobs() {
@@ -232,6 +231,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func aggregatedMetric(name string) bool {
-	return strings.HasPrefix(name, "pareto.stream.") || strings.HasPrefix(name, "dse.shard.") ||
-		strings.HasPrefix(name, "durability.")
+	return strings.HasPrefix(name, "pareto.stream.") || strings.HasPrefix(name, "durability.")
 }

@@ -167,11 +167,6 @@ func (s *Server) run(job *Job) {
 	job.setState(StateRunning)
 	s.reg.Counter("service.jobs.started").Inc()
 
-	if job.Spec.Shard != nil {
-		s.runSharded(job)
-		return
-	}
-
 	cfg, sel, err := dse.FromSpec(job.Spec)
 	if err != nil {
 		job.finish(StateFailed, err.Error(), nil)

@@ -81,14 +81,6 @@ type Options struct {
 	// Inject, when non-nil, arms chaos/test injection inside every job's
 	// exploration (dse.Config.Inject) and the annotator pool.
 	Inject *faultinject.Injector
-	// ShardWorkerCommand is the argv prefix used to exec the worker
-	// processes of a sharded job (Spec.Shard != nil). Empty means
-	// re-exec this binary with "-shard-worker" prepended, which
-	// cmd/ttadsed dispatches to ShardWorkerMain before flag parsing.
-	// Tests point it at the test binary and gate on ShardWorkerEnv.
-	ShardWorkerCommand []string
-	// ShardWorkerEnv is appended to os.Environ() for every shard worker.
-	ShardWorkerEnv []string
 }
 
 // Server is the exploration daemon. Construct with NewServer, expose
@@ -194,8 +186,7 @@ func (s *Server) annotator(spec *jobspec.Spec) *testcost.Annotator {
 
 // checkpointPath names a job's checkpoint file by its result identity
 // (jobspec.Spec.Hash), so a resubmitted spec finds the interrupted
-// run's finished prefix — and a sharded job's workers agree with its
-// unsharded twin on the same hash.
+// run's finished prefix at any parallelism.
 func (s *Server) checkpointPath(spec jobspec.Spec) string {
 	if s.opts.CheckpointDir == "" {
 		return ""

@@ -37,19 +37,21 @@ func TestJobLifecycleOverHTTP(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Bad submissions are rejected up front.
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"workload":"doom"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad workload: status %d, want 400", resp.StatusCode)
+	// Bad submissions are rejected up front: an invalid value, and a
+	// field Spec does not have (process-sharded jobs sent "shard").
+	for _, bad := range []string{`{"workload":"doom"}`, `{"shard":{"shards":2}}`} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", bad, resp.StatusCode)
+		}
 	}
 
 	body, _ := json.Marshal(smallSpec())
-	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,5 +331,33 @@ func TestAdmissionQueueAndOverflow(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("cancelled job result: status %d, want 409", resp.StatusCode)
+	}
+}
+
+// TestMetricsAggregateJobRegistries checks /v1/metrics folds the per-job
+// pareto.stream.* metrics into the server snapshot (they live on each
+// job's own registry).
+func TestMetricsAggregateJobRegistries(t *testing.T) {
+	srv := NewServer(Options{})
+	job, err := srv.Submit(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, job); st != StateDone {
+		t.Fatalf("job ended %s: %s", st, job.Status().Error)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	var snap obs.Snapshot
+	getJSON(t, ts.URL+"/v1/metrics", 200, &snap)
+	want := job.reg.Counter("pareto.stream.inserts").Value()
+	if want == 0 {
+		t.Fatal("the job's front tracker counted no inserts")
+	}
+	if got := snap.Counters["pareto.stream.inserts"]; got != want {
+		t.Fatalf("aggregated pareto.stream.inserts = %d, want the job's %d", got, want)
+	}
+	if _, ok := snap.Gauges["pareto.stream.front_size"]; !ok {
+		t.Fatal("pareto.stream.front_size gauge missing from the aggregated metrics")
 	}
 }

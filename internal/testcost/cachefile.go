@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"math"
 	"os"
 	"sort"
@@ -348,26 +347,4 @@ func (a *Annotator) LoadFile(path string) error {
 		return qerr
 	}
 	return err
-}
-
-// MergeFiles unions the per-shard cache files of a sharded exploration
-// into this annotator: each path is loaded in order with Load's
-// never-overwrite rule (existing annotations win, so the seed cache the
-// shards started from stays authoritative), and missing files are
-// skipped — a shard that annotated nothing new may not have written one.
-// It returns how many files were actually loaded; the first corrupt or
-// mismatched file aborts with that typed error.
-func (a *Annotator) MergeFiles(paths ...string) (int, error) {
-	loaded := 0
-	for _, path := range paths {
-		err := a.LoadFile(path)
-		if errors.Is(err, fs.ErrNotExist) {
-			continue
-		}
-		if err != nil {
-			return loaded, err
-		}
-		loaded++
-	}
-	return loaded, nil
 }

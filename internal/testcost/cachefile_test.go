@@ -180,15 +180,12 @@ func TestLibraryKeyInFile(t *testing.T) {
 	}
 }
 
-// TestMergeFiles pins the per-shard cache union: existing entries win,
-// missing files are skipped, and corruption aborts with a typed error.
-func TestMergeFiles(t *testing.T) {
+// TestCacheLoadIntoWarmAnnotator loads two cache files, each written by
+// an annotator that evaluated a different architecture, into one
+// annotator: the entries union with the first file's values kept, and a
+// corrupt third file is rejected without touching the loaded entries.
+func TestCacheLoadIntoWarmAnnotator(t *testing.T) {
 	a, _ := coldAnnotator(t)
-	dir := t.TempDir()
-	shard0 := filepath.Join(dir, "cache.shard0")
-	if err := a.SaveFile(shard0); err != nil {
-		t.Fatal(err)
-	}
 	b := NewAnnotator(8, 7)
 	arch := tta.Figure9()
 	arch.Width = 8
@@ -196,34 +193,37 @@ func TestMergeFiles(t *testing.T) {
 	if _, err := b.Evaluate(arch); err != nil {
 		t.Fatal(err)
 	}
-	shard1 := filepath.Join(dir, "cache.shard1")
-	if err := b.SaveFile(shard1); err != nil {
+	dir := t.TempDir()
+	first, second, bad := filepath.Join(dir, "a.cache"), filepath.Join(dir, "b.cache"), filepath.Join(dir, "bad.cache")
+	if err := a.SaveFile(first); err != nil {
 		t.Fatal(err)
 	}
-
-	merged := NewAnnotator(8, 7)
-	n, err := merged.MergeFiles(shard0, filepath.Join(dir, "absent.shard9"), shard1)
-	if err != nil {
+	if err := b.SaveFile(second); err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 {
-		t.Fatalf("MergeFiles loaded %d files, want 2 (one was absent)", n)
-	}
-	merged.mu.Lock()
-	got := len(merged.cache)
-	merged.mu.Unlock()
-	a.mu.Lock()
-	want := len(a.cache)
-	a.mu.Unlock()
-	if got < want {
-		t.Fatalf("merged cache holds %d entries, fewer than shard 0 alone (%d)", got, want)
-	}
-
-	bad := filepath.Join(dir, "bad.json")
 	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := merged.MergeFiles(bad); err == nil {
-		t.Fatal("corrupt shard cache accepted by MergeFiles")
+
+	warm := NewAnnotator(8, 7)
+	for _, p := range []string{first, second} {
+		if err := warm.LoadFile(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var corrupt *CacheCorruptError
+	if err := warm.LoadFile(bad); !errors.As(err, &corrupt) {
+		t.Fatalf("corrupt file: err = %v, want *CacheCorruptError", err)
+	}
+	warm.mu.Lock()
+	defer warm.mu.Unlock()
+	for _, src := range []*Annotator{a, b} {
+		src.mu.Lock()
+		for k, an := range src.cache {
+			if got, ok := warm.cache[k]; !ok || (src == a && got != an) {
+				t.Errorf("entry %q: loaded %+v (present %v), want %+v", k, got, ok, an)
+			}
+		}
+		src.mu.Unlock()
 	}
 }
