@@ -8,6 +8,7 @@
 package repro
 
 import (
+	"context"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -35,7 +36,7 @@ func BenchmarkExploreColdCheckpointed(b *testing.B) {
 		}
 		cfg.Checkpoint = ck
 		b.StartTimer()
-		if _, err := dse.Explore(cfg); err != nil {
+		if _, err := dse.ExploreContext(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -54,7 +55,7 @@ func BenchmarkCheckpointFlush(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg.Checkpoint = ck
-	if _, err := dse.Explore(cfg); err != nil {
+	if _, err := dse.ExploreContext(context.Background(), cfg); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

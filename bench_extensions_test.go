@@ -67,7 +67,7 @@ func BenchmarkComparisonScanBISTFunctional(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := atpg.Run(alu.Seq, atpg.Config{Seed: 7})
+		res := mustATPG(b, alu.Seq, atpg.Config{Seed: 7})
 		ev, err := bist.Evaluate(alu.Seq, res.Coverage(), 8192, 0xACE1)
 		if err != nil {
 			b.Fatal(err)
@@ -101,7 +101,7 @@ func BenchmarkTDFCoverage(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res := atpg.Run(alu.Comb, atpg.Config{Seed: 7})
+	res := mustATPG(b, alu.Comb, atpg.Config{Seed: 7})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tdf := atpg.EvaluateTDF(alu.Comb, res.Patterns)
@@ -246,7 +246,7 @@ func BenchmarkAblationSCOAPGuidance(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := atpg.Run(alu.Comb, atpg.Config{Seed: 7, MaxRandomPatterns: -1, SCOAPGuidance: guided})
+				res := mustATPG(b, alu.Comb, atpg.Config{Seed: 7, MaxRandomPatterns: -1, SCOAPGuidance: guided})
 				if i == 0 {
 					printFirst("Ablation: PODEM "+name, func() string {
 						return fmt.Sprintf("np=%d aborted=%d FC=%.2f%%", res.NumPatterns(), res.Aborted, 100*res.Coverage())

@@ -17,6 +17,7 @@ import (
 	"repro/internal/dse"
 	"repro/internal/gatelib"
 	"repro/internal/march"
+	"repro/internal/netlist"
 	"repro/internal/pareto"
 	"repro/internal/program"
 	"repro/internal/report"
@@ -36,6 +37,17 @@ var (
 	benchStudy *core.Study
 )
 
+// mustATPG runs gate-level ATPG under a background context, failing on
+// an error.
+func mustATPG(tb testing.TB, n *netlist.Netlist, cfg atpg.Config) *atpg.Result {
+	tb.Helper()
+	res, err := atpg.RunContext(context.Background(), n, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func annotator(b *testing.B) *testcost.Annotator {
 	b.Helper()
 	benchMu.Lock()
@@ -43,7 +55,7 @@ func annotator(b *testing.B) *testcost.Annotator {
 	if benchAnn == nil {
 		benchAnn = testcost.NewAnnotator(16, 7)
 		// Warm the cache outside the timed region.
-		if _, err := benchAnn.Evaluate(tta.Figure9()); err != nil {
+		if _, err := benchAnn.EvaluateContext(context.Background(), tta.Figure9()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -62,7 +74,7 @@ func exploredStudy(b *testing.B) *core.Study {
 		}
 		cfg.Annotator = ann
 		s := core.NewStudyWithConfig(cfg)
-		if err := s.Explore(); err != nil {
+		if err := s.ExploreContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 		benchStudy = s
@@ -91,7 +103,7 @@ func BenchmarkFigure2AreaTimePareto(b *testing.B) {
 	cfg.Annotator = ann
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := dse.Explore(cfg)
+		res, err := dse.ExploreContext(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -170,7 +182,7 @@ func BenchmarkTable1ScanVsFunctional(b *testing.B) {
 	arch := tta.Figure9()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cost, err := ann.Evaluate(arch)
+		cost, err := ann.EvaluateContext(context.Background(), arch)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -287,7 +299,7 @@ func BenchmarkATPGALU16(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := atpg.Run(alu.Seq, atpg.Config{Seed: 7})
+		res := mustATPG(b, alu.Seq, atpg.Config{Seed: 7})
 		if res.Coverage() < 0.99 {
 			b.Fatalf("coverage regressed: %s", res)
 		}
@@ -316,7 +328,7 @@ func BenchmarkAblationAdderChoice(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res := atpg.Run(alu.Seq, atpg.Config{Seed: 7})
+				res := mustATPG(b, alu.Seq, atpg.Config{Seed: 7})
 				if i == 0 {
 					printFirst("Ablation: adder "+ak.String(), func() string {
 						return fmt.Sprintf("area=%.0f delay=%.1f np=%d FC=%.2f%%",
@@ -347,7 +359,7 @@ func BenchmarkAblationATPGStrategy(b *testing.B) {
 		c := c
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := atpg.Run(alu.Seq, c.cfg)
+				res := mustATPG(b, alu.Seq, c.cfg)
 				if i == 0 {
 					printFirst("Ablation: ATPG "+c.name, func() string {
 						return fmt.Sprintf("np=%d FC=%.2f%%", res.NumPatterns(), 100*res.Coverage())
@@ -388,7 +400,7 @@ func BenchmarkAblationPortAssignment(b *testing.B) {
 			a := tta.Figure9().Clone()
 			a.Buses = 3
 			tta.AssignPorts(a, strat)
-			cost, err := ann.Evaluate(a)
+			cost, err := ann.EvaluateContext(context.Background(), a)
 			if err != nil {
 				b.Fatal(err)
 			}

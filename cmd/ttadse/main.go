@@ -77,7 +77,6 @@ func main() {
 	progress := flag.Bool("progress", false, "stream candidate-completion events to stderr")
 	timeout := flag.Duration("timeout", 0, "cancel the exploration after this duration (0 = none); completed evaluations are still reported, exit code 2")
 	atpgWorkers := flag.Int("atpg-workers", 0, "workers inside each gate-level ATPG run (0 = split the core budget with the DSE parallelism; results are identical at any setting)")
-	laneWidth := flag.Int("lane-width", 0, "fault-simulation pattern lanes per block inside each gate-level ATPG run: 64, 256 or 512 (0 = auto by netlist size; results are identical at any setting)")
 	atpgDeadline := flag.Duration("atpg-deadline", 0, "wall-clock budget per gate-level ATPG run; on exhaustion the annotation degrades to an analytical upper bound (0 = none)")
 	degradedPolicy := flag.String("degraded-policy", "allow", "how budget-degraded candidates compete in the selection: allow, penalize or exclude")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file: completed evaluations are persisted there and restored on the next run")
@@ -102,7 +101,6 @@ func main() {
 		WC:             *wc,
 		DegradedPolicy: *degradedPolicy,
 		ATPGWorkers:    *atpgWorkers,
-		LaneWidth:      *laneWidth,
 	}
 	if *search || *searchPop != 0 || *searchGens != 0 || *searchEta != 0 || *searchSeed != 0 {
 		spec.Search = &jobspec.SearchSpec{

@@ -52,14 +52,7 @@ func main() {
 	cache := flag.String("cache", "", "warm annotation cache file (loaded at startup, saved on drain)")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for per-spec checkpoint files (enables drain/resume)")
 	drainWait := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
-	laneWidth := flag.Int("lane-width", 0, "default fault-simulation lanes per block for jobs that leave lane_width unset: 64, 256 or 512 (0 = auto by netlist size; results are identical at any setting)")
 	flag.Parse()
-
-	switch *laneWidth {
-	case 0, 64, 256, 512:
-	default:
-		log.Fatalf("-lane-width %d is invalid (use 0 for auto, or 64, 256, 512)", *laneWidth)
-	}
 
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
@@ -67,11 +60,10 @@ func main() {
 		}
 	}
 	srv := service.NewServer(service.Options{
-		MaxConcurrent:    *maxJobs,
-		QueueDepth:       *queue,
-		CachePath:        *cache,
-		CheckpointDir:    *ckptDir,
-		DefaultLaneWidth: *laneWidth,
+		MaxConcurrent: *maxJobs,
+		QueueDepth:    *queue,
+		CachePath:     *cache,
+		CheckpointDir: *ckptDir,
 	})
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 

@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"bytes"
+	"go/format"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -31,31 +33,13 @@ var (
 // every name it begins.
 func TestDocNamesResolve(t *testing.T) {
 	var defined []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
+	walkGoFiles(t, func(path string, src []byte) {
+		if strings.HasSuffix(path, "_test.go") {
+			for _, m := range definedName.FindAllSubmatch(src, -1) {
+				defined = append(defined, string(m[1]))
 			}
-			return nil
 		}
-		if !strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		for _, m := range definedName.FindAllSubmatch(src, -1) {
-			defined = append(defined, string(m[1]))
-		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	exact := make(map[string]bool, len(defined))
 	for _, name := range defined {
 		exact[name] = true
@@ -100,4 +84,51 @@ func TestDocNamesResolve(t *testing.T) {
 		t.Fatal("no test names found in the docs")
 	}
 	t.Logf("%d citations checked against %d defined names", cited, len(defined))
+}
+
+// TestGofmt fails for every .go file of the repository whose bytes
+// differ from what gofmt would write.
+func TestGofmt(t *testing.T) {
+	files := 0
+	walkGoFiles(t, func(path string, src []byte) {
+		files++
+		got, err := format.Source(src)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+		} else if !bytes.Equal(got, src) {
+			t.Errorf("%s is not gofmt-formatted (run gofmt -w %s)", path, path)
+		}
+	})
+	if files == 0 {
+		t.Fatal("no .go files found")
+	}
+}
+
+// walkGoFiles calls fn with the path and contents of every .go file
+// under the repository root, skipping dot-directories and testdata.
+func walkGoFiles(t *testing.T, fn func(path string, src []byte)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		fn(path, src)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

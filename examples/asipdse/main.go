@@ -65,7 +65,7 @@ func main() {
 		cfg.RFSets = cfg.RFSets[3:4]
 		cfg.Assigns = []tta.AssignStrategy{tta.SpreadFirst}
 		cfg.Annotator = ann
-		res, err := dse.Explore(cfg)
+		res, err := dse.ExploreContext(context.Background(), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -37,15 +37,6 @@ type Config struct {
 	// SCOAPGuidance steers PODEM's input choices by controllability cost
 	// (the testability-measure ablation of DESIGN.md).
 	SCOAPGuidance bool
-	// LaneWidth selects the pattern-block width of the fault simulator:
-	// 64, 256 or 512 parallel pattern lanes per block ([1], [4] or
-	// [8]uint64 per net). 0 picks automatically by netlist size. The
-	// detected-fault sets, patterns and every report field are
-	// byte-identical at every width — wider lanes only amortize the
-	// per-call and per-gate fixed costs of fault simulation over more
-	// patterns (see DESIGN.md); only throughput and the block-granular
-	// atpg.faultsim.{blocks,lanes} tallies change.
-	LaneWidth int
 	// Workers bounds the parallelism of every phase: fault simulation in
 	// the random and compaction phases, and speculative PODEM generation
 	// in the deterministic phase (0 = GOMAXPROCS, 1 = serial). Results
@@ -199,18 +190,6 @@ func (m *runMetrics) flush(r *obs.Registry, res *Result) {
 	}
 }
 
-// Run executes the full ATPG flow on the netlist (full-scan view):
-// a seeded random-pattern phase with fault dropping, deterministic PODEM
-// top-up for the remaining faults, and reverse-order static compaction.
-//
-// Deprecated: Run is a thin shim over RunContext with a background
-// context; a long PODEM run then cannot be cancelled. Use RunContext
-// (with a background context the error is always nil).
-func Run(n *netlist.Netlist, cfg Config) *Result {
-	res, _ := RunContext(context.Background(), n, cfg)
-	return res
-}
-
 // budget is the run's wall-clock deadline (zero = unbounded). time.Now
 // is monotonic, so once expired reports true it stays true — the
 // property the sharded PODEM merge relies on (a worker that stopped on
@@ -226,17 +205,31 @@ func newBudget(d time.Duration) budget {
 
 func (b budget) expired() bool { return !b.at.IsZero() && time.Now().After(b.at) }
 
-// RunContext is Run with cancellation: the random-pattern and PODEM
-// phases poll ctx (per block / per fault) and return (nil, ctx.Err())
-// when it is done. With a background context and no Deadline the error
-// is always nil; an exhausted Deadline is not an error — see
-// Config.Deadline.
+// RunContext executes the full ATPG flow on the netlist (full-scan view):
+// a seeded random-pattern phase with fault dropping, deterministic PODEM
+// top-up for the remaining faults, and reverse-order static compaction.
+// The random-pattern and PODEM phases poll ctx (per block / per fault)
+// and return (nil, ctx.Err()) when it is done. With a background context
+// and no Deadline the error is always nil; an exhausted Deadline is not
+// an error — see Config.Deadline.
+//
+// The fault simulator's lane width (64, 256 or 512 parallel patterns per
+// block) is chosen per netlist by resolveLaneWidth. The detected-fault
+// sets, patterns and every report field are byte-identical at every
+// width; only throughput and the block-granular atpg.faultsim.{blocks,
+// lanes} tallies change.
 func RunContext(ctx context.Context, n *netlist.Netlist, cfg Config) (*Result, error) {
+	return runAtWidth(ctx, n, cfg, 0)
+}
+
+// runAtWidth is RunContext at a forced lane width: 64, 256 or 512, or 0
+// for resolveLaneWidth's choice. Tests and benchmarks force a width to
+// check and time the width invariance; everything else passes 0.
+func runAtWidth(ctx context.Context, n *netlist.Netlist, cfg Config, lanes int) (*Result, error) {
 	cfg = cfg.withDefaults()
 	u := NewUniverse(n)
-	lanes, err := resolveLaneWidth(cfg.LaneWidth, n, u)
-	if err != nil {
-		return nil, err
+	if lanes == 0 {
+		lanes = resolveLaneWidth(n, u)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	topo := newSimTopo(n)
@@ -278,52 +271,37 @@ func RunContext(ctx context.Context, n *netlist.Netlist, cfg Config) (*Result, e
 	return res, nil
 }
 
-// LaneWidthError reports a Config.LaneWidth outside the supported set.
-// It is a typed error so spec boundaries (CLI flags, jobspec) can reject
-// the value up front instead of falling through to the scalar path.
-type LaneWidthError struct{ Width int }
-
-func (e *LaneWidthError) Error() string {
-	return fmt.Sprintf("atpg: invalid lane width %d (want 0 for auto, or 64, 256, 512)", e.Width)
-}
-
-// resolveLaneWidth validates Config.LaneWidth and resolves the automatic
-// default. Wide blocks only pay when fault simulation dominates the run:
-// the fixed per-Detects and per-gate costs amortize over more lanes. On
-// PODEM-bound classes (deep, sparse netlists like cmp16: many levels,
-// few faults per level) the run spends its time in the single-pattern
-// engine and wide blocks just add per-block overhead — BENCH_faultsim.json
-// recorded cmp16 at 0.93x/0.82x under the old size-only rule. So auto is
-// class-aware: it needs BOTH a large netlist and a high fault density per
-// topological level (the measurable proxy for the fault-to-pattern ratio;
-// dense shallow fabrics like register files converge in few patterns per
-// fault-heavy level and are exactly the wide-sim winners). Every width
-// produces identical output, so the heuristic only steers throughput.
-func resolveLaneWidth(w int, n *netlist.Netlist, u *Universe) (int, error) {
-	switch w {
-	case 64, 256, 512:
-		return w, nil
-	case 0:
-		levels := 0
-		for _, l := range n.Flat().GateLevel {
-			if int(l)+1 > levels {
-				levels = int(l) + 1
-			}
+// resolveLaneWidth picks the fault simulator's lane width for a netlist.
+// Wide blocks only pay when fault simulation dominates the run: the fixed
+// per-Detects and per-gate costs amortize over more lanes. On PODEM-bound
+// classes (deep, sparse netlists like cmp16: many levels, few faults per
+// level) the run spends its time in the single-pattern engine and wide
+// blocks just add per-block overhead — in the lanes × class grid of
+// EXPERIMENTS.md ("Lane-width sweep") cmp16 runs slower at 256 and 512
+// lanes than at 64. So the choice is class-aware: it needs BOTH a
+// large netlist and a high fault density per topological level (the
+// measurable proxy for the fault-to-pattern ratio; dense shallow fabrics
+// like register files converge in few patterns per fault-heavy level and
+// are exactly the wide-sim winners). Every width produces identical
+// output, so the rule only steers throughput.
+func resolveLaneWidth(n *netlist.Netlist, u *Universe) int {
+	levels := 0
+	for _, l := range n.Flat().GateLevel {
+		if int(l)+1 > levels {
+			levels = int(l) + 1
 		}
-		if levels < 1 {
-			return 64, nil
-		}
-		density := float64(len(u.Faults)) / float64(levels)
-		switch {
-		case len(n.Gates) >= 2048 && density >= 400:
-			return 512, nil
-		case len(n.Gates) >= 256 && density >= 400:
-			return 256, nil
-		default:
-			return 64, nil
-		}
+	}
+	if levels < 1 {
+		return 64
+	}
+	density := float64(len(u.Faults)) / float64(levels)
+	switch {
+	case len(n.Gates) >= 2048 && density >= 400:
+		return 512
+	case len(n.Gates) >= 256 && density >= 400:
+		return 256
 	default:
-		return 0, &LaneWidthError{Width: w}
+		return 64
 	}
 }
 

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -23,6 +24,16 @@ func buildSmall(t *testing.T) *netlist.Netlist {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// mustRun is RunContext under a background context, failing on an error.
+func mustRun(tb testing.TB, n *netlist.Netlist, cfg Config) *Result {
+	tb.Helper()
+	res, err := RunContext(context.Background(), n, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
 }
 
 func TestUniverseCountsAndCollapse(t *testing.T) {
@@ -170,7 +181,7 @@ func TestRunOnFullAdderFullCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Run(n, Config{Seed: 1})
+	res := mustRun(t, n, Config{Seed: 1})
 	if res.Aborted != 0 {
 		t.Fatalf("aborted faults on a full adder: %+v", res)
 	}
@@ -184,8 +195,8 @@ func TestRunOnFullAdderFullCoverage(t *testing.T) {
 
 func TestRunDeterministicForSeed(t *testing.T) {
 	n := buildSmall(t)
-	r1 := Run(n, Config{Seed: 42})
-	r2 := Run(n, Config{Seed: 42})
+	r1 := mustRun(t, n, Config{Seed: 42})
+	r2 := mustRun(t, n, Config{Seed: 42})
 	if r1.NumPatterns() != r2.NumPatterns() || r1.Detected != r2.Detected {
 		t.Fatalf("non-deterministic ATPG: %s vs %s", r1, r2)
 	}
@@ -203,8 +214,8 @@ func TestRunDeterministicForSeed(t *testing.T) {
 
 func TestCompactionNeverLosesCoverage(t *testing.T) {
 	n := buildSmall(t)
-	raw := Run(n, Config{Seed: 3, SkipCompaction: true})
-	compact := Run(n, Config{Seed: 3})
+	raw := mustRun(t, n, Config{Seed: 3, SkipCompaction: true})
+	compact := mustRun(t, n, Config{Seed: 3})
 	if compact.Detected != raw.Detected {
 		t.Fatalf("compaction changed coverage: %d vs %d", compact.Detected, raw.Detected)
 	}
@@ -248,7 +259,7 @@ func TestRunOnALU8HighCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Run(alu.Comb, Config{Seed: 7})
+	res := mustRun(t, alu.Comb, Config{Seed: 7})
 	if res.Coverage() < 0.99 {
 		t.Fatalf("ALU8 coverage %.4f < 0.99: %s", res.Coverage(), res)
 	}
@@ -268,8 +279,8 @@ func TestPodemOnlyAblationStillCovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deterministic := Run(alu.Comb, Config{Seed: 7, MaxRandomPatterns: -1})
-	mixed := Run(alu.Comb, Config{Seed: 7})
+	deterministic := mustRun(t, alu.Comb, Config{Seed: 7, MaxRandomPatterns: -1})
+	mixed := mustRun(t, alu.Comb, Config{Seed: 7})
 	if deterministic.Coverage() < mixed.Coverage()-0.01 {
 		t.Fatalf("PODEM-only coverage %.4f below mixed %.4f", deterministic.Coverage(), mixed.Coverage())
 	}
@@ -558,8 +569,8 @@ func TestParallelFaultSimMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := Run(alu.Comb, Config{Seed: 7, Workers: 1})
-	parallel := Run(alu.Comb, Config{Seed: 7, Workers: 8})
+	serial := mustRun(t, alu.Comb, Config{Seed: 7, Workers: 1})
+	parallel := mustRun(t, alu.Comb, Config{Seed: 7, Workers: 8})
 	if serial.NumPatterns() != parallel.NumPatterns() ||
 		serial.Detected != parallel.Detected ||
 		serial.Redundant != parallel.Redundant {

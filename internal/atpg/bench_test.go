@@ -28,7 +28,7 @@ func BenchmarkPODEMPhase(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Run(alu.Seq, Config{Seed: 7, MaxRandomPatterns: -1, Workers: workers})
+				mustRun(b, alu.Seq, Config{Seed: 7, MaxRandomPatterns: -1, Workers: workers})
 			}
 		})
 	}
@@ -43,7 +43,7 @@ func BenchmarkFaultDropBatched(b *testing.B) {
 	u := NewUniverse(n)
 	sim := NewSimulator(n)
 	// A realistic pattern set: the deterministic patterns of a real run.
-	res := Run(n, Config{Seed: 7, SkipCompaction: true})
+	res := mustRun(b, n, Config{Seed: 7, SkipCompaction: true})
 	patterns := res.Patterns
 	if len(patterns) < 64 {
 		b.Fatalf("want >= 64 patterns, got %d", len(patterns))
@@ -116,11 +116,12 @@ func BenchmarkDetectsWarm(b *testing.B) {
 }
 
 // BenchmarkFaultSimCold is the lanes × component-class grid behind
-// BENCH_faultsim.json: one cold annotation (full RunContext — random
-// phase, PODEM top-up, compaction) per iteration, at every supported lane
-// width, for each component class of the default DSE space. The detected
-// sets and patterns are byte-identical across the lanes= variants (see
-// TestRunIdenticalAcrossLaneWidthsAndWorkers); only wall time may differ.
+// EXPERIMENTS.md's "Lane-width sweep": one cold annotation (a full run —
+// random phase, PODEM top-up, compaction) per iteration, at every
+// supported lane width, for each component class of the default DSE
+// space. The detected sets and patterns are byte-identical across the
+// lanes= variants (see TestRunIdenticalAcrossLaneWidthsAndWorkers); only
+// wall time may differ.
 func BenchmarkFaultSimCold(b *testing.B) {
 	lib := gatelib.NewLibrary()
 	classes := []struct {
@@ -152,7 +153,7 @@ func BenchmarkFaultSimCold(b *testing.B) {
 		for _, lanes := range laneWidths {
 			b.Run(fmt.Sprintf("%s/lanes=%d", cl.name, lanes), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					res, err := RunContext(context.Background(), comp.Seq, Config{Seed: 7, LaneWidth: lanes})
+					res, err := runAtWidth(context.Background(), comp.Seq, Config{Seed: 7}, lanes)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -75,9 +75,9 @@ func TestShardedPodemRaceStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := Run(alu.Seq, Config{Seed: 7, Workers: 1})
+	serial := mustRun(t, alu.Seq, Config{Seed: 7, Workers: 1})
 	for _, w := range []int{2, 8} {
-		sharded := Run(alu.Seq, Config{Seed: 7, Workers: w})
+		sharded := mustRun(t, alu.Seq, Config{Seed: 7, Workers: w})
 		if !reflect.DeepEqual(serial, sharded) {
 			t.Fatalf("Workers=%d result differs from serial:\n  %v\nvs\n  %v", w, sharded, serial)
 		}

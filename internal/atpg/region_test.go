@@ -136,10 +136,10 @@ func TestRegionSoundness(t *testing.T) {
 // cone restriction: every fault alu16_ripple aborts at seed 7 sits on
 // logic whose static fanout reaches no observable (the ripple adder's
 // carry-out, which the ALU discards), so its search runs to the backtrack
-// limit without any hope of success. Run does not report which faults it
-// aborted, so the test replays the random phase and generates for every
-// fault it leaves; the aborts found must match Run's count. If a generator
-// change makes the carry-out observable, this fails.
+// limit without any hope of success. RunContext does not report which
+// faults it aborted, so the test replays the random phase and generates
+// for every fault it leaves; the aborts found must match its count. If a
+// generator change makes the carry-out observable, this fails.
 func TestRippleAbortsHaveNoObservableCone(t *testing.T) {
 	alu, err := gatelib.NewALU(gatelib.ALUConfig{Width: 16, Adder: gatelib.AdderRipple})
 	if err != nil {

@@ -145,8 +145,8 @@ func TestScoapGuidedPodemSameCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := Run(alu.Comb, Config{Seed: 7, MaxRandomPatterns: -1})
-	guided := Run(alu.Comb, Config{Seed: 7, MaxRandomPatterns: -1, SCOAPGuidance: true})
+	plain := mustRun(t, alu.Comb, Config{Seed: 7, MaxRandomPatterns: -1})
+	guided := mustRun(t, alu.Comb, Config{Seed: 7, MaxRandomPatterns: -1, SCOAPGuidance: true})
 	if guided.Coverage() < plain.Coverage()-0.005 {
 		t.Fatalf("SCOAP guidance lost coverage: %.4f vs %.4f", guided.Coverage(), plain.Coverage())
 	}

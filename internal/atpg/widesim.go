@@ -17,9 +17,6 @@ type laneBlock interface {
 	[1]uint64 | [4]uint64 | [8]uint64
 }
 
-// laneWidths enumerates the valid Config.LaneWidth values (beyond 0=auto).
-var laneWidths = []int{64, 256, 512}
-
 // simTopo is the read-only structural view shared by every fault-simulation
 // engine and PODEM engine over one netlist: controllable/observable points,
 // the flat SoA netlist view, and the derived slot-indexed tables. It is
@@ -119,10 +116,9 @@ func newFaultSimFromTopo(t *simTopo, lanes int) faultSim {
 	case 512:
 		return newWideSim[[8]uint64](t)
 	default:
-		// Widths are validated by resolveLaneWidth before any simulator is
-		// built; silently falling back to 64 lanes here would hide a missed
-		// validation path.
-		panic(fmt.Sprintf("atpg: unvalidated lane width %d", lanes))
+		// Widths come from resolveLaneWidth or from a test forcing one;
+		// silently falling back to 64 lanes here would hide a caller bug.
+		panic(fmt.Sprintf("atpg: unsupported lane width %d", lanes))
 	}
 }
 

@@ -2,7 +2,6 @@ package atpg
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -13,6 +12,9 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/obs"
 )
+
+// laneWidths enumerates the lane widths a fault simulator can be built at.
+var laneWidths = []int{64, 256, 512}
 
 // wideTestCircuits builds the property-test corpus: random reconvergent
 // DAGs plus the real ALU, the same shapes the cone A/B test uses.
@@ -105,22 +107,26 @@ func TestWideDetectsMatches64LaneReference(t *testing.T) {
 	}
 }
 
-// TestRunIdenticalAcrossLaneWidthsAndWorkers asserts the PR's hard
-// constraint end to end: the full ATPG result — patterns included — is a
-// function of (netlist, seed) only, not of lane width or worker count.
+// TestRunIdenticalAcrossLaneWidthsAndWorkers asserts the width
+// invariance end to end: the full ATPG result — patterns included — is a
+// function of (netlist, seed) only, not of lane width (the automatic
+// choice, or 64, 256 and 512 forced) or worker count.
 func TestRunIdenticalAcrossLaneWidthsAndWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for ci, n := range wideTestCircuits(t, rng) {
 		var base *Result
 		for _, lanes := range []int{0, 64, 256, 512} {
 			for _, workers := range []int{1, 8} {
-				res := Run(n, Config{Seed: 7, LaneWidth: lanes, Workers: workers})
+				res, err := runAtWidth(context.Background(), n, Config{Seed: 7, Workers: workers}, lanes)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if base == nil {
 					base = res
 					continue
 				}
 				if !reflect.DeepEqual(base, res) {
-					t.Fatalf("circuit %d: LaneWidth=%d Workers=%d diverged:\n  %v\nvs\n  %v",
+					t.Fatalf("circuit %d: lanes=%d Workers=%d diverged:\n  %v\nvs\n  %v",
 						ci, lanes, workers, res, base)
 				}
 			}
@@ -202,71 +208,48 @@ func TestSharedTopoRaceStress(t *testing.T) {
 	wg.Wait()
 }
 
-func TestResolveLaneWidth(t *testing.T) {
-	alu, err := gatelib.NewALU(gatelib.ALUConfig{Width: 8, Adder: gatelib.AdderRipple})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestAutoLaneWidthClassAware pins resolveLaneWidth's density rule at
+// every tier: a trivial netlist and the PODEM-bound classes get 64 lanes
+// (cmp16 is deep and sparse, and 64 lanes is its fastest width in the
+// lanes × class grid of EXPERIMENTS.md), register files are shallow and
+// fault-dense (the wide-sim winners) and get 256, and the register files
+// the guided search reaches past 2,048 gates get 512.
+func TestAutoLaneWidthClassAware(t *testing.T) {
 	small := buildSmall(t)
-	for _, lanes := range laneWidths {
-		got, err := resolveLaneWidth(lanes, small, NewUniverse(small))
-		if err != nil || got != lanes {
-			t.Fatalf("resolveLaneWidth(%d) = %d, %v", lanes, got, err)
-		}
-	}
-	if _, err := resolveLaneWidth(128, small, NewUniverse(small)); err == nil {
-		t.Fatal("LaneWidth 128 accepted; want error")
-	} else {
-		var lw *LaneWidthError
-		if !errors.As(err, &lw) || lw.Width != 128 {
-			t.Fatalf("LaneWidth 128 error = %v, want *LaneWidthError{128}", err)
-		}
-	}
-	if got, _ := resolveLaneWidth(0, small, NewUniverse(small)); got != 64 {
+	if got := resolveLaneWidth(small, NewUniverse(small)); got != 64 {
 		t.Fatalf("auto width %d for a trivial netlist, want 64", got)
 	}
-	if got, _ := resolveLaneWidth(0, alu.Seq, NewUniverse(alu.Seq)); got == 0 {
-		t.Fatal("auto width unresolved for the ALU")
-	}
-	if _, err := RunContext(context.Background(), small, Config{Seed: 1, LaneWidth: 96}); err == nil {
-		t.Fatal("RunContext accepted LaneWidth 96")
-	}
-}
-
-// TestAutoLaneWidthClassAware pins the satellite fix: auto selection
-// must not pick a width slower than 64 lanes on PODEM-bound classes.
-// cmp16 is deep and sparse (64 lanes is fastest in BENCH_faultsim.json),
-// register files are shallow and fault-dense (the wide-sim winners).
-func TestAutoLaneWidthClassAware(t *testing.T) {
 	lib := gatelib.NewLibrary()
+	rf := func(regs, in, out int) func() (*gatelib.Component, error) {
+		return func() (*gatelib.Component, error) {
+			return lib.RF(gatelib.RFConfig{Width: 16, NumRegs: regs, NumIn: in, NumOut: out})
+		}
+	}
 	cases := []struct {
 		name  string
 		build func() (*gatelib.Component, error)
 		want  int
 	}{
+		{"alu8_ripple", func() (*gatelib.Component, error) {
+			return gatelib.NewALU(gatelib.ALUConfig{Width: 8, Adder: gatelib.AdderRipple})
+		}, 64},
 		{"cmp16", func() (*gatelib.Component, error) { return lib.CMP(16) }, 64},
 		{"alu16_cs", func() (*gatelib.Component, error) {
 			return lib.ALU(gatelib.ALUConfig{Width: 16, Adder: gatelib.AdderCarrySelect})
 		}, 64},
 		{"ldst16", func() (*gatelib.Component, error) { return lib.LDST(16) }, 64},
-		{"rf16x8_1w2r", func() (*gatelib.Component, error) {
-			return lib.RF(gatelib.RFConfig{Width: 16, NumRegs: 8, NumIn: 1, NumOut: 2})
-		}, 256},
-		{"rf16x16_2w2r", func() (*gatelib.Component, error) {
-			return lib.RF(gatelib.RFConfig{Width: 16, NumRegs: 16, NumIn: 2, NumOut: 2})
-		}, 256},
+		{"rf16x8_1w2r", rf(8, 1, 2), 256},
+		{"rf16x16_2w2r", rf(16, 2, 2), 256},
+		{"RF24x16_2w2r", rf(24, 2, 2), 512},
+		{"RF32x16_2w3r", rf(32, 2, 3), 512},
 	}
 	for _, tc := range cases {
 		comp, err := tc.build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := resolveLaneWidth(0, comp.Seq, NewUniverse(comp.Seq))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got != tc.want {
-			t.Fatalf("%s: auto lane width %d, want %d", tc.name, got, tc.want)
+		if got := resolveLaneWidth(comp.Seq, NewUniverse(comp.Seq)); got != tc.want {
+			t.Fatalf("%s (%d gates): auto lane width %d, want %d", tc.name, len(comp.Seq.Gates), got, tc.want)
 		}
 	}
 }
@@ -281,7 +264,9 @@ func TestLaneMetricsUseActiveWidth(t *testing.T) {
 	}
 	for _, lanes := range laneWidths {
 		reg := obs.NewRegistry()
-		Run(alu.Seq, Config{Seed: 7, LaneWidth: lanes, Obs: reg})
+		if _, err := runAtWidth(context.Background(), alu.Seq, Config{Seed: 7, Obs: reg}, lanes); err != nil {
+			t.Fatal(err)
+		}
 		if got := reg.Gauge("atpg.faultsim.lane_width").Value(); got != float64(lanes) {
 			t.Fatalf("lane_width gauge %v, want %d", got, lanes)
 		}

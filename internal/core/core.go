@@ -7,7 +7,7 @@
 // The typical flow mirrors the paper's section 4:
 //
 //	study, _ := core.NewStudy()
-//	_ = study.Explore()                  // figures 2 and 8
+//	_ = study.ExploreContext(ctx)        // figures 2 and 8
 //	fmt.Println(study.Figure2Plot())
 //	fmt.Println(study.Figure8Table())
 //	arch := study.SelectedArchitecture() // figure 9
@@ -47,15 +47,6 @@ func NewStudyWithConfig(cfg dse.Config) *Study {
 	return &Study{Config: cfg}
 }
 
-// Explore runs the design space exploration (idempotent).
-//
-// Deprecated: Explore is a thin shim over ExploreContext with a
-// background context; the exploration then cannot be cancelled or
-// deadlined. Use ExploreContext.
-func (s *Study) Explore() error {
-	return s.ExploreContext(context.Background())
-}
-
 // ExploreContext runs the design space exploration under ctx (idempotent).
 // Cancelling the context stops the exploration promptly; the error then
 // is a *dse.PartialError (unwrapping to ctx.Err()), and whatever partial
@@ -77,7 +68,7 @@ func (s *Study) ExploreContext(ctx context.Context) error {
 	res, err := dse.ExploreContext(ctx, s.Config)
 	if res != nil && (err == nil || res.Selected >= 0) {
 		// Keep a usable partial result (it has a selection to render);
-		// drop a hollow one so ensure() still reports "call Explore".
+		// drop a hollow one so ensure() still reports "call ExploreContext".
 		s.Result = res
 	}
 	return err
@@ -94,7 +85,7 @@ func (s *Study) Reselect(spec dse.SelectionSpec) error {
 
 func (s *Study) ensure() error {
 	if s.Result == nil {
-		return fmt.Errorf("core: call Explore first")
+		return fmt.Errorf("core: call ExploreContext first")
 	}
 	return nil
 }
@@ -215,7 +206,7 @@ func (s *Study) Table1() (*report.Table, error) {
 
 // Table1For renders a Table-1 comparison for any architecture.
 func Table1For(ann *testcost.Annotator, arch *tta.Architecture) (*report.Table, error) {
-	cost, err := ann.Evaluate(arch)
+	cost, err := ann.EvaluateContext(context.Background(), arch)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ func study(t *testing.T) *Study {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Explore(); err != nil {
+		if err := s.ExploreContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		sharedStudy = s

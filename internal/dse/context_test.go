@@ -116,8 +116,8 @@ func TestExploreContextCancelMidRun(t *testing.T) {
 func TestExploreRejectsNegativeParallelism(t *testing.T) {
 	cfg := smallConfig(t)
 	cfg.Parallelism = -1
-	if _, err := Explore(cfg); err == nil {
-		t.Fatal("Explore accepted negative Parallelism")
+	if _, err := ExploreContext(context.Background(), cfg); err == nil {
+		t.Fatal("ExploreContext accepted negative Parallelism")
 	}
 }
 

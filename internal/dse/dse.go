@@ -79,7 +79,7 @@ type Config struct {
 	// the warm-up jobs (one schedule per distinct structure, one
 	// gate-level annotation per component key of a feasible structure),
 	// then the candidates. 0 selects GOMAXPROCS; negative values are a
-	// configuration error (reported by Explore/ExploreContext). Results
+	// configuration error (reported by ExploreContext). Results
 	// are identical at any setting: candidates are independent and the
 	// schedule memo and the annotator cache are synchronized.
 	Parallelism int
@@ -91,12 +91,6 @@ type Config struct {
 	// machine; negative values are a configuration error. Results are
 	// identical at any setting (see atpg.Config.Workers).
 	ATPGWorkers int
-
-	// LaneWidth selects the fault-simulation pattern-block width inside
-	// each gate-level ATPG run: 0 = auto by netlist size, or 64, 256,
-	// 512 lanes. Results are identical at any setting; wider blocks only
-	// change annotation wall time (see atpg.Config.LaneWidth).
-	LaneWidth int
 
 	// EventSink, when non-nil, receives the exploration's typed progress
 	// events (candidate/restored completions, isolated panics, degraded
@@ -191,11 +185,6 @@ func (c *Config) fillDefaults() error {
 	if c.ATPGWorkers < 0 {
 		return fmt.Errorf("dse: ATPGWorkers %d is negative (use 0 to split the core budget automatically)", c.ATPGWorkers)
 	}
-	switch c.LaneWidth {
-	case 0, 64, 256, 512:
-	default:
-		return fmt.Errorf("dse: LaneWidth %d is invalid (use 0 for auto, or 64, 256, 512)", c.LaneWidth)
-	}
 	if c.Width == 0 {
 		c.Width = 16
 	}
@@ -242,9 +231,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Annotator.ATPGWorkers == 0 {
 		c.Annotator.ATPGWorkers = c.atpgWorkerBudget()
-	}
-	if c.Annotator.LaneWidth == 0 && c.LaneWidth != 0 {
-		c.Annotator.LaneWidth = c.LaneWidth
 	}
 	if c.Annotator.Inject == nil && c.Inject != nil {
 		c.Annotator.Inject = c.Inject
@@ -321,15 +307,6 @@ type Result struct {
 	// Verified reports that the selected candidate's schedule executed
 	// correctly on the cycle-accurate simulator (Config.VerifySelected).
 	Verified bool
-}
-
-// Explore runs the full exploration.
-//
-// Deprecated: Explore is a thin shim over ExploreContext with a
-// background context; it cannot be cancelled, deadlined or drained.
-// Use ExploreContext.
-func Explore(cfg Config) (*Result, error) {
-	return ExploreContext(context.Background(), cfg)
 }
 
 // ExploreContext runs the full exploration under ctx. Cancelling the

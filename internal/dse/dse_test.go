@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ func explore(t *testing.T) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Explore(cfg)
+	res, err := ExploreContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,13 +238,13 @@ func TestExploreDeterministic(t *testing.T) {
 	cfg.ALUCounts = []int{1}
 	cfg.CMPCounts = []int{1}
 	cfg.RFSets = cfg.RFSets[:2]
-	r1, err := Explore(cfg)
+	r1, err := ExploreContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := cfg
 	cfg2.Annotator = testcost.NewAnnotator(16, cfg.Seed)
-	r2, err := Explore(cfg2)
+	r2, err := ExploreContext(context.Background(), cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,13 +328,13 @@ func TestParallelExplorationMatchesSerial(t *testing.T) {
 
 	serial := cfg
 	serial.Parallelism = 1
-	rs, err := Explore(serial)
+	rs, err := ExploreContext(context.Background(), serial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := cfg
 	par.Parallelism = 8
-	rp, err := Explore(par)
+	rp, err := ExploreContext(context.Background(), par)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,6 @@ func TestFromSpecOverridesAndNormalizes(t *testing.T) {
 		DegradedPolicy: "exclude",
 		Parallelism:    3,
 		ATPGWorkers:    1,
-		LaneWidth:      512,
 	}
 	cfg, sel, err := FromSpec(spec)
 	if err != nil {
@@ -71,9 +70,6 @@ func TestFromSpecOverridesAndNormalizes(t *testing.T) {
 	}
 	if cfg.Parallelism != 3 || cfg.ATPGWorkers != 1 {
 		t.Errorf("parallelism %d/%d", cfg.Parallelism, cfg.ATPGWorkers)
-	}
-	if cfg.LaneWidth != 512 {
-		t.Errorf("lane width %d, want 512", cfg.LaneWidth)
 	}
 	want := SelectionSpec{Norm: "chebyshev", WA: 2, DegradedPolicy: "exclude"}
 	if sel != want {

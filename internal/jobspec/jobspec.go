@@ -20,16 +20,6 @@ import (
 	"time"
 )
 
-// LaneWidthError reports a lane_width outside {0, 64, 256, 512}. It is a
-// typed error so spec boundaries (flag parsing, POST bodies) can detect
-// the specific failure instead of matching message text; the invalid
-// value never reaches the fault-simulation layer.
-type LaneWidthError struct{ Width int }
-
-func (e *LaneWidthError) Error() string {
-	return fmt.Sprintf("jobspec: lane_width %d is invalid (use 0 for auto, or 64, 256, 512)", e.Width)
-}
-
 // Workload names accepted by Spec.Workload ("" means crypt, the paper's
 // application). The builders live in internal/crypt and
 // internal/workloads; dse.FromSpec resolves names to graphs.
@@ -133,10 +123,9 @@ type Spec struct {
 	Parallelism int `json:"parallelism,omitempty"`
 	ATPGWorkers int `json:"atpg_workers,omitempty"`
 
-	// LaneWidth selects the fault-simulation pattern-block width inside
-	// each gate-level ATPG run: 0 = auto by netlist size, or 64, 256,
-	// 512 lanes. Results are identical at any setting; wider blocks only
-	// change annotation wall time.
+	// LaneWidth is ignored: the fault simulator picks its lane width per
+	// netlist. The field remains so that bodies carrying lane_width still
+	// decode; Validate accepts any value and Hash clears it.
 	LaneWidth int `json:"lane_width,omitempty"`
 
 	// VerifySelected re-derives and simulates the selected candidate's
@@ -199,11 +188,6 @@ func (s *Spec) Validate() error {
 	if s.ATPGWorkers < 0 {
 		return fmt.Errorf("jobspec: atpg_workers %d is negative (use 0 for the automatic core-budget split)", s.ATPGWorkers)
 	}
-	switch s.LaneWidth {
-	case 0, 64, 256, 512:
-	default:
-		return &LaneWidthError{Width: s.LaneWidth}
-	}
 	for _, l := range []struct {
 		name string
 		vals []int
@@ -241,10 +225,10 @@ func (s *Spec) Normalize() {
 
 // Hash returns a short stable identity for the job's RESULT: two specs
 // hash equal exactly when they describe the same deterministic report.
-// Throughput knobs (parallelism, ATPG workers, lane width) and I/O paths
-// (cache, checkpoint) are excluded — results are byte-identical across
-// all of them — as is Timeout, which changes only where a run may be cut
-// off, never the converged bytes. ATPGDeadline stays in: a budgeted run
+// Throughput knobs (parallelism, ATPG workers), the ignored lane width
+// and I/O paths (cache, checkpoint) are excluded — results are
+// byte-identical across all of them — as is Timeout, which changes only
+// where a run may be cut off, never the converged bytes. ATPGDeadline stays in: a budgeted run
 // records degraded annotations with different values. The hash names
 // the daemon's checkpoint files, so a resubmitted spec finds its
 // interrupted run's file at any parallelism.

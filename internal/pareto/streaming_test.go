@@ -182,10 +182,10 @@ func TestCoordPolicyInf(t *testing.T) {
 		t.Fatalf("±Inf must pass validation: %v", err)
 	}
 	points := []Point{
-		{ID: 0, Coords: []float64{1, inf}},  // front: best x
-		{ID: 1, Coords: []float64{2, 5}},    // front
-		{ID: 2, Coords: []float64{2, inf}},  // dominated by 1 (and 0)
-		{ID: 3, Coords: []float64{inf, 1}},  // front: best y
+		{ID: 0, Coords: []float64{1, inf}},   // front: best x
+		{ID: 1, Coords: []float64{2, 5}},     // front
+		{ID: 2, Coords: []float64{2, inf}},   // dominated by 1 (and 0)
+		{ID: 3, Coords: []float64{inf, 1}},   // front: best y
 		{ID: 4, Coords: []float64{inf, inf}}, // dominated by everything finite-ish
 	}
 	want := batchFrontIDs(points)

@@ -69,11 +69,6 @@ type Options struct {
 	// the hash of its normalized spec. A resubmitted spec restores the
 	// finished prefix — the drain/restart/resume path.
 	CheckpointDir string
-	// DefaultLaneWidth is the fault-simulation lane width (64, 256 or
-	// 512) applied to jobs that leave lane_width unset; 0 keeps the
-	// per-netlist auto selection. Annotation results are identical at
-	// any setting, so this only tunes wall time.
-	DefaultLaneWidth int
 	// Obs receives server-wide metrics and events; per-job registries
 	// are separate. Defaults to a fresh registry. The annotator pool
 	// reports its cache counters (testcost.cache.*) here.
@@ -161,12 +156,6 @@ func (s *Server) annotator(spec *jobspec.Spec) *testcost.Annotator {
 	a.ATPGDeadline = spec.ATPGDeadline.Std()
 	if a.ATPGWorkers = spec.ATPGWorkers; a.ATPGWorkers <= 0 {
 		a.ATPGWorkers = 1 // several jobs may run ATPG concurrently
-	}
-	// Annotation results are identical at every lane width, so the width
-	// is not part of the sharing key: the first job to create this
-	// annotator fixes it for everyone sharing the key.
-	if a.LaneWidth = spec.LaneWidth; a.LaneWidth == 0 {
-		a.LaneWidth = s.opts.DefaultLaneWidth
 	}
 	if s.opts.CachePath != "" {
 		if err := a.LoadFile(s.opts.CachePath); err != nil && !errors.Is(err, fs.ErrNotExist) {

@@ -277,8 +277,7 @@ func (a *Annotator) Load(r io.Reader) error {
 	}
 	if rec.Legacy {
 		a.Obs.Counter("durability.legacy_loads").Inc()
-		a.Obs.Emit(obs.Event{Kind: "warning", Msg:
-			"annotation cache is in the legacy (pre-CRC) format; the next save rewrites it framed"})
+		a.Obs.Emit(obs.Event{Kind: "warning", Msg: "annotation cache is in the legacy (pre-CRC) format; the next save rewrites it framed"})
 	}
 	a.Obs.Counter("testcost.cache.loaded").Add(int64(loaded))
 	return nil

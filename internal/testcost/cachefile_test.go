@@ -2,6 +2,7 @@ package testcost
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io/fs"
@@ -22,7 +23,7 @@ func coldAnnotator(t *testing.T) (*Annotator, []byte) {
 	a := NewAnnotator(8, 7)
 	arch := tta.Figure9()
 	arch.Width = 8
-	if _, err := a.Evaluate(arch); err != nil {
+	if _, err := a.EvaluateContext(context.Background(), arch); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -36,7 +37,7 @@ func TestWarmStartSkipsAllATPG(t *testing.T) {
 	cold, blob := coldAnnotator(t)
 	arch := tta.Figure9()
 	arch.Width = 8
-	want, err := cold.Evaluate(arch)
+	want, err := cold.EvaluateContext(context.Background(), arch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestWarmStartSkipsAllATPG(t *testing.T) {
 	if got := reg.Counter("testcost.cache.loaded").Value(); got <= 0 {
 		t.Fatalf("loaded counter = %d, want > 0", got)
 	}
-	got, err := warm.Evaluate(arch)
+	got, err := warm.EvaluateContext(context.Background(), arch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestCacheLoadIntoWarmAnnotator(t *testing.T) {
 	arch := tta.Figure9()
 	arch.Width = 8
 	arch.Buses++ // different CD -> at least some distinct socket demand
-	if _, err := b.Evaluate(arch); err != nil {
+	if _, err := b.EvaluateContext(context.Background(), arch); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()

@@ -122,12 +122,6 @@ type Annotator struct {
 	// automatically). Results are identical at any setting.
 	ATPGWorkers int
 
-	// LaneWidth selects the fault-simulation pattern-block width of the
-	// gate-level ATPG runs (atpg.Config.LaneWidth): 0 = auto by netlist
-	// size, or 64, 256, 512. Results are identical at any setting; wider
-	// blocks only change annotation wall time.
-	LaneWidth int
-
 	// ATPGDeadline bounds the wall-clock time of each gate-level ATPG
 	// run behind a cache miss (0 = unbounded). A run that exhausts the
 	// budget degrades gracefully instead of failing: the component's
@@ -276,12 +270,11 @@ func (a *Annotator) runAnnotation(ctx context.Context, c *tta.Component) (annota
 		return annotation{}, err
 	}
 	res, err := atpg.RunContext(ctx, comp.Seq, atpg.Config{
-		Seed:      a.Seed,
-		Workers:   a.ATPGWorkers,
-		LaneWidth: a.LaneWidth,
-		Deadline:  a.ATPGDeadline,
-		Obs:       a.Obs,
-		Inject:    a.Inject,
+		Seed:     a.Seed,
+		Workers:  a.ATPGWorkers,
+		Deadline: a.ATPGDeadline,
+		Obs:      a.Obs,
+		Inject:   a.Inject,
 	})
 	if err != nil {
 		return annotation{}, err
@@ -337,8 +330,8 @@ func (a *Annotator) sockets() error {
 		// first-caller cancellation sticky for every later evaluation, so
 		// the socket ATPG must not be tied to one caller's ctx. With a
 		// background context and no deadline the error is always nil.
-		resIn, _ := atpg.RunContext(context.Background(), in.Seq, atpg.Config{Seed: a.Seed, Workers: a.ATPGWorkers, LaneWidth: a.LaneWidth, Obs: a.Obs})
-		resOut, _ := atpg.RunContext(context.Background(), out.Seq, atpg.Config{Seed: a.Seed, Workers: a.ATPGWorkers, LaneWidth: a.LaneWidth, Obs: a.Obs})
+		resIn, _ := atpg.RunContext(context.Background(), in.Seq, atpg.Config{Seed: a.Seed, Workers: a.ATPGWorkers, Obs: a.Obs})
+		resOut, _ := atpg.RunContext(context.Background(), out.Seq, atpg.Config{Seed: a.Seed, Workers: a.ATPGWorkers, Obs: a.Obs})
 		a.sockIn = annotation{np: resIn.NumPatterns(), nl: in.SeqFFs(), coverage: resIn.Coverage()}
 		a.sockOut = annotation{np: resOut.NumPatterns(), nl: out.SeqFFs(), coverage: resOut.Coverage()}
 		a.sockNP = resIn.NumPatterns()
@@ -454,18 +447,10 @@ func (a *Annotator) componentAnnotation(ctx context.Context, c *tta.Component) (
 	return a.marchOverride(c, an), nil
 }
 
-// Evaluate computes the full Table-1-style cost breakdown and the eq. (14)
-// total for an architecture. Ports must be assigned to buses.
-//
-// Deprecated: Evaluate is a thin shim over EvaluateContext with a
-// background context; the gate-level ATPG behind a cache miss then
-// cannot be cancelled. Use EvaluateContext.
-func (a *Annotator) Evaluate(arch *tta.Architecture) (*ArchCost, error) {
-	return a.EvaluateContext(context.Background(), arch)
-}
-
-// EvaluateContext is Evaluate with cancellation: the gate-level ATPG runs
-// behind annotation-cache misses poll ctx and abort when it is done.
+// EvaluateContext computes the full Table-1-style cost breakdown and the
+// eq. (14) total for an architecture. Ports must be assigned to buses.
+// The gate-level ATPG runs behind annotation-cache misses poll ctx and
+// abort when it is done.
 func (a *Annotator) EvaluateContext(ctx context.Context, arch *tta.Architecture) (*ArchCost, error) {
 	return a.evaluateWith(ctx, arch, a.componentAnnotation)
 }

@@ -16,7 +16,7 @@ var sharedAnn = NewAnnotator(16, 7)
 
 func evalFigure9(t *testing.T) *ArchCost {
 	t.Helper()
-	cost, err := sharedAnn.Evaluate(tta.Figure9())
+	cost, err := sharedAnn.EvaluateContext(context.Background(), tta.Figure9())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestFewerBusesRaiseCost(t *testing.T) {
 		a := tta.Figure9().Clone()
 		a.Buses = buses
 		tta.AssignPorts(a, tta.SpreadFirst)
-		cost, err := sharedAnn.Evaluate(a)
+		cost, err := sharedAnn.EvaluateContext(context.Background(), a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,8 +133,8 @@ func TestFewerBusesRaiseCost(t *testing.T) {
 	a4 := tta.Figure9().Clone()
 	a4.Buses = 4
 	tta.AssignPorts(a4, tta.SpreadFirst)
-	c1, _ := sharedAnn.Evaluate(a1)
-	c4, _ := sharedAnn.Evaluate(a4)
+	c1, _ := sharedAnn.EvaluateContext(context.Background(), a1)
+	c4, _ := sharedAnn.EvaluateContext(context.Background(), a4)
 	if c1.Total <= c4.Total {
 		t.Errorf("1-bus total %d not above 4-bus total %d", c1.Total, c4.Total)
 	}
@@ -162,7 +162,7 @@ func TestFigure6PortAssignmentChangesCost(t *testing.T) {
 	a.Components[2].Ports[0].Bus = 1
 	a.Components[2].Ports[1].Bus = 2
 	a.Components[3].Ports[0].Bus = 0
-	cost, err := sharedAnn.Evaluate(a)
+	cost, err := sharedAnn.EvaluateContext(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +189,11 @@ func TestRFCostEquation12(t *testing.T) {
 
 func TestAnnotationCaching(t *testing.T) {
 	a := tta.Figure9()
-	c1, err := sharedAnn.Evaluate(a)
+	c1, err := sharedAnn.EvaluateContext(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := sharedAnn.Evaluate(a)
+	c2, err := sharedAnn.EvaluateContext(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestEvaluateRejectsUnassigned(t *testing.T) {
 		Name: "raw", Width: 16, Buses: 2,
 		Components: []tta.Component{tta.NewFU(tta.ALU, "ALU")},
 	}
-	if _, err := sharedAnn.Evaluate(a); err == nil {
+	if _, err := sharedAnn.EvaluateContext(context.Background(), a); err == nil {
 		t.Fatal("unassigned architecture accepted")
 	}
 }
