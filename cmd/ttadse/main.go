@@ -76,7 +76,6 @@ func main() {
 	metrics := flag.String("metrics", "", "write the metrics snapshot as JSON to this file ('-' = stdout)")
 	progress := flag.Bool("progress", false, "stream candidate-completion events to stderr")
 	timeout := flag.Duration("timeout", 0, "cancel the exploration after this duration (0 = none); completed evaluations are still reported, exit code 2")
-	atpgWorkers := flag.Int("atpg-workers", 0, "workers inside each gate-level ATPG run (0 = split the core budget with the DSE parallelism; results are identical at any setting)")
 	atpgDeadline := flag.Duration("atpg-deadline", 0, "wall-clock budget per gate-level ATPG run; on exhaustion the annotation degrades to an analytical upper bound (0 = none)")
 	degradedPolicy := flag.String("degraded-policy", "allow", "how budget-degraded candidates compete in the selection: allow, penalize or exclude")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file: completed evaluations are persisted there and restored on the next run")
@@ -90,9 +89,6 @@ func main() {
 	// The flags are a thin veneer over a jobspec.Spec — the same
 	// serializable description a ttadsed job submission carries — so CLI
 	// and daemon explorations are built by the one dse.FromSpec path.
-	if *atpgWorkers < 0 {
-		log.Fatalf("-atpg-workers %d is negative (use 0 for the automatic core-budget split)", *atpgWorkers)
-	}
 	spec := jobspec.Spec{
 		Workload:       *workload,
 		Norm:           *normFlag,
@@ -100,7 +96,6 @@ func main() {
 		WT:             *wt,
 		WC:             *wc,
 		DegradedPolicy: *degradedPolicy,
-		ATPGWorkers:    *atpgWorkers,
 	}
 	if *search || *searchPop != 0 || *searchGens != 0 || *searchEta != 0 || *searchSeed != 0 {
 		spec.Search = &jobspec.SearchSpec{

@@ -85,10 +85,12 @@ func TestCheckpointResumeCLIByteIdentical(t *testing.T) {
 }
 
 // TestFlagValidation pins CLI-boundary rejections of flags that no
-// longer exist: the lane width and the process-sharding flags.
+// longer exist: the lane width, the process-sharding flags and the
+// ATPG worker count.
 func TestFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
 		{"-lane-width", "128"},
+		{"-atpg-workers", "2"},
 		{"-shards", "2"},
 		{"-shard-index", "1"},
 		{"-merge", "a.ckpt,b.ckpt"},

@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
@@ -37,13 +34,10 @@ type Config struct {
 	// SCOAPGuidance steers PODEM's input choices by controllability cost
 	// (the testability-measure ablation of DESIGN.md).
 	SCOAPGuidance bool
-	// Workers bounds the parallelism of every phase: fault simulation in
-	// the random and compaction phases, and speculative PODEM generation
-	// in the deterministic phase (0 = GOMAXPROCS, 1 = serial). Results
-	// are identical at any setting: fault-simulation work is partitioned
-	// disjointly, and speculative PODEM candidates are merged by a
-	// single-threaded pass in canonical fault order, so the output is a
-	// function of (netlist, seed, config) only.
+	// Workers is ignored: a run executes on the calling goroutine, and
+	// callers that want parallelism run several netlists at once (the
+	// DSE evaluation workers do). The field remains so that code setting
+	// it still compiles.
 	Workers int
 	// Deadline bounds the run's wall-clock time (0 = none). Unlike a
 	// context deadline — which aborts the run with an error and no
@@ -60,9 +54,9 @@ type Config struct {
 	// test per fault.
 	Inject *faultinject.Injector
 	// Obs, when non-nil, receives ATPG metrics: PODEM decisions and
-	// backtracks, fault-simulation blocks and lane utilization, shard and
-	// merge statistics, pattern and fault counts (counters "atpg.*",
-	// gauge "atpg.faultsim.lane_util"). A nil registry costs nothing.
+	// backtracks, fault-simulation blocks and lane utilization, pattern
+	// and fault counts (counters "atpg.*", gauge
+	// "atpg.faultsim.lane_util"). A nil registry costs nothing.
 	Obs *obs.Registry
 }
 
@@ -77,14 +71,6 @@ func (c Config) withDefaults() Config {
 		c.BacktrackLimit = 4000
 	}
 	return c
-}
-
-// workerCount resolves the configured worker budget.
-func (c Config) workerCount() int {
-	if c.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.Workers
 }
 
 // Result reports the outcome of an ATPG run. NumPatterns is the paper's
@@ -142,19 +128,14 @@ func (r *Result) String() string {
 
 // runMetrics accumulates observability tallies as plain fields so the hot
 // loops never touch the registry (Registry.Counter takes a mutex and a map
-// lookup per call). All fields are bumped from the phase-driver goroutine
-// only and flushed to the registry once per run.
+// lookup per call) and flushed to the registry once per run.
 type runMetrics struct {
 	laneWidth int64 // active lane width (64/256/512)
 	blocks    int64 // fault-simulation blocks evaluated (laneWidth lanes each)
 	lanes     int64 // lanes across those blocks that carried real patterns
 
-	shards    int64 // PODEM shard workers launched
-	merged    int64 // PODEM candidates consumed by the merge pass
-	discarded int64 // speculative candidates dropped (target already covered)
-
-	decisions  int64 // PODEM decisions across all engines
-	backtracks int64 // PODEM backtracks across all engines
+	decisions  int64 // PODEM decisions
+	backtracks int64 // PODEM backtracks
 }
 
 // flush publishes the tallies. Lane utilization is lanes divided by the
@@ -174,9 +155,6 @@ func (m *runMetrics) flush(r *obs.Registry, res *Result) {
 	r.Counter("atpg.patterns.final").Add(int64(len(res.Patterns)))
 	r.Counter("atpg.podem.decisions").Add(m.decisions)
 	r.Counter("atpg.podem.backtracks").Add(m.backtracks)
-	r.Counter("atpg.podem.shards").Add(m.shards)
-	r.Counter("atpg.podem.merged").Add(m.merged)
-	r.Counter("atpg.podem.discarded").Add(m.discarded)
 	r.Counter("atpg.faultsim.blocks").Add(m.blocks)
 	r.Counter("atpg.faultsim.lanes").Add(m.lanes)
 	if res.DeadlineExceeded {
@@ -191,9 +169,7 @@ func (m *runMetrics) flush(r *obs.Registry, res *Result) {
 }
 
 // budget is the run's wall-clock deadline (zero = unbounded). time.Now
-// is monotonic, so once expired reports true it stays true — the
-// property the sharded PODEM merge relies on (a worker that stopped on
-// the deadline implies the later merge loop stops on its first check).
+// is monotonic, so once expired reports true it stays true.
 type budget struct{ at time.Time }
 
 func newBudget(d time.Duration) budget {
@@ -211,7 +187,8 @@ func (b budget) expired() bool { return !b.at.IsZero() && time.Now().After(b.at)
 // The random-pattern and PODEM phases poll ctx (per block / per fault)
 // and return (nil, ctx.Err()) when it is done. With a background context
 // and no Deadline the error is always nil; an exhausted Deadline is not
-// an error — see Config.Deadline.
+// an error — see Config.Deadline. The run executes on the calling
+// goroutine.
 //
 // The fault simulator's lane width (64, 256 or 512 parallel patterns per
 // block) is chosen per netlist by resolveLaneWidth. The detected-fault
@@ -232,8 +209,7 @@ func runAtWidth(ctx context.Context, n *netlist.Netlist, cfg Config, lanes int) 
 		lanes = resolveLaneWidth(n, u)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	topo := newSimTopo(n)
-	ws := newFaultSimFromTopo(topo, lanes)
+	bs := newBlockSim(newSimTopo(n), lanes)
 	res := &Result{Netlist: n, TotalFaults: len(u.Faults)}
 	m := &runMetrics{laneWidth: int64(lanes)}
 	defer m.flush(cfg.Obs, res)
@@ -243,8 +219,7 @@ func runAtWidth(ctx context.Context, n *netlist.Netlist, cfg Config, lanes int) 
 	var patterns []Pattern
 
 	if cfg.MaxRandomPatterns > 0 {
-		pool := newSimPool(topo, lanes, cfg.Workers)
-		patterns = randomPhase(ctx, pool, u, cfg, detected, res, m, bud)
+		patterns = randomPhase(ctx, bs, u, cfg, detected, res, m, bud)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -252,7 +227,7 @@ func runAtWidth(ctx context.Context, n *netlist.Netlist, cfg Config, lanes int) 
 
 	if !cfg.SkipPODEM && !bud.expired() {
 		var err error
-		patterns, err = podemTopUp(ctx, ws, u, cfg, rng, detected, res, patterns, m, bud)
+		patterns, err = podemTopUp(ctx, bs.sim, u, cfg, rng, detected, res, patterns, m, bud)
 		if err != nil {
 			return nil, err
 		}
@@ -267,7 +242,7 @@ func runAtWidth(ctx context.Context, n *netlist.Netlist, cfg Config, lanes int) 
 		res.Patterns = patterns
 		return res, nil
 	}
-	res.Patterns = compactReverse(newSimPool(topo, lanes, cfg.Workers), u, patterns, detected, m)
+	res.Patterns = compactReverse(bs, u, patterns, detected, m)
 	return res, nil
 }
 
@@ -324,54 +299,20 @@ func markRemainingAborted(detected []bool, res *Result) {
 	}
 }
 
-// podemCandidate is a speculatively generated PODEM outcome for one fault.
-type podemCandidate struct {
-	asg     []v3
-	outcome podemOutcome
-	ok      bool
-}
-
-// podemTopUp runs the deterministic phase. Generation is sharded: the
-// faults still undetected after the random phase are partitioned
-// round-robin across Workers goroutines, each with a private podem engine
-// and Simulator, which speculatively generate a candidate per fault. A
-// single-threaded merge pass then walks the fault universe in canonical
-// index order: a candidate whose target was covered by an earlier-merged
-// pattern is discarded, everything else is accepted exactly as the serial
-// algorithm would have — so the output is byte-identical for Workers=1
-// and Workers=N (generate is a pure function of the fault: the engine
-// resets its assignment, cone and implication state on every call, and
-// the don't-care fill consumes the rng only at accept time, in fault
-// order).
-//
-// Accepted patterns are fault-dropped in lane-width batches by a
-// batchDropper instead of one LoadBlock per pattern.
+// podemTopUp runs the deterministic phase: one PODEM engine walks the
+// fault universe in index order and generates a test for every fault
+// still undetected. The don't-care fill consumes the rng at accept time,
+// in fault order, so the patterns are a pure function of (netlist, seed,
+// config). Accepted patterns are fault-dropped in lane-width batches by
+// a batchDropper instead of one LoadBlock per pattern.
 func podemTopUp(ctx context.Context, ws faultSim, u *Universe, cfg Config, rng *rand.Rand, detected []bool, res *Result, patterns []Pattern, m *runMetrics, bud budget) ([]Pattern, error) {
-	workers := cfg.workerCount()
-	m.shards += int64(workers)
-
-	var scoap *Scoap
+	eng := newPodem(ws.topo(), cfg.BacktrackLimit)
 	if cfg.SCOAPGuidance {
-		scoap = ComputeScoap(u.N)
-	}
-
-	// Candidate source: speculative shards when parallel, on-demand
-	// generation (the serial algorithm, verbatim) otherwise. Every engine
-	// binds the same read-only structural view.
-	var cands []podemCandidate
-	var engines []*podem
-	if workers > 1 {
-		cands, engines = shardedCandidates(ctx, u, cfg, detected, workers, scoap, bud, ws.topo())
-	} else {
-		eng := newPodem(ws.topo(), cfg.BacktrackLimit)
-		eng.scoap = scoap
-		engines = []*podem{eng}
+		eng.scoap = ComputeScoap(u.N)
 	}
 	defer func() {
-		for _, eng := range engines {
-			m.decisions += eng.totalDecisions
-			m.backtracks += eng.totalBacktracks
-		}
+		m.decisions += eng.totalDecisions
+		m.backtracks += eng.totalBacktracks
 	}()
 
 	drop := newBatchDropper(ws, u, detected, res, m)
@@ -379,8 +320,7 @@ func podemTopUp(ctx context.Context, ws faultSim, u *Universe, cfg Config, rng *
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Chaos hook: one hit per fault in canonical order (so the hit
-		// sequence is identical at any worker count). A firing error or
+		// Chaos hook: one hit per fault in index order. A firing error or
 		// panic surfaces exactly like a context failure would.
 		if err := cfg.Inject.Hit(faultinject.ATPGPattern); err != nil {
 			return nil, err
@@ -393,40 +333,16 @@ func podemTopUp(ctx context.Context, ws faultSim, u *Universe, cfg Config, rng *
 			return patterns, nil
 		}
 		if detected[fi] {
-			// Already covered by the random phase or a flushed block; a
-			// speculative candidate for it was wasted work.
-			if cands != nil && cands[fi].ok {
-				m.discarded++
-			}
+			// Already covered by the random phase or a flushed block.
 			continue
 		}
 		if drop.covers(fi) {
 			// Covered by a pending (not yet flushed) pattern.
 			detected[fi] = true
 			res.Detected++
-			if cands != nil && cands[fi].ok {
-				m.discarded++
-			}
 			continue
 		}
-		var asg []v3
-		var outcome podemOutcome
-		if cands != nil {
-			// The ctx and deadline polls above ran after the worker wrote
-			// this entry: workers only skip faults once ctx is cancelled
-			// or the budget expired, and both are monotone, so a missing
-			// candidate is unreachable here. Guard anyway — treating a
-			// hole as budget exhaustion keeps the run usable even if the
-			// monotonicity argument is ever broken.
-			if !cands[fi].ok {
-				drop.flush(fi)
-				return patterns, nil
-			}
-			asg, outcome = cands[fi].asg, cands[fi].outcome
-		} else {
-			asg, outcome = engines[0].generate(u.Faults[fi])
-		}
-		m.merged++
+		asg, outcome := eng.generate(u.Faults[fi])
 		switch outcome {
 		case podemRedundant:
 			res.Redundant++
@@ -444,42 +360,6 @@ func podemTopUp(ctx context.Context, ws faultSim, u *Universe, cfg Config, rng *
 	}
 	drop.flush(len(u.Faults))
 	return patterns, nil
-}
-
-// shardedCandidates launches the speculative generation workers and waits
-// for them. Each worker owns a private podem engine over the shared
-// read-only structural view; the SCOAP table is shared too. Faults are
-// dealt round-robin for load balance; the partition does not affect the
-// output because the merge pass re-serializes in fault order.
-func shardedCandidates(ctx context.Context, u *Universe, cfg Config, detected []bool, workers int, scoap *Scoap, bud budget, topo *simTopo) ([]podemCandidate, []*podem) {
-	var work []int32
-	for fi := range u.Faults {
-		if !detected[fi] {
-			work = append(work, int32(fi))
-		}
-	}
-	cands := make([]podemCandidate, len(u.Faults))
-	engines := make([]*podem, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		eng := newPodem(topo, cfg.BacktrackLimit)
-		eng.scoap = scoap
-		engines[w] = eng
-		wg.Add(1)
-		go func(w int, eng *podem) {
-			defer wg.Done()
-			for i := w; i < len(work); i += workers {
-				if ctx.Err() != nil || bud.expired() {
-					return
-				}
-				fi := work[i]
-				asg, outcome := eng.generate(u.Faults[fi])
-				cands[fi] = podemCandidate{asg: asg, outcome: outcome, ok: true}
-			}
-		}(w, eng)
-	}
-	wg.Wait()
-	return cands, engines
 }
 
 // batchDropper accumulates accepted PODEM patterns into up-to-lane-width
@@ -593,78 +473,21 @@ func (d *batchDropper) flush(pos int) {
 	d.loaded = false
 }
 
-// simPool owns one fault-simulation engine per worker for parallel
-// serial-fault simulation over disjoint fault ranges. All engines share
-// one read-only simTopo, so a pool costs per-worker value arrays only.
-type simPool struct {
-	sims []faultSim
-	// narrow is a 64-lane tier used by firstLanes to screen each block's
-	// first sub-block cheaply before paying full width; nil at width 64.
-	narrow *simPool
+// blockSim is the fault simulator the ATPG phases share: one engine at
+// the run's lane width plus, above 64 lanes, a 64-lane tier that
+// firstLanes uses to screen a block sub-block by sub-block. Both engines
+// bind the run's read-only simTopo.
+type blockSim struct {
+	sim    faultSim
+	narrow *wideSim[[1]uint64] // nil at width 64
 }
 
-func newSimPool(t *simTopo, lanes, workers int) *simPool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	p := &simPool{sims: make([]faultSim, workers)}
-	for i := range p.sims {
-		p.sims[i] = newFaultSimFromTopo(t, lanes)
-	}
+func newBlockSim(t *simTopo, lanes int) *blockSim {
+	b := &blockSim{sim: newFaultSimFromTopo(t, lanes)}
 	if lanes > 64 {
-		p.narrow = newSimPool(t, 64, workers)
+		b.narrow = newWideSim[[1]uint64](t)
 	}
-	return p
-}
-
-// lanes returns the pattern-block width of the pool's engines.
-func (p *simPool) lanes() int { return p.sims[0].lanes() }
-
-// forBlock loads the pattern block into every worker's engine and calls
-// fn(workerSim, faultIndex) for each fault index in [0, nFaults) from
-// exactly one worker. fn must only touch per-fault state.
-func (p *simPool) forBlock(block []Pattern, nFaults int, fn func(ws faultSim, fi int)) {
-	p.forLoaded(func(ws faultSim) { ws.loadBlock(block) }, nFaults, fn)
-}
-
-// forBlockWords is forBlock for a block already in transposed word form
-// (see wideSim.loadWords).
-func (p *simPool) forBlockWords(words [][]uint64, nFaults int, fn func(ws faultSim, fi int)) {
-	p.forLoaded(func(ws faultSim) { ws.loadWords(words) }, nFaults, fn)
-}
-
-func (p *simPool) forLoaded(load func(ws faultSim), nFaults int, fn func(ws faultSim, fi int)) {
-	if len(p.sims) == 1 {
-		load(p.sims[0])
-		for fi := 0; fi < nFaults; fi++ {
-			fn(p.sims[0], fi)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (nFaults + len(p.sims) - 1) / len(p.sims)
-	for w := range p.sims {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > nFaults {
-			hi = nFaults
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(ws faultSim, lo, hi int) {
-			defer wg.Done()
-			load(ws)
-			for fi := lo; fi < hi; fi++ {
-				fn(ws, fi)
-			}
-		}(p.sims[w], lo, hi)
-	}
-	wg.Wait()
+	return b
 }
 
 // firstLanes fills laneOf[fi] with the first block lane detecting fault fi
@@ -673,127 +496,82 @@ func (p *simPool) forLoaded(load func(ws faultSim), nFaults int, fn func(ws faul
 // tier, dropping each fault at its first detecting sub-block — in a
 // detection-dense block that retires most faults at a fraction of the word
 // cost. With screen clear, the full-width engine simulates every live fault
-// in one pass, amortizing per-call and scheduling overhead across the whole
-// block — the cheaper plan when most faults stay alive to the end anyway.
-// The wide mask's sub-block words are identical to the narrow masks (the
+// in one pass, amortizing per-call overhead across the whole block — the
+// cheaper plan when most faults stay alive to the end anyway. The wide
+// mask's sub-block words are identical to the narrow masks (the
 // width-invariance property), so both tiers report the same first lane.
 // Screening is purely an execution strategy: laneOf is identical either
 // way, so callers may toggle it by any heuristic without affecting results.
-func (p *simPool) firstLanes(faults []Fault, block []Pattern, screen bool, skip func(int) bool, laneOf []int16) {
+func (b *blockSim) firstLanes(faults []Fault, block []Pattern, screen bool, skip func(int) bool, laneOf []int16) {
 	nSub := (len(block) + 63) / 64
-	p.firstLanesBy(faults, nSub, screen, skip, laneOf,
-		func(ws faultSim, s int) {
+	b.firstLanesBy(faults, nSub, screen, skip, laneOf,
+		func(s int) {
 			sub := block[s*64:]
 			if len(sub) > 64 {
 				sub = sub[:64]
 			}
-			ws.loadBlock(sub)
+			b.narrow.loadBlock(sub)
 		},
-		func(n int, fn func(ws faultSim, fi int)) { p.forBlock(block, n, fn) })
+		func() { b.sim.loadBlock(block) })
 }
 
 // firstLanesWords is firstLanes for a block already in transposed word form:
 // words[s] holds sub-block s's per-controllable lane words.
-func (p *simPool) firstLanesWords(faults []Fault, words [][]uint64, screen bool, skip func(int) bool, laneOf []int16) {
-	p.firstLanesBy(faults, len(words), screen, skip, laneOf,
-		func(ws faultSim, s int) { ws.loadWords(words[s : s+1]) },
-		func(n int, fn func(ws faultSim, fi int)) { p.forBlockWords(words, n, fn) })
+func (b *blockSim) firstLanesWords(faults []Fault, words [][]uint64, screen bool, skip func(int) bool, laneOf []int16) {
+	b.firstLanesBy(faults, len(words), screen, skip, laneOf,
+		func(s int) { b.narrow.loadWords(words[s : s+1]) },
+		func() { b.sim.loadWords(words) })
 }
 
-func (p *simPool) firstLanesBy(faults []Fault, nSub int, screen bool, skip func(int) bool, laneOf []int16,
-	loadSub func(ws faultSim, s int),
-	runFull func(n int, fn func(ws faultSim, fi int))) {
+// firstLanesBy is the shared body of firstLanes and firstLanesWords:
+// loadSub(s) loads sub-block s into the 64-lane tier, loadFull loads the
+// whole block into the full-width engine.
+func (b *blockSim) firstLanesBy(faults []Fault, nSub int, screen bool, skip func(int) bool, laneOf []int16,
+	loadSub func(s int), loadFull func()) {
 	for i := range laneOf {
 		laneOf[i] = -1
 	}
-	if screen && p.narrow != nil && nSub > 1 {
-		p.narrow.screenSubs(faults, nSub, skip, laneOf, loadSub)
+	if screen && b.narrow != nil && nSub > 1 {
+		b.screenSubs(faults, nSub, skip, laneOf, loadSub)
 		return
 	}
-	runFull(len(faults), func(ws faultSim, fi int) {
+	loadFull()
+	for fi, f := range faults {
 		if skip(fi) {
-			return
+			continue
 		}
-		mk := ws.detectsMask(faults[fi])
+		mk := b.sim.detectsMask(f)
 		if first := mk.first(); first >= 0 {
 			laneOf[fi] = int16(first)
 		}
-	})
+	}
 }
 
-// screenSubs runs the 64-lane pool over each sub-block in serial order,
-// dropping every fault at its first detecting sub-block. The single-worker
-// path devirtualizes the engine to the concrete 64-lane instantiation so
-// the per-fault inner loop pays no interface dispatch, closure call or
-// laneMask widening — at tens of thousands of detects calls per run those
-// fixed costs rival the simulation work itself.
-func (p *simPool) screenSubs(faults []Fault, nSub int, skip func(int) bool, laneOf []int16, loadSub func(ws faultSim, s int)) {
+// screenSubs runs the 64-lane tier over each sub-block in serial order,
+// dropping every fault at its first detecting sub-block. The tier is the
+// concrete 64-lane instantiation, so the per-fault inner loop pays no
+// interface dispatch or laneMask widening — at tens of thousands of
+// detects calls per run those fixed costs rival the simulation work
+// itself.
+func (b *blockSim) screenSubs(faults []Fault, nSub int, skip func(int) bool, laneOf []int16, loadSub func(s int)) {
 	live := 0
 	for fi := range faults {
 		if !skip(fi) {
 			live++
 		}
 	}
-	if len(p.sims) == 1 {
-		ws := p.sims[0]
-		w64, _ := ws.(*wideSim[[1]uint64])
-		for s := 0; s < nSub && live > 0; s++ {
-			loadSub(ws, s)
-			base := int16(s * 64)
-			if w64 != nil {
-				for fi := range faults {
-					if skip(fi) || laneOf[fi] >= 0 {
-						continue
-					}
-					if mk := w64.detects(faults[fi])[0]; mk != 0 {
-						laneOf[fi] = base + int16(bits.TrailingZeros64(mk))
-						live--
-					}
-				}
+	for s := 0; s < nSub && live > 0; s++ {
+		loadSub(s)
+		base := int16(s * 64)
+		for fi := range faults {
+			if skip(fi) || laneOf[fi] >= 0 {
 				continue
 			}
-			for fi := range faults {
-				if skip(fi) || laneOf[fi] >= 0 {
-					continue
-				}
-				if mk := ws.detectsMask(faults[fi]); mk[0] != 0 {
-					laneOf[fi] = base + int16(bits.TrailingZeros64(mk[0]))
-					live--
-				}
+			if mk := b.narrow.detects(faults[fi])[0]; mk != 0 {
+				laneOf[fi] = base + int16(bits.TrailingZeros64(mk))
+				live--
 			}
 		}
-		return
-	}
-	shared := int64(live)
-	chunk := (len(faults) + len(p.sims) - 1) / len(p.sims)
-	for s := 0; s < nSub && atomic.LoadInt64(&shared) > 0; s++ {
-		base := int16(s * 64)
-		var wg sync.WaitGroup
-		for w := range p.sims {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(faults) {
-				hi = len(faults)
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(ws faultSim, lo, hi int) {
-				defer wg.Done()
-				loadSub(ws, s)
-				for fi := lo; fi < hi; fi++ {
-					if skip(fi) || laneOf[fi] >= 0 {
-						continue
-					}
-					if mk := ws.detectsMask(faults[fi]); mk[0] != 0 {
-						laneOf[fi] = base + int16(bits.TrailingZeros64(mk[0]))
-						atomic.AddInt64(&shared, -1)
-					}
-				}
-			}(p.sims[w], lo, hi)
-		}
-		wg.Wait()
 	}
 }
 
@@ -834,17 +612,16 @@ func subSeed(seed, sub int64) int64 {
 
 // randomPhase applies seeded random blocks with fault dropping and returns
 // the patterns that were first detectors of at least one fault. Blocks are
-// simulated pool.lanes() patterns at a time, but pattern content is keyed
+// simulated bs.sim.lanes() patterns at a time, but pattern content is keyed
 // to the global 64-pattern sub-block index (subSeed) and detection credit
 // and the dry/total stopping rule replay the sub-blocks in serial order, so
 // the detected set, counters and kept patterns are identical at every lane
 // width. The 64-lane screening tier of firstLanes is enabled while it pays
 // — while at least 1/16th of the live faults drop per block — and skipped
 // once the survivors dominate, where a single full-width pass is cheaper.
-func randomPhase(ctx context.Context, pool *simPool, u *Universe, cfg Config, detected []bool, res *Result, m *runMetrics, bud budget) []Pattern {
-	width := pool.lanes()
-	nSub := width / 64
-	nCtrl := pool.sims[0].NumControls()
+func randomPhase(ctx context.Context, bs *blockSim, u *Universe, cfg Config, detected []bool, res *Result, m *runMetrics, bud budget) []Pattern {
+	nSub := bs.sim.lanes() / 64
+	nCtrl := bs.sim.NumControls()
 	var kept []Pattern
 	dry := 0
 	total := 0
@@ -871,7 +648,7 @@ func randomPhase(ctx context.Context, pool *simPool, u *Universe, cfg Config, de
 		sub += gen
 		m.blocks++
 		m.lanes += int64(gen * 64)
-		pool.firstLanesWords(u.Faults, words[:gen], screen, func(fi int) bool { return detected[fi] }, laneOf)
+		bs.firstLanesWords(u.Faults, words[:gen], screen, func(fi int) bool { return detected[fi] }, laneOf)
 		cands, hits := 0, 0
 		for s := range subHits {
 			subHits[s] = subHits[s][:0]
@@ -943,16 +720,16 @@ func fillPattern(asg []v3, rng *rand.Rand) Pattern {
 }
 
 // compactReverse performs reverse-order static compaction: patterns are
-// re-fault-simulated from last to first, pool.lanes() per block, and kept
+// re-fault-simulated from last to first, bs.sim.lanes() per block, and kept
 // only if they are the first (in that order) to detect some fault. The
 // first-detecting-lane credit is in lane order, so widening the block
 // keeps the decision — and the kept set — identical to the 64-lane
 // schedule.
-func compactReverse(pool *simPool, u *Universe, patterns []Pattern, detected []bool, m *runMetrics) []Pattern {
+func compactReverse(bs *blockSim, u *Universe, patterns []Pattern, detected []bool, m *runMetrics) []Pattern {
 	if len(patterns) == 0 {
 		return patterns
 	}
-	width := pool.lanes()
+	width := bs.sim.lanes()
 	reversed := make([]Pattern, len(patterns))
 	for i, p := range patterns {
 		reversed[len(patterns)-1-i] = p
@@ -969,7 +746,7 @@ func compactReverse(pool *simPool, u *Universe, patterns []Pattern, detected []b
 		block := reversed[start:end]
 		m.blocks++
 		m.lanes += int64(len(block))
-		pool.firstLanes(u.Faults, block, screen, func(fi int) bool { return !detected[fi] || covered[fi] }, laneOf)
+		bs.firstLanes(u.Faults, block, screen, func(fi int) bool { return !detected[fi] || covered[fi] }, laneOf)
 		cands, hits := 0, 0
 		for fi := range u.Faults {
 			if !detected[fi] || covered[fi] {

@@ -563,24 +563,3 @@ func TestConeDetectsMatchesFullEvaluation(t *testing.T) {
 		}
 	}
 }
-
-func TestParallelFaultSimMatchesSerial(t *testing.T) {
-	alu, err := gatelib.NewALU(gatelib.ALUConfig{Width: 8, Adder: gatelib.AdderRipple})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := mustRun(t, alu.Comb, Config{Seed: 7, Workers: 1})
-	parallel := mustRun(t, alu.Comb, Config{Seed: 7, Workers: 8})
-	if serial.NumPatterns() != parallel.NumPatterns() ||
-		serial.Detected != parallel.Detected ||
-		serial.Redundant != parallel.Redundant {
-		t.Fatalf("parallel fault simulation diverged: %s vs %s", serial, parallel)
-	}
-	for i := range serial.Patterns {
-		for j := range serial.Patterns[i] {
-			if serial.Patterns[i][j] != parallel.Patterns[i][j] {
-				t.Fatalf("pattern %d differs between worker counts", i)
-			}
-		}
-	}
-}

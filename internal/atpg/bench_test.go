@@ -3,7 +3,6 @@ package atpg
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/gatelib"
@@ -18,19 +17,13 @@ func benchNetlist(b *testing.B) *gatelib.Component {
 	return alu
 }
 
-// BenchmarkPODEMPhase measures the deterministic top-up (random phase
-// disabled so PODEM dominates) serial vs sharded. On a single-core box
-// the sharded variant measures pure speculation overhead; on multicore
-// it shows the wall-clock win of parallel generation.
+// BenchmarkPODEMPhase measures the deterministic top-up on alu16_ripple
+// (random phase disabled so PODEM dominates).
 func BenchmarkPODEMPhase(b *testing.B) {
 	alu := benchNetlist(b)
-	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				mustRun(b, alu.Seq, Config{Seed: 7, MaxRandomPatterns: -1, Workers: workers})
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		mustRun(b, alu.Seq, Config{Seed: 7, MaxRandomPatterns: -1})
 	}
 }
 
@@ -120,7 +113,7 @@ func BenchmarkDetectsWarm(b *testing.B) {
 // random phase, PODEM top-up, compaction) per iteration, at every
 // supported lane width, for each component class of the default DSE
 // space. The detected sets and patterns are byte-identical across the
-// lanes= variants (see TestRunIdenticalAcrossLaneWidthsAndWorkers); only
+// lanes= variants (see TestRunIdenticalAcrossLaneWidths); only
 // wall time may differ.
 func BenchmarkFaultSimCold(b *testing.B) {
 	lib := gatelib.NewLibrary()

@@ -65,7 +65,6 @@ func TestDeadlineMidRunKeepsAccounting(t *testing.T) {
 		Seed:     7,
 		Deadline: 20 * time.Millisecond,
 		Inject:   inj,
-		Workers:  1,
 	})
 	if err != nil {
 		t.Fatalf("slow run surfaced an error: %v", err)

@@ -2,87 +2,11 @@ package atpg
 
 import (
 	"context"
-	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/gatelib"
-	"repro/internal/obs"
 )
-
-// TestShardedPodemDeterministicAcrossWorkers asserts the tentpole's core
-// contract: the ATPG output is a function of (netlist, seed, config) only.
-// Speculative sharded generation plus the canonical-order merge must
-// reproduce the serial run byte-for-byte — patterns included — at any
-// worker count. It also holds every class to its exactnessPins entry at
-// one and two workers and in a PODEM-only serial run ("p1"), which
-// exercises the engine on the classes whose random phase leaves it
-// nothing to do.
-func TestShardedPodemDeterministicAcrossWorkers(t *testing.T) {
-	settings := []int{1, 2}
-	if w := runtime.GOMAXPROCS(0); w > 2 {
-		settings = append(settings, w)
-	}
-	for _, c := range libraryClasses(t) {
-		// run executes one cold ATPG run and, when pinned, checks its
-		// digest and PODEM search totals against exactnessPins.
-		run := func(tag string, cfg Config, pinned bool) *Result {
-			t.Helper()
-			key := c.name + "/" + tag
-			reg := obs.NewRegistry()
-			cfg.Obs = reg
-			res, err := RunContext(context.Background(), c.comp.Seq, cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", key, err)
-			}
-			if !pinned {
-				return res
-			}
-			got := exactnessPin{
-				digest:     resultDigest(res),
-				decisions:  reg.Counter("atpg.podem.decisions").Value(),
-				backtracks: reg.Counter("atpg.podem.backtracks").Value(),
-			}
-			if want, ok := exactnessPins[key]; !ok || got != want {
-				t.Errorf("%s: got pin\n\t%q: {%q, %d, %d},\nwant %+v", key, key, got.digest, got.decisions, got.backtracks, want)
-			}
-			return res
-		}
-		var base *Result
-		var baseWorkers int
-		for _, w := range settings {
-			res := run(fmt.Sprintf("w%d", w), Config{Seed: 7, Workers: w}, w <= 2)
-			if base == nil {
-				base, baseWorkers = res, w
-				continue
-			}
-			if !reflect.DeepEqual(base, res) {
-				t.Errorf("%s: Workers=%d result differs from Workers=%d:\n  %v\nvs\n  %v",
-					c.name, w, baseWorkers, res, base)
-			}
-		}
-		run("p1", Config{Seed: 7, Workers: 1, MaxRandomPatterns: -1}, true)
-	}
-}
-
-// TestShardedPodemRaceStress hammers the speculative shard workers with
-// far more goroutines than cores. Its real value is under the tier-1
-// -race leg: every cross-shard write (candidate slots, engine state) is
-// exercised while the merge pass consumes them.
-func TestShardedPodemRaceStress(t *testing.T) {
-	alu, err := gatelib.NewALU(gatelib.ALUConfig{Width: 8, Adder: gatelib.AdderRipple})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := mustRun(t, alu.Seq, Config{Seed: 7, Workers: 1})
-	for _, w := range []int{2, 8} {
-		sharded := mustRun(t, alu.Seq, Config{Seed: 7, Workers: w})
-		if !reflect.DeepEqual(serial, sharded) {
-			t.Fatalf("Workers=%d result differs from serial:\n  %v\nvs\n  %v", w, sharded, serial)
-		}
-	}
-}
 
 // TestDetectsZeroAllocOnWarmedSimulator pins the zero-alloc contract of
 // the fault-simulation hot path: once the simulator's cone scratch has
@@ -141,8 +65,7 @@ func TestBatchDropperMatchesPerPatternDrop(t *testing.T) {
 		detected := make([]bool, len(u.Faults))
 		res := &Result{Netlist: n, TotalFaults: len(u.Faults)}
 		m := &runMetrics{}
-		pool := newSimPool(sim.t, 64, cfg.Workers)
-		patterns := randomPhase(context.Background(), pool, u, cfg, detected, res, m, budget{})
+		patterns := randomPhase(context.Background(), newBlockSim(sim.t, 64), u, cfg, detected, res, m, budget{})
 		eng := newPodem(sim.t, cfg.BacktrackLimit)
 		for fi := range u.Faults {
 			if detected[fi] {
@@ -182,8 +105,7 @@ func TestBatchDropperMatchesPerPatternDrop(t *testing.T) {
 	detected := make([]bool, len(u.Faults))
 	res := &Result{Netlist: n, TotalFaults: len(u.Faults)}
 	m := &runMetrics{}
-	pool := newSimPool(sim.t, 64, cfg.Workers)
-	patterns := randomPhase(context.Background(), pool, u, cfg, detected, res, m, budget{})
+	patterns := randomPhase(context.Background(), newBlockSim(sim.t, 64), u, cfg, detected, res, m, budget{})
 	patterns, err = podemTopUp(context.Background(), sim, u, cfg, rng, detected, res, patterns, m, budget{})
 	if err != nil {
 		t.Fatal(err)

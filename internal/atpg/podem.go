@@ -83,8 +83,8 @@ type decision struct {
 }
 
 // newPodem prepares a PODEM engine bound to a shared structural view. The
-// view is read-only; any number of engines (one per shard worker) can bind
-// the same simTopo concurrently.
+// view is read-only; any number of engines can bind the same simTopo
+// concurrently.
 func newPodem(t *simTopo, limit int) *podem {
 	n := t.n
 	p := &podem{

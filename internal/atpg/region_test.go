@@ -146,7 +146,7 @@ func TestRippleAbortsHaveNoObservableCone(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := alu.Seq
-	cfg := Config{Seed: 7, Workers: 1}.withDefaults()
+	cfg := Config{Seed: 7}.withDefaults()
 	res, err := RunContext(context.Background(), n, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestRippleAbortsHaveNoObservableCone(t *testing.T) {
 	topo := newSimTopo(n)
 	detected := make([]bool, len(u.Faults))
 	scratch := &Result{Netlist: n, TotalFaults: len(u.Faults)}
-	randomPhase(context.Background(), newSimPool(topo, 64, 1), u, cfg, detected, scratch, &runMetrics{}, budget{})
+	randomPhase(context.Background(), newBlockSim(topo, 64), u, cfg, detected, scratch, &runMetrics{}, budget{})
 	eng := newPodem(topo, cfg.BacktrackLimit)
 	var aborted []Fault
 	for fi, f := range u.Faults {

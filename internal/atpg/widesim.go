@@ -20,8 +20,9 @@ type laneBlock interface {
 // simTopo is the read-only structural view shared by every fault-simulation
 // engine and PODEM engine over one netlist: controllable/observable points,
 // the flat SoA netlist view, and the derived slot-indexed tables. It is
-// built once per RunContext (or NewSimulator) and shared freely across
-// worker goroutines — nothing in it is written after construction.
+// built once per RunContext (or NewSimulator) and shared by every engine
+// of the run; nothing in it is written after construction, so engines
+// on different goroutines may share it too.
 type simTopo struct {
 	n  *netlist.Netlist
 	fl *netlist.Flat

@@ -107,28 +107,25 @@ func TestWideDetectsMatches64LaneReference(t *testing.T) {
 	}
 }
 
-// TestRunIdenticalAcrossLaneWidthsAndWorkers asserts the width
-// invariance end to end: the full ATPG result — patterns included — is a
-// function of (netlist, seed) only, not of lane width (the automatic
-// choice, or 64, 256 and 512 forced) or worker count.
-func TestRunIdenticalAcrossLaneWidthsAndWorkers(t *testing.T) {
+// TestRunIdenticalAcrossLaneWidths asserts the width invariance end to
+// end: the full ATPG result — patterns included — is a function of
+// (netlist, seed) only, not of lane width (the automatic choice, or 64,
+// 256 and 512 forced).
+func TestRunIdenticalAcrossLaneWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for ci, n := range wideTestCircuits(t, rng) {
 		var base *Result
 		for _, lanes := range []int{0, 64, 256, 512} {
-			for _, workers := range []int{1, 8} {
-				res, err := runAtWidth(context.Background(), n, Config{Seed: 7, Workers: workers}, lanes)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if base == nil {
-					base = res
-					continue
-				}
-				if !reflect.DeepEqual(base, res) {
-					t.Fatalf("circuit %d: lanes=%d Workers=%d diverged:\n  %v\nvs\n  %v",
-						ci, lanes, workers, res, base)
-				}
+			res, err := runAtWidth(context.Background(), n, Config{Seed: 7}, lanes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base == nil {
+				base = res
+				continue
+			}
+			if !reflect.DeepEqual(base, res) {
+				t.Fatalf("circuit %d: lanes=%d diverged:\n  %v\nvs\n  %v", ci, lanes, res, base)
 			}
 		}
 	}

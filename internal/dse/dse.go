@@ -84,14 +84,6 @@ type Config struct {
 	// schedule memo and the annotator cache are synchronized.
 	Parallelism int
 
-	// ATPGWorkers bounds the parallelism inside each gate-level ATPG run
-	// behind an annotation-cache miss. 0 splits the core budget
-	// automatically — max(1, GOMAXPROCS / evaluation parallelism) — so
-	// candidate-level and ATPG-level workers never oversubscribe the
-	// machine; negative values are a configuration error. Results are
-	// identical at any setting (see atpg.Config.Workers).
-	ATPGWorkers int
-
 	// EventSink, when non-nil, receives the exploration's typed progress
 	// events (candidate/restored completions, isolated panics, degraded
 	// annotations, warnings, and a final "done") synchronously from the
@@ -182,9 +174,6 @@ func (c *Config) fillDefaults() error {
 	if c.Parallelism < 0 {
 		return fmt.Errorf("dse: Parallelism %d is negative (use 0 for GOMAXPROCS)", c.Parallelism)
 	}
-	if c.ATPGWorkers < 0 {
-		return fmt.Errorf("dse: ATPGWorkers %d is negative (use 0 to split the core budget automatically)", c.ATPGWorkers)
-	}
 	if c.Width == 0 {
 		c.Width = 16
 	}
@@ -229,32 +218,10 @@ func (c *Config) fillDefaults() error {
 	if c.Annotator.Obs == nil && c.Obs != nil {
 		c.Annotator.Obs = c.Obs
 	}
-	if c.Annotator.ATPGWorkers == 0 {
-		c.Annotator.ATPGWorkers = c.atpgWorkerBudget()
-	}
 	if c.Annotator.Inject == nil && c.Inject != nil {
 		c.Annotator.Inject = c.Inject
 	}
 	return nil
-}
-
-// atpgWorkerBudget resolves the per-ATPG-run worker count: the explicit
-// setting when given, otherwise the core budget left per concurrent
-// candidate evaluation, so Parallelism × ATPGWorkers ≤ GOMAXPROCS and the
-// two parallelism levels never oversubscribe.
-func (c *Config) atpgWorkerBudget() int {
-	if c.ATPGWorkers > 0 {
-		return c.ATPGWorkers
-	}
-	evals := c.Parallelism
-	if evals <= 0 {
-		evals = runtime.GOMAXPROCS(0)
-	}
-	w := runtime.GOMAXPROCS(0) / evals
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // Candidate is one evaluated design point.

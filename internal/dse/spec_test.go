@@ -46,7 +46,6 @@ func TestFromSpecOverridesAndNormalizes(t *testing.T) {
 		WA:             2,
 		DegradedPolicy: "exclude",
 		Parallelism:    3,
-		ATPGWorkers:    1,
 	}
 	cfg, sel, err := FromSpec(spec)
 	if err != nil {
@@ -68,8 +67,8 @@ func TestFromSpecOverridesAndNormalizes(t *testing.T) {
 	if cfg.WorkloadReps != 1000 {
 		t.Errorf("reps %d, want 1000", cfg.WorkloadReps)
 	}
-	if cfg.Parallelism != 3 || cfg.ATPGWorkers != 1 {
-		t.Errorf("parallelism %d/%d", cfg.Parallelism, cfg.ATPGWorkers)
+	if cfg.Parallelism != 3 {
+		t.Errorf("parallelism %d", cfg.Parallelism)
 	}
 	want := SelectionSpec{Norm: "chebyshev", WA: 2, DegradedPolicy: "exclude"}
 	if sel != want {
@@ -143,14 +142,14 @@ func FuzzSpecValidate(f *testing.F) {
 		DegradedPolicy: "penalize", DegradedPenalty: 3,
 		Cache: "ann.json", Checkpoint: "ck.json",
 		Timeout: d(90 * time.Second), ATPGDeadline: d(250 * time.Millisecond),
-		Parallelism: 4, ATPGWorkers: 2, LaneWidth: 256, VerifySelected: true,
+		Parallelism: 4, LaneWidth: 256, VerifySelected: true,
 		Search: &jobspec.SearchSpec{Population: 128, Generations: 10, Eta: 4, Seed: 42},
 	}
 	seeds := []jobspec.Spec{
 		{}, full,
 		{Workload: "doom"}, {Norm: "cosine"}, {DegradedPolicy: "maybe"},
 		{Width: -1}, {Seed: -2}, {WA: -1}, {DegradedPenalty: 0.5},
-		{Timeout: -1}, {ATPGDeadline: -1}, {Parallelism: -1}, {ATPGWorkers: -1},
+		{Timeout: -1}, {ATPGDeadline: -1}, {Parallelism: -1},
 		{LaneWidth: -64}, {LaneWidth: 128},
 		{Buses: []int{1, 0}}, {ALUs: []int{-3}}, {CMPs: []int{2, 0}},
 		{Search: &jobspec.SearchSpec{Population: -1}},
@@ -189,6 +188,7 @@ func FuzzSpecValidate(f *testing.F) {
 	f.Add(body[:len(body)/2])                                                 // truncated
 	f.Add([]byte(`{"buses":"1,2","width":"16","search":[1],"timeout":true}`)) // type-confused
 	f.Add([]byte(`{"timeout":"1m30s","atpg_deadline":1500000}`))
+	f.Add([]byte(`{"atpg_workers":-1}`)) // ignored field: any value validates
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec jobspec.Spec

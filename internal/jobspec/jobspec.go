@@ -117,10 +117,13 @@ type Spec struct {
 	ATPGDeadline Duration `json:"atpg_deadline,omitempty"`
 
 	// Parallelism bounds the evaluation workers, which run the warm-up
-	// jobs and then the candidates (0 = GOMAXPROCS); ATPGWorkers bounds
-	// workers inside each gate-level ATPG run (0 = split the core budget
-	// automatically). Results are identical at any setting.
+	// jobs and then the candidates (0 = GOMAXPROCS). Results are
+	// identical at any setting.
 	Parallelism int `json:"parallelism,omitempty"`
+
+	// ATPGWorkers is ignored: each gate-level ATPG run executes on one
+	// goroutine. The field remains so that bodies carrying atpg_workers
+	// still decode; Validate accepts any value and Hash clears it.
 	ATPGWorkers int `json:"atpg_workers,omitempty"`
 
 	// LaneWidth is ignored: the fault simulator picks its lane width per
@@ -185,9 +188,6 @@ func (s *Spec) Validate() error {
 	if s.Parallelism < 0 {
 		return fmt.Errorf("jobspec: parallelism %d is negative (use 0 for GOMAXPROCS)", s.Parallelism)
 	}
-	if s.ATPGWorkers < 0 {
-		return fmt.Errorf("jobspec: atpg_workers %d is negative (use 0 for the automatic core-budget split)", s.ATPGWorkers)
-	}
 	for _, l := range []struct {
 		name string
 		vals []int
@@ -225,8 +225,8 @@ func (s *Spec) Normalize() {
 
 // Hash returns a short stable identity for the job's RESULT: two specs
 // hash equal exactly when they describe the same deterministic report.
-// Throughput knobs (parallelism, ATPG workers), the ignored lane width
-// and I/O paths (cache, checkpoint) are excluded — results are
+// The throughput knob (parallelism), the ignored ATPG workers and lane
+// width, and I/O paths (cache, checkpoint) are excluded — results are
 // byte-identical across all of them — as is Timeout, which changes only
 // where a run may be cut off, never the converged bytes. ATPGDeadline stays in: a budgeted run
 // records degraded annotations with different values. The hash names

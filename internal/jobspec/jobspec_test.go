@@ -15,10 +15,14 @@ func TestZeroSpecValidates(t *testing.T) {
 	}
 }
 
-// TestLaneWidthIgnored pins lane_width as a no-op: a body carrying any
-// value still decodes, validates and hashes as if the field were absent.
-func TestLaneWidthIgnored(t *testing.T) {
-	for _, body := range []string{`{"lane_width":256}`, `{"lane_width":128}`, `{"lane_width":-64}`} {
+// TestIgnoredSpecFields pins lane_width and atpg_workers as no-ops: a
+// body carrying any value still decodes, validates and hashes as if the
+// field were absent.
+func TestIgnoredSpecFields(t *testing.T) {
+	for _, body := range []string{
+		`{"lane_width":256}`, `{"lane_width":128}`, `{"lane_width":-64}`,
+		`{"atpg_workers":2}`, `{"atpg_workers":-1}`,
+	} {
 		var s Spec
 		if err := json.Unmarshal([]byte(body), &s); err != nil {
 			t.Fatalf("%s: %v", body, err)
@@ -48,7 +52,6 @@ func TestValidateRejects(t *testing.T) {
 		{"timeout", Spec{Timeout: -1}, "timeout"},
 		{"atpg-deadline", Spec{ATPGDeadline: -1}, "atpg_deadline"},
 		{"parallelism", Spec{Parallelism: -1}, "parallelism"},
-		{"atpg-workers", Spec{ATPGWorkers: -1}, "atpg_workers"},
 		{"buses", Spec{Buses: []int{1, 0}}, "buses"},
 		{"alus", Spec{ALUs: []int{-3}}, "alus"},
 		{"cmps", Spec{CMPs: []int{2, 0}}, "cmps"},

@@ -46,7 +46,7 @@ func FuzzSubmitJob(f *testing.F) {
 		`{"nope":1}`, `{"workload":"doom"}`, `{"buses":[0]}`, `{"search":{"eta":1}}`,
 		`{"buses":[1,`, `{"buses":"1,2","width":"16"}`, `{"timeout":"1m30s"}`,
 		`{"width":1e400}`, "{\"workload\":\"crc16\"}\n",
-		`{"lane_width":256}`,
+		`{"lane_width":256}`, `{"atpg_workers":2}`,
 	} {
 		f.Add([]byte(body))
 	}

@@ -133,8 +133,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // annotator returns the process-wide annotator for the spec's
 // width/seed/budget key, creating (and warm-starting) it on first use.
 // Everything per-job code would default onto the annotator (Obs,
-// ATPGWorkers, Inject) is fixed here at creation, so concurrent
-// explorations only ever read the shared fields.
+// Inject) is fixed here at creation, so concurrent explorations only
+// ever read the shared fields.
 func (s *Server) annotator(spec *jobspec.Spec) *testcost.Annotator {
 	key := spec.AnnotatorKey()
 	s.mu.Lock()
@@ -154,9 +154,6 @@ func (s *Server) annotator(spec *jobspec.Spec) *testcost.Annotator {
 	a.Obs = s.reg
 	a.Inject = s.inj
 	a.ATPGDeadline = spec.ATPGDeadline.Std()
-	if a.ATPGWorkers = spec.ATPGWorkers; a.ATPGWorkers <= 0 {
-		a.ATPGWorkers = 1 // several jobs may run ATPG concurrently
-	}
 	if s.opts.CachePath != "" {
 		if err := a.LoadFile(s.opts.CachePath); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			s.reg.Counter("service.cache.load_errors").Inc()
@@ -189,6 +186,11 @@ func (s *Server) Submit(spec jobspec.Spec) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	// Normalize sorts in place; give the job its own lists, or a caller
+	// that submits one spec twice rewrites them under the running job.
+	spec.Buses = append([]int(nil), spec.Buses...)
+	spec.ALUs = append([]int(nil), spec.ALUs...)
+	spec.CMPs = append([]int(nil), spec.CMPs...)
 	spec.Normalize()
 	s.mu.Lock()
 	if s.draining {

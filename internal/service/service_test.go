@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -337,6 +338,30 @@ func TestAdmissionQueueAndOverflow(t *testing.T) {
 // TestMetricsAggregateJobRegistries checks /v1/metrics folds the per-job
 // pareto.stream.* metrics into the server snapshot (they live on each
 // job's own registry).
+// TestSubmitLeavesCallerSpecAlone: Submit normalizes the job's own copy
+// of the space lists. Sorting the caller's arrays in place raced with a
+// job already running on a spec submitted earlier from the same lists.
+func TestSubmitLeavesCallerSpecAlone(t *testing.T) {
+	srv := NewServer(Options{MaxConcurrent: 1})
+	srv.sem <- struct{}{} // hold the only slot, so the job stays queued
+	spec := jobspec.Spec{Buses: []int{2, 1}, ALUs: []int{1}, CMPs: []int{1}}
+	job, err := srv.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(spec.Buses, []int{2, 1}) {
+		t.Errorf("Submit reordered the caller's buses: %v", spec.Buses)
+	}
+	if !reflect.DeepEqual(job.Spec.Buses, []int{1, 2}) {
+		t.Errorf("job buses %v, want normalized [1 2]", job.Spec.Buses)
+	}
+	job.Cancel()
+	if st := waitTerminal(t, job); st != StateCancelled {
+		t.Fatalf("cancelled queued job ended %s", st)
+	}
+	<-srv.sem
+}
+
 func TestMetricsAggregateJobRegistries(t *testing.T) {
 	srv := NewServer(Options{})
 	job, err := srv.Submit(smallSpec())

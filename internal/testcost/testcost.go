@@ -114,14 +114,6 @@ type Annotator struct {
 	Seed  int64
 	March march.Test
 
-	// ATPGWorkers bounds the parallelism inside each gate-level ATPG run
-	// behind a cache miss (atpg.Config.Workers): 0 = GOMAXPROCS,
-	// 1 = serial. When the annotator is shared by several DSE evaluation
-	// workers, set this to the per-evaluation share of the core budget so
-	// the two levels do not oversubscribe (dse.Config does this
-	// automatically). Results are identical at any setting.
-	ATPGWorkers int
-
 	// ATPGDeadline bounds the wall-clock time of each gate-level ATPG
 	// run behind a cache miss (0 = unbounded). A run that exhausts the
 	// budget degrades gracefully instead of failing: the component's
@@ -271,7 +263,6 @@ func (a *Annotator) runAnnotation(ctx context.Context, c *tta.Component) (annota
 	}
 	res, err := atpg.RunContext(ctx, comp.Seq, atpg.Config{
 		Seed:     a.Seed,
-		Workers:  a.ATPGWorkers,
 		Deadline: a.ATPGDeadline,
 		Obs:      a.Obs,
 		Inject:   a.Inject,
@@ -330,8 +321,8 @@ func (a *Annotator) sockets() error {
 		// first-caller cancellation sticky for every later evaluation, so
 		// the socket ATPG must not be tied to one caller's ctx. With a
 		// background context and no deadline the error is always nil.
-		resIn, _ := atpg.RunContext(context.Background(), in.Seq, atpg.Config{Seed: a.Seed, Workers: a.ATPGWorkers, Obs: a.Obs})
-		resOut, _ := atpg.RunContext(context.Background(), out.Seq, atpg.Config{Seed: a.Seed, Workers: a.ATPGWorkers, Obs: a.Obs})
+		resIn, _ := atpg.RunContext(context.Background(), in.Seq, atpg.Config{Seed: a.Seed, Obs: a.Obs})
+		resOut, _ := atpg.RunContext(context.Background(), out.Seq, atpg.Config{Seed: a.Seed, Obs: a.Obs})
 		a.sockIn = annotation{np: resIn.NumPatterns(), nl: in.SeqFFs(), coverage: resIn.Coverage()}
 		a.sockOut = annotation{np: resOut.NumPatterns(), nl: out.SeqFFs(), coverage: resOut.Coverage()}
 		a.sockNP = resIn.NumPatterns()
