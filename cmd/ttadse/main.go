@@ -14,7 +14,8 @@
 // durations per stage, scheduler/ATPG counters, annotator cache hit rate,
 // worker utilization) as JSON to the given file, or to stdout with "-"
 // (which then replaces the default report so the output stays valid
-// JSON). -progress streams per-candidate completion events to stderr.
+// JSON). -progress streams the run's typed events to stderr: candidate
+// completions, isolated panics, degraded annotations and warnings.
 //
 // Resilience: -timeout bounds the exploration; on expiry the completed
 // evaluations are still reported (with a partial-result summary on
@@ -131,11 +132,9 @@ func main() {
 	}
 
 	var reg *obs.Registry
-	if *metrics != "" || *progress {
+	if *metrics != "" {
 		reg = obs.NewRegistry()
 		cfg.Obs = reg
-	}
-	if *metrics != "" {
 		// The snapshot should cover every stage, including the final
 		// simulator cross-check of the selection.
 		cfg.VerifySelected = true
@@ -211,10 +210,8 @@ func main() {
 		defer cancel()
 	}
 
-	// -progress consumes the typed event stream. The kinds printed —
-	// candidate, panic, degraded, warning — are exactly the obs kinds the
-	// flag historically subscribed to, so the stderr text is unchanged;
-	// the stream's extra kinds (restored, done) stay internal.
+	// -progress prints the typed event stream's candidate, panic,
+	// degraded and warning events; restored and done stay internal.
 	progressDone := make(chan struct{})
 	if *progress {
 		events := cfg.Events(ctx)
@@ -234,10 +231,6 @@ func main() {
 	study := core.NewStudyWithConfig(cfg)
 	exitCode := 0
 	exploreErr := study.ExploreContext(ctx)
-	// The exploration flushes its checkpoint on completion; a cut-short
-	// one must persist its tail explicitly or the resume loses the last
-	// few entries. Safe on nil.
-	cfg.Checkpoint.Flush()
 	// The exploration has emitted its final ("done") event; wait for the
 	// printer to drain so progress lines never interleave with the report.
 	<-progressDone

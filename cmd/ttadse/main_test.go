@@ -84,6 +84,32 @@ func TestCheckpointResumeCLIByteIdentical(t *testing.T) {
 	}
 }
 
+// TestProgressReportsTornCheckpoint tears the tail off a finished run's
+// checkpoint: the rerun with -progress resumes from the intact prefix
+// and prints the torn-prefix warning among its events.
+func TestProgressReportsTornCheckpoint(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	args := []string{"-buses", "1", "-alus", "1", "-cmps", "1", "-checkpoint", ckpt}
+	if _, errText, code := runCLI(t, args...); code != 0 {
+		t.Fatalf("checkpointed run exited %d: %s", code, errText)
+	}
+	fi, err := os.Stat(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(ckpt, fi.Size()-7); err != nil {
+		t.Fatal(err)
+	}
+	_, errText, code := runCLI(t, append(args, "-progress")...)
+	if code != 0 {
+		t.Fatalf("rerun on the torn checkpoint exited %d: %s", code, errText)
+	}
+	want := "ttadse: [0/0] checkpoint " + ckpt + " was torn"
+	if !strings.Contains(errText, want) || !strings.Contains(errText, "recovered 11 entries from the valid prefix") {
+		t.Fatalf("stderr lacks the torn-prefix warning %q:\n%s", want, errText)
+	}
+}
+
 // TestFlagValidation pins CLI-boundary rejections of flags that no
 // longer exist: the lane width, the process-sharding flags and the
 // ATPG worker count.

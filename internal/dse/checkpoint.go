@@ -9,9 +9,9 @@
 // path, and a torn or bit-flipped file loads its longest valid record
 // prefix — the run resumes from the last intact evaluation instead of
 // going cold. Files written by pre-framing builds (one indented JSON
-// document) still load, flagged by a one-time legacy-format obs event;
-// files that yield no usable prefix are quarantined as *.corrupt and
-// reported as a typed durable.CorruptArtifactError.
+// document) still load, flagged by a legacy-format warning; files that
+// yield no usable prefix are quarantined as *.corrupt and reported as a
+// typed durable.CorruptArtifactError.
 //
 // The file is keyed by everything that determines a candidate's value:
 // the checkpoint format version, the gate-level library generation
@@ -170,6 +170,10 @@ type Checkpoint struct {
 	entries    map[string]checkpointEntry
 	sinceFlush int
 
+	// warnings lists what OpenCheckpoint recovered, quarantined or
+	// ignored; read-only once opened. ExploreContext streams them.
+	warnings []string
+
 	obs    *obs.Registry
 	inject *faultinject.Injector
 }
@@ -189,13 +193,14 @@ func workloadSignature(cfg *Config) string {
 // an exploration under cfg. A missing file yields a fresh checkpoint and
 // a nil error. A header mismatch or a corrupt file also yields a usable
 // fresh checkpoint, alongside a *CheckpointMismatchError or
-// *CheckpointCorruptError the caller can surface as a warning — the
-// stale file is overwritten at the first flush.
-func OpenCheckpoint(path string, cfg Config) (*Checkpoint, error) {
+// *CheckpointCorruptError — the stale file is overwritten at the first
+// flush. The Checkpoint keeps that error, and any torn-tail or
+// legacy-format notice, as warnings for the runs that use it.
+func OpenCheckpoint(path string, cfg Config) (ck *Checkpoint, err error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	ck := &Checkpoint{
+	ck = &Checkpoint{
 		path: path,
 		header: checkpointFile{
 			Version:  CheckpointFormatVersion,
@@ -209,6 +214,11 @@ func OpenCheckpoint(path string, cfg Config) (*Checkpoint, error) {
 		obs:     cfg.Obs,
 		inject:  cfg.Inject,
 	}
+	defer func() {
+		if err != nil {
+			ck.warnings = append(ck.warnings, err.Error())
+		}
+	}()
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return ck, nil
@@ -251,28 +261,26 @@ func OpenCheckpoint(path string, cfg Config) (*Checkpoint, error) {
 	}
 	if rec.Torn {
 		reg.Counter("durability.prefix_recovered").Inc()
-		reg.Emit(obs.Event{Kind: "warning", Msg: fmt.Sprintf(
-			"checkpoint %s was torn (%s); recovered %d entries from the valid prefix", path, rec.Cause, len(f.Entries))})
+		ck.warnings = append(ck.warnings, fmt.Sprintf(
+			"checkpoint %s was torn (%s); recovered %d entries from the valid prefix", path, rec.Cause, len(f.Entries)))
 	}
 	if rec.Legacy {
 		reg.Counter("durability.legacy_loads").Inc()
-		reg.Emit(obs.Event{Kind: "warning", Msg: fmt.Sprintf(
-			"checkpoint %s is in the legacy (pre-CRC) format; the next flush rewrites it framed", path)})
+		ck.warnings = append(ck.warnings, fmt.Sprintf(
+			"checkpoint %s is in the legacy (pre-CRC) format; the next flush rewrites it framed", path))
 	}
 	return ck, nil
 }
 
 // quarantine moves an irrecoverable checkpoint file out of the way (to
 // <path>.corrupt, preserving the evidence) and wraps cause in a
-// *durable.CorruptArtifactError — the typed, obs-visible replacement for
-// silently overwriting a damaged file at the next flush. errors.As still
-// finds the wrapped *CheckpointCorruptError.
+// *durable.CorruptArtifactError — the typed replacement for silently
+// overwriting a damaged file at the next flush. errors.As still finds
+// the wrapped *CheckpointCorruptError.
 func (ck *Checkpoint) quarantine(cause *CheckpointCorruptError) error {
 	q := durable.Quarantine(ck.path)
 	ck.obs.Counter("durability.quarantined").Inc()
-	err := &durable.CorruptArtifactError{Artifact: "checkpoint", Path: ck.path, QuarantinedTo: q, Err: cause}
-	ck.obs.Emit(obs.Event{Kind: "warning", Msg: err.Error()})
-	return err
+	return &durable.CorruptArtifactError{Artifact: "checkpoint", Path: ck.path, QuarantinedTo: q, Err: cause}
 }
 
 // decodeCheckpointData parses either checkpoint format via
@@ -359,7 +367,7 @@ func (ck *Checkpoint) Len() int {
 
 // bind attaches the exploration's observability registry and injector
 // (ExploreContext calls it after fillDefaults, so a checkpoint opened
-// before the registry existed still reports restores and flush trouble).
+// before the registry existed still counts restores and flush failures).
 func (ck *Checkpoint) bind(reg *obs.Registry, inj *faultinject.Injector) {
 	if ck == nil {
 		return
@@ -386,11 +394,12 @@ func (ck *Checkpoint) lookup(key string) (checkpointEntry, bool) {
 }
 
 // record persists one completed evaluation, rewriting the file every
-// checkpointFlushEvery new entries. A flush failure is a warning, not a
+// checkpointFlushEvery new entries, and returns that rewrite's error.
+// The worker reports it as a warning on the run's stream, never as a
 // run failure: the exploration's result does not depend on the file.
-func (ck *Checkpoint) record(key string, c *Candidate) {
+func (ck *Checkpoint) record(key string, c *Candidate) error {
 	if ck == nil {
-		return
+		return nil
 	}
 	ck.mu.Lock()
 	if _, ok := ck.entries[key]; !ok {
@@ -403,33 +412,35 @@ func (ck *Checkpoint) record(key string, c *Candidate) {
 	}
 	ck.mu.Unlock()
 	if flush {
-		ck.Flush()
+		return ck.flushCounted(false)
 	}
+	return nil
 }
 
-// Flush rewrites the checkpoint file, reporting failure as an obs
-// warning only: losing a mid-run checkpoint write must never kill the
-// run it exists to protect. Periodic flushes skip the parent-directory
-// fsync (it dominates the write cost, and an un-synced rename merely
-// resurfaces the previous intact version after a power cut); use
-// FlushErr where the file is a deliverable.
-func (ck *Checkpoint) Flush() { ck.flushReport(false) }
+// Flush rewrites the checkpoint file the way the periodic flushes of a
+// run do. A failure is counted on "dse.checkpoint.write_errors" and
+// otherwise dropped: losing a mid-run checkpoint write must never kill
+// the run it exists to protect. Periodic flushes skip the
+// parent-directory fsync (it dominates the write cost, and an un-synced
+// rename merely resurfaces the previous intact version after a power
+// cut); use FlushErr where the file is a deliverable.
+func (ck *Checkpoint) Flush() { ck.flushCounted(false) }
 
 // FlushErr rewrites the checkpoint file through the fully durable path
 // (framed records, unique temp file, fsync, rename, directory fsync) and
-// returns the write error after reporting it. The daemon uses it for a
-// job's final flush: a drained job's checkpoint is what the restarted
-// daemon resumes from.
-func (ck *Checkpoint) FlushErr() error { return ck.flushReport(true) }
+// returns the write error, counted like Flush's. Every exploration that
+// reaches its evaluations ends with it, cut short or not, before its
+// "done" event: the file is what a resumed run, or a restarted daemon,
+// starts from.
+func (ck *Checkpoint) FlushErr() error { return ck.flushCounted(true) }
 
-func (ck *Checkpoint) flushReport(dirSync bool) error {
+func (ck *Checkpoint) flushCounted(dirSync bool) error {
 	if ck == nil {
 		return nil
 	}
 	err := ck.flush(dirSync)
 	if err != nil {
 		ck.obs.Counter("dse.checkpoint.write_errors").Inc()
-		ck.obs.Emit(obs.Event{Kind: "warning", Msg: fmt.Sprintf("checkpoint flush failed: %v", err)})
 	}
 	return err
 }

@@ -189,17 +189,14 @@ func TestExploreContextMetrics(t *testing.T) {
 func TestExploreContextProgressEvents(t *testing.T) {
 	cfg := smallConfig(t)
 	cfg.Buses = []int{1, 2} // two candidates
-	reg := obs.NewRegistry()
-	cfg.Obs = reg
-	var events []obs.Event
-	reg.Subscribe(func(ev obs.Event) { events = append(events, ev) })
-	cfg.Parallelism = 1 // serial: the subscriber slice is unsynchronized
+	var events []Event
+	cfg.EventSink = func(ev Event) { events = append(events, ev) } // calls are serialized
 	if _, err := ExploreContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	var candidates int
 	for _, ev := range events {
-		if ev.Kind == "candidate" {
+		if ev.Kind == EventCandidate {
 			candidates++
 			if ev.Total != 2 || ev.N < 1 || ev.N > 2 {
 				t.Fatalf("bad progress event %+v", ev)

@@ -88,20 +88,19 @@ type Config struct {
 	// events (candidate/restored completions, isolated panics, degraded
 	// annotations, warnings, and a final "done") synchronously from the
 	// emitting goroutine — it must be fast and concurrency-safe. Calls
-	// are serialized in Seq order, so the sink must not block, and it
-	// must not emit degraded or warning events on Obs, which would call
-	// back into the stream. See Event for the schema, Config.Events for a
-	// channel adapter, and FrontTracker for a ready-made live-front
+	// are serialized in Seq order, so the sink must not block. It is the
+	// run's only event path. See Event for the schema, Config.Events for
+	// a channel adapter, and FrontTracker for a ready-made live-front
 	// consumer. A nil sink costs nothing.
 	EventSink func(Event)
 
 	// Obs, when non-nil, collects the exploration's metrics: per-stage
 	// spans (dse > enumerate/evaluate/pareto/sim with sched and atpg
-	// under evaluate), candidate counters, annotator cache hit rate,
-	// worker utilization, and a per-candidate-completion progress event
-	// stream. It is forwarded to the scheduler, the annotator's ATPG runs
-	// and the functional simulator. Callers opt in per exploration — no
-	// global state. A nil registry costs nothing.
+	// under evaluate), candidate counters, annotator cache hit rate and
+	// worker utilization. It is forwarded to the scheduler, the
+	// annotator's ATPG runs and the functional simulator. Callers opt in
+	// per exploration — no global state. A nil registry costs nothing.
+	// Events do not pass through it; they go to EventSink.
 	Obs *obs.Registry
 
 	// VerifySelected, when set, functionally verifies the selected
@@ -306,10 +305,15 @@ func ExploreContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	reg := cfg.Obs
-	// Degraded-annotation and warning events surface through the obs
-	// stream (they originate below dse); bridge them into the typed
-	// stream for this run only.
-	defer em.bridgeObs(reg)()
+	// What loading the annotator and the checkpoint recovered or
+	// ignored: this run uses both, so it reports that first.
+	warnings := cfg.Annotator.LoadWarnings()
+	if cfg.Checkpoint != nil {
+		warnings = append(warnings, cfg.Checkpoint.warnings...)
+	}
+	for _, msg := range warnings {
+		em.emit(Event{Kind: EventWarning, Msg: msg})
+	}
 	cfg.Checkpoint.bind(reg, cfg.Inject)
 	root := reg.StartSpan("dse")
 	defer root.End()
@@ -504,7 +508,14 @@ func runEvaluations(ctx context.Context, cfg *Config, root *obs.Span, archs []*t
 	if nRestored > 0 {
 		reg.Counter("dse.checkpoint.restored").Add(int64(nRestored))
 	}
-	defer cfg.Checkpoint.Flush()
+	// The last flush is the durable one, on every exit path from here,
+	// so a cut-short run keeps its tail for the resume; it precedes
+	// "done", so its failure still reaches the stream.
+	defer func() {
+		if err := cfg.Checkpoint.FlushErr(); err != nil {
+			flushWarning(em, err)
+		}
+	}()
 
 	workers := cfg.Parallelism
 	if workers <= 0 {
@@ -524,7 +535,7 @@ func runEvaluations(ctx context.Context, cfg *Config, root *obs.Span, archs []*t
 		}
 		reg.Gauge("dse.worker.utilization").Set(util)
 	}()
-	handoff := warmUp(ctx, cfg, root, archs, restored, workers, memo, &busyNS)
+	handoff := warmUp(ctx, cfg, root, archs, restored, workers, memo, em, &busyNS)
 	if ctx.Err() != nil {
 		return errs
 	}
@@ -550,24 +561,18 @@ func runEvaluations(ctx context.Context, cfg *Config, root *obs.Span, archs []*t
 					} else {
 						reg.Counter("dse.candidates.infeasible").Inc()
 					}
-					cfg.Checkpoint.record(checkpointKey(archs[i]), &res.Candidates[i])
+					if err := cfg.Checkpoint.record(checkpointKey(archs[i]), &res.Candidates[i]); err != nil {
+						flushWarning(em, err)
+					}
 				}
-				n := int(completed.Add(1))
-				msg := candidateEventMsg(archs[i], &res.Candidates[i], errs[i])
 				em.emit(Event{
 					Kind:      EventCandidate,
-					Msg:       msg,
-					N:         n,
+					Msg:       candidateEventMsg(archs[i], &res.Candidates[i], errs[i]),
+					N:         int(completed.Add(1)),
 					Total:     len(archs),
 					Candidate: candidateUpdate(i, archs[i], &res.Candidates[i], errs[i]),
 				})
 				nEvents.Add(1)
-				reg.Emit(obs.Event{
-					Kind:  "candidate",
-					Msg:   msg,
-					N:     n,
-					Total: len(archs),
-				})
 			}
 		}()
 	}
@@ -611,10 +616,13 @@ func safeEvaluate(ctx context.Context, cfg *Config, arch *tta.Architecture, sp *
 func recordPanic(cfg *Config, em *emitter, arch *tta.Architecture, value any, stack []byte) error {
 	pe := &EvalPanicError{Arch: arch.Name, Value: value, Stack: stack}
 	cfg.Obs.Counter("dse.eval.panics").Inc()
-	msg := fmt.Sprintf("%v\n%s", pe, pe.Stack)
-	em.emit(Event{Kind: EventPanic, Msg: msg})
-	cfg.Obs.Emit(obs.Event{Kind: "panic", Msg: msg})
+	em.emit(Event{Kind: EventPanic, Msg: fmt.Sprintf("%v\n%s", pe, pe.Stack)})
 	return pe
+}
+
+// flushWarning reports a failed checkpoint write on the run's stream.
+func flushWarning(em *emitter, err error) {
+	em.emit(Event{Kind: EventWarning, Msg: fmt.Sprintf("checkpoint flush failed: %v", err)})
 }
 
 // candidateEventMsg renders one progress-event line for a completed

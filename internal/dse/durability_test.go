@@ -144,9 +144,10 @@ func TestCheckpointTruncationSweep(t *testing.T) {
 }
 
 // TestCheckpointLegacyFormatRoundTrip pins backward compatibility: a
-// whole-document pre-CRC file still loads (with the one-time legacy obs
-// event), feeds a byte-identical resume, and the next flush rewrites it
-// into the framed format exactly as a never-legacy run would have.
+// whole-document pre-CRC file still loads (with one legacy-format
+// warning on the resuming run's stream), feeds a byte-identical resume,
+// and the next flush rewrites it into the framed format exactly as a
+// never-legacy run would have.
 func TestCheckpointLegacyFormatRoundTrip(t *testing.T) {
 	cfg, ref, framed := recordedCheckpoint(t)
 	f, rec, err := decodeCheckpointData(framed)
@@ -165,13 +166,13 @@ func TestCheckpointLegacyFormatRoundTrip(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	legacyEvents := 0
-	reg.Subscribe(func(ev obs.Event) {
-		if ev.Kind == "warning" && bytes.Contains([]byte(ev.Msg), []byte("legacy")) {
-			legacyEvents++
-		}
-	})
 	c := cfg
 	c.Obs = reg
+	c.EventSink = func(ev Event) {
+		if ev.Kind == EventWarning && bytes.Contains([]byte(ev.Msg), []byte("legacy")) {
+			legacyEvents++
+		}
+	}
 	ck, err := OpenCheckpoint(p, c)
 	if err != nil {
 		t.Fatalf("legacy open: %v", err)
@@ -182,9 +183,6 @@ func TestCheckpointLegacyFormatRoundTrip(t *testing.T) {
 	if got := reg.Counter("durability.legacy_loads").Value(); got != 1 {
 		t.Fatalf("durability.legacy_loads = %d, want 1", got)
 	}
-	if legacyEvents != 1 {
-		t.Fatalf("legacy obs events = %d, want 1", legacyEvents)
-	}
 
 	c.Checkpoint = ck
 	res, err := ExploreContext(context.Background(), c)
@@ -192,6 +190,9 @@ func TestCheckpointLegacyFormatRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameResult(t, ref, res)
+	if legacyEvents != 1 {
+		t.Fatalf("legacy warning events = %d, want 1", legacyEvents)
+	}
 
 	// The run's final flush upgrades the file to the framed format,
 	// byte-identical to the never-legacy original.

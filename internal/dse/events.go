@@ -25,12 +25,17 @@
 //     of recomputed; emitted before any live evaluation starts.
 //   - "panic": a candidate evaluation panicked and was isolated (the
 //     matching "candidate" event carries the error too).
-//   - "degraded": an annotation fell back to the analytical bound
-//     because its ATPG budget ran out (bridged from the obs stream).
-//   - "warning": a non-fatal infrastructure problem, e.g. a checkpoint
-//     flush failure (bridged from the obs stream).
+//   - "degraded": an annotation the run reads fell back to the
+//     analytical bound because its ATPG budget ran out; the warm-up
+//     stage emits the notice Annotator.AnnotateContext returned, also
+//     when another run's ATPG degraded it and the annotator cached it.
+//   - "warning": a non-fatal infrastructure problem: first what loading
+//     the warm cache or the checkpoint recovered, quarantined or ignored
+//     (Annotator.LoadWarnings, OpenCheckpoint), ahead of any "restored"
+//     event; then failed checkpoint flushes, the run's last included.
 //   - "done": the exploration is over; always the final event, emitted
-//     on every exit path including configuration errors.
+//     on every exit path including configuration errors. Nothing about
+//     the run follows it.
 package dse
 
 import (
@@ -114,22 +119,6 @@ func (e *emitter) emit(ev Event) {
 	e.sink(ev)
 }
 
-// bridgeObs forwards the obs kinds dse does not emit natively
-// ("degraded" from the annotator, "warning" from checkpoint flushes)
-// into the typed stream, scoped to one exploration via the returned
-// cancel.
-func (e *emitter) bridgeObs(reg *obs.Registry) (cancel func()) {
-	if e == nil || reg == nil {
-		return func() {}
-	}
-	return reg.SubscribeCancel(func(oe obs.Event) {
-		switch oe.Kind {
-		case string(EventDegraded), string(EventWarning):
-			e.emit(Event{Kind: EventKind(oe.Kind), Msg: oe.Msg, N: oe.N, Total: oe.Total})
-		}
-	})
-}
-
 // candidateUpdate flattens one finished evaluation slot.
 func candidateUpdate(index int, arch *tta.Architecture, c *Candidate, err error) *CandidateUpdate {
 	u := &CandidateUpdate{
@@ -158,7 +147,9 @@ func candidateUpdate(index int, arch *tta.Architecture, c *Candidate, err error)
 // receive side. The channel closes after the "done" event (every
 // exploration emits exactly one, on every exit path) or when ctx is
 // cancelled, whichever comes first, so a plain range loop terminates.
-// Any previously installed EventSink keeps receiving everything.
+// Any previously installed EventSink keeps receiving everything. The
+// cancellation hook is a context.AfterFunc that "done" stops, so a
+// stream that ends normally leaves nothing waiting on a live ctx.
 //
 // Delivery is best-effort for a slow consumer: the channel is buffered
 // and a send that would block drops the event rather than stall the
@@ -169,13 +160,17 @@ func (c *Config) Events(ctx context.Context) <-chan Event {
 	ch := make(chan Event, 1024)
 	var mu sync.Mutex
 	closed := false
-	closeOnce := func() {
+	closeCh := func() {
 		mu.Lock()
 		defer mu.Unlock()
 		if !closed {
 			closed = true
 			close(ch)
 		}
+	}
+	stop := func() bool { return false }
+	if ctx != nil {
+		stop = context.AfterFunc(ctx, closeCh)
 	}
 	prev := c.EventSink
 	c.EventSink = func(ev Event) {
@@ -189,17 +184,11 @@ func (c *Config) Events(ctx context.Context) <-chan Event {
 			default: // slow consumer: drop rather than block the sweep
 			}
 		}
-		done := ev.Kind == EventDone
 		mu.Unlock()
-		if done {
-			closeOnce()
+		if ev.Kind == EventDone {
+			stop()
+			closeCh()
 		}
-	}
-	if ctx != nil && ctx.Done() != nil {
-		go func() {
-			<-ctx.Done()
-			closeOnce()
-		}()
 	}
 	return ch
 }

@@ -2,12 +2,15 @@ package dse
 
 import (
 	"context"
+	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/jobspec"
-	"repro/internal/obs"
+	"repro/internal/testcost"
 )
 
 // smallSpec keeps event tests fast: 24 candidates (2 bus counts x 6 RF
@@ -290,32 +293,55 @@ func TestFrontTrackerRejectsNaN(t *testing.T) {
 	}
 }
 
-func TestObsBridgeScopedToRun(t *testing.T) {
-	// A degraded/warning obs event during the run is bridged into the
-	// typed stream; after the run the bridge is cancelled.
-	cfg, _, err := FromSpec(smallSpec())
-	if err != nil {
-		t.Fatal(err)
+// TestEventsLeavesNoGoroutine runs five explorations, each with its own
+// Config.Events stream, on one live context: a stream that ends with its
+// "done" event must leave nothing waiting on that context.
+func TestEventsLeavesNoGoroutine(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := smallConfig(t)
+	cfg.Annotator = testcost.NewAnnotator(cfg.Width, cfg.Seed) // one ATPG pass for all five
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		c := cfg
+		ch := c.Events(ctx)
+		if _, err := ExploreContext(ctx, c); err != nil {
+			t.Fatal(err)
+		}
+		for range ch {
+		}
 	}
-	reg := obs.NewRegistry()
-	cfg.Obs = reg
-	var mu sync.Mutex
-	var kinds []EventKind
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after five streams on a live context, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestEventsClosesOnCancel cancels the context at the first candidate:
+// the AfterFunc hook closes the channel while workers may still emit,
+// and the events after it, "done" included, are dropped rather than
+// sent on the closed channel.
+func TestEventsClosesOnCancel(t *testing.T) {
+	cfg := smallConfig(t)
+	cfg.Buses = []int{1, 2}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ch := cfg.Events(ctx)
+	send := cfg.EventSink
 	cfg.EventSink = func(ev Event) {
-		mu.Lock()
-		kinds = append(kinds, ev.Kind)
-		mu.Unlock()
+		if ev.Kind == EventCandidate {
+			cancel()
+		}
+		send(ev)
 	}
-	if _, err := ExploreContext(context.Background(), cfg); err != nil {
-		t.Fatal(err)
+	if _, err := ExploreContext(ctx, cfg); err != nil {
+		var pe *PartialError
+		if !errors.As(err, &pe) {
+			t.Fatalf("err = %v, want nil or *PartialError", err)
+		}
 	}
-	mu.Lock()
-	n := len(kinds)
-	mu.Unlock()
-	reg.Emit(obs.Event{Kind: "warning", Msg: "after the run"})
-	mu.Lock()
-	defer mu.Unlock()
-	if len(kinds) != n {
-		t.Fatalf("obs bridge leaked past the exploration: %v", kinds[n:])
+	for range ch { // must terminate: cancel, or done, closed the channel
 	}
 }

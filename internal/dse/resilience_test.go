@@ -230,15 +230,13 @@ func TestCheckpointResumeAfterInterrupt(t *testing.T) {
 
 	cfg := twoCandConfig(t)
 	cfg.Parallelism = 1
-	reg := obs.NewRegistry()
-	cfg.Obs = reg
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	reg.Subscribe(func(ev obs.Event) {
-		if ev.Kind == "candidate" {
+	cfg.EventSink = func(ev Event) {
+		if ev.Kind == EventCandidate {
 			cancel() // "kill" after the first completion
 		}
-	})
+	}
 	ck, err := OpenCheckpoint(path, cfg)
 	if err != nil {
 		t.Fatal(err)

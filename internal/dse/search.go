@@ -495,12 +495,6 @@ func searchCandidates(ctx context.Context, cfg *Config, sp *obs.Span, spec Searc
 		reg.Counter("dse.search.generations").Inc()
 		reg.Counter("dse.search.promoted").Add(int64(promoted))
 		reg.Counter("dse.search.pruned").Add(int64(spec.Population - promoted))
-		reg.Emit(obs.Event{
-			Kind:  "search",
-			Msg:   fmt.Sprintf("generation %d/%d: %d promoted, %d pruned (%d survivors so far)", gen+1, spec.Generations, promoted, spec.Population-promoted, len(survivors)),
-			N:     gen + 1,
-			Total: spec.Generations,
-		})
 		genSp.End()
 		if gen < spec.Generations-1 {
 			pop = nextGeneration(rng, pop, order, fitness)

@@ -108,7 +108,7 @@ func newWarmStage() *warmStage {
 // number of workers and returns the failures it handed to
 // candidates, by candidate index. A cancelled context stops the stage;
 // its caller then evaluates no candidate.
-func warmUp(ctx context.Context, cfg *Config, root *obs.Span, archs []*tta.Architecture, restored []bool, workers int, memo *schedMemo, busyNS *atomic.Int64) map[int]*warmFailure {
+func warmUp(ctx context.Context, cfg *Config, root *obs.Span, archs []*tta.Architecture, restored []bool, workers int, memo *schedMemo, em *emitter, busyNS *atomic.Int64) map[int]*warmFailure {
 	st := newWarmStage()
 	structOf := make([]int, len(archs))
 	byKey := make(map[string]int)
@@ -131,7 +131,7 @@ func warmUp(ctx context.Context, cfg *Config, root *obs.Span, archs []*tta.Archi
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st.work(ctx, cfg, root, memo, busyNS)
+			st.work(ctx, cfg, root, memo, em, busyNS)
 		}()
 	}
 	wg.Wait()
@@ -142,7 +142,10 @@ func warmUp(ctx context.Context, cfg *Config, root *obs.Span, archs []*tta.Archi
 }
 
 // work is one worker's loop: take a job, run it, record its outcome.
-func (st *warmStage) work(ctx context.Context, cfg *Config, root *obs.Span, memo *schedMemo, busyNS *atomic.Int64) {
+// An annotation that fell back to the analytical bound is reported as a
+// "degraded" event, whether this run's job ran its ATPG or found it in
+// the annotator's cache: every run that reads it says so.
+func (st *warmStage) work(ctx context.Context, cfg *Config, root *obs.Span, memo *schedMemo, em *emitter, busyNS *atomic.Int64) {
 	for {
 		si, ann, ok := st.take(ctx)
 		if !ok {
@@ -152,8 +155,15 @@ func (st *warmStage) work(ctx context.Context, cfg *Config, root *obs.Span, memo
 		sp := root.Child("evaluate")
 		if ann != nil {
 			atpgSp := sp.Child("atpg")
-			f := guard(func() error { return cfg.Annotator.AnnotateContext(ctx, ann.comp) })
+			var notice string
+			f := guard(func() (err error) {
+				notice, err = cfg.Annotator.AnnotateContext(ctx, ann.comp)
+				return err
+			})
 			atpgSp.End()
+			if notice != "" {
+				em.emit(Event{Kind: EventDegraded, Msg: notice})
+			}
 			st.annotated(ann.key, f)
 		} else {
 			arch := st.structs[si].arch

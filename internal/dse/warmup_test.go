@@ -75,7 +75,7 @@ func TestWarmUpAnnotatesFeasibleKeysOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ci := range res.Candidates[0].Arch.Components {
-		if err := probe.AnnotateContext(context.Background(), &res.Candidates[0].Arch.Components[ci]); err != nil {
+		if _, err := probe.AnnotateContext(context.Background(), &res.Candidates[0].Arch.Components[ci]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,7 +83,7 @@ func TestWarmUpAnnotatesFeasibleKeysOnly(t *testing.T) {
 		t.Errorf("saved cache misses %d of the feasible structure's keys", miss)
 	}
 	infeasibleRF := &res.Candidates[1].Arch.Components[res.Candidates[1].Arch.ComponentsOf(tta.RF)[0]]
-	if err := probe.AnnotateContext(context.Background(), infeasibleRF); err != nil {
+	if _, err := probe.AnnotateContext(context.Background(), infeasibleRF); err != nil {
 		t.Fatal(err)
 	}
 	if miss := probe.Obs.Counter("testcost.cache.miss").Value(); miss != 1 {

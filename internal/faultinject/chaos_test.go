@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -158,7 +159,7 @@ func TestChaosCacheIOErrors(t *testing.T) {
 	// A tiny real cache to attempt loading.
 	donor := testcost.NewAnnotator(4, 7)
 	comp := tta.NewFU(tta.ALU, "ALU1")
-	if err := donor.AnnotateContext(context.Background(), &comp); err != nil {
+	if _, err := donor.AnnotateContext(context.Background(), &comp); err != nil {
 		t.Fatal(err)
 	}
 	var file bytes.Buffer
@@ -171,7 +172,7 @@ func TestChaosCacheIOErrors(t *testing.T) {
 	if err := probe.Load(bytes.NewReader(file.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if err := probe.AnnotateContext(context.Background(), &comp); err != nil {
+	if _, err := probe.AnnotateContext(context.Background(), &comp); err != nil {
 		t.Fatal(err)
 	}
 	if hit, miss := probe.Obs.Counter("testcost.cache.hit").Value(), probe.Obs.Counter("testcost.cache.miss").Value(); hit != 1 || miss != 0 {
@@ -192,7 +193,7 @@ func TestChaosCacheIOErrors(t *testing.T) {
 	}
 	// The failed load must leave the annotator usable: the annotation
 	// still runs (cold).
-	if err := a.AnnotateContext(context.Background(), &comp); err != nil {
+	if _, err := a.AnnotateContext(context.Background(), &comp); err != nil {
 		t.Fatalf("annotator unusable after failed load: %v", err)
 	}
 
@@ -251,7 +252,8 @@ func fillAnnotator(cfg *dse.Config) error {
 
 // TestChaosCheckpointWriteFailure breaks every checkpoint flush: the
 // exploration itself must still complete cleanly — the checkpoint exists
-// to protect the run, so losing it is a warning, not a failure.
+// to protect the run, so losing it is a warning, not a failure. The
+// warning arrives on the run's own stream, before its final "done".
 func TestChaosCheckpointWriteFailure(t *testing.T) {
 	cfg := chaosConfig(t)
 	reg := obs.NewRegistry()
@@ -264,6 +266,8 @@ func TestChaosCheckpointWriteFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Checkpoint = ck
+	var events []dse.Event
+	cfg.EventSink = func(ev dse.Event) { events = append(events, ev) } // calls are serialized
 
 	res, err := dse.ExploreContext(context.Background(), cfg)
 	if err != nil {
@@ -275,6 +279,18 @@ func TestChaosCheckpointWriteFailure(t *testing.T) {
 	}
 	if reg.Counter("dse.checkpoint.write_errors").Value() == 0 {
 		t.Fatal("flush failures not counted")
+	}
+	warnings := 0
+	for _, ev := range events {
+		if ev.Kind == dse.EventWarning && strings.Contains(ev.Msg, "checkpoint flush failed") {
+			warnings++
+		}
+	}
+	if warnings == 0 {
+		t.Fatal("no flush-failure warning on the event stream")
+	}
+	if n := len(events); n == 0 || events[n-1].Kind != dse.EventDone {
+		t.Fatalf("stream does not end with done: %d events", n)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package obs is the engine's lightweight, dependency-free observability
-// layer: atomic counters, float gauges, duration timers, hierarchical
-// wall-clock spans and a progress-event stream, all collected in a
-// Registry and exported through Snapshot/Sink (JSON or human-readable
-// text).
+// layer: atomic counters, float gauges, duration timers and hierarchical
+// wall-clock spans, all collected in a Registry and exported through
+// Snapshot/Sink (JSON or human-readable text). Progress events are not
+// metrics and do not pass through here: an exploration streams them as
+// typed dse.Event values on its own Config.EventSink.
 //
 // Design rules:
 //
@@ -132,17 +133,6 @@ func (t *Timer) Stats() TimerStats {
 	return s
 }
 
-// Event is one progress notification (e.g. a candidate evaluation
-// completing inside a long exploration).
-type Event struct {
-	// Kind groups events ("candidate", "phase", ...).
-	Kind string
-	// Msg is a short human-readable description.
-	Msg string
-	// N/Total express progress when known (0 Total = unknown).
-	N, Total int
-}
-
 // Registry collects all metrics of one run. The zero value is not usable;
 // construct with NewRegistry. A nil *Registry is a valid no-op sink for
 // every method.
@@ -153,7 +143,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	timers   map[string]*Timer
-	subs     []*subscriber
 
 	root *spanNode
 }
@@ -213,60 +202,6 @@ func (r *Registry) Timer(name string) *Timer {
 		r.timers[name] = t
 	}
 	return t
-}
-
-// subscriber is one registered event consumer; a cancelled subscriber
-// stays in the slice (preserving delivery order for the others) but is
-// skipped by Emit.
-type subscriber struct {
-	fn        func(Event)
-	cancelled bool
-}
-
-// Subscribe registers fn to receive every subsequent Emit. Subscribers
-// are invoked synchronously from the emitting goroutine and must be fast
-// and concurrency-safe.
-func (r *Registry) Subscribe(fn func(Event)) {
-	r.SubscribeCancel(fn)
-}
-
-// SubscribeCancel registers fn like Subscribe and returns a cancel
-// function that stops further deliveries. Scoped consumers (one
-// exploration run bridging a shared registry, a streaming HTTP client
-// that disconnects) must cancel, or the registry keeps calling them for
-// its whole lifetime. Safe on a nil registry (the cancel is a no-op).
-func (r *Registry) SubscribeCancel(fn func(Event)) (cancel func()) {
-	if r == nil || fn == nil {
-		return func() {}
-	}
-	s := &subscriber{fn: fn}
-	r.mu.Lock()
-	r.subs = append(r.subs, s)
-	r.mu.Unlock()
-	return func() {
-		r.mu.Lock()
-		s.cancelled = true
-		r.mu.Unlock()
-	}
-}
-
-// Emit delivers ev to all live subscribers, in subscription order.
-// No-op on a nil registry.
-func (r *Registry) Emit(ev Event) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	fns := make([]func(Event), 0, len(r.subs))
-	for _, s := range r.subs {
-		if !s.cancelled {
-			fns = append(fns, s.fn)
-		}
-	}
-	r.mu.Unlock()
-	for _, fn := range fns {
-		fn(ev)
-	}
 }
 
 // Snapshot captures a consistent point-in-time view of every metric.

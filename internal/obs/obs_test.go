@@ -118,31 +118,9 @@ func TestNilRegistrySafety(t *testing.T) {
 	child := sp.Child("child")
 	child.End()
 	sp.End()
-	r.Subscribe(func(Event) {})
-	r.Emit(Event{Kind: "x"})
 	snap := r.Snapshot()
 	if len(snap.Counters) != 0 || len(snap.Spans) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %+v", snap)
-	}
-}
-
-// TestEvents checks subscribers receive emitted events in order.
-func TestEvents(t *testing.T) {
-	r := NewRegistry()
-	var mu sync.Mutex
-	var got []Event
-	r.Subscribe(func(ev Event) {
-		mu.Lock()
-		got = append(got, ev)
-		mu.Unlock()
-	})
-	for i := 1; i <= 3; i++ {
-		r.Emit(Event{Kind: "candidate", N: i, Total: 3})
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 3 || got[2].N != 3 || got[0].Total != 3 {
-		t.Fatalf("events = %+v", got)
 	}
 }
 

@@ -180,10 +180,10 @@ func (s *Server) run(job *Job) {
 		ck, ckErr := dse.OpenCheckpoint(path, cfg)
 		if ckErr != nil {
 			// Mismatched or corrupt files yield a fresh checkpoint; the
-			// job proceeds cold and overwrites the file.
+			// job proceeds cold and overwrites the file. The checkpoint
+			// keeps the warning, and the exploration streams it.
 			s.reg.Counter("service.checkpoint.open_errors").Inc()
 			job.reg.Counter("durability.cold_restarts").Inc()
-			job.reg.Emit(obs.Event{Kind: "warning", Msg: ckErr.Error()})
 		}
 		cfg.Checkpoint = ck
 	}
@@ -195,13 +195,11 @@ func (s *Server) run(job *Job) {
 		defer cancel()
 	}
 
+	// Once it evaluates, the exploration ends with a durable checkpoint
+	// flush, cut short or not, so a drained job's finished prefix is on
+	// disk, dir-fsynced, before its "done" event.
 	study := core.NewStudyWithConfig(cfg)
 	runErr := study.ExploreContext(runCtx)
-	// The exploration flushes on completion; an interrupted one must
-	// persist its tail explicitly or the drain loses up to 15 entries.
-	// The durable form: a drained daemon's checkpoint is a deliverable
-	// (the restart resumes from it), so its rename is dir-fsynced too.
-	_ = cfg.Checkpoint.FlushErr()
 
 	report := buildReport(study, sel)
 	if runErr == nil {

@@ -69,9 +69,10 @@ type Options struct {
 	// the hash of its normalized spec. A resubmitted spec restores the
 	// finished prefix — the drain/restart/resume path.
 	CheckpointDir string
-	// Obs receives server-wide metrics and events; per-job registries
-	// are separate. Defaults to a fresh registry. The annotator pool
-	// reports its cache counters (testcost.cache.*) here.
+	// Obs receives server-wide metrics; per-job registries are separate.
+	// Defaults to a fresh registry. The annotator pool reports its cache
+	// counters (testcost.cache.*) here. Events go to each job's own
+	// stream, never through a registry.
 	Obs *obs.Registry
 	// Inject, when non-nil, arms chaos/test injection inside every job's
 	// exploration (dse.Config.Inject) and the annotator pool.
@@ -134,7 +135,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // width/seed/budget key, creating (and warm-starting) it on first use.
 // Everything per-job code would default onto the annotator (Obs,
 // Inject) is fixed here at creation, so concurrent explorations only
-// ever read the shared fields.
+// ever read the shared fields. What the warm start recovered or ignored
+// stays on the annotator (LoadWarnings), and every job that uses it
+// reports that on its own stream.
 func (s *Server) annotator(spec *jobspec.Spec) *testcost.Annotator {
 	key := spec.AnnotatorKey()
 	s.mu.Lock()
@@ -157,8 +160,6 @@ func (s *Server) annotator(spec *jobspec.Spec) *testcost.Annotator {
 	if s.opts.CachePath != "" {
 		if err := a.LoadFile(s.opts.CachePath); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			s.reg.Counter("service.cache.load_errors").Inc()
-			s.reg.Emit(obs.Event{Kind: "warning",
-				Msg: fmt.Sprintf("warm cache %s not loaded: %v", s.opts.CachePath, err)})
 		}
 	}
 	s.anns[key] = a

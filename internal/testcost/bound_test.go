@@ -147,7 +147,7 @@ func TestBoundTierAreaDelayExact(t *testing.T) {
 		}
 	}
 	for ci := range arch.Components {
-		if err := ann.AnnotateContext(ctx, &arch.Components[ci]); err != nil {
+		if _, err := ann.AnnotateContext(ctx, &arch.Components[ci]); err != nil {
 			t.Fatal(err)
 		}
 	}

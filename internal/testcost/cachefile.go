@@ -18,7 +18,7 @@
 // shorter prefix just means a few re-measured annotations); files with
 // no usable prefix load cold with a typed error, and LoadFile quarantines
 // them to *.corrupt. Pre-framing whole-document files still load, flagged
-// by a one-time legacy-format obs event.
+// by a legacy-format load warning (see LoadWarnings).
 package testcost
 
 import (
@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"sort"
@@ -33,7 +34,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/faultinject"
 	"repro/internal/gatelib"
-	"repro/internal/obs"
 )
 
 // CacheFormatVersion is the on-disk format version. Bump it whenever the
@@ -212,8 +212,39 @@ func (a *Annotator) encodeCache() ([]byte, error) {
 // flips, IO errors) a *CacheCorruptError. In both cases the annotator is
 // unchanged — stale or damaged entries never mix into a fresh run.
 // Entries merge into the live cache without overwriting existing keys.
-// Call Load before sharing the annotator across goroutines.
+// What the load recovered (a torn tail, the legacy format) or ignored
+// (the returned error) is also kept as a load warning. Call Load before
+// sharing the annotator across goroutines.
 func (a *Annotator) Load(r io.Reader) error {
+	return a.noteLoad(a.load(r))
+}
+
+// LoadWarnings returns, in load order, what Load and LoadFile recovered,
+// quarantined or ignored: a torn tail, a legacy-format file, and every
+// error they returned except a missing file. Every exploration that
+// uses the annotator reports them as "warning" events.
+func (a *Annotator) LoadWarnings() []string {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return append([]string(nil), a.loadWarnings...)
+}
+
+func (a *Annotator) warnLoad(msg string) {
+	a.mu.Lock()
+	a.loadWarnings = append(a.loadWarnings, msg)
+	a.mu.Unlock()
+}
+
+// noteLoad keeps a failed load's error as a load warning and returns it.
+// A missing file is an ordinary cold start, not a warning.
+func (a *Annotator) noteLoad(err error) error {
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		a.warnLoad(err.Error())
+	}
+	return err
+}
+
+func (a *Annotator) load(r io.Reader) error {
 	if err := a.Inject.Hit(faultinject.CacheRead); err != nil {
 		return &CacheCorruptError{Reason: "read", Err: err}
 	}
@@ -272,12 +303,12 @@ func (a *Annotator) Load(r io.Reader) error {
 	}
 	if rec.Torn {
 		a.Obs.Counter("durability.prefix_recovered").Inc()
-		a.Obs.Emit(obs.Event{Kind: "warning", Msg: fmt.Sprintf(
-			"annotation cache was torn (%s); warm-loaded %d entries from the valid prefix", rec.Cause, loaded)})
+		a.warnLoad(fmt.Sprintf(
+			"annotation cache was torn (%s); warm-loaded %d entries from the valid prefix", rec.Cause, loaded))
 	}
 	if rec.Legacy {
 		a.Obs.Counter("durability.legacy_loads").Inc()
-		a.Obs.Emit(obs.Event{Kind: "warning", Msg: "annotation cache is in the legacy (pre-CRC) format; the next save rewrites it framed"})
+		a.warnLoad("annotation cache is in the legacy (pre-CRC) format; the next save rewrites it framed")
 	}
 	a.Obs.Counter("testcost.cache.loaded").Add(int64(loaded))
 	return nil
@@ -329,21 +360,19 @@ func (a *Annotator) SaveFile(path string) error {
 // read failure — those may be transient) is quarantined to *.corrupt and
 // reported as a *durable.CorruptArtifactError wrapping the
 // *CacheCorruptError, so the evidence survives while the run rewrites a
-// fresh cache.
+// fresh cache. Load warnings are kept as in Load.
 func (a *Annotator) LoadFile(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return a.noteLoad(err)
 	}
-	err = a.Load(f)
+	err = a.load(f)
 	f.Close()
 	var cc *CacheCorruptError
 	if errors.As(err, &cc) && cc.Reason != "read" {
 		q := durable.Quarantine(path)
 		a.Obs.Counter("durability.quarantined").Inc()
-		qerr := &durable.CorruptArtifactError{Artifact: "annotation cache", Path: path, QuarantinedTo: q, Err: cc}
-		a.Obs.Emit(obs.Event{Kind: "warning", Msg: qerr.Error()})
-		return qerr
+		err = &durable.CorruptArtifactError{Artifact: "annotation cache", Path: path, QuarantinedTo: q, Err: cc}
 	}
-	return err
+	return a.noteLoad(err)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,17 +15,57 @@ import (
 // TestATPGDeadlineDegradesAnnotations runs an annotator with an
 // impossible ATPG budget: every component annotation must fall back to
 // the analytical bound, flagged degraded all the way up to ArchCost, and
-// the bound must dominate what a converged annotator measures.
+// the bound must dominate what a converged annotator measures. Every
+// AnnotateContext caller gets the degraded annotation's notice: the one
+// that ran the ATPG, those that waited on it, and a later caller served
+// from the cache.
 func TestATPGDeadlineDegradesAnnotations(t *testing.T) {
+	ctx := context.Background()
 	reg := obs.NewRegistry()
-	var events []obs.Event
-	reg.Subscribe(func(ev obs.Event) { events = append(events, ev) })
-
 	deg := NewAnnotator(16, 7)
 	deg.ATPGDeadline = time.Nanosecond
 	deg.Obs = reg
 	arch := tta.Figure9()
-	cost, err := deg.EvaluateContext(context.Background(), arch)
+	alu := &arch.Components[arch.ComponentsOf(tta.ALU)[0]]
+
+	notices := make([]string, 4)
+	var wg sync.WaitGroup
+	for i := range notices {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n, err := deg.AnnotateContext(ctx, alu)
+			if err != nil {
+				t.Error(err)
+			}
+			notices[i] = n
+		}()
+	}
+	wg.Wait()
+	if !strings.Contains(notices[0], "analytical bound") {
+		t.Fatalf("notice %q does not name the analytical bound", notices[0])
+	}
+	for i, n := range notices {
+		if n != notices[0] {
+			t.Fatalf("concurrent caller %d got notice %q, caller 0 got %q", i, n, notices[0])
+		}
+	}
+	if got := reg.Counter("testcost.cache.miss").Value(); got != 1 {
+		t.Fatalf("testcost.cache.miss = %d, want 1 (one ATPG run for four callers)", got)
+	}
+	hits := reg.Counter("testcost.cache.hit").Value()
+	cached, err := deg.AnnotateContext(ctx, alu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("testcost.cache.hit").Value(); got != hits+1 {
+		t.Fatalf("testcost.cache.hit = %d after a cached call, want %d", got, hits+1)
+	}
+	if cached != notices[0] {
+		t.Fatalf("cache-served notice %q, want %q", cached, notices[0])
+	}
+
+	cost, err := deg.EvaluateContext(ctx, arch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,18 +92,8 @@ func TestATPGDeadlineDegradesAnnotations(t *testing.T) {
 			t.Fatalf("testcost.degraded = %d, want in [1, %d]", got, nDeg)
 		}
 	}
-	found := false
-	for _, ev := range events {
-		if ev.Kind == "degraded" && strings.Contains(ev.Msg, "analytical bound") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no degradation event emitted")
-	}
-
 	// Pessimism: the degraded total must never undercut the measured one.
-	ref, err := sharedAnn.EvaluateContext(context.Background(), arch)
+	ref, err := sharedAnn.EvaluateContext(ctx, arch)
 	if err != nil {
 		t.Fatal(err)
 	}

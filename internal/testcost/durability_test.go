@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/durable"
@@ -30,6 +31,9 @@ func TestCacheTornPrefixRecovery(t *testing.T) {
 	if reg.Counter("testcost.cache.loaded").Value() == 0 {
 		t.Fatal("torn load warmed nothing — prefix was discarded")
 	}
+	if w := a.LoadWarnings(); len(w) != 1 || !strings.Contains(w[0], "torn") {
+		t.Fatalf("load warnings %q, want one torn-prefix warning", w)
+	}
 	a.mu.Lock()
 	warm := len(a.cache)
 	a.mu.Unlock()
@@ -43,8 +47,8 @@ func TestCacheTornPrefixRecovery(t *testing.T) {
 }
 
 // TestCacheLegacyFormatRoundTrip pins backward compatibility: a
-// whole-document pre-CRC cache still warm-loads (with the one-time
-// legacy obs event), and re-saving it produces the framed bytes a
+// whole-document pre-CRC cache still warm-loads (with one legacy-format
+// load warning), and re-saving it produces the framed bytes a
 // never-legacy save would have.
 func TestCacheLegacyFormatRoundTrip(t *testing.T) {
 	_, blob := coldAnnotator(t)
@@ -65,6 +69,9 @@ func TestCacheLegacyFormatRoundTrip(t *testing.T) {
 	}
 	if got := reg.Counter("durability.legacy_loads").Value(); got != 1 {
 		t.Fatalf("durability.legacy_loads = %d, want 1", got)
+	}
+	if w := a.LoadWarnings(); len(w) != 1 || !strings.Contains(w[0], "legacy") {
+		t.Fatalf("load warnings %q, want one legacy-format warning", w)
 	}
 	if got, want := reg.Counter("testcost.cache.loaded").Value(), int64(len(f.Entries)); got != want {
 		t.Fatalf("legacy load warmed %d entries, want %d", got, want)
@@ -107,6 +114,9 @@ func TestCacheQuarantineOnLoadFile(t *testing.T) {
 	}
 	if reg.Counter("durability.quarantined").Value() != 1 {
 		t.Fatalf("durability.quarantined = %d, want 1", reg.Counter("durability.quarantined").Value())
+	}
+	if w := a.LoadWarnings(); len(w) != 1 || w[0] != err.Error() {
+		t.Fatalf("load warnings %q, want the quarantine error alone", w)
 	}
 	a.mu.Lock()
 	n := len(a.cache)

@@ -23,7 +23,7 @@ func FuzzAnnotatorLoad(f *testing.F) {
 	// (width 4 keeps the seed ATPG fast) but the JSON shape is the real
 	// one.
 	seedAnn := NewAnnotator(4, 7)
-	if err := seedAnn.AnnotateContext(context.Background(), &tta4ALU); err != nil {
+	if _, err := seedAnn.AnnotateContext(context.Background(), &tta4ALU); err != nil {
 		f.Fatal(err)
 	}
 	var valid bytes.Buffer

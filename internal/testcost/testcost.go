@@ -95,6 +95,8 @@ type annotation struct {
 	// budgeted ATPG run did not converge); area and delay are always
 	// measured from the netlist and stay exact.
 	degraded bool
+	// notice says why an exact-tier annotation degraded; "" otherwise.
+	notice string
 }
 
 // areaDelay is a component netlist's cell area and critical path.
@@ -133,10 +135,12 @@ type Annotator struct {
 	// "testcost.cache.hit" (served from the completed cache),
 	// "testcost.cache.miss" (ran ATPG; exactly one per distinct key),
 	// "testcost.cache.inflight" (coalesced onto another goroutine's
-	// in-flight run) and "testcost.cache.wait_ns" (nanoseconds spent
-	// waiting on in-flight runs) — and is forwarded to the ATPG runs
-	// behind cache misses. Set it before sharing the annotator across
-	// goroutines.
+	// in-flight run), "testcost.cache.wait_ns" (nanoseconds spent
+	// waiting on in-flight runs), "testcost.degraded" (one per ATPG run
+	// that exhausted its budget) and the cache file's "durability.*" —
+	// and is forwarded to the ATPG runs behind cache misses. Events do
+	// not go through it: see AnnotateContext's notice and LoadWarnings.
+	// Set it before sharing the annotator across goroutines.
 	Obs *obs.Registry
 
 	mu       sync.Mutex
@@ -152,6 +156,8 @@ type Annotator struct {
 	sockWarm bool // socket annotations were loaded from a warm-start cache
 	once     sync.Once
 	sockErr  error
+
+	loadWarnings []string // see LoadWarnings; appended under mu
 }
 
 // inflightRun is the latch duplicate requests for one key wait on while
@@ -273,11 +279,6 @@ func (a *Annotator) runAnnotation(ctx context.Context, c *tta.Component) (annota
 	if res.DeadlineExceeded {
 		b := atpg.EstimateBound(comp.Seq)
 		a.Obs.Counter("testcost.degraded").Inc()
-		a.Obs.Emit(obs.Event{
-			Kind: "degraded",
-			Msg: fmt.Sprintf("%s: ATPG deadline %v exhausted; using analytical bound np<=%d (measured %d patterns before expiry)",
-				comp.Seq.Name, a.ATPGDeadline, b.Patterns, res.NumPatterns()),
-		})
 		return annotation{
 			np:       b.Patterns,
 			nl:       comp.SeqFFs(),
@@ -286,6 +287,8 @@ func (a *Annotator) runAnnotation(ctx context.Context, c *tta.Component) (annota
 			area:     comp.Seq.Area(),
 			delay:    comp.Seq.CriticalPath(),
 			degraded: true,
+			notice: fmt.Sprintf("%s: ATPG deadline %v exhausted; using analytical bound np<=%d (measured %d patterns before expiry)",
+				comp.Seq.Name, a.ATPGDeadline, b.Patterns, res.NumPatterns()),
 		}, nil
 	}
 	return annotation{
@@ -419,9 +422,14 @@ func (a *Annotator) marchOverride(c *tta.Component, an annotation) annotation {
 // cached on success. Callers that know which components an exploration
 // will cost can start their ATPG early; EvaluateContext then reads the
 // cache. A failed annotation is not cached, so a later request retries.
-func (a *Annotator) AnnotateContext(ctx context.Context, c *tta.Component) error {
-	_, err := a.componentAnnotation(ctx, c)
-	return err
+// The returned notice is the served annotation's, whether this call ran
+// the ATPG, waited on another caller's run or read the cache: "" when it
+// converged, else why its budget ran out and which bound replaced it.
+// The annotator serves many runs at once; each caller reports the
+// notice on its own stream.
+func (a *Annotator) AnnotateContext(ctx context.Context, c *tta.Component) (notice string, err error) {
+	an, err := a.componentAnnotation(ctx, c)
+	return an.notice, err
 }
 
 // componentAnnotation fetches the library annotation for an architecture

@@ -217,7 +217,7 @@ func TestAreaDelayAnnotation(t *testing.T) {
 	a := tta.Figure9()
 	for ci := range a.Components {
 		c := &a.Components[ci]
-		if err := sharedAnn.AnnotateContext(ctx, c); err != nil {
+		if _, err := sharedAnn.AnnotateContext(ctx, c); err != nil {
 			t.Fatal(err)
 		}
 		area, delay, err := sharedAnn.AreaDelayContext(ctx, c)
