@@ -4,7 +4,7 @@
 // plus a microbenchmark of the flush itself. The pair quantifies what
 // integrity checking costs on the hot path (the acceptance bound is
 // <3% on the cold parallel sweep); numbers are recorded in
-// BENCH_durability.json.
+// EXPERIMENTS.md, "Durability overhead".
 package repro
 
 import (

@@ -694,12 +694,14 @@ func assembleArch(name string, width, buses, nALU, nCMP int, adder gatelib.Adder
 // candidate evaluation: the scheduler never reads the port-to-bus
 // assignment (only the bus count), and area, clock and energy depend only
 // on the component mix — so the Assigns variants of one structure share
-// all of it and recompute only CD and hence test cost.
+// all of it and recompute only CD and hence test cost. usage is what the
+// schedule used of the buses and units (zero when infeasible).
 type structEval struct {
 	feasible bool
 	reason   string
 	cycles   int
 	spills   int
+	usage    sched.Usage
 	area     float64
 	clock    float64
 	energy   float64
@@ -709,21 +711,36 @@ type structEval struct {
 // by: width, bus count and the ordered component mix (kinds, ALU adder
 // microarchitecture, register-file shapes) — everything that feeds the
 // structural evaluation, and nothing of the port assignment.
-func structKey(a *tta.Architecture) string {
+func structKey(a *tta.Architecture) string { return structureKey(a, false) }
+
+// scheduleClass is structKey without the bus count, the ALUs and the CMP
+// units: the width and the ordered register files, LD/ST, PC and
+// Immediate. Two structures of one class differ only in what
+// sched.Counts counts and in the adder, which the scheduler never reads,
+// so a schedule of one serves another wherever its Usage admits the
+// other's counts.
+func scheduleClass(a *tta.Architecture) string { return structureKey(a, true) }
+
+// structureKey builds structKey, or scheduleClass when class is set.
+func structureKey(a *tta.Architecture, class bool) string {
 	// Built with strconv rather than fmt: the warm-up stage and every
 	// candidate look structures up by this key.
 	b := make([]byte, 0, 96)
 	b = append(b, 'w')
 	b = strconv.AppendInt(b, int64(a.Width), 10)
-	b = append(b, "/b"...)
-	b = strconv.AppendInt(b, int64(a.Buses), 10)
+	if !class {
+		b = append(b, "/b"...)
+		b = strconv.AppendInt(b, int64(a.Buses), 10)
+	}
 	for ci := range a.Components {
 		c := &a.Components[ci]
-		switch c.Kind {
-		case tta.ALU:
+		switch {
+		case class && (c.Kind == tta.ALU || c.Kind == tta.CMP):
+			// Counted by sched.Counts, not part of the class.
+		case c.Kind == tta.ALU:
 			b = append(b, "/alu:"...)
 			b = append(b, c.Adder.String()...)
-		case tta.RF:
+		case c.Kind == tta.RF:
 			b = append(b, "/rf:"...)
 			b = strconv.AppendInt(b, int64(c.NumRegs), 10)
 			b = append(b, 'x')
@@ -742,9 +759,23 @@ func structKey(a *tta.Architecture) string {
 // schedMemo shares structural evaluations across the assign-strategy
 // variants of one structure, single-flight per key: the first requester
 // schedules, duplicates block only on their own structure's latch.
+//
+// It also keeps every feasible schedule it computed, by schedule class,
+// for reuse (see sched.Usage.Admits): a structure missing from the memo
+// takes the cycles and spills of a sealed schedule of its class whose
+// usage admits its counts, and computes only its own area and clock. A
+// schedule is sealed by seal, which the guided search calls at each
+// generation barrier; lookups read sealed schedules only, so which
+// structures are scheduled, reused or hit depends on the genomes alone,
+// never on the order in which workers finish. A sweep never seals.
+// Callers validate a structure before they look it up: reuse skips the
+// scheduler, which would reject an invalid one.
 type schedMemo struct {
 	mu sync.Mutex
 	m  map[string]*schedMemoEntry
+	// fresh holds, by schedule class, the feasible schedules computed
+	// since the last seal; sealed holds those computed before it.
+	fresh, sealed map[string][]classSched
 	// eval computes a missing entry: evalStructural, or a stand-in in
 	// tests of the latch.
 	eval func(context.Context, *Config, *tta.Architecture, *obs.Span) (structEval, error)
@@ -756,14 +787,27 @@ type schedMemoEntry struct {
 	err  error
 }
 
+// classSched is a feasible schedule of a class: the counts of the
+// structure it was made on, and that structure's settled entry.
+type classSched struct {
+	counts sched.Counts
+	e      *schedMemoEntry
+}
+
 func newSchedMemo() *schedMemo {
-	return &schedMemo{m: make(map[string]*schedMemoEntry), eval: evalStructural}
+	return &schedMemo{
+		m:      make(map[string]*schedMemoEntry),
+		fresh:  make(map[string][]classSched),
+		sealed: make(map[string][]classSched),
+		eval:   evalStructural,
+	}
 }
 
 // get returns the structural evaluation for arch, computing it at most
 // once per structural signature ("dse.sched.memo.hit"/".miss" count the
-// reuse). sp is the requesting job's "evaluate" span; only the computing
-// request records a "sched" child under it.
+// reuse). A miss that a sealed schedule serves also counts on
+// "dse.sched.memo.reuse". sp is the requesting job's "evaluate" span;
+// only a request that schedules records a "sched" child under it.
 func (m *schedMemo) get(ctx context.Context, cfg *Config, arch *tta.Architecture, sp *obs.Span) (structEval, error) {
 	key := structKey(arch)
 	m.mu.Lock()
@@ -780,6 +824,9 @@ func (m *schedMemo) get(ctx context.Context, cfg *Config, arch *tta.Architecture
 	}
 	e = &schedMemoEntry{done: make(chan struct{})}
 	m.m[key] = e
+	class := scheduleClass(arch)
+	counts := sched.CountsOf(arch)
+	src := m.admitting(class, counts)
 	m.mu.Unlock()
 	cfg.Obs.Counter("dse.sched.memo.miss").Inc()
 	// The latch must settle even if the structural evaluation panics:
@@ -794,16 +841,56 @@ func (m *schedMemo) get(ctx context.Context, cfg *Config, arch *tta.Architecture
 			panic(r)
 		}
 	}()
-	e.val, e.err = m.eval(ctx, cfg, arch, sp)
+	if src != nil {
+		cfg.Obs.Counter("dse.sched.memo.reuse").Inc()
+		e.val, e.err = reuse(ctx, cfg, arch, src)
+	} else {
+		e.val, e.err = m.eval(ctx, cfg, arch, sp)
+	}
 	close(e.done)
+	if src == nil && e.err == nil && e.val.feasible {
+		m.mu.Lock()
+		m.fresh[class] = append(m.fresh[class], classSched{counts, e})
+		m.mu.Unlock()
+	}
 	return e.val, e.err
+}
+
+// admitting returns the evaluation of a sealed schedule of the class
+// whose usage admits counts, or nil. Every such schedule is the one the
+// scheduler would make for counts, so any of them serves. m.mu is held.
+func (m *schedMemo) admitting(class string, counts sched.Counts) *structEval {
+	for _, c := range m.sealed[class] {
+		if c.e.val.usage.Admits(c.counts, counts) {
+			return &c.e.val
+		}
+	}
+	return nil
+}
+
+// reuse prices arch with src's schedule: src's cycles, spills and usage,
+// and arch's own area and clock.
+func reuse(ctx context.Context, cfg *Config, arch *tta.Architecture, src *structEval) (structEval, error) {
+	area, clock, err := areaClock(ctx, cfg, arch)
+	if err != nil {
+		return structEval{}, err
+	}
+	return structEval{feasible: true, cycles: src.cycles, spills: src.spills, usage: src.usage, area: area, clock: clock}, nil
+}
+
+// seal makes the schedules computed so far available for reuse.
+func (m *schedMemo) seal() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for class, cs := range m.fresh {
+		m.sealed[class] = append(m.sealed[class], cs...)
+	}
+	clear(m.fresh)
 }
 
 // evalStructural schedules the kernel and derives area, clock and energy
 // for one structure — the memoized part of evaluate, and the structural
-// part of the guided search's screen. Area and clock are read off the
-// component netlists (Annotator.AreaDelayContext), so they never wait on
-// a gate-level ATPG run.
+// part of the guided search's screen.
 func evalStructural(ctx context.Context, cfg *Config, arch *tta.Architecture, sp *obs.Span) (structEval, error) {
 	// Throughput axis: schedule the kernel. Only the energy axis reads the
 	// move program; without it the schedule's summary is enough.
@@ -815,7 +902,7 @@ func evalStructural(ctx context.Context, cfg *Config, arch *tta.Architecture, sp
 	if cfg.EnergyModel == nil {
 		sum, err = sched.MeasureContext(ctx, cfg.Workload, arch, opts)
 	} else if schedRes, err = sched.ScheduleContext(ctx, cfg.Workload, arch, opts); err == nil {
-		sum = sched.Summary{Cycles: schedRes.Cycles, Spills: schedRes.Spills}
+		sum = sched.Summary{Cycles: schedRes.Cycles, Spills: schedRes.Spills, Usage: schedRes.Usage}
 	}
 	schedSp.End()
 	if err != nil {
@@ -828,15 +915,27 @@ func evalStructural(ctx context.Context, cfg *Config, arch *tta.Architecture, sp
 		feasible: true,
 		cycles:   sum.Cycles,
 		spills:   sum.Spills,
+		usage:    sum.Usage,
 	}
+	if se.area, se.clock, err = areaClock(ctx, cfg, arch); err != nil {
+		return structEval{}, err
+	}
+	if cfg.EnergyModel != nil {
+		est := cfg.EnergyModel.ScheduleEnergy(schedRes, se.area)
+		se.energy = est.Total * float64(cfg.WorkloadReps)
+	}
+	return se, nil
+}
 
-	// Area and clock axes from the gate-level library.
-	area := 0.0
-	clock := cfg.BusDelay
+// areaClock returns the area and the clock period of a structure, read
+// off the component netlists (Annotator.AreaDelayContext), so they never
+// wait on a gate-level ATPG run.
+func areaClock(ctx context.Context, cfg *Config, arch *tta.Architecture) (area, clock float64, err error) {
+	clock = cfg.BusDelay
 	for ci := range arch.Components {
 		ar, dl, err := cfg.Annotator.AreaDelayContext(ctx, &arch.Components[ci])
 		if err != nil {
-			return structEval{}, err
+			return 0, 0, err
 		}
 		area += ar
 		if dl+cfg.BusDelay > clock {
@@ -845,20 +944,14 @@ func evalStructural(ctx context.Context, cfg *Config, arch *tta.Architecture, sp
 	}
 	inA, outA, err := cfg.Annotator.SocketArea()
 	if err != nil {
-		return structEval{}, err
+		return 0, 0, err
 	}
 	for ci := range arch.Components {
 		in, out := arch.Components[ci].PortCounts()
 		area += float64(in)*inA + float64(out)*outA
 	}
 	area += float64(arch.Buses) * float64(arch.Width) * cfg.BusAreaPerBit
-	se.area = area
-	se.clock = clock
-	if cfg.EnergyModel != nil {
-		est := cfg.EnergyModel.ScheduleEnergy(schedRes, area)
-		se.energy = est.Total * float64(cfg.WorkloadReps)
-	}
-	return se, nil
+	return area, clock, nil
 }
 
 // evaluate computes all three axes for one candidate. sp (nil allowed)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gatelib"
 	"repro/internal/obs"
 	"repro/internal/tta"
 )
@@ -98,6 +99,82 @@ func TestStructKeyIgnoresAssignment(t *testing.T) {
 	}
 	if structKey(adder) == structKey(base) {
 		t.Error("adder microarchitecture missing from the structural key")
+	}
+}
+
+// TestScheduleClassIgnoresCounts pins the class a sealed schedule is
+// filed under: bus, ALU and CMP counts and the adder collide (the
+// scheduler reads none of them but the counts, which Usage.Admits
+// judges), while width and register files separate.
+func TestScheduleClassIgnoresCounts(t *testing.T) {
+	rfs := []RFSpec{{8, 1, 1}}
+	base := scheduleClass(buildArch(16, 2, 1, 1, rfs, tta.SpreadFirst, 0, 0))
+	for _, a := range []*tta.Architecture{
+		buildArch(16, 9, 3, 4, rfs, tta.Packed, 1, 0),
+		assembleArch("csel", 16, 2, 1, 1, gatelib.AdderCarrySelect, rfs, tta.SpreadFirst),
+	} {
+		if got := scheduleClass(a); got != base {
+			t.Errorf("%s: class %s, want %s", a.Name, got, base)
+		}
+	}
+	for _, a := range []*tta.Architecture{
+		buildArch(8, 2, 1, 1, rfs, tta.SpreadFirst, 2, 0),
+		buildArch(16, 2, 1, 1, []RFSpec{{12, 1, 1}}, tta.SpreadFirst, 3, 0),
+		buildArch(16, 2, 1, 1, []RFSpec{{8, 1, 1}, {8, 1, 1}}, tta.SpreadFirst, 4, 0),
+	} {
+		if scheduleClass(a) == base {
+			t.Errorf("%s: width or register files missing from the class %s", a.Name, base)
+		}
+	}
+}
+
+// TestScheduleMemoReusesSealedOnly: a schedule serves the structures its
+// usage admits only once it is sealed. Before, an admitted structure is
+// scheduled; after, it is served with the unshared evaluation's values;
+// a structure the usage does not admit is always scheduled.
+func TestScheduleMemoReusesSealedOnly(t *testing.T) {
+	cfg, err := DefaultConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	if err := cfg.fillDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	unshared := cfg
+	unshared.Obs = nil
+	ctx := context.Background()
+	memo := newSchedMemo()
+	rfs := []RFSpec{{8, 1, 2}, {12, 2, 3}}
+	get := func(buses int, adder gatelib.AdderKind) (runs, reuse int64) {
+		t.Helper()
+		arch := assembleArch("x", cfg.Width, buses, 2, 1, adder, rfs, tta.SpreadFirst)
+		got, err := memo.get(ctx, &cfg, arch, nil)
+		if err != nil || !got.feasible {
+			t.Fatalf("%d buses: feasible %t, error %v", buses, got.feasible, err)
+		}
+		want, err := evalStructural(ctx, &unshared, arch, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%d buses, %s: memo %+v, unshared %+v", buses, adder, got, want)
+		}
+		return reg.Counter("sched.runs").Value(), reg.Counter("dse.sched.memo.reuse").Value()
+	}
+	// On 12 buses the busiest cycle moves 5, so the schedule admits 6 and
+	// more buses.
+	get(12, gatelib.AdderRipple)
+	if runs, reuse := get(16, gatelib.AdderRipple); runs != 2 || reuse != 0 {
+		t.Errorf("before the seal: sched.runs %d, reuse %d, want 2 and 0", runs, reuse)
+	}
+	memo.seal()
+	if runs, reuse := get(6, gatelib.AdderCarrySelect); runs != 2 || reuse != 1 {
+		t.Errorf("after the seal: sched.runs %d, reuse %d, want 2 and 1", runs, reuse)
+	}
+	if runs, reuse := get(5, gatelib.AdderRipple); runs != 3 || reuse != 1 {
+		t.Errorf("5 buses, not admitted: sched.runs %d, reuse %d, want 3 and 1", runs, reuse)
 	}
 }
 

@@ -476,6 +476,12 @@ func searchCandidates(ctx context.Context, cfg *Config, sp *obs.Span, spec Searc
 			genSp.End()
 			return nil, nil, err
 		}
+		// Later generations may reuse this one's schedules. Not with an
+		// energy model: energy sums over the moves, which a reused
+		// schedule does not carry.
+		if cfg.EnergyModel == nil {
+			memo.seal()
+		}
 		for i := range pop {
 			keys[i] = pop[i].key()
 		}

@@ -32,9 +32,12 @@ var raceEnabled bool
 
 // TestCheapEvalAllocs bounds what screening one genome allocates once its
 // structure is in the memo and its bound annotations are cached: the
-// genome's architecture, its structure key, the component keys and the
-// cost breakdown. Port index lists or fmt-built strings per component
-// would exceed the bound.
+// genome's architecture, its structure key and the cost breakdown (the
+// component keys index the caches without allocating). Port index lists
+// or fmt-built strings per component would exceed the bound. A genome
+// whose structure a sealed schedule serves stays under the same bound:
+// reuse adds the schedule class key, the memo entry and its latch, and
+// no schedule.
 func TestCheapEvalAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")
@@ -60,6 +63,36 @@ func TestCheapEvalAllocs(t *testing.T) {
 	t.Logf("%s: %.0f allocations per screened genome", g.key(), allocs)
 	if allocs > 40 {
 		t.Errorf("screening a memoized genome allocates %.0f times, want at most 40", allocs)
+	}
+
+	// Reuse: the sealed schedule of g on 12 buses, whose busiest cycle
+	// moves 5, serves g on 16 buses with the other adder. Each run drops
+	// that genome's entry first, so every run takes the reuse path.
+	src := g
+	src.buses = 12
+	if res := cheapEvalOne(ctx, &cfg, &src, memo, nil); !res.feasible || res.err != nil {
+		t.Fatalf("genome %s: feasible %t, error %v", src.key(), res.feasible, res.err)
+	}
+	memo.seal()
+	wide := src
+	wide.buses, wide.adder = 16, gatelib.AdderRipple
+	key := structKey(wide.arch(cfg.Width, 0))
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	if res := cheapEvalOne(ctx, &cfg, &wide, memo, nil); !res.feasible || res.err != nil {
+		t.Fatalf("genome %s: feasible %t, error %v", wide.key(), res.feasible, res.err)
+	}
+	if reuse := reg.Counter("dse.sched.memo.reuse").Value(); reuse != 1 {
+		t.Fatalf("%s: dse.sched.memo.reuse = %d, want 1", wide.key(), reuse)
+	}
+	cfg.Obs = nil
+	allocs = testing.AllocsPerRun(50, func() {
+		delete(memo.m, key)
+		cheapEvalOne(ctx, &cfg, &wide, memo, nil)
+	})
+	t.Logf("%s: %.0f allocations per genome served by reuse", wide.key(), allocs)
+	if allocs > 40 {
+		t.Errorf("screening a genome served by reuse allocates %.0f times, want at most 40", allocs)
 	}
 }
 
@@ -165,15 +198,17 @@ func TestGenomeOperatorsStayInRange(t *testing.T) {
 
 // TestSearchDeterministicAcrossParallelism is the acceptance property:
 // a fixed seed yields identical survivors, measurements, fronts and
-// selection at any Parallelism.
+// selection at any Parallelism, and schedules, reuses and memo lookups
+// alike, which holds only while lookups read sealed schedules alone.
 func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 	ann := testcost.NewAnnotator(16, 7)
 	type runResult struct {
-		names  []string
-		coords [][]float64
-		front2 []int
-		front3 []int
-		sel    int
+		names    []string
+		coords   [][]float64
+		front2   []int
+		front3   []int
+		sel      int
+		counters map[string]int64
 	}
 	run := func(parallelism int) runResult {
 		t.Helper()
@@ -181,11 +216,16 @@ func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		reg := obs.NewRegistry()
+		cfg.Obs = reg
 		res, err := ExploreContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := runResult{front2: res.Front2D, front3: res.Front3D, sel: res.Selected}
+		out := runResult{front2: res.Front2D, front3: res.Front3D, sel: res.Selected, counters: map[string]int64{}}
+		for _, name := range []string{"sched.runs", "dse.sched.memo.hit", "dse.sched.memo.miss", "dse.sched.memo.reuse"} {
+			out.counters[name] = reg.Counter(name).Value()
+		}
 		for i := range res.Candidates {
 			c := &res.Candidates[i]
 			out.names = append(out.names, c.Arch.Name)
@@ -200,6 +240,65 @@ func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 	}
 	if len(serial.names) == 0 {
 		t.Fatal("search promoted no candidates")
+	}
+	t.Logf("counters: %v", serial.counters)
+	if serial.counters["dse.sched.memo.reuse"] == 0 {
+		t.Error("no schedule reused: the counters cannot show a lookup of an unsealed schedule")
+	}
+}
+
+// TestScheduleMemoReuseMatchesUnshared runs a guided search at the
+// benchmark's shape (population 64, 8 generations, eta 20, seed 11),
+// generation by generation as searchCandidates does, and checks the memo
+// entry of every structure it screened, reused ones included, against an
+// unshared evalStructural of that structure, field for field.
+func TestScheduleMemoReuseMatchesUnshared(t *testing.T) {
+	cfg, err := DefaultConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	if err := cfg.fillDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	unshared := cfg
+	unshared.Obs = nil
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(11))
+	pop := make([]genome, 64)
+	for i := range pop {
+		pop[i] = randGenome(rng)
+	}
+	memo := newSchedMemo()
+	keys := make([]string, len(pop))
+	checked := map[string]bool{}
+	for gen := 0; gen < 8; gen++ {
+		res := evalCheap(ctx, &cfg, pop, memo, nil)
+		memo.seal()
+		for i := range pop {
+			keys[i] = pop[i].key()
+			arch := pop[i].arch(cfg.Width, 0)
+			sk := structKey(arch)
+			if arch.Validate() != nil || checked[sk] {
+				continue
+			}
+			checked[sk] = true
+			want, err := evalStructural(ctx, &unshared, arch, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := memo.m[sk].val; got != want {
+				t.Errorf("%s: memo entry %+v, unshared evaluation %+v", sk, got, want)
+			}
+		}
+		order, fitness := rankGeneration(keys, res)
+		pop = nextGeneration(rng, pop, order, fitness)
+	}
+	reuse := reg.Counter("dse.sched.memo.reuse").Value()
+	t.Logf("%d structures checked, %d served by reuse, %d scheduled", len(checked), reuse, reg.Counter("sched.runs").Value())
+	if reuse == 0 {
+		t.Error("the search reused no schedule")
 	}
 }
 

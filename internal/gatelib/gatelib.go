@@ -155,8 +155,21 @@ func (c RFConfig) Validate() error {
 // built with strconv rather than fmt: the guided search's screen keys
 // every register file of every genome by it.
 func (c RFConfig) String() string {
-	return "RF" + strconv.Itoa(c.NumRegs) + "x" + strconv.Itoa(c.Width) + "_" +
-		strconv.Itoa(c.NumIn) + "w" + strconv.Itoa(c.NumOut) + "r"
+	var buf [24]byte
+	return string(c.AppendString(buf[:0]))
+}
+
+// AppendString appends the configuration's String to b.
+func (c RFConfig) AppendString(b []byte) []byte {
+	b = append(b, "RF"...)
+	b = strconv.AppendInt(b, int64(c.NumRegs), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(c.Width), 10)
+	b = append(b, '_')
+	b = strconv.AppendInt(b, int64(c.NumIn), 10)
+	b = append(b, 'w')
+	b = strconv.AppendInt(b, int64(c.NumOut), 10)
+	return append(b, 'r')
 }
 
 // Library caches generated components by configuration so the (expensive)

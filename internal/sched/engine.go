@@ -94,13 +94,16 @@ func (s *scheduler) commitRead(v program.ValueID, src Endpoint) {
 	}
 }
 
-// fuFor returns a free function unit of the kind, or -1.
+// fuFor returns the lowest free function unit of the kind, or -1, and
+// records the answer in the schedule's Usage.
 func (s *scheduler) fuFor(kind tta.Kind, cycle int) int {
-	for _, fu := range s.fuByKind[kind] {
+	for i, fu := range s.fuByKind[kind] {
 		if s.fuBusyBy[fu] < cycle {
+			s.use.Units[kind] = max(s.use.Units[kind], i+1)
 			return fu
 		}
 	}
+	s.use.Short[kind] = true
 	return -1
 }
 

@@ -122,6 +122,8 @@ type Result struct {
 	// forced (0 on amply-registered architectures).
 	Spills  int
 	Reloads int
+	// Usage is what the schedule used of the buses and function units.
+	Usage Usage
 }
 
 // MovesPerCycle returns a histogram of bus occupancy.
@@ -197,13 +199,94 @@ type opState struct {
 	resLoc RegLoc
 }
 
-// Summary is the scalar part of a schedule, the fields of Result the
-// explorer prices a structure by.
+// Summary is the scalar part of a schedule: the fields of Result the
+// explorer prices a structure by, and the Usage that tells it which other
+// structures the same schedule serves.
 type Summary struct {
 	Cycles   int
 	Spills   int
 	Reloads  int
 	PeakLive int
+	Usage    Usage
+}
+
+// Usage is what a schedule used of its architecture's buses and function
+// units.
+type Usage struct {
+	// Moves is the most moves the schedule emitted in one cycle.
+	Moves int
+	// Units holds, per unit kind, one plus the highest position, among
+	// the units of the kind in component order, of a unit that a request
+	// for the kind was given (fuFor, freeKinds' probes included). Short
+	// records that a request found no unit of the kind free.
+	Units [tta.LDST + 1]int
+	Short [tta.LDST + 1]bool
+}
+
+// Counts are the resources in which two architectures may differ and
+// still share a schedule (Usage.Admits): the bus count and the numbers
+// of ALUs and CMP units.
+type Counts struct {
+	Buses, ALUs, CMPs int
+}
+
+// CountsOf returns the Counts of arch.
+func CountsOf(arch *tta.Architecture) Counts {
+	c := Counts{Buses: arch.Buses}
+	for ci := range arch.Components {
+		switch arch.Components[ci].Kind {
+		case tta.ALU:
+			c.ALUs++
+		case tta.CMP:
+			c.CMPs++
+		}
+	}
+	return c
+}
+
+// Admits reports whether the schedule that used u on an architecture
+// with counts from is also the schedule of the same graph, under the same
+// options, on an architecture that differs from that one only in having
+// counts to: whether both give the same Summary, Usage included. With
+// M = u.Moves it does when all three of these hold:
+//
+//   - to.Buses == from.Buses, or M < from.Buses and M < to.Buses;
+//   - to.ALUs == from.ALUs, or no ALU request went unserved and
+//     to.ALUs >= u.Units[tta.ALU];
+//   - the same for CMPs.
+//
+// Proof. The scheduler reads of an architecture only its bus count and,
+// per component, the kind, the port roles and the register-file shape.
+// It uses component indices only as identities, and it orders the units
+// of one kind by component order. So on the same graph and options both
+// runs start in equal states, and they stay equal, decision by decision,
+// as long as each resource check answers the same in both:
+//
+//   - Every bus check asks whether a bus is left in the cycle
+//     (busFree >= 1), that is, whether the m moves emitted so far in the
+//     cycle are fewer than the bus count. In the first run m <= M at
+//     every check. If the bus counts differ, both exceed M, so both runs
+//     answer yes.
+//   - fuFor returns the lowest free unit of a kind. In the first run no
+//     unit at a position at or above U = u.Units[k] was ever given, so
+//     none was ever busy. If the counts of kind k differ, every request
+//     found a free unit below U; the second run has at least U units of
+//     the kind, with the busy states of the first U equal by induction,
+//     so it finds the same unit. ALUs and CMPs are taken only through
+//     fuFor. (Spill code takes LD/ST units with a scan of its own, and
+//     their count is not in Counts.)
+//
+// Both runs therefore emit the same moves in the same cycles, up to
+// component indices, and so report the same cycles, spill traffic, peak
+// register use and Usage.
+func (u Usage) Admits(from, to Counts) bool {
+	busesOK := to.Buses == from.Buses || (u.Moves < from.Buses && u.Moves < to.Buses)
+	return busesOK && u.admitsUnits(tta.ALU, from.ALUs, to.ALUs) && u.admitsUnits(tta.CMP, from.CMPs, to.CMPs)
+}
+
+// admitsUnits is Admits' condition for the units of one kind.
+func (u Usage) admitsUnits(k tta.Kind, from, to int) bool {
+	return to == from || (!u.Short[k] && to >= u.Units[k])
 }
 
 // ScheduleContext maps the graph onto the architecture. It returns an
@@ -271,6 +354,8 @@ type scheduler struct {
 	// capacity — demand-driven spilling keeps function units busy even
 	// when other traffic prevents a full stall.
 	wantSpill bool
+
+	use Usage // what the schedule has used so far
 }
 
 // buffers is every slice and map of a scheduler state: storage that
@@ -535,7 +620,7 @@ func (s *scheduler) computeHeights() {
 
 // summary returns the scalar fields of the schedule in the state.
 func (s *scheduler) summary() Summary {
-	sum := Summary{Spills: s.spillCount, Reloads: s.reloadCount, PeakLive: s.peakLive}
+	sum := Summary{Spills: s.spillCount, Reloads: s.reloadCount, PeakLive: s.peakLive, Usage: s.use}
 	// Every move is emitted at the current cycle, so the last one holds
 	// the last bus cycle; add the register-load cycle after it.
 	if n := len(s.moves); n > 0 {
@@ -562,6 +647,7 @@ func (s *scheduler) result() *Result {
 		PeakLive: sum.PeakLive,
 		Spills:   sum.Spills,
 		Reloads:  sum.Reloads,
+		Usage:    sum.Usage,
 	}
 }
 
@@ -740,6 +826,7 @@ func (s *scheduler) run(ctx context.Context) error {
 				}
 			}
 		}
+		s.use.Moves = max(s.use.Moves, s.arch.Buses-s.busFree)
 		cycle++
 	}
 	return nil

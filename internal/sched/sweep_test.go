@@ -123,6 +123,8 @@ func sortedKeys[V any](m map[program.ValueID]V) []program.ValueID {
 
 // writeResult serializes every field of a schedule in a fixed order:
 // moves as emitted, the scalar totals, then each map by ascending key.
+// Usage, which the pins predate, is left out; scheduleDigest's Summary
+// carries it.
 func writeResult(w io.Writer, res *sched.Result) {
 	ep := func(e sched.Endpoint) string {
 		return fmt.Sprintf("%d.%d.%d.%d", e.Comp, e.Port, e.Reg, e.Imm)
@@ -410,7 +412,7 @@ func scheduleDigest(c scheduleCase) (string, sched.Summary) {
 	}
 	writeResult(h, res)
 	return hex.EncodeToString(h.Sum(nil)), sched.Summary{
-		Cycles: res.Cycles, Spills: res.Spills, Reloads: res.Reloads, PeakLive: res.PeakLive,
+		Cycles: res.Cycles, Spills: res.Spills, Reloads: res.Reloads, PeakLive: res.PeakLive, Usage: res.Usage,
 	}
 }
 
@@ -433,7 +435,7 @@ func TestMeasureMatchesSchedule(t *testing.T) {
 			continue
 		}
 		feasible++
-		want := sched.Summary{Cycles: res.Cycles, Spills: res.Spills, Reloads: res.Reloads, PeakLive: res.PeakLive}
+		want := sched.Summary{Cycles: res.Cycles, Spills: res.Spills, Reloads: res.Reloads, PeakLive: res.PeakLive, Usage: res.Usage}
 		if sum != want {
 			t.Errorf("%s on %s (%s): MeasureContext %+v, ScheduleContext %+v",
 				c.workload, c.arch.Name, c.prio, sum, want)

@@ -39,17 +39,19 @@ func (a *Annotator) componentBound(ctx context.Context, c *tta.Component) (annot
 	if err := ctx.Err(); err != nil {
 		return annotation{}, err
 	}
-	key, err := a.ComponentKey(c)
+	var buf [32]byte
+	kb, err := a.appendComponentKey(buf[:0], c)
 	if err != nil {
 		return annotation{}, err
 	}
 	a.mu.Lock()
-	if an, ok := a.bounds[key]; ok {
+	if an, ok := a.bounds[string(kb)]; ok {
 		a.mu.Unlock()
 		a.Obs.Counter("testcost.bound.hit").Inc()
 		return a.marchOverride(c, an), nil
 	}
 	a.mu.Unlock()
+	key := string(kb)
 	a.Obs.Counter("testcost.bound.miss").Inc()
 	comp, err := a.componentNetlist(a.Lib, c)
 	if err != nil {

@@ -157,6 +157,10 @@ type Annotator struct {
 	once     sync.Once
 	sockErr  error
 
+	sockAreaOnce sync.Once
+	sockArea     [2]float64 // SocketArea's input and output socket areas
+	sockAreaErr  error
+
 	loadWarnings []string // see LoadWarnings; appended under mu
 }
 
@@ -361,22 +365,30 @@ func ceilDiv(x, y int) int {
 // "imm/16". They are built without fmt, because the bound tier resolves
 // every component of every screened genome.
 func (a *Annotator) ComponentKey(c *tta.Component) (string, error) {
-	w := strconv.Itoa(a.Width)
+	var buf [32]byte
+	key, err := a.appendComponentKey(buf[:0], c)
+	return string(key), err
+}
+
+// appendComponentKey appends c's ComponentKey to dst. The screen's
+// lookups index their maps with string(key), which allocates nothing.
+func (a *Annotator) appendComponentKey(dst []byte, c *tta.Component) ([]byte, error) {
 	switch c.Kind {
 	case tta.ALU:
-		return "alu/" + w + "/" + c.Adder.String(), nil
+		dst = strconv.AppendInt(append(dst, "alu/"...), int64(a.Width), 10)
+		return append(append(dst, '/'), c.Adder.String()...), nil
 	case tta.CMP:
-		return "cmp/" + w, nil
+		return strconv.AppendInt(append(dst, "cmp/"...), int64(a.Width), 10), nil
 	case tta.RF:
-		return "rf/" + a.rfConfig(c).String(), nil
+		return a.rfConfig(c).AppendString(append(dst, "rf/"...)), nil
 	case tta.LDST:
-		return "ldst/" + w, nil
+		return strconv.AppendInt(append(dst, "ldst/"...), int64(a.Width), 10), nil
 	case tta.PC:
-		return "pc/" + w, nil
+		return strconv.AppendInt(append(dst, "pc/"...), int64(a.Width), 10), nil
 	case tta.IMM:
-		return "imm/" + w, nil
+		return strconv.AppendInt(append(dst, "imm/"...), int64(a.Width), 10), nil
 	default:
-		return "", fmt.Errorf("testcost: unknown component kind %v", c.Kind)
+		return dst, fmt.Errorf("testcost: unknown component kind %v", c.Kind)
 	}
 }
 
@@ -544,20 +556,22 @@ func (a *Annotator) AreaDelayContext(ctx context.Context, c *tta.Component) (are
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
 	}
-	key, err := a.ComponentKey(c)
+	var buf [32]byte
+	kb, err := a.appendComponentKey(buf[:0], c)
 	if err != nil {
 		return 0, 0, err
 	}
 	a.mu.Lock()
-	if an, ok := a.cache[key]; ok {
+	if an, ok := a.cache[string(kb)]; ok {
 		a.mu.Unlock()
 		return an.area, an.delay, nil
 	}
-	if ad, ok := a.nets[key]; ok {
+	if ad, ok := a.nets[string(kb)]; ok {
 		a.mu.Unlock()
 		return ad.area, ad.delay, nil
 	}
 	a.mu.Unlock()
+	key := string(kb)
 	comp, err := a.componentNetlist(gatelib.NewLibrary(), c)
 	if err != nil {
 		return 0, 0, err
@@ -577,6 +591,12 @@ func (a *Annotator) AreaDelayContext(ctx context.Context, c *tta.Component) (are
 // multiplied by the port counts it models the interconnect/control
 // overhead growing with sockets and buses.
 func (a *Annotator) SocketArea() (in, out float64, err error) {
+	a.sockAreaOnce.Do(func() { a.sockArea[0], a.sockArea[1], a.sockAreaErr = a.socketArea() })
+	return a.sockArea[0], a.sockArea[1], a.sockAreaErr
+}
+
+// socketArea measures SocketArea's cell areas, once per annotator.
+func (a *Annotator) socketArea() (in, out float64, err error) {
 	if err := a.sockets(); err != nil {
 		return 0, 0, err
 	}
