@@ -419,7 +419,7 @@ func produceArchs(ctx context.Context, cfg *Config, root *obs.Span) ([]*tta.Arch
 			}
 		}
 	}
-	return archs, newSchedMemo(), nil
+	return archs, newSchedMemo(cfg.Workload), nil
 }
 
 // partialErrorFor tallies the holes an evaluation sweep left behind and
@@ -770,12 +770,21 @@ func structureKey(a *tta.Architecture, class bool) string {
 // never on the order in which workers finish. A sweep never seals.
 // Callers validate a structure before they look it up: reuse skips the
 // scheduler, which would reject an invalid one.
+//
+// There is one memo per exploration, and it holds the exploration's
+// schedule plan: the workload graph validated, ordered and indexed once
+// (sched.NewPlan), which every schedule of the exploration reads.
 type schedMemo struct {
 	mu sync.Mutex
 	m  map[string]*schedMemoEntry
 	// fresh holds, by schedule class, the feasible schedules computed
 	// since the last seal; sealed holds those computed before it.
 	fresh, sealed map[string][]classSched
+	// plan is the workload's schedule plan; planErr, when the workload
+	// graph fails validation, is the reason every structure is
+	// infeasible.
+	plan    *sched.Plan
+	planErr error
 	// eval computes a missing entry: evalStructural, or a stand-in in
 	// tests of the latch.
 	eval func(context.Context, *Config, *tta.Architecture, *obs.Span) (structEval, error)
@@ -794,13 +803,17 @@ type classSched struct {
 	e      *schedMemoEntry
 }
 
-func newSchedMemo() *schedMemo {
-	return &schedMemo{
+// newSchedMemo returns an empty memo scheduling the workload g under
+// the critical-path priority.
+func newSchedMemo(g *program.Graph) *schedMemo {
+	m := &schedMemo{
 		m:      make(map[string]*schedMemoEntry),
 		fresh:  make(map[string][]classSched),
 		sealed: make(map[string][]classSched),
-		eval:   evalStructural,
 	}
+	m.plan, m.planErr = sched.NewPlan(g, sched.CriticalPath)
+	m.eval = m.evalStructural
+	return m
 }
 
 // get returns the structural evaluation for arch, computing it at most
@@ -888,21 +901,27 @@ func (m *schedMemo) seal() {
 	clear(m.fresh)
 }
 
-// evalStructural schedules the kernel and derives area, clock and energy
-// for one structure — the memoized part of evaluate, and the structural
-// part of the guided search's screen.
-func evalStructural(ctx context.Context, cfg *Config, arch *tta.Architecture, sp *obs.Span) (structEval, error) {
+// evalStructural schedules the kernel from the memo's plan and derives
+// area, clock and energy for one structure — the memoized part of
+// evaluate, and the structural part of the guided search's screen.
+func (m *schedMemo) evalStructural(ctx context.Context, cfg *Config, arch *tta.Architecture, sp *obs.Span) (structEval, error) {
 	// Throughput axis: schedule the kernel. Only the energy axis reads the
 	// move program; without it the schedule's summary is enough.
 	schedSp := sp.Child("sched")
 	opts := sched.Options{Obs: cfg.Obs}
 	var sum sched.Summary
 	var schedRes *sched.Result
-	var err error
-	if cfg.EnergyModel == nil {
-		sum, err = sched.MeasureContext(ctx, cfg.Workload, arch, opts)
-	} else if schedRes, err = sched.ScheduleContext(ctx, cfg.Workload, arch, opts); err == nil {
-		sum = sched.Summary{Cycles: schedRes.Cycles, Spills: schedRes.Spills, Usage: schedRes.Usage}
+	err := m.planErr
+	switch {
+	case err != nil:
+		// The workload graph failed validation: every structure is
+		// infeasible with its error as the reason.
+	case cfg.EnergyModel == nil:
+		sum, err = m.plan.Measure(ctx, arch, opts)
+	default:
+		if schedRes, err = m.plan.Schedule(ctx, arch, opts); err == nil {
+			sum = sched.Summary{Cycles: schedRes.Cycles, Spills: schedRes.Spills, Usage: schedRes.Usage}
+		}
 	}
 	schedSp.End()
 	if err != nil {

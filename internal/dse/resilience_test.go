@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/program"
 	"repro/internal/tta"
 )
 
@@ -124,7 +125,7 @@ func TestPanicInStructuralEvalReleasesMemoWaiters(t *testing.T) {
 	leader := buildArch(8, 2, 1, 1, rfs, tta.SpreadFirst, 0, 0)
 	waiter := buildArch(8, 2, 1, 1, rfs, tta.Packed, 1, 0)
 
-	memo := newSchedMemo()
+	memo := newSchedMemo(program.NewGraph("unused", 16)) // eval is a stand-in
 	release := make(chan struct{})
 	memo.eval = func(context.Context, *Config, *tta.Architecture, *obs.Span) (structEval, error) {
 		<-release

@@ -461,7 +461,7 @@ func searchCandidates(ctx context.Context, cfg *Config, sp *obs.Span, spec Searc
 	for i := range pop {
 		pop[i] = randGenome(rng)
 	}
-	memo := newSchedMemo()
+	memo := newSchedMemo(cfg.Workload)
 	promote := ceilDiv(spec.Population, spec.Eta)
 	var survivors []genome
 	seen := make(map[string]bool)

@@ -27,8 +27,8 @@ import (
 // jobs. buildArch lists ALUs first, so the long pole starts right after
 // the first schedule and overlaps every other job. Structural jobs can
 // run on every worker because they barely touch the heap: they read only
-// sched.MeasureContext's summary, which schedules in a pooled state and
-// builds no move program. The one-annotation rule bounds the stage's
+// the summary of the exploration's schedule plan (sched.Plan.Measure),
+// which schedules in a pooled state and builds no move program. The one-annotation rule bounds the stage's
 // memory: ATPG working sets side by side raise the cold sweep's resident
 // memory (about 3% on a 2-vCPU Xeon) with no speed gain. Once the
 // structural jobs are handed out, every worker takes annotation jobs.

@@ -5,9 +5,9 @@ import (
 	"repro/internal/tta"
 )
 
-// allocReg claims a free register, preferring the register file with the
-// most free capacity (balances pressure across RF1/RF2).
-func (s *scheduler) allocReg(cycle int) (RegLoc, bool) {
+// allocReg claims the lowest free register of the first register file
+// with the most free capacity (balances pressure across RF1/RF2).
+func (s *scheduler) allocReg() (RegLoc, bool) {
 	best, bestFree := -1, 0
 	for i, free := range s.rfFreeN {
 		if free > bestFree {
@@ -17,18 +17,17 @@ func (s *scheduler) allocReg(cycle int) (RegLoc, bool) {
 	if best < 0 {
 		return RegLoc{-1, -1}, false
 	}
-	for j, f := range s.rfFree[best] {
-		if f {
-			s.rfFree[best][j] = false
-			s.rfFreeN[best]--
-			s.live++
-			if s.live > s.peakLive {
-				s.peakLive = s.live
-			}
-			return RegLoc{RF: s.rfs[best], Reg: j}, true
-		}
+	j := firstSet(s.rfFree[best])
+	if j < 0 {
+		return RegLoc{-1, -1}, false
 	}
-	return RegLoc{-1, -1}, false
+	s.rfFree[best][j>>6] &^= 1 << (j & 63)
+	s.rfFreeN[best]--
+	s.live++
+	if s.live > s.peakLive {
+		s.peakLive = s.live
+	}
+	return RegLoc{RF: s.rfs[best], Reg: j}, true
 }
 
 func (s *scheduler) freeReg(loc RegLoc) {
@@ -36,8 +35,12 @@ func (s *scheduler) freeReg(loc RegLoc) {
 		return
 	}
 	pos := s.rfPosOf[loc.RF]
-	if pos >= 0 && !s.rfFree[pos][loc.Reg] {
-		s.rfFree[pos][loc.Reg] = true
+	if pos < 0 {
+		return
+	}
+	w, b := &s.rfFree[pos][loc.Reg>>6], uint64(1)<<(loc.Reg&63)
+	if *w&b == 0 {
+		*w |= b
 		s.rfFreeN[pos]++
 		s.live--
 	}
@@ -60,22 +63,24 @@ func (s *scheduler) sourceReadable(v program.ValueID, cycle int) (Endpoint, bool
 // register file this cycle, or false when all are in use.
 func (s *scheduler) rfReadPort(loc RegLoc) (Endpoint, bool) {
 	rf := loc.RF
-	if s.rfReads[rf] >= s.arch.Components[rf].NumOut {
+	reads := s.cycleUse[rf].reads
+	if reads >= s.arch.Components[rf].NumOut {
 		return Endpoint{}, false
 	}
 	outs := s.outs[rf]
-	return Endpoint{Comp: rf, Port: outs[s.rfReads[rf]%len(outs)], Reg: loc.Reg}, true
+	return Endpoint{Comp: rf, Port: outs[reads%len(outs)], Reg: loc.Reg}, true
 }
 
 // rfWritePort claims the next free write port of register file rf this
 // cycle, or reports false when all are in use.
 func (s *scheduler) rfWritePort(rf, reg int) (Endpoint, bool) {
-	if s.rfWrites[rf] >= s.arch.Components[rf].NumIn {
+	u := &s.cycleUse[rf]
+	if u.writes >= s.arch.Components[rf].NumIn {
 		return Endpoint{}, false
 	}
-	s.rfWrites[rf]++
+	u.writes++
 	ins := s.ins[rf]
-	return Endpoint{Comp: rf, Port: ins[(s.rfWrites[rf]-1)%len(ins)], Reg: reg}, true
+	return Endpoint{Comp: rf, Port: ins[(u.writes-1)%len(ins)], Reg: reg}, true
 }
 
 // commitRead consumes the per-cycle resources of a scheduled read and
@@ -83,10 +88,10 @@ func (s *scheduler) rfWritePort(rf, reg int) (Endpoint, bool) {
 func (s *scheduler) commitRead(v program.ValueID, src Endpoint) {
 	vs := &s.vals[v]
 	if vs.isConst {
-		s.immUsed[src.Comp]++
+		s.cycleUse[src.Comp].imms++
 		return
 	}
-	s.rfReads[src.Comp]++
+	s.cycleUse[src.Comp].reads++
 	vs.usesLeft--
 	if vs.usesLeft == 0 {
 		s.freeReg(vs.loc)
@@ -96,15 +101,35 @@ func (s *scheduler) commitRead(v program.ValueID, src Endpoint) {
 
 // fuFor returns the lowest free function unit of the kind, or -1, and
 // records the answer in the schedule's Usage.
-func (s *scheduler) fuFor(kind tta.Kind, cycle int) int {
-	for i, fu := range s.fuByKind[kind] {
-		if s.fuBusyBy[fu] < cycle {
-			s.use.Units[kind] = max(s.use.Units[kind], i+1)
-			return fu
-		}
+func (s *scheduler) fuFor(kind tta.Kind) int {
+	i := firstSet(s.unitFree[kind])
+	if i < 0 {
+		s.use.Short[kind] = true
+		return -1
 	}
-	s.use.Short[kind] = true
+	s.use.Units[kind] = max(s.use.Units[kind], i+1)
+	return s.fuByKind[kind][i]
+}
+
+// freeUnit returns the lowest free function unit of the kind, or -1,
+// without recording it: spill code takes LD/ST units through it.
+func (s *scheduler) freeUnit(kind tta.Kind) int {
+	if i := firstSet(s.unitFree[kind]); i >= 0 {
+		return s.fuByKind[kind][i]
+	}
 	return -1
+}
+
+// takeUnit marks function unit fu busy until releaseUnit frees it.
+func (s *scheduler) takeUnit(fu int) {
+	i := s.unitPos[fu]
+	s.unitFree[s.arch.Components[fu].Kind][i>>6] &^= 1 << (i & 63)
+}
+
+// releaseUnit marks function unit fu free.
+func (s *scheduler) releaseUnit(fu int) {
+	i := s.unitPos[fu]
+	s.unitFree[s.arch.Components[fu].Kind][i>>6] |= 1 << (i & 63)
 }
 
 func portOf(c *tta.Component, role tta.PortRole) int {
@@ -147,7 +172,7 @@ func (s *scheduler) tryStart(oi int, cycle int) bool {
 		}
 	}
 
-	fu := s.fuFor(kindOf(op.Op.Class()), cycle)
+	fu := s.fuFor(kindOf(op.Op.Class()))
 	if fu == -1 {
 		return false
 	}
@@ -170,7 +195,7 @@ func (s *scheduler) tryStart(oi int, cycle int) bool {
 		dst := Endpoint{Comp: fu, Port: s.trigPort[fu], Reg: -1}
 		s.busFree--
 		s.commitRead(op.A, src)
-		resLoc, ok := s.allocReg(cycle)
+		resLoc, ok := s.allocReg()
 		if !ok {
 			// Unreachable by the guard above; fail loudly in development.
 			panic("sched: result allocation failed after free-on-read guard")
@@ -185,7 +210,7 @@ func (s *scheduler) tryStart(oi int, cycle int) bool {
 		if s.record {
 			s.fuOf[program.ValueID(oi)] = fu
 		}
-		s.fuBusyBy[fu] = cycle + 1000000 // released by tryFinish
+		s.takeUnit(fu) // released by tryFinish
 		s.memReady = cycle + 1
 		return true
 	}
@@ -208,7 +233,7 @@ func (s *scheduler) tryStart(oi int, cycle int) bool {
 	s.busFree--
 	s.commitRead(op.A, src)
 	if op.Defines() {
-		resLoc, ok := s.allocReg(cycle)
+		resLoc, ok := s.allocReg()
 		if !ok {
 			panic("sched: result allocation failed after free-on-read guard")
 		}
@@ -222,7 +247,7 @@ func (s *scheduler) tryStart(oi int, cycle int) bool {
 	if s.record {
 		s.fuOf[program.ValueID(oi)] = fu
 	}
-	s.fuBusyBy[fu] = cycle + 1000000
+	s.takeUnit(fu)
 
 	// Opportunistic same-cycle trigger (relation (2) allows C(T) == C(O)).
 	s.tryTrigger(oi, cycle)
@@ -273,7 +298,7 @@ func (s *scheduler) tryFinish(oi int, cycle int) bool {
 		if cycle < st.tTrig+2 {
 			return false
 		}
-		s.fuBusyBy[st.fu] = -1
+		s.releaseUnit(st.fu)
 		st.done = true
 		return true
 	}
@@ -319,7 +344,7 @@ func (s *scheduler) tryFinish(oi int, cycle int) bool {
 			Fout: cycle,
 		}
 	}
-	s.fuBusyBy[st.fu] = -1
+	s.releaseUnit(st.fu)
 	st.done = true
 	s.gained(program.ValueID(oi))
 	return true

@@ -21,7 +21,6 @@
 package sched
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"maps"
@@ -294,11 +293,16 @@ func (u Usage) admitsUnits(k tta.Kind, from, to int) bool {
 // kinds, too few registers) or when scheduling exceeds the cycle bound.
 // The scheduling loop checks ctx periodically and returns ctx.Err() when
 // it is done, so a pathological schedule inside a large exploration
-// cannot outlive its caller's deadline.
+// cannot outlive its caller's deadline. It builds the graph's plan for
+// opts.Priority in the pooled state for this one call; a caller that
+// schedules one graph many times builds the plan once (NewPlan).
 func ScheduleContext(ctx context.Context, g *program.Graph, arch *tta.Architecture, opts Options) (*Result, error) {
 	s := states.Get().(*scheduler)
 	defer s.release()
-	if err := s.schedule(ctx, g, arch, opts, true); err != nil {
+	if err := s.own.build(g, opts.Priority); err != nil {
+		return nil, err
+	}
+	if err := s.schedule(ctx, &s.own, arch, opts, true); err != nil {
 		return nil, err
 	}
 	return s.result(), nil
@@ -306,13 +310,15 @@ func ScheduleContext(ctx context.Context, g *program.Graph, arch *tta.Architectu
 
 // MeasureContext schedules exactly as ScheduleContext does, with the same
 // errors and "sched.*" counters, but returns only the schedule's Summary.
-// It fills none of Result's maps and copies nothing out of the reused
-// scheduler state, so a warm call allocates only what validating its
-// inputs does.
+// It fills none of Result's maps, records no move and copies nothing out
+// of the reused scheduler state, so a warm call does not allocate.
 func MeasureContext(ctx context.Context, g *program.Graph, arch *tta.Architecture, opts Options) (Summary, error) {
 	s := states.Get().(*scheduler)
 	defer s.release()
-	if err := s.schedule(ctx, g, arch, opts, false); err != nil {
+	if err := s.own.build(g, opts.Priority); err != nil {
+		return Summary{}, err
+	}
+	if err := s.schedule(ctx, &s.own, arch, opts, false); err != nil {
 		return Summary{}, err
 	}
 	return s.summary(), nil
@@ -322,15 +328,17 @@ func MeasureContext(ctx context.Context, g *program.Graph, arch *tta.Architectur
 // keeps its buffers between schedules; reset resizes them in place.
 var states = sync.Pool{New: func() any { return new(scheduler) }}
 
-// scheduler is the working state of one schedule at a time. Its buffers
+// scheduler is the working state of one schedule at a time: what the
+// schedule changes, over the read-only plan of its graph. Its buffers
 // survive from one schedule to the next; every other field is zeroed by
-// reset, and release drops the graph, architecture and options.
+// reset, and release drops the plan, graph, architecture and options.
 type scheduler struct {
-	g    *program.Graph
+	plan *Plan
+	g    *program.Graph // the plan's graph
 	arch *tta.Architecture
 	opts Options
-	// record fills Result's four maps (ScheduleContext); nothing the
-	// scheduler decides reads them.
+	// record keeps the moves and fills Result's four maps
+	// (ScheduleContext); nothing the scheduler decides reads them.
 	record bool
 
 	buffers
@@ -343,10 +351,19 @@ type scheduler struct {
 
 	memReady int // earliest cycle the next memory op may trigger
 
+	// The schedule's move count and the cycle of its last move, kept
+	// whether or not the moves themselves are.
+	moveCount int
+	lastCycle int
+
 	// Spill machinery.
 	spillSlots  int
 	spillCount  int // total spill stores emitted
 	reloadCount int
+	// storesOut and loadsOut count the spill jobs of each direction that
+	// are not done.
+	storesOut   int
+	loadsOut    int
 	stallStreak int
 	stallTotal  int // cycles in which no move was emitted
 	movedNow    bool
@@ -362,13 +379,16 @@ type scheduler struct {
 // reset resizes for the next graph and architecture instead of
 // reallocating.
 type buffers struct {
-	height []int // critical-path priority per op
+	// own is the plan ScheduleContext and MeasureContext build for their
+	// one call.
+	own Plan
 
 	// Architecture tables, built once per schedule so the cycle loop
 	// never allocates: function units by kind, the bus-facing port lists
 	// of register files and Immediate units, and the O/T/R port indices
 	// of function units (all indexed by component).
 	fuByKind [tta.LDST + 1][]int
+	unitPos  []int // per component: its position among its kind's units
 	rfs      []int // component indices of register files
 	imms     []int
 	ins      [][]int
@@ -376,47 +396,46 @@ type buffers struct {
 	opPort   []int
 	trigPort []int
 	resPort  []int
-	rfPosOf  []int    // per component: position in rfs (-1 if not an RF)
-	rfFree   [][]bool // per RF: free register map
-	rfFreeN  []int    // per RF: number of free registers
+	rfPosOf  []int // per component: position in rfs (-1 if not an RF)
 
-	vals     []valueState
-	ops      []opState
-	fuBusyBy []int // per component: cycle until which the FU is busy (-1 free)
+	// Resource bitmaps: per function-unit kind, the positions of its
+	// free units; per RF, its free registers.
+	unitFree [tta.LDST + 1][]uint64
+	rfFree   [][]uint64
+	rfFreeN  []int // per RF: number of free registers
+
+	vals []valueState
+	ops  []opState
 
 	// Bitsets over the priority ranks of the pending ops, which the start
 	// walk (startOps) reads. An op enters full when its operands are all
 	// present (a constant or in a register) at placement or when a result
 	// is written, and reload when a spill store moves one of its operands
-	// to memory. It leaves both only when it starts. kindRanks holds the
-	// ranks of each function-unit kind's ops. byRank maps a rank back to
-	// its op, rank the other way.
-	full      []uint64
-	reload    []uint64
-	kindRanks [tta.LDST + 1][]uint64
-	byRank    []int
-	rank      []int
-	inflight  []int // started ops that are not done, in start order
+	// to memory. It leaves both only when it starts. The plan holds the
+	// ranks of each function-unit kind's ops.
+	full     []uint64
+	reload   []uint64
+	inflight []int // started ops that are not done, in start order
 
-	// Per-cycle resource counters, indexed by component (reset each
-	// cycle).
-	rfReads  []int
-	rfWrites []int
-	immUsed  []int
+	// cycleUse is what each component has given out this cycle (cleared
+	// each cycle).
+	cycleUse []portUse
 
-	// consumers lists each value's consuming op indices (ascending); the
-	// lists share the backing array consumed.
-	consumers [][]int32
-	consumed  []int32
-	spills    []spillJob
+	spills []spillJob
 
-	// The schedule: ScheduleContext copies these out, MeasureContext
-	// reads only their summary.
+	// The schedule, kept only when recording: ScheduleContext copies
+	// these out.
 	moves    []Move
 	timings  map[program.ValueID]tta.OpTiming
 	fuOf     map[program.ValueID]int
 	regAlloc map[program.ValueID]RegLoc
 	inputLoc map[program.ValueID]RegLoc
+}
+
+// portUse counts what one component has given out in the current cycle:
+// register-file reads and writes, and immediates.
+type portUse struct {
+	reads, writes, imms int
 }
 
 // grow returns s with length n, keeping its backing array when it is
@@ -430,6 +449,28 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// fillBits returns set resized to hold n bits, all of them set.
+func fillBits(set []uint64, n int) []uint64 {
+	set = grow(set, (n+63)/64)
+	for w := range set {
+		set[w] = ^uint64(0)
+	}
+	if n%64 != 0 {
+		set[len(set)-1] = 1<<(n%64) - 1
+	}
+	return set
+}
+
+// firstSet returns the lowest set bit of a bitset, or -1.
+func firstSet(set []uint64) int {
+	for w, word := range set {
+		if word != 0 {
+			return w<<6 | bits.TrailingZeros64(word)
+		}
+	}
+	return -1
+}
+
 // appendPorts appends the indices of c's input ports (input) or
 // bus-driving ports (!input) to dst.
 func appendPorts(dst []int, c *tta.Component, input bool) []int {
@@ -441,37 +482,41 @@ func appendPorts(dst []int, c *tta.Component, input bool) []int {
 	return dst
 }
 
-// schedule validates the graph and the architecture, then schedules the
-// graph in the state, filling the result maps when record is set.
-func (s *scheduler) schedule(ctx context.Context, g *program.Graph, arch *tta.Architecture, opts Options, record bool) error {
-	if err := g.Validate(); err != nil {
-		return err
+// schedule validates the architecture, then schedules the plan's graph
+// in the state, keeping the moves and filling the result maps when
+// record is set. The options must ask for the plan's priority.
+func (s *scheduler) schedule(ctx context.Context, p *Plan, arch *tta.Architecture, opts Options, record bool) error {
+	if opts.Priority != p.priority {
+		return fmt.Errorf("sched: options ask for %s priority, the plan orders by %s", opts.Priority, p.priority)
 	}
 	if err := arch.Validate(); err != nil {
 		return err
 	}
-	if err := s.reset(g, arch, opts, record); err != nil {
+	if err := s.reset(p, arch, opts, record); err != nil {
 		return err
 	}
 	return s.run(ctx)
 }
 
-// release returns the state to the pool, keeping only its buffers. The
-// entry points defer it, so it runs on every exit, a panic included.
+// release returns the state to the pool, keeping only its buffers (its
+// own plan forgets its graph). The entry points defer it, so it runs on
+// every exit, a panic included.
 func (s *scheduler) release() {
+	s.own.g = nil
 	*s = scheduler{buffers: s.buffers}
 	states.Put(s)
 }
 
-// reset prepares the state for scheduling g onto arch: every field other
-// than the buffers starts at zero, and every buffer is resized in place
-// and re-initialised. It rejects architectures that lack a unit kind the
-// graph needs or the registers for its inputs and outputs.
-func (s *scheduler) reset(g *program.Graph, arch *tta.Architecture, opts Options, record bool) error {
-	*s = scheduler{g: g, arch: arch, opts: opts, record: record, buffers: s.buffers}
-	// Per-component tables. The O/T/R port indices are set (and read)
-	// only for function units; resetCycle zeroes the per-cycle counters
-	// before each cycle.
+// reset prepares the state for scheduling p's graph onto arch: every
+// field other than the buffers starts at zero, and every buffer is
+// resized in place and re-initialised. It rejects architectures that
+// lack a unit kind the graph needs or the registers for its inputs and
+// outputs.
+func (s *scheduler) reset(p *Plan, arch *tta.Architecture, opts Options, record bool) error {
+	*s = scheduler{plan: p, g: p.g, arch: arch, opts: opts, record: record, buffers: s.buffers}
+	// Per-component tables. The O/T/R port indices and unit positions
+	// are set (and read) only for function units; resetCycle zeroes the
+	// per-cycle counters before each cycle.
 	n := len(arch.Components)
 	s.ins = grow(s.ins, n)
 	s.outs = grow(s.outs, n)
@@ -479,10 +524,8 @@ func (s *scheduler) reset(g *program.Graph, arch *tta.Architecture, opts Options
 	s.trigPort = grow(s.trigPort, n)
 	s.resPort = grow(s.resPort, n)
 	s.rfPosOf = grow(s.rfPosOf, n)
-	s.fuBusyBy = grow(s.fuBusyBy, n)
-	s.rfReads = grow(s.rfReads, n)
-	s.rfWrites = grow(s.rfWrites, n)
-	s.immUsed = grow(s.immUsed, n)
+	s.unitPos = grow(s.unitPos, n)
+	s.cycleUse = grow(s.cycleUse, n)
 	for k := range s.fuByKind {
 		s.fuByKind[k] = s.fuByKind[k][:0]
 	}
@@ -490,7 +533,6 @@ func (s *scheduler) reset(g *program.Graph, arch *tta.Architecture, opts Options
 	for ci := range arch.Components {
 		c := &arch.Components[ci]
 		s.rfPosOf[ci] = -1
-		s.fuBusyBy[ci] = -1
 		s.ins[ci], s.outs[ci] = s.ins[ci][:0], s.outs[ci][:0]
 		switch c.Kind {
 		case tta.RF:
@@ -502,13 +544,17 @@ func (s *scheduler) reset(g *program.Graph, arch *tta.Architecture, opts Options
 			s.imms = append(s.imms, ci)
 			s.outs[ci] = appendPorts(s.outs[ci], c, false)
 		case tta.ALU, tta.CMP, tta.LDST:
+			s.unitPos[ci] = len(s.fuByKind[c.Kind])
 			s.fuByKind[c.Kind] = append(s.fuByKind[c.Kind], ci)
 			s.opPort[ci] = portOf(c, tta.Operand)
 			s.trigPort[ci] = portOf(c, tta.Trigger)
 			s.resPort[ci] = portOf(c, tta.Result)
 		}
 	}
-	st := opMix(g)
+	for _, k := range fuKinds {
+		s.unitFree[k] = fillBits(s.unitFree[k], len(s.fuByKind[k]))
+	}
+	st := &p.mix
 	if st.ALU > 0 && len(s.fuByKind[tta.ALU]) == 0 {
 		return fmt.Errorf("sched: graph needs an ALU, architecture has none")
 	}
@@ -535,31 +581,32 @@ func (s *scheduler) reset(g *program.Graph, arch *tta.Architecture, opts Options
 	s.rfFree = grow(s.rfFree, len(s.rfs))
 	s.rfFreeN = grow(s.rfFreeN, len(s.rfs))
 	for i, rf := range s.rfs {
-		free := grow(s.rfFree[i], arch.Components[rf].NumRegs)
-		for j := range free {
-			free[j] = true
-		}
-		s.rfFree[i] = free
-		s.rfFreeN[i] = len(free)
+		regs := arch.Components[rf].NumRegs
+		s.rfFree[i] = fillBits(s.rfFree[i], regs)
+		s.rfFreeN[i] = regs
 	}
-	s.computeHeights()
-	s.vals = grow(s.vals, len(g.Ops))
-	clear(s.vals)
-	s.ops = grow(s.ops, len(g.Ops)) // run sets every op's state
+	// The value, op and ready states start as the plan's.
+	s.vals = grow(s.vals, len(p.vals))
+	copy(s.vals, p.vals)
+	s.ops = grow(s.ops, len(p.ops))
+	copy(s.ops, p.ops)
+	s.full = grow(s.full, len(p.ready))
+	copy(s.full, p.ready)
+	s.reload = grow(s.reload, len(p.ready))
+	clear(s.reload)
 	s.inflight = s.inflight[:0]
 	s.spills = s.spills[:0]
 
-	// Size the outputs: every ALU/CMP op moves two operands and a result,
-	// every load an address and a result, every store an address and its
-	// data; only spill traffic appends beyond this. The maps keep their
-	// buckets once a first recording schedule has made them; a measuring
-	// one leaves them as they are.
-	fuOps := st.ALU + st.CMP + st.Loads + st.Stores
-	defines := fuOps - st.Stores
-	s.moves = slices.Grow(s.moves[:0], 3*(st.ALU+st.CMP)+2*(st.Loads+st.Stores))
 	if !record {
 		return nil
 	}
+	// Size the outputs: every ALU/CMP op moves two operands and a result,
+	// every load an address and a result, every store an address and its
+	// data; only spill traffic appends beyond this. The maps keep their
+	// buckets once a first recording schedule has made them.
+	fuOps := st.ALU + st.CMP + st.Loads + st.Stores
+	defines := fuOps - st.Stores
+	s.moves = slices.Grow(s.moves[:0], 3*(st.ALU+st.CMP)+2*(st.Loads+st.Stores))
 	if s.timings == nil {
 		s.timings = make(map[program.ValueID]tta.OpTiming, defines)
 		s.fuOf = make(map[program.ValueID]int, fuOps)
@@ -573,58 +620,13 @@ func (s *scheduler) reset(g *program.Graph, arch *tta.Architecture, opts Options
 	return nil
 }
 
-// opMix counts the graph's operations by class, its inputs and its
-// outputs: Graph.Stats without the dataflow depth, which the scheduler
-// never reads and Stats allocates for.
-func opMix(g *program.Graph) program.Stats {
-	st := program.Stats{Ops: len(g.Ops), Outputs: len(g.Outputs)}
-	for _, op := range g.Ops {
-		switch op.Op.Class() {
-		case program.ClassALU:
-			st.ALU++
-		case program.ClassCMP:
-			st.CMP++
-		case program.ClassMem:
-			if op.Op == program.Load {
-				st.Loads++
-			} else {
-				st.Stores++
-			}
-		case program.ClassConst:
-			st.Consts++
-		case program.ClassInput:
-			st.Inputs++
-		}
-	}
-	return st
-}
-
-// computeHeights sets the longest path (in ops) from each op to a graph
-// output — the list-scheduling priority. Every user of an op has a
-// higher index, so one reverse pass that pushes each op's height onto its
-// operands sees final heights only.
-func (s *scheduler) computeHeights() {
-	g := s.g
-	h := grow(s.height, len(g.Ops))
-	clear(h)
-	for u := len(g.Ops) - 1; u >= 0; u-- {
-		op := &g.Ops[u]
-		for _, ref := range [...]program.ValueID{op.A, op.B, op.MemPred} {
-			if ref != program.NoValue && h[u]+1 > h[ref] {
-				h[ref] = h[u] + 1
-			}
-		}
-	}
-	s.height = h
-}
-
 // summary returns the scalar fields of the schedule in the state.
 func (s *scheduler) summary() Summary {
 	sum := Summary{Spills: s.spillCount, Reloads: s.reloadCount, PeakLive: s.peakLive, Usage: s.use}
 	// Every move is emitted at the current cycle, so the last one holds
 	// the last bus cycle; add the register-load cycle after it.
-	if n := len(s.moves); n > 0 {
-		sum.Cycles = s.moves[n-1].Cycle + 1
+	if s.moveCount > 0 {
+		sum.Cycles = s.lastCycle + 1
 	}
 	return sum
 }
@@ -658,112 +660,32 @@ const ctxCheckInterval = 64
 
 // run schedules the graph, leaving the schedule in the state.
 func (s *scheduler) run(ctx context.Context) error {
-	g := s.g
-	// Count uses so registers can be freed after the last read.
-	for i := range s.vals {
-		s.vals[i].loc = RegLoc{-1, -1}
-	}
-	uses := 0
-	for _, op := range g.Ops {
-		for _, ref := range [...]program.ValueID{op.A, op.B} {
-			if ref != program.NoValue {
-				s.vals[ref].usesLeft++
-				uses++
-			}
+	p := s.plan
+	// Place the inputs; constants need no register.
+	for _, i := range p.inputs {
+		loc, ok := s.allocReg()
+		if !ok {
+			return fmt.Errorf("sched: not enough registers for program inputs")
 		}
-	}
-	// Consumer lists share one backing array: each value's slice has
-	// exactly the capacity of its use count, so the appends below never
-	// reallocate.
-	s.consumed = grow(s.consumed, uses)
-	s.consumers = grow(s.consumers, len(g.Ops))
-	flat := s.consumed
-	for v := range s.consumers {
-		n := s.vals[v].usesLeft
-		s.consumers[v], flat = flat[:0:n], flat[n:]
-	}
-	for i, op := range g.Ops {
-		for _, ref := range [...]program.ValueID{op.A, op.B} {
-			if ref != program.NoValue {
-				s.consumers[ref] = append(s.consumers[ref], int32(i))
-			}
-		}
-	}
-	for _, o := range g.Outputs {
-		s.vals[o].usesLeft++ // outputs stay live forever
-		s.vals[o].isOutput = true
-	}
-	for i := range s.vals {
-		s.vals[i].spillSlot = -1
-	}
-
-	// Place inputs and constants.
-	for i, op := range g.Ops {
-		switch op.Op {
-		case program.Input:
-			loc, ok := s.allocReg(0)
-			if !ok {
-				return fmt.Errorf("sched: not enough registers for program inputs")
-			}
-			s.vals[i].loc = loc
-			s.vals[i].readyAt = 0
-			s.vals[i].alloc = true
-			if s.record {
-				s.regAlloc[program.ValueID(i)] = loc
-				s.inputLoc[program.ValueID(i)] = loc
-			}
-		case program.Const:
-			s.vals[i].isConst = true
-			s.vals[i].constVal = op.Imm
-			s.vals[i].readyAt = 0
-		}
-		s.ops[i] = opState{id: program.ValueID(i), fu: -1, tTrig: -1, resLoc: RegLoc{-1, -1}}
-	}
-
-	// Pending FU operations in priority order; an op's rank is its
-	// position in that order.
-	pendings := s.byRank[:0]
-	for i, op := range g.Ops {
-		switch op.Op.Class() {
-		case program.ClassALU, program.ClassCMP, program.ClassMem:
-			pendings = append(pendings, i)
-		default:
-			s.ops[i].done = true
-		}
-	}
-	if s.opts.Priority == CriticalPath {
-		slices.SortStableFunc(pendings, func(a, b int) int { return cmp.Compare(s.height[b], s.height[a]) })
-	}
-	s.byRank = pendings
-	s.rank = grow(s.rank, len(g.Ops))
-	words := (len(pendings) + 63) / 64
-	s.full = grow(s.full, words)
-	s.reload = grow(s.reload, words)
-	clear(s.full)
-	clear(s.reload)
-	for _, k := range fuKinds {
-		s.kindRanks[k] = grow(s.kindRanks[k], words)
-		clear(s.kindRanks[k])
-	}
-	for r, oi := range pendings {
-		s.rank[oi] = r
-		addRank(s.kindRanks[kindOf(g.Ops[oi].Op.Class())], r)
-		if s.operandsPresent(oi) {
-			addRank(s.full, r)
+		s.vals[i].loc = loc
+		s.vals[i].alloc = true
+		if s.record {
+			s.regAlloc[program.ValueID(i)] = loc
+			s.inputLoc[program.ValueID(i)] = loc
 		}
 	}
 	maxCycles := s.opts.MaxCycles
 	if maxCycles == 0 {
-		maxCycles = 40*len(g.Ops) + 2000
+		maxCycles = 40*len(s.g.Ops) + 2000
 	}
 
-	remaining := len(pendings)
+	remaining := len(p.byRank)
 	cycle := 0
 	if r := s.opts.Obs; r != nil {
 		defer func() {
 			r.Counter("sched.runs").Inc()
 			r.Counter("sched.cycles").Add(int64(cycle))
-			r.Counter("sched.moves").Add(int64(len(s.moves)))
+			r.Counter("sched.moves").Add(int64(s.moveCount))
 			r.Counter("sched.spills").Add(int64(s.spillCount))
 			r.Counter("sched.reloads").Add(int64(s.reloadCount))
 			r.Counter("sched.stall_cycles").Add(int64(s.stallTotal))
@@ -834,9 +756,7 @@ func (s *scheduler) run(ctx context.Context) error {
 
 func (s *scheduler) resetCycle() {
 	s.busFree = s.arch.Buses
-	clear(s.rfReads)
-	clear(s.rfWrites)
-	clear(s.immUsed)
+	clear(s.cycleUse)
 }
 
 // startOps offers a start to pending ops in rank order while buses
@@ -855,9 +775,11 @@ func (s *scheduler) resetCycle() {
 //     queued a reload (such an op is in reload);
 //   - every operand is present but no unit of the op's kind is free:
 //     tryStart fails at the unit check, before any resource or spill
-//     demand. A start inside the walk only takes units, so the free
-//     kinds never grow during it; after each start the walk drops the
-//     rest of the current word's ops of kinds left without a free unit.
+//     demand. A start inside the walk only takes a unit of its own
+//     kind, so the free kinds never grow during it; after each start the
+//     walk probes that kind again (a probe of another kind would record
+//     in the Usage what its last probe did) and drops the rest of the
+//     current word's ops of kinds left without a free unit.
 //
 // A stale bit, such as a full op whose operand was since spilled, only
 // adds a visit that does what a scan of every pending op would do. The
@@ -865,20 +787,22 @@ func (s *scheduler) resetCycle() {
 // order is the order of s.spills) and spill demands fire in the order of
 // that full scan.
 func (s *scheduler) startOps(cycle int) {
-	free := s.freeKinds(cycle)
+	byRank := s.plan.byRank
+	free := s.freeKinds()
 	for w := 0; w < len(s.full) && s.busFree > 0; w++ {
 		word := s.candidates(w, free)
 		for word != 0 && s.busFree > 0 {
 			b := word & -word
 			word ^= b
-			oi := s.byRank[w<<6|bits.TrailingZeros64(b)]
+			oi := byRank[w<<6|bits.TrailingZeros64(b)]
 			if s.tryStart(oi, cycle) {
 				s.full[w] &^= b
 				s.reload[w] &^= b
 				// Stores whose trigger landed in the same cycle may
 				// finish in a later phase-1 pass.
 				s.inflight = append(s.inflight, oi)
-				free = s.freeKinds(cycle)
+				k := kindOf(s.g.Ops[oi].Op.Class())
+				free[k] = s.fuFor(k) >= 0
 				word &= s.candidates(w, free)
 			}
 		}
@@ -892,7 +816,7 @@ func (s *scheduler) candidates(w int, free [tta.LDST + 1]bool) uint64 {
 	if f := s.full[w]; f != 0 {
 		for _, k := range fuKinds {
 			if free[k] {
-				word |= f & s.kindRanks[k][w]
+				word |= f & s.plan.kindRanks[k][w]
 			}
 		}
 	}
@@ -918,10 +842,11 @@ func kindOf(class program.Class) tta.Kind {
 }
 
 // freeKinds reports, per function-unit kind, whether a unit of the kind
-// is free this cycle.
-func (s *scheduler) freeKinds(cycle int) (free [tta.LDST + 1]bool) {
+// is free this cycle. Each answer is a probe of fuFor, recorded in the
+// schedule's Usage.
+func (s *scheduler) freeKinds() (free [tta.LDST + 1]bool) {
 	for _, k := range fuKinds {
-		free[k] = s.fuFor(k, cycle) >= 0
+		free[k] = s.fuFor(k) >= 0
 	}
 	return free
 }
@@ -941,9 +866,9 @@ func (s *scheduler) operandsPresent(oi int) bool {
 // gained enters into full the unstarted consumers of value v, whose
 // result has just been written, that now have all operands present.
 func (s *scheduler) gained(v program.ValueID) {
-	for _, c := range s.consumers[v] {
+	for _, c := range s.plan.consumers[v] {
 		if st := &s.ops[c]; !st.started && !st.done && s.operandsPresent(int(c)) {
-			addRank(s.full, s.rank[c])
+			addRank(s.full, s.plan.rank[c])
 		}
 	}
 }
@@ -952,9 +877,9 @@ func (s *scheduler) gained(v program.ValueID) {
 // spill store has just moved it to memory: from now on a start attempt
 // on them may queue its reload.
 func (s *scheduler) spilled(v program.ValueID) {
-	for _, c := range s.consumers[v] {
+	for _, c := range s.plan.consumers[v] {
 		if st := &s.ops[c]; !st.started && !st.done {
-			addRank(s.reload, s.rank[c])
+			addRank(s.reload, s.plan.rank[c])
 		}
 	}
 }

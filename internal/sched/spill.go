@@ -23,21 +23,19 @@ type spillJob struct {
 	done   bool
 }
 
-// emit appends a move and records cycle progress.
+// emit counts a move, keeps it when recording, and records cycle
+// progress.
 func (s *scheduler) emit(m Move) {
-	s.moves = append(s.moves, m)
+	if s.record {
+		s.moves = append(s.moves, m)
+	}
+	s.moveCount++
+	s.lastCycle = m.Cycle
 	s.movedNow = true
 }
 
 // spillsIdle reports whether no spill job is outstanding.
-func (s *scheduler) spillsIdle() bool {
-	for i := range s.spills {
-		if !s.spills[i].done {
-			return false
-		}
-	}
-	return true
-}
+func (s *scheduler) spillsIdle() bool { return s.storesOut+s.loadsOut == 0 }
 
 // spillAddr returns the memory address of a spill slot.
 func spillAddr(slot int) uint64 { return SpillBase + uint64(slot) }
@@ -45,7 +43,7 @@ func spillAddr(slot int) uint64 { return SpillBase + uint64(slot) }
 // immSource returns a free Immediate unit endpoint for a literal, or false.
 func (s *scheduler) immSource(v uint64) (Endpoint, bool) {
 	for _, imm := range s.imms {
-		if s.immUsed[imm] == 0 {
+		if s.cycleUse[imm].imms == 0 {
 			return Endpoint{Comp: imm, Port: s.outs[imm][0], Reg: -1, Imm: v}, true
 		}
 	}
@@ -61,27 +59,37 @@ func (s *scheduler) requestReload(v program.ValueID) {
 	}
 	vs.loadPending = true
 	s.spills = append(s.spills, spillJob{val: v, isLoad: true, fu: -1, tAddr: -1, tTrig: -1, resLoc: RegLoc{-1, -1}})
+	s.loadsOut++
 	s.reloadCount++
 }
 
 // stepSpills advances outstanding spill jobs by at most one stage. Stores
 // run before the op phases (they free registers); loads run after (so
 // pending operations claim result registers first and reloads cannot
-// starve them).
+// starve them). The walk stops at the last outstanding job of the
+// direction.
 func (s *scheduler) stepSpills(cycle int, loads bool) {
-	for i := range s.spills {
+	left := s.storesOut
+	if loads {
+		left = s.loadsOut
+	}
+	for i := 0; left > 0; i++ {
 		j := &s.spills[i]
 		if j.done || j.isLoad != loads {
 			continue
 		}
+		left--
 		if j.isLoad {
 			s.stepSpillLoad(j, cycle)
 		} else {
 			s.stepSpillStore(j, cycle)
 		}
 	}
-	// Compact completed jobs occasionally to bound the scan.
-	if len(s.spills) > 32 {
+	// Drop completed jobs: all of them at once when none is outstanding,
+	// otherwise occasionally to bound the walk.
+	if s.spillsIdle() {
+		s.spills = s.spills[:0]
+	} else if len(s.spills) > 32 {
 		kept := s.spills[:0]
 		for _, j := range s.spills {
 			if !j.done {
@@ -112,10 +120,10 @@ func (s *scheduler) stepSpillStore(j *spillJob, cycle int) {
 	// unit waiting for a value that no longer exists.
 	if j.tTrig < 0 && !vs.alloc {
 		if j.fu >= 0 {
-			s.fuBusyBy[j.fu] = -1
+			s.releaseUnit(j.fu)
 		}
 		vs.spillSlot = -1 // nothing was written; the slot is dead
-		j.done = true
+		s.finishSpill(j)
 		return
 	}
 	// Stage 1: claim an LD/ST unit and move the spill address into O.
@@ -123,13 +131,7 @@ func (s *scheduler) stepSpillStore(j *spillJob, cycle int) {
 		if s.busFree < 1 {
 			return
 		}
-		fu := -1
-		for _, cand := range s.fuByKind[tta.LDST] {
-			if s.fuBusyBy[cand] < cycle {
-				fu = cand
-				break
-			}
-		}
+		fu := s.freeUnit(tta.LDST)
 		if fu < 0 {
 			return
 		}
@@ -138,13 +140,13 @@ func (s *scheduler) stepSpillStore(j *spillJob, cycle int) {
 			return
 		}
 		s.busFree--
-		s.immUsed[src.Comp]++
+		s.cycleUse[src.Comp].imms++
 		s.emit(Move{Cycle: cycle, Src: src,
 			Dst: Endpoint{Comp: fu, Port: s.opPort[fu], Reg: -1},
 			Val: program.NoValue, Op: program.NoValue, Spill: SpillStoreAddr})
 		j.fu = fu
 		j.tAddr = cycle
-		s.fuBusyBy[fu] = cycle + 1000000
+		s.takeUnit(fu)
 		// Fall through: the data move may go out the same cycle.
 	}
 	// Stage 2: move the register value into T (memory write trigger).
@@ -156,7 +158,7 @@ func (s *scheduler) stepSpillStore(j *spillJob, cycle int) {
 		if !ok {
 			return
 		}
-		s.rfReads[src.Comp]++
+		s.cycleUse[src.Comp].reads++
 		s.busFree--
 		s.emit(Move{Cycle: cycle, Src: src,
 			Dst: Endpoint{Comp: j.fu, Port: s.trigPort[j.fu], Reg: -1},
@@ -173,8 +175,18 @@ func (s *scheduler) stepSpillStore(j *spillJob, cycle int) {
 	}
 	// Stage 3: memory committed two cycles after the trigger.
 	if cycle >= j.tTrig+2 {
-		s.fuBusyBy[j.fu] = -1
-		j.done = true
+		s.releaseUnit(j.fu)
+		s.finishSpill(j)
+	}
+}
+
+// finishSpill marks spill job j done.
+func (s *scheduler) finishSpill(j *spillJob) {
+	j.done = true
+	if j.isLoad {
+		s.loadsOut--
+	} else {
+		s.storesOut--
 	}
 }
 
@@ -186,13 +198,7 @@ func (s *scheduler) stepSpillLoad(j *spillJob, cycle int) {
 		if s.busFree < 1 || cycle < vs.spillReadyAt {
 			return
 		}
-		fu := -1
-		for _, cand := range s.fuByKind[tta.LDST] {
-			if s.fuBusyBy[cand] < cycle {
-				fu = cand
-				break
-			}
-		}
+		fu := s.freeUnit(tta.LDST)
 		if fu < 0 {
 			return
 		}
@@ -200,19 +206,19 @@ func (s *scheduler) stepSpillLoad(j *spillJob, cycle int) {
 		if !ok {
 			return
 		}
-		loc, ok := s.allocReg(cycle)
+		loc, ok := s.allocReg()
 		if !ok {
 			return // a future maybeSpill will free capacity
 		}
 		s.busFree--
-		s.immUsed[src.Comp]++
+		s.cycleUse[src.Comp].imms++
 		s.emit(Move{Cycle: cycle, Src: src,
 			Dst: Endpoint{Comp: fu, Port: s.trigPort[fu], Reg: -1},
 			Val: program.NoValue, Op: program.NoValue, Trigger: true, Spill: SpillLoadTrig})
 		j.fu = fu
 		j.tTrig = cycle
 		j.resLoc = loc
-		s.fuBusyBy[fu] = cycle + 1000000
+		s.takeUnit(fu)
 		return
 	}
 	// Stage 2: move the result into the reserved register (relation (8)).
@@ -236,8 +242,8 @@ func (s *scheduler) stepSpillLoad(j *spillJob, cycle int) {
 	if s.record {
 		s.regAlloc[j.val] = vs.loc
 	}
-	s.fuBusyBy[j.fu] = -1
-	j.done = true
+	s.releaseUnit(j.fu)
+	s.finishSpill(j)
 }
 
 // maybeSpill frees register capacity when the schedule is starved: it
@@ -247,10 +253,8 @@ func (s *scheduler) stepSpillLoad(j *spillJob, cycle int) {
 func (s *scheduler) maybeSpill(cycle int) bool {
 	// At most one spill store in flight keeps the LD/ST unit available for
 	// program memory traffic.
-	for i := range s.spills {
-		if !s.spills[i].done && !s.spills[i].isLoad {
-			return false
-		}
+	if s.storesOut > 0 {
+		return false
 	}
 	victim := program.NoValue
 	victimNext := -1
@@ -280,6 +284,7 @@ func (s *scheduler) maybeSpill(cycle int) bool {
 	s.spillSlots++
 	s.spillCount++
 	s.spills = append(s.spills, spillJob{val: victim, fu: -1, tAddr: -1, tTrig: -1, resLoc: RegLoc{-1, -1}})
+	s.storesOut++
 	return true
 }
 
@@ -287,7 +292,7 @@ func (s *scheduler) maybeSpill(cycle int) bool {
 // started yet (a large sentinel when every consumer is done — should not
 // happen for values with usesLeft > 0 unless the value is an output).
 func (s *scheduler) nextUnstartedUse(v program.ValueID) int {
-	for _, c := range s.consumers[v] {
+	for _, c := range s.plan.consumers[v] {
 		st := &s.ops[c]
 		if st.done {
 			continue

@@ -19,6 +19,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/tta"
+	"repro/internal/workloads"
 )
 
 // structArch builds one structure the way the explorer does: ALUs,
@@ -269,50 +270,80 @@ func cryptInputs() []uint64 {
 	return append(in[:4:4], append([]uint64{3}, in[4:]...)...)
 }
 
-// TestScheduleOracleDefaultSweep checks every schedule the default sweep
-// prices against referees that share no code with the scheduler: the
-// structural checker, and the cycle-accurate simulator replaying the
-// moves with every transported value verified against the reference
-// dataflow evaluation. The simulated cycle count must equal the
-// scheduler's, and the outputs must match the reference.
+// workloadData returns non-zero inputs for a jobspec workload's kernel
+// and a constructor of its data memory: crypt's round-key vector and
+// SP-table image, or seeded words for the other kernels, whose memory holds
+// at most 16 words at the base address the explorer builds them with.
+func workloadData(name string, g *program.Graph) ([]uint64, func() program.Memory) {
+	if name == "crypt" {
+		return cryptInputs(), crypt.MemoryImage
+	}
+	rng := rand.New(rand.NewSource(int64(len(name))))
+	inputs := make([]uint64, g.NumInputs())
+	for i := range inputs {
+		inputs[i] = uint64(rng.Intn(1 << 16))
+	}
+	words := make([]uint16, 16)
+	for i := range words {
+		words[i] = uint16(rng.Intn(1 << 16))
+	}
+	return inputs, func() program.Memory { return workloads.MemoryFor(0x40, words) }
+}
+
+// TestScheduleOracleDefaultSweep checks schedules against referees that
+// share no code with the scheduler: the structural checker, and the
+// cycle-accurate simulator replaying the moves with every transported
+// value verified against the reference dataflow evaluation. The
+// simulated cycle count must equal the scheduler's, and the outputs must
+// match the reference. It covers every jobspec workload on the pin
+// structures (the default sweep's, up to 16 buses, 8 ALUs and 4 CMPs,
+// and 4-register files that force spill code) under both priorities:
+// the shapes that exercise the scheduler's unit masks and spill jobs.
 func TestScheduleOracleDefaultSweep(t *testing.T) {
-	g := workloadKernel(t, "crypt")
-	inputs := cryptInputs()
-	want, err := program.Evaluate(g, inputs, crypt.MemoryImage())
-	if err != nil {
-		t.Fatal(err)
+	archs := pinStructures(t)
+	for _, name := range jobspec.Workloads {
+		t.Run(name, func(t *testing.T) {
+			g := workloadKernel(t, name)
+			inputs, memory := workloadData(name, g)
+			want, err := program.Evaluate(g, inputs, memory())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var feasible, spilled int
+			for _, arch := range archs {
+				for _, prio := range []sched.Priority{sched.CriticalPath, sched.SourceOrder} {
+					res, err := sched.ScheduleContext(context.Background(), g, arch, sched.Options{Priority: prio})
+					if err != nil {
+						continue // infeasible structures are priced as such, not scheduled
+					}
+					feasible++
+					if res.Spills > 0 {
+						spilled++
+					}
+					if err := sched.Check(res); err != nil {
+						t.Errorf("%s (%s): %v", arch.Name, prio, err)
+						continue
+					}
+					reg := obs.NewRegistry()
+					out, err := sim.Run(res, inputs, memory(), sim.Options{Verify: true, Obs: reg})
+					if err != nil {
+						t.Errorf("%s (%s): %v", arch.Name, prio, err)
+						continue
+					}
+					if got := reg.Counter("sim.cycles").Value(); got != int64(res.Cycles) {
+						t.Errorf("%s (%s): simulated %d cycles, scheduler reports %d", arch.Name, prio, got, res.Cycles)
+					}
+					if !slices.Equal(out, want) {
+						t.Errorf("%s (%s): outputs %x, reference %x", arch.Name, prio, out, want)
+					}
+				}
+			}
+			if feasible == 0 {
+				t.Fatal("no feasible structure")
+			}
+			t.Logf("%s: %d feasible schedules checked (%d with spill code)", name, feasible, spilled)
+		})
 	}
-	var feasible, spilled int
-	for _, arch := range defaultStructures(t) {
-		res, err := sched.ScheduleContext(context.Background(), g, arch, sched.Options{})
-		if err != nil {
-			continue // infeasible structures are priced as such, not scheduled
-		}
-		feasible++
-		if res.Spills > 0 {
-			spilled++
-		}
-		if err := sched.Check(res); err != nil {
-			t.Errorf("%s: %v", arch.Name, err)
-			continue
-		}
-		reg := obs.NewRegistry()
-		out, err := sim.Run(res, inputs, crypt.MemoryImage(), sim.Options{Verify: true, Obs: reg})
-		if err != nil {
-			t.Errorf("%s: %v", arch.Name, err)
-			continue
-		}
-		if got := reg.Counter("sim.cycles").Value(); got != int64(res.Cycles) {
-			t.Errorf("%s: simulated %d cycles, scheduler reports %d", arch.Name, got, res.Cycles)
-		}
-		if !slices.Equal(out, want) {
-			t.Errorf("%s: outputs %x, reference %x", arch.Name, out, want)
-		}
-	}
-	if feasible == 0 {
-		t.Fatal("no feasible default structure")
-	}
-	t.Logf("%d feasible structures checked (%d with spill code)", feasible, spilled)
 }
 
 // raceEnabled reports a build with the race detector (race_test.go).
@@ -320,29 +351,40 @@ var raceEnabled bool
 
 // TestScheduleAllocsFlatInCycles pins that the scheduler's per-cycle
 // state is reused, not reallocated: a 1-bus structure takes far more
-// cycles than a 4-bus one, yet neither entry point may allocate more per
-// schedule. MeasureContext copies nothing out of the pooled state, so
-// once warm it allocates only for validating its inputs.
+// cycles than a 4-bus one, yet no entry point may allocate more per
+// schedule. ScheduleContext copies its Result out of the pooled state
+// (16 allocations); MeasureContext, which also builds the graph's plan
+// in that state, and Plan.Measure copy nothing out and do not allocate
+// once warm.
 func TestScheduleAllocsFlatInCycles(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop pooled states at random; allocation counts vary")
 	}
 	g := workloadKernel(t, "crypt")
+	plan, err := sched.NewPlan(g, sched.CriticalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rfs := rfShapes([3]int{16, 2, 2}, [3]int{16, 1, 2})
 	ctx := context.Background()
 	entries := []struct {
-		name string
-		run  func(*tta.Architecture) (cycles int, err error)
+		name    string
+		ceiling float64
+		run     func(*tta.Architecture) (cycles int, err error)
 	}{
-		{"ScheduleContext", func(arch *tta.Architecture) (int, error) {
+		{"ScheduleContext", 16, func(arch *tta.Architecture) (int, error) {
 			res, err := sched.ScheduleContext(ctx, g, arch, sched.Options{})
 			if err != nil {
 				return 0, err
 			}
 			return res.Cycles, nil
 		}},
-		{"MeasureContext", func(arch *tta.Architecture) (int, error) {
+		{"MeasureContext", 0, func(arch *tta.Architecture) (int, error) {
 			sum, err := sched.MeasureContext(ctx, g, arch, sched.Options{})
+			return sum.Cycles, err
+		}},
+		{"Plan.Measure", 0, func(arch *tta.Architecture) (int, error) {
+			sum, err := plan.Measure(ctx, arch, sched.Options{})
 			return sum.Cycles, err
 		}},
 	}
@@ -368,9 +410,8 @@ func TestScheduleAllocsFlatInCycles(t *testing.T) {
 			t.Errorf("%s: allocations grow with cycle count: %.0f at %d cycles vs %.0f at %d",
 				e.name, narrowAllocs, narrowCycles, wideAllocs, wideCycles)
 		}
-		if e.name == "MeasureContext" && max(narrowAllocs, wideAllocs) > 40 {
-			t.Errorf("MeasureContext allocates %.0f times per warm call, want at most 40",
-				max(narrowAllocs, wideAllocs))
+		if got := max(narrowAllocs, wideAllocs); got > e.ceiling {
+			t.Errorf("%s allocates %.0f times per warm call, want at most %.0f", e.name, got, e.ceiling)
 		}
 	}
 }
@@ -404,8 +445,13 @@ func pinCases(tb testing.TB) []scheduleCase {
 // sha256 of every Result field (or of the error), with the Result's
 // Summary fields (zero on error).
 func scheduleDigest(c scheduleCase) (string, sched.Summary) {
+	return resultDigest(sched.ScheduleContext(context.Background(), c.g, c.arch, sched.Options{Priority: c.prio}))
+}
+
+// resultDigest returns the sha256 of every field of a schedule (or of
+// its error), with its Summary fields (zero on error).
+func resultDigest(res *sched.Result, err error) (string, sched.Summary) {
 	h := sha256.New()
-	res, err := sched.ScheduleContext(context.Background(), c.g, c.arch, sched.Options{Priority: c.prio})
 	if err != nil {
 		fmt.Fprintf(h, "err %s\n", err)
 		return hex.EncodeToString(h.Sum(nil)), sched.Summary{}
@@ -482,11 +528,12 @@ func TestScheduleStateReuse(t *testing.T) {
 	}
 }
 
-// TestScheduleConcurrentReuse: eight goroutines share the state pool,
-// each scheduling its own seeded shuffle of the default structures for
-// one workload (workloads alternate between goroutines, so pooled
-// states move between graph sizes). Every Result and Summary must equal
-// the serial one. Run it under -race.
+// TestScheduleConcurrentReuse: eight goroutines share the state pool
+// and one plan per workload, each scheduling its own seeded shuffle of
+// the default structures for one workload through the plan (workloads
+// alternate between goroutines, so pooled states move between graph
+// sizes). Every Result and Summary must equal the serial one, which
+// ScheduleContext makes from a plan of its own. Run it under -race.
 func TestScheduleConcurrentReuse(t *testing.T) {
 	archs := defaultStructures(t)
 	type want struct {
@@ -494,6 +541,7 @@ func TestScheduleConcurrentReuse(t *testing.T) {
 		sum    sched.Summary
 	}
 	serial := make(map[string][]want)
+	plans := make(map[string]*sched.Plan)
 	for _, name := range jobspec.Workloads {
 		g := workloadKernel(t, name)
 		ws := make([]want, len(archs))
@@ -501,26 +549,30 @@ func TestScheduleConcurrentReuse(t *testing.T) {
 			ws[i].digest, ws[i].sum = scheduleDigest(scheduleCase{name, g, arch, sched.CriticalPath})
 		}
 		serial[name] = ws
+		plan, err := sched.NewPlan(g, sched.CriticalPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[name] = plan
 	}
 	const goroutines = 8
 	errs := make(chan error, goroutines)
 	var wg sync.WaitGroup
 	for gi := 0; gi < goroutines; gi++ {
 		name := jobspec.Workloads[gi%len(jobspec.Workloads)]
-		g := workloadKernel(t, name)
+		plan := plans[name]
 		order := rand.New(rand.NewSource(int64(gi))).Perm(len(archs))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			ctx := context.Background()
 			for _, i := range order {
-				c := scheduleCase{name, g, archs[i], sched.CriticalPath}
 				w := serial[name][i]
-				if got, _ := scheduleDigest(c); got != w.digest {
+				if got, _ := resultDigest(plan.Schedule(ctx, archs[i], sched.Options{})); got != w.digest {
 					errs <- fmt.Errorf("%s on %s: schedule differs from the serial one", name, archs[i].Name)
 					return
 				}
-				sum, _ := sched.MeasureContext(ctx, g, archs[i], sched.Options{})
+				sum, _ := plan.Measure(ctx, archs[i], sched.Options{})
 				if sum != w.sum {
 					errs <- fmt.Errorf("%s on %s: summary %+v, serial %+v", name, archs[i].Name, sum, w.sum)
 					return
@@ -564,6 +616,71 @@ func BenchmarkMeasureDefaultSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, arch := range archs {
 			_, _ = sched.MeasureContext(ctx, g, arch, sched.Options{})
+		}
+	}
+}
+
+// BenchmarkPlanMeasureDefaultSweep is BenchmarkMeasureDefaultSweep from a
+// plan built once, as the explorer schedules: only the per-structure
+// work is timed.
+func BenchmarkPlanMeasureDefaultSweep(b *testing.B) {
+	benchmarkPlanMeasure(b, defaultStructures(b))
+}
+
+// BenchmarkPlanScheduleDefaultSweep is BenchmarkScheduleDefaultSweep
+// from a plan built once.
+func BenchmarkPlanScheduleDefaultSweep(b *testing.B) {
+	g := workloadKernel(b, "crypt")
+	archs := defaultStructures(b)
+	plan, err := sched.NewPlan(g, sched.CriticalPath)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, arch := range archs {
+			_, _ = plan.Schedule(ctx, arch, sched.Options{})
+		}
+	}
+}
+
+// BenchmarkMeasureSearchSpace measures the crypt kernel on the 256
+// searchSpaceStructures through MeasureContext: the wide and spilling
+// shapes the guided search's screen schedules.
+func BenchmarkMeasureSearchSpace(b *testing.B) {
+	g := workloadKernel(b, "crypt")
+	archs := searchSpaceStructures(256)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, arch := range archs {
+			_, _ = sched.MeasureContext(ctx, g, arch, sched.Options{})
+		}
+	}
+}
+
+// BenchmarkPlanMeasureSearchSpace is BenchmarkMeasureSearchSpace from a
+// plan built once.
+func BenchmarkPlanMeasureSearchSpace(b *testing.B) {
+	benchmarkPlanMeasure(b, searchSpaceStructures(256))
+}
+
+// benchmarkPlanMeasure measures the crypt kernel on archs, serially, from
+// one plan.
+func benchmarkPlanMeasure(b *testing.B, archs []*tta.Architecture) {
+	plan, err := sched.NewPlan(workloadKernel(b, "crypt"), sched.CriticalPath)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, arch := range archs {
+			_, _ = plan.Measure(ctx, arch, sched.Options{})
 		}
 	}
 }
