@@ -269,7 +269,7 @@ func BenchmarkTwoPortMarch(b *testing.B) {
 }
 
 // BenchmarkExtensionEnergyAxis exercises the optional fourth metric: a
-// calibrated energy model attached to the exploration.
+// calibrated energy model pricing one schedule.
 func BenchmarkExtensionEnergyAxis(b *testing.B) {
 	m, err := power.Calibrate(nil, 16, 7)
 	if err != nil {

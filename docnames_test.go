@@ -5,6 +5,7 @@ import (
 	"go/format"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -101,6 +102,26 @@ func TestGofmt(t *testing.T) {
 	})
 	if files == 0 {
 		t.Fatal("no .go files found")
+	}
+}
+
+// TestBenchHarnessVets runs go vet in cmd/ttabench. The harness is a
+// module of its own (replace repro => ../..), so go build ./... and go
+// vet ./... never compile it; this test fails when a change to the
+// packages it uses breaks it. -mod=readonly keeps its go.mod as it is,
+// and vet writes nothing into the directory.
+func TestBenchHarnessVets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles the harness module")
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(goTool, "vet", "-mod=readonly", ".")
+	cmd.Dir = filepath.Join("cmd", "ttabench")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet in %s: %v\n%s", cmd.Dir, err, out)
 	}
 }
 

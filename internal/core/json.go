@@ -51,7 +51,6 @@ func (s *Study) JSONResult(spec dse.SelectionSpec) (*report.JSONResult, error) {
 			TestCost: c.TestCost,
 			FullScan: c.FullScan,
 			Spills:   c.Spills,
-			Energy:   c.Energy,
 			Degraded: c.Degraded,
 		}
 		if c.Arch != nil {

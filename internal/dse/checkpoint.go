@@ -84,7 +84,10 @@ type checkpointRecord struct {
 
 // checkpointEntry is one completed candidate evaluation — every
 // Candidate field except the architecture pointer, which the resuming
-// run re-derives from the (deterministic) enumeration.
+// run re-derives from the (deterministic) enumeration. Entries written
+// by earlier builds carry an "energy" key, 0 unless an energy model was
+// attached to the exploration; decoding ignores it, so such a file
+// loads without a format version bump, and the next flush drops it.
 type checkpointEntry struct {
 	Feasible bool    `json:"feasible"`
 	Reason   string  `json:"reason,omitempty"`
@@ -95,7 +98,6 @@ type checkpointEntry struct {
 	TestCost int     `json:"test_cost"`
 	FullScan int     `json:"full_scan"`
 	Spills   int     `json:"spills"`
-	Energy   float64 `json:"energy"`
 	Degraded bool    `json:"degraded,omitempty"`
 }
 
@@ -104,7 +106,7 @@ func toCheckpointEntry(c *Candidate) checkpointEntry {
 		Feasible: c.Feasible, Reason: c.Reason,
 		Area: c.Area, Cycles: c.Cycles, Clock: c.Clock, ExecTime: c.ExecTime,
 		TestCost: c.TestCost, FullScan: c.FullScan, Spills: c.Spills,
-		Energy: c.Energy, Degraded: c.Degraded,
+		Degraded: c.Degraded,
 	}
 }
 
@@ -115,7 +117,7 @@ func (e checkpointEntry) candidate(arch *tta.Architecture) Candidate {
 		Feasible: e.Feasible, Reason: e.Reason,
 		Area: e.Area, Cycles: e.Cycles, Clock: e.Clock, ExecTime: e.ExecTime,
 		TestCost: e.TestCost, FullScan: e.FullScan, Spills: e.Spills,
-		Energy: e.Energy, Degraded: e.Degraded,
+		Degraded: e.Degraded,
 	}
 }
 
@@ -344,7 +346,7 @@ func validCheckpointEntry(e checkpointEntry) error {
 	if e.Cycles < 0 || e.TestCost < 0 || e.FullScan < 0 || e.Spills < 0 {
 		return fmt.Errorf("negative count")
 	}
-	for _, v := range [...]float64{e.Area, e.Clock, e.ExecTime, e.Energy} {
+	for _, v := range [...]float64{e.Area, e.Clock, e.ExecTime} {
 		if v != v || v < 0 { // NaN or negative
 			return fmt.Errorf("invalid float %v", v)
 		}

@@ -25,7 +25,6 @@ import (
 	"repro/internal/gatelib"
 	"repro/internal/obs"
 	"repro/internal/pareto"
-	"repro/internal/power"
 	"repro/internal/program"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -70,10 +69,6 @@ type Config struct {
 	// Annotator supplies the gate-level back-annotation. Sharing one
 	// across explorations reuses its ATPG cache.
 	Annotator *testcost.Annotator
-
-	// EnergyModel, when non-nil, adds a calibrated energy estimate to
-	// every candidate (an extension beyond the paper's three axes).
-	EnergyModel *power.Model
 
 	// Parallelism bounds the number of evaluation workers. They first run
 	// the warm-up jobs (one schedule per distinct structure, one
@@ -239,10 +234,6 @@ type Candidate struct {
 
 	Spills int
 
-	// Energy is the estimated switched-capacitance + leakage per
-	// application run (0 unless the exploration carries an energy model).
-	Energy float64
-
 	// Degraded marks a candidate whose test cost rests on the analytical
 	// SCOAP bound instead of measured ATPG patterns — the annotator's
 	// budget ran out (see testcost.Annotator.ATPGDeadline). Degraded
@@ -286,8 +277,9 @@ type Result struct {
 // a *PartialError describing the holes, unwrapping to ctx.Err() for a
 // timeout so callers can tell "ran out of time" from "hit a bug". Only a
 // configuration error or an exploration with nothing usable returns a
-// nil result. When cfg.Obs is set, the run is fully instrumented (see
-// Config.Obs).
+// nil result; a workload graph that fails validation is a configuration
+// error, reported before anything is enumerated. When cfg.Obs is set,
+// the run is fully instrumented (see Config.Obs).
 func ExploreContext(ctx context.Context, cfg Config) (*Result, error) {
 	em := newEmitter(cfg.EventSink)
 	nEvents := &atomic.Int64{}
@@ -304,6 +296,13 @@ func ExploreContext(ctx context.Context, cfg Config) (*Result, error) {
 		cfg.Obs.Gauge("dse.worker.utilization").Set(0)
 		return nil, err
 	}
+	// Every schedule of the exploration reads one plan of the workload
+	// graph, which NewPlan validates.
+	plan, err := sched.NewPlan(cfg.Workload, sched.CriticalPath)
+	if err != nil {
+		cfg.Obs.Gauge("dse.worker.utilization").Set(0)
+		return nil, fmt.Errorf("dse: malformed workload kernel: %w", err)
+	}
 	reg := cfg.Obs
 	// What loading the annotator and the checkpoint recovered or
 	// ignored: this run uses both, so it reports that first.
@@ -319,7 +318,8 @@ func ExploreContext(ctx context.Context, cfg Config) (*Result, error) {
 	defer root.End()
 	res := &Result{Config: cfg, Selected: -1}
 
-	archs, memo, err := produceArchs(ctx, &cfg, root)
+	memo := newSchedMemo(plan)
+	archs, err := produceArchs(ctx, &cfg, root, memo)
 	if err != nil {
 		cfg.Obs.Gauge("dse.worker.utilization").Set(0)
 		return nil, err
@@ -389,19 +389,19 @@ func ExploreContext(ctx context.Context, cfg Config) (*Result, error) {
 // default, the guided GA screen when Search is set. It is a pure
 // function of the config (the GA draws from a control-thread-only rng
 // and screens with the pure bound tier), which is what lets a resumed
-// run restore its checkpoint against the identical list. It also returns
-// the structural memo the candidates are to read: the screen's, which
-// already holds every survivor's structure, or an empty one.
-func produceArchs(ctx context.Context, cfg *Config, root *obs.Span) ([]*tta.Architecture, *schedMemo, error) {
+// run restore its checkpoint against the identical list. The screen
+// fills memo, the structural memo the candidates then read, with every
+// survivor's structure; a sweep leaves it empty.
+func produceArchs(ctx context.Context, cfg *Config, root *obs.Span, memo *schedMemo) ([]*tta.Architecture, error) {
 	if cfg.Search != nil {
 		spec := *cfg.Search
 		if err := spec.fillDefaults(cfg.Seed); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		searchSp := root.Child("search")
-		archs, memo, err := searchCandidates(ctx, cfg, searchSp, spec)
+		archs, err := searchCandidates(ctx, cfg, searchSp, spec, memo)
 		searchSp.End()
-		return archs, memo, err
+		return archs, err
 	}
 	enumSp := root.Child("enumerate")
 	defer enumSp.End()
@@ -419,7 +419,7 @@ func produceArchs(ctx context.Context, cfg *Config, root *obs.Span) ([]*tta.Arch
 			}
 		}
 	}
-	return archs, newSchedMemo(cfg.Workload), nil
+	return archs, nil
 }
 
 // partialErrorFor tallies the holes an evaluation sweep left behind and
@@ -692,8 +692,8 @@ func assembleArch(name string, width, buses, nALU, nCMP int, adder gatelib.Adder
 
 // structEval is the structural (port-assignment-independent) part of a
 // candidate evaluation: the scheduler never reads the port-to-bus
-// assignment (only the bus count), and area, clock and energy depend only
-// on the component mix — so the Assigns variants of one structure share
+// assignment (only the bus count), and area and clock depend only on the
+// component mix — so the Assigns variants of one structure share
 // all of it and recompute only CD and hence test cost. usage is what the
 // schedule used of the buses and units (zero when infeasible).
 type structEval struct {
@@ -704,7 +704,6 @@ type structEval struct {
 	usage    sched.Usage
 	area     float64
 	clock    float64
-	energy   float64
 }
 
 // structKey is the structural signature a schedule memo entry is keyed
@@ -780,11 +779,7 @@ type schedMemo struct {
 	// fresh holds, by schedule class, the feasible schedules computed
 	// since the last seal; sealed holds those computed before it.
 	fresh, sealed map[string][]classSched
-	// plan is the workload's schedule plan; planErr, when the workload
-	// graph fails validation, is the reason every structure is
-	// infeasible.
-	plan    *sched.Plan
-	planErr error
+	plan          *sched.Plan
 	// eval computes a missing entry: evalStructural, or a stand-in in
 	// tests of the latch.
 	eval func(context.Context, *Config, *tta.Architecture, *obs.Span) (structEval, error)
@@ -803,15 +798,15 @@ type classSched struct {
 	e      *schedMemoEntry
 }
 
-// newSchedMemo returns an empty memo scheduling the workload g under
-// the critical-path priority.
-func newSchedMemo(g *program.Graph) *schedMemo {
+// newSchedMemo returns an empty memo scheduling from plan, which must
+// order by the critical-path priority.
+func newSchedMemo(plan *sched.Plan) *schedMemo {
 	m := &schedMemo{
 		m:      make(map[string]*schedMemoEntry),
 		fresh:  make(map[string][]classSched),
 		sealed: make(map[string][]classSched),
+		plan:   plan,
 	}
-	m.plan, m.planErr = sched.NewPlan(g, sched.CriticalPath)
 	m.eval = m.evalStructural
 	return m
 }
@@ -902,27 +897,12 @@ func (m *schedMemo) seal() {
 }
 
 // evalStructural schedules the kernel from the memo's plan and derives
-// area, clock and energy for one structure — the memoized part of
-// evaluate, and the structural part of the guided search's screen.
+// area and clock for one structure — the memoized part of evaluate, and
+// the structural part of the guided search's screen.
 func (m *schedMemo) evalStructural(ctx context.Context, cfg *Config, arch *tta.Architecture, sp *obs.Span) (structEval, error) {
-	// Throughput axis: schedule the kernel. Only the energy axis reads the
-	// move program; without it the schedule's summary is enough.
+	// Throughput axis: schedule the kernel; its summary is enough.
 	schedSp := sp.Child("sched")
-	opts := sched.Options{Obs: cfg.Obs}
-	var sum sched.Summary
-	var schedRes *sched.Result
-	err := m.planErr
-	switch {
-	case err != nil:
-		// The workload graph failed validation: every structure is
-		// infeasible with its error as the reason.
-	case cfg.EnergyModel == nil:
-		sum, err = m.plan.Measure(ctx, arch, opts)
-	default:
-		if schedRes, err = m.plan.Schedule(ctx, arch, opts); err == nil {
-			sum = sched.Summary{Cycles: schedRes.Cycles, Spills: schedRes.Spills, Usage: schedRes.Usage}
-		}
-	}
+	sum, err := m.plan.Measure(ctx, arch, sched.Options{Obs: cfg.Obs})
 	schedSp.End()
 	if err != nil {
 		if ctx.Err() != nil {
@@ -938,10 +918,6 @@ func (m *schedMemo) evalStructural(ctx context.Context, cfg *Config, arch *tta.A
 	}
 	if se.area, se.clock, err = areaClock(ctx, cfg, arch); err != nil {
 		return structEval{}, err
-	}
-	if cfg.EnergyModel != nil {
-		est := cfg.EnergyModel.ScheduleEnergy(schedRes, se.area)
-		se.energy = est.Total * float64(cfg.WorkloadReps)
 	}
 	return se, nil
 }
@@ -975,7 +951,7 @@ func areaClock(ctx context.Context, cfg *Config, arch *tta.Architecture) (area, 
 
 // evaluate computes all three axes for one candidate. sp (nil allowed)
 // is the candidate's "evaluate" span. The structural part (cycles, area,
-// clock, energy) comes from the shared memo and the test cost from the
+// clock) comes from the shared memo and the test cost from the
 // annotator's cache — the warm-up stage of runEvaluations has normally
 // computed both — so only the assignment-dependent eq. (14) assembly is
 // computed per variant.
@@ -995,7 +971,6 @@ func evaluate(ctx context.Context, cfg *Config, arch *tta.Architecture, sp *obs.
 	cand.Area = se.area
 	cand.Clock = se.clock
 	cand.ExecTime = float64(se.cycles) * float64(cfg.WorkloadReps) * se.clock
-	cand.Energy = se.energy
 
 	// Test axis: equation (14) — CD depends on the port assignment, so
 	// this is never memoized across variants (the annotator's own

@@ -317,7 +317,7 @@ func FuzzOpenCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	ck.entries["k1|a"] = checkpointEntry{Feasible: true, Area: 100, Cycles: 7, Clock: 2.5, ExecTime: 17.5, TestCost: 42, FullScan: 40, Energy: 1.5}
+	ck.entries["k1|a"] = checkpointEntry{Feasible: true, Area: 100, Cycles: 7, Clock: 2.5, ExecTime: 17.5, TestCost: 42, FullScan: 40}
 	ck.entries["k2|b"] = checkpointEntry{Reason: "infeasible: no route"}
 	if err := ck.FlushErr(); err != nil {
 		f.Fatal(err)
@@ -373,24 +373,44 @@ func FuzzOpenCheckpoint(f *testing.F) {
 	})
 }
 
-// TestOldShardCheckpointResumes opens a checkpoint in the format the
-// process-sharded workers of earlier builds wrote: a framed file whose
-// header record carries a "shard" block and whose entries cover only the
-// worker's slice of the candidate list. The file restores as a partial
-// checkpoint: its entries are evaluations this run computes too, the
-// rest of the candidates are evaluated, and the next flush writes the
-// file an unsharded run writes, header without the block.
+// TestOldShardCheckpointResumes opens checkpoints in the formats that
+// earlier builds wrote. Every one of their entries carries an "energy"
+// key, 0 unless an energy model was attached to the exploration:
+//   - "energy": a framed file of the whole candidate list;
+//   - "shard": the file of a process-sharded worker, whose header record
+//     carries a "shard" block and whose entries cover only the worker's
+//     slice of the candidate list.
+//
+// Each restores as a checkpoint of this run: every entry is restored,
+// the rest of the candidates are evaluated, the result equals a cold
+// run's, and the next flush writes the file this build writes for the
+// run, with neither an "energy" key nor a "shard" block.
 func TestOldShardCheckpointResumes(t *testing.T) {
 	cfg, ref, framed := recordedCheckpoint(t)
 	f, _, err := decodeCheckpointData(framed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Worker 1 of a two-process fan-out evaluated candidate 1 of 2.
-	key := checkpointKey(ref.Candidates[1].Arch)
-	entry, ok := f.Entries[key]
-	if !ok {
-		t.Fatalf("recorded checkpoint has no entry %q", key)
+	// oldRecord frames one entry as earlier builds wrote it, with
+	// "energy" right after "spills".
+	oldRecord := func(buf []byte, i int) []byte {
+		key := checkpointKey(ref.Candidates[i].Arch)
+		entry, ok := f.Entries[key]
+		if !ok {
+			t.Fatalf("recorded checkpoint has no entry %q", key)
+		}
+		rec, err := json.Marshal(&checkpointRecord{Key: key, Entry: entry})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spills := []byte(fmt.Sprintf(`"spills":%d`, entry.Spills))
+		return durable.AppendRecord(buf, bytes.Replace(rec, spills, append(spills, `,"energy":0`...), 1))
+	}
+	header := f
+	header.Entries = nil
+	head, err := json.Marshal(&header)
+	if err != nil {
+		t.Fatal(err)
 	}
 	type shardBlock struct {
 		Shards int `json:"shards"`
@@ -399,54 +419,65 @@ func TestOldShardCheckpointResumes(t *testing.T) {
 		Hi     int `json:"hi"`
 		Total  int `json:"total"`
 	}
-	f.Entries = nil
-	head, err := json.Marshal(struct {
+	// Worker 1 of a two-process fan-out evaluated candidate 1 of 2.
+	shardHead, err := json.Marshal(struct {
 		checkpointFile
 		Shard shardBlock `json:"shard"`
-	}{f, shardBlock{Shards: 2, Index: 1, Lo: 1, Hi: 2, Total: 2}})
+	}{header, shardBlock{Shards: 2, Index: 1, Lo: 1, Hi: 2, Total: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(head, []byte(`,"shard":{"shards":2,"index":1,"lo":1,"hi":2,"total":2}}`)) {
-		t.Fatalf("header is not in the shard format: %s", head)
+	if !bytes.Contains(shardHead, []byte(`,"shard":{"shards":2,"index":1,"lo":1,"hi":2,"total":2}}`)) {
+		t.Fatalf("header is not in the shard format: %s", shardHead)
 	}
-	rec, err := json.Marshal(&checkpointRecord{Key: key, Entry: entry})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "shard1of2.ckpt")
-	if err := os.WriteFile(path, durable.AppendRecord(durable.AppendRecord(nil, head), rec), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	reg := obs.NewRegistry()
-	c := cfg
-	c.Obs = reg
-	ck, err := OpenCheckpoint(path, c)
-	if err != nil {
-		t.Fatalf("opening a shard checkpoint: %v", err)
-	}
-	if ck.Len() != 1 {
-		t.Fatalf("shard checkpoint restored %d entries, want 1", ck.Len())
-	}
-	c.Checkpoint = ck
-	res, err := ExploreContext(context.Background(), c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, ref, res)
-	if got := reg.Counter("dse.checkpoint.restored").Value(); got != 1 {
-		t.Fatalf("dse.checkpoint.restored = %d, want 1", got)
-	}
-	flushed, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(flushed, []byte(`"shard"`)) {
-		t.Fatalf("the flush kept the shard block: %q", flushed)
-	}
-	if !bytes.Equal(flushed, framed) {
-		t.Fatalf("flushed file differs from an unsharded run's:\n%q\nvs\n%q", flushed, framed)
+	for _, old := range []struct {
+		name    string
+		data    []byte
+		entries int
+	}{
+		{"energy", oldRecord(oldRecord(durable.AppendRecord(nil, head), 0), 1), 2},
+		{"shard", oldRecord(durable.AppendRecord(nil, shardHead), 1), 1},
+	} {
+		t.Run(old.name, func(t *testing.T) {
+			if n := bytes.Count(old.data, []byte(`"energy":0`)); n != old.entries {
+				t.Fatalf("the old file carries %d energy keys, want one per entry (%d)", n, old.entries)
+			}
+			path := filepath.Join(t.TempDir(), old.name+".ckpt")
+			if err := os.WriteFile(path, old.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			c := cfg
+			c.Obs = reg
+			ck, err := OpenCheckpoint(path, c)
+			if err != nil {
+				t.Fatalf("opening the old checkpoint: %v", err)
+			}
+			if ck.Len() != old.entries {
+				t.Fatalf("old checkpoint restored %d entries, want %d", ck.Len(), old.entries)
+			}
+			c.Checkpoint = ck
+			res, err := ExploreContext(context.Background(), c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, ref, res)
+			if got := reg.Counter("dse.checkpoint.restored").Value(); got != int64(old.entries) {
+				t.Fatalf("dse.checkpoint.restored = %d, want %d", got, old.entries)
+			}
+			flushed, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range []string{`"shard"`, `"energy"`} {
+				if bytes.Contains(flushed, []byte(key)) {
+					t.Fatalf("the flush kept %s: %q", key, flushed)
+				}
+			}
+			if !bytes.Equal(flushed, framed) {
+				t.Fatalf("flushed file differs from a cold run's:\n%q\nvs\n%q", flushed, framed)
+			}
+		})
 	}
 }
 

@@ -75,7 +75,6 @@ type CandidateUpdate struct {
 	TestCost int     `json:"test_cost,omitempty"`
 	FullScan int     `json:"full_scan,omitempty"`
 	Spills   int     `json:"spills,omitempty"`
-	Energy   float64 `json:"energy,omitempty"`
 	Degraded bool    `json:"degraded,omitempty"`
 	Err      string  `json:"err,omitempty"`
 }
@@ -133,7 +132,6 @@ func candidateUpdate(index int, arch *tta.Architecture, c *Candidate, err error)
 		TestCost: c.TestCost,
 		FullScan: c.FullScan,
 		Spills:   c.Spills,
-		Energy:   c.Energy,
 		Degraded: c.Degraded,
 	}
 	if err != nil {

@@ -55,7 +55,7 @@ func TestScheduleMemoSharesStructuralWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range res.Candidates {
-		want, err := evaluate(context.Background(), &cfgCopy, res.Candidates[i].Arch, nil, newSchedMemo(cfgCopy.Workload))
+		want, err := evaluate(context.Background(), &cfgCopy, res.Candidates[i].Arch, nil, memoFor(t, cfgCopy.Workload))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestScheduleMemoReusesSealedOnly(t *testing.T) {
 	unshared := cfg
 	unshared.Obs = nil
 	ctx := context.Background()
-	memo := newSchedMemo(cfg.Workload)
+	memo := memoFor(t, cfg.Workload)
 	rfs := []RFSpec{{8, 1, 2}, {12, 2, 3}}
 	get := func(buses int, adder gatelib.AdderKind) (runs, reuse int64) {
 		t.Helper()
@@ -154,7 +154,7 @@ func TestScheduleMemoReusesSealedOnly(t *testing.T) {
 		if err != nil || !got.feasible {
 			t.Fatalf("%d buses: feasible %t, error %v", buses, got.feasible, err)
 		}
-		want, err := newSchedMemo(unshared.Workload).evalStructural(ctx, &unshared, arch, nil)
+		want, err := memoFor(t, unshared.Workload).evalStructural(ctx, &unshared, arch, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -117,8 +117,10 @@ func TestPerWorkloadSelectionsDiffer(t *testing.T) {
 	}
 }
 
-// TestEnergyAxisExtension exercises the optional fourth metric: with an
-// energy model attached, every feasible candidate carries an estimate and
+// TestEnergyAxisExtension exercises the optional fourth metric: a
+// calibrated energy model prices the schedule of every feasible candidate
+// (sched.ScheduleContext, then power.Model.ScheduleEnergy over the
+// workload's repetitions), every candidate gets a positive estimate, and
 // a 4-D (area, time, test, energy) front contains the 3-D front.
 func TestEnergyAxisExtension(t *testing.T) {
 	cfg, err := DefaultConfig()
@@ -135,23 +137,29 @@ func TestEnergyAxisExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.EnergyModel = m
-	res, err := ExploreContext(context.Background(), cfg)
+	ctx := context.Background()
+	res, err := ExploreContext(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, i := range res.Feasible {
-		if res.Candidates[i].Energy <= 0 {
-			t.Fatalf("candidate %s lacks an energy estimate", res.Candidates[i].Arch.Name)
-		}
-	}
-	// 4-D front ⊇ 3-D front (adding an axis never removes a member).
 	var pts3, pts4 []pareto.Point
 	for _, i := range res.Feasible {
 		c := &res.Candidates[i]
+		schedRes, err := sched.ScheduleContext(ctx, cfg.Workload, c.Arch, sched.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if schedRes.Cycles != c.Cycles {
+			t.Fatalf("candidate %s: scheduled %d cycles, priced %d", c.Arch.Name, schedRes.Cycles, c.Cycles)
+		}
+		energy := m.ScheduleEnergy(schedRes, c.Area).Total * float64(cfg.WorkloadReps)
+		if energy <= 0 {
+			t.Fatalf("candidate %s lacks an energy estimate", c.Arch.Name)
+		}
 		pts3 = append(pts3, pareto.Point{ID: i, Coords: c.Coords()})
-		pts4 = append(pts4, pareto.Point{ID: i, Coords: append(c.Coords(), c.Energy)})
+		pts4 = append(pts4, pareto.Point{ID: i, Coords: append(c.Coords(), energy)})
 	}
+	// 4-D front ⊇ 3-D front (adding an axis never removes a member).
 	in4 := map[int]bool{}
 	for _, pi := range pareto.Front(pts4) {
 		in4[pts4[pi].ID] = true

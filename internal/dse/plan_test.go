@@ -2,10 +2,14 @@ package dse
 
 import (
 	"context"
-	"math/rand"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/program"
+	"repro/internal/sched"
 	"repro/internal/testcost"
 )
 
@@ -19,23 +23,32 @@ func badKernel() *program.Graph {
 	return g
 }
 
-// The strings an exploration of badKernel reports: every structure's
-// infeasibility reason, and the final error of a sweep and of a search
-// that found nothing feasible. They were recorded with the explorer that
-// validated the graph in every schedule.
-const (
-	badKernelReason    = `program "bad": op 1 uses undefined value 7`
-	badKernelSweepErr  = "dse: no feasible candidate in the explored space"
-	badKernelSearchErr = "dse: guided search promoted no feasible candidate (pop 12, gens 2)"
-)
+// memoFor returns an empty memo scheduling g from its critical-path
+// plan, as ExploreContext builds it.
+func memoFor(tb testing.TB, g *program.Graph) *schedMemo {
+	tb.Helper()
+	plan, err := sched.NewPlan(g, sched.CriticalPath)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return newSchedMemo(plan)
+}
 
-// TestInvalidKernelParity explores a workload graph that fails
-// validation, once as a sweep and once as a small search. Every
-// structure must be infeasible with the validation error as its reason,
-// and each exploration must end with its pinned error.
-func TestInvalidKernelParity(t *testing.T) {
+// TestMalformedKernelIsConfigError explores a workload graph that fails
+// validation, once as a sweep and once as a small search. Each must
+// return no result and an error that names the malformed kernel and
+// wraps its validation error, before anything is enumerated, screened or
+// checkpointed: no structure is scheduled, the checkpoint file is never
+// written, "done" is the only event, and "dse.worker.utilization" is
+// set.
+func TestMalformedKernelIsConfigError(t *testing.T) {
+	invalid := badKernel().Validate()
+	if invalid == nil {
+		t.Fatal("the corrupted graph validates")
+	}
+	const want = `dse: malformed workload kernel: program "bad": op 1 uses undefined value 7`
 	ann := testcost.NewAnnotator(16, 7)
-	newCfg := func() Config {
+	for _, mode := range []string{"sweep", "search"} {
 		cfg, err := DefaultConfig()
 		if err != nil {
 			t.Fatal(err)
@@ -44,50 +57,39 @@ func TestInvalidKernelParity(t *testing.T) {
 		cfg.Annotator = ann
 		cfg.Buses, cfg.ALUCounts, cfg.CMPCounts = []int{1, 2}, []int{1}, []int{1, 2}
 		cfg.RFSets = cfg.RFSets[:2]
-		return cfg
-	}
-	ctx := context.Background()
-
-	res, err := ExploreContext(ctx, newCfg())
-	if err == nil || err.Error() != badKernelSweepErr {
-		t.Fatalf("sweep error %v, want %q", err, badKernelSweepErr)
-	}
-	if len(res.Candidates) != 16 {
-		t.Fatalf("sweep priced %d candidates, want 16", len(res.Candidates))
-	}
-	for _, c := range res.Candidates {
-		if c.Feasible || c.Reason != badKernelReason {
-			t.Errorf("%s: feasible %t, reason %q; want infeasible, %q", c.Arch.Name, c.Feasible, c.Reason, badKernelReason)
+		if mode == "search" {
+			cfg.Search = &SearchSpec{Population: 12, Generations: 2, Eta: 3, Seed: 99}
 		}
-	}
-
-	cfg := newCfg()
-	cfg.Search = &SearchSpec{Population: 12, Generations: 2, Eta: 3, Seed: 99}
-	if _, err := ExploreContext(ctx, cfg); err == nil || err.Error() != badKernelSearchErr {
-		t.Fatalf("search error %v, want %q", err, badKernelSearchErr)
-	}
-	// The screen reports no reason of its own; its memo holds one per
-	// structure it screened.
-	if err := cfg.fillDefaults(); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(99))
-	pop := make([]genome, 12)
-	for i := range pop {
-		pop[i] = randGenome(rng)
-	}
-	memo := newSchedMemo(cfg.Workload)
-	for i, r := range evalCheap(ctx, &cfg, pop, memo, nil) {
-		if r.feasible || r.err != nil {
-			t.Errorf("genome %s: feasible %t, error %v", pop[i].key(), r.feasible, r.err)
+		path := filepath.Join(t.TempDir(), "bad.ckpt")
+		if cfg.Checkpoint, err = OpenCheckpoint(path, cfg); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(memo.m) == 0 {
-		t.Fatal("the screen priced no structure")
-	}
-	for key, e := range memo.m {
-		if e.val.feasible || e.val.reason != badKernelReason || e.err != nil {
-			t.Errorf("%s: feasible %t, reason %q, error %v; want infeasible, %q", key, e.val.feasible, e.val.reason, e.err, badKernelReason)
+		reg := obs.NewRegistry()
+		cfg.Obs = reg
+		var kinds []EventKind
+		cfg.EventSink = func(ev Event) { kinds = append(kinds, ev.Kind) }
+
+		res, err := ExploreContext(context.Background(), cfg)
+		if res != nil || err == nil || err.Error() != want {
+			t.Fatalf("%s: result %v, error %v; want no result, %q", mode, res, err, want)
+		}
+		if cause := errors.Unwrap(err); cause == nil || cause.Error() != invalid.Error() {
+			t.Errorf("%s: the error wraps %v, want the validation error %v", mode, cause, invalid)
+		}
+		if len(kinds) != 1 || kinds[0] != EventDone {
+			t.Errorf("%s: events %v, want only %q", mode, kinds, EventDone)
+		}
+		snap := reg.Snapshot()
+		if _, ok := snap.Gauges["dse.worker.utilization"]; !ok {
+			t.Errorf("%s: dse.worker.utilization unset", mode)
+		}
+		for _, name := range []string{"sched.runs", "dse.sched.memo.miss", "dse.candidates.total"} {
+			if n := snap.Counters[name]; n != 0 {
+				t.Errorf("%s: %s = %d, want 0", mode, name, n)
+			}
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s: checkpoint file written (stat error %v)", mode, err)
 		}
 	}
 }

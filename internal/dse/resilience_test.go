@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/program"
 	"repro/internal/tta"
 )
 
@@ -38,7 +37,7 @@ func candidatesEqual(a, b *Candidate) bool {
 		a.ExecTime == b.ExecTime && a.TestCost == b.TestCost &&
 		a.FullScan == b.FullScan && a.Feasible == b.Feasible &&
 		a.Reason == b.Reason && a.Spills == b.Spills &&
-		a.Energy == b.Energy && a.Degraded == b.Degraded
+		a.Degraded == b.Degraded
 }
 
 func requireSameResult(t *testing.T, ref, got *Result) {
@@ -125,7 +124,7 @@ func TestPanicInStructuralEvalReleasesMemoWaiters(t *testing.T) {
 	leader := buildArch(8, 2, 1, 1, rfs, tta.SpreadFirst, 0, 0)
 	waiter := buildArch(8, 2, 1, 1, rfs, tta.Packed, 1, 0)
 
-	memo := newSchedMemo(program.NewGraph("unused", 16)) // eval is a stand-in
+	memo := newSchedMemo(nil) // eval is a stand-in
 	release := make(chan struct{})
 	memo.eval = func(context.Context, *Config, *tta.Architecture, *obs.Span) (structEval, error) {
 		<-release

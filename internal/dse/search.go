@@ -446,42 +446,36 @@ func nextGeneration(rng *rand.Rand, pop []genome, order []int, fitness []float64
 	return out
 }
 
-// searchCandidates runs the GA + successive-halving screen and returns
-// the promoted architectures, in promotion order (generation, then
-// cheap-tier rank), deduplicated by genome, with the screen's structural
-// memo. The list feeds the unchanged full-evaluation pipeline (converged
-// ATPG, checkpoints, live fronts, selection), which reads every
-// survivor's structure from the memo: the screen computed it with the
-// same configuration, and a structural evaluation ignores names and port
-// assignment.
-func searchCandidates(ctx context.Context, cfg *Config, sp *obs.Span, spec SearchSpec) ([]*tta.Architecture, *schedMemo, error) {
+// searchCandidates runs the GA + successive-halving screen over memo and
+// returns the promoted architectures, in promotion order (generation,
+// then cheap-tier rank), deduplicated by genome. The list feeds the
+// unchanged full-evaluation pipeline (converged ATPG, checkpoints, live
+// fronts, selection), which reads every survivor's structure from the
+// memo: the screen computed it with the same configuration, and a
+// structural evaluation ignores names and port assignment.
+func searchCandidates(ctx context.Context, cfg *Config, sp *obs.Span, spec SearchSpec, memo *schedMemo) ([]*tta.Architecture, error) {
 	reg := cfg.Obs
 	rng := rand.New(rand.NewSource(spec.Seed))
 	pop := make([]genome, spec.Population)
 	for i := range pop {
 		pop[i] = randGenome(rng)
 	}
-	memo := newSchedMemo(cfg.Workload)
 	promote := ceilDiv(spec.Population, spec.Eta)
 	var survivors []genome
 	seen := make(map[string]bool)
 	keys := make([]string, spec.Population)
 	for gen := 0; gen < spec.Generations; gen++ {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		genSp := sp.Child("generation")
 		res := evalCheap(ctx, cfg, pop, memo, genSp)
 		if err := ctx.Err(); err != nil {
 			genSp.End()
-			return nil, nil, err
+			return nil, err
 		}
-		// Later generations may reuse this one's schedules. Not with an
-		// energy model: energy sums over the moves, which a reused
-		// schedule does not carry.
-		if cfg.EnergyModel == nil {
-			memo.seal()
-		}
+		// Later generations may reuse this one's schedules.
+		memo.seal()
 		for i := range pop {
 			keys[i] = pop[i].key()
 		}
@@ -507,13 +501,13 @@ func searchCandidates(ctx context.Context, cfg *Config, sp *obs.Span, spec Searc
 		}
 	}
 	if len(survivors) == 0 {
-		return nil, nil, fmt.Errorf("dse: guided search promoted no feasible candidate (pop %d, gens %d)", spec.Population, spec.Generations)
+		return nil, fmt.Errorf("dse: guided search promoted no feasible candidate (pop %d, gens %d)", spec.Population, spec.Generations)
 	}
 	archs := make([]*tta.Architecture, len(survivors))
 	for i := range survivors {
 		archs[i] = survivors[i].arch(cfg.Width, i)
 	}
-	return archs, memo, nil
+	return archs, nil
 }
 
 // ceilDiv is also defined in testcost; dse keeps its own to avoid the

@@ -55,7 +55,7 @@ func TestCheapEvalAllocs(t *testing.T) {
 		assign: tta.SpreadFirst,
 	}
 	ctx := context.Background()
-	memo := newSchedMemo(cfg.Workload)
+	memo := memoFor(t, cfg.Workload)
 	if res := cheapEvalOne(ctx, &cfg, &g, memo, nil); !res.feasible || res.err != nil {
 		t.Fatalf("genome %s: feasible %t, error %v", g.key(), res.feasible, res.err)
 	}
@@ -270,7 +270,7 @@ func TestScheduleMemoReuseMatchesUnshared(t *testing.T) {
 	for i := range pop {
 		pop[i] = randGenome(rng)
 	}
-	memo := newSchedMemo(cfg.Workload)
+	memo := memoFor(t, cfg.Workload)
 	keys := make([]string, len(pop))
 	checked := map[string]bool{}
 	for gen := 0; gen < 8; gen++ {
@@ -284,7 +284,7 @@ func TestScheduleMemoReuseMatchesUnshared(t *testing.T) {
 				continue
 			}
 			checked[sk] = true
-			want, err := newSchedMemo(unshared.Workload).evalStructural(ctx, &unshared, arch, nil)
+			want, err := memoFor(t, unshared.Workload).evalStructural(ctx, &unshared, arch, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

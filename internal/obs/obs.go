@@ -1,7 +1,7 @@
 // Package obs is the engine's lightweight, dependency-free observability
-// layer: atomic counters, float gauges, duration timers and hierarchical
-// wall-clock spans, all collected in a Registry and exported through
-// Snapshot/Sink (JSON or human-readable text). Progress events are not
+// layer: atomic counters, float gauges and hierarchical wall-clock spans
+// (the one timing source), all collected in a Registry and exported as a
+// Snapshot, which JSONSink writes as JSON. Progress events are not
 // metrics and do not pass through here: an exploration streams them as
 // typed dse.Event values on its own Config.EventSink.
 //
@@ -14,13 +14,12 @@
 //     no-op, so hot paths instrument unconditionally without nil checks
 //     or branching at call sites.
 //   - All operations are safe for concurrent use; counters and gauges are
-//     single atomic words, timers and span nodes take a short mutex only
-//     when recording.
+//     single atomic words, span nodes take a short mutex only when
+//     recording.
 package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,61 +77,6 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Timer accumulates observed durations: count, sum, min and max.
-type Timer struct {
-	mu    sync.Mutex
-	count int64
-	sum   time.Duration
-	min   time.Duration
-	max   time.Duration
-}
-
-// Observe records one duration. No-op on a nil timer.
-func (t *Timer) Observe(d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if t.count == 0 || d < t.min {
-		t.min = d
-	}
-	if d > t.max {
-		t.max = d
-	}
-	t.count++
-	t.sum += d
-	t.mu.Unlock()
-}
-
-// Start begins a measurement; calling the returned func records the
-// elapsed time (use with defer). Safe on a nil timer.
-func (t *Timer) Start() func() {
-	if t == nil {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { t.Observe(time.Since(start)) }
-}
-
-// Stats returns the timer's aggregate view.
-func (t *Timer) Stats() TimerStats {
-	if t == nil {
-		return TimerStats{}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := TimerStats{
-		Count:        t.count,
-		TotalSeconds: t.sum.Seconds(),
-		MinSeconds:   t.min.Seconds(),
-		MaxSeconds:   t.max.Seconds(),
-	}
-	if t.count > 0 {
-		s.MeanSeconds = s.TotalSeconds / float64(t.count)
-	}
-	return s
-}
-
 // Registry collects all metrics of one run. The zero value is not usable;
 // construct with NewRegistry. A nil *Registry is a valid no-op sink for
 // every method.
@@ -142,7 +86,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	timers   map[string]*Timer
 
 	root *spanNode
 }
@@ -153,7 +96,6 @@ func NewRegistry() *Registry {
 		start:    time.Now(),
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		timers:   make(map[string]*Timer),
 		root:     newSpanNode(""),
 	}
 }
@@ -189,21 +131,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Timer returns (creating on first use) the named timer.
-func (r *Registry) Timer(name string) *Timer {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.timers[name]
-	if !ok {
-		t = &Timer{}
-		r.timers[name] = t
-	}
-	return t
-}
-
 // Snapshot captures a consistent point-in-time view of every metric.
 func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
@@ -213,7 +140,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		UptimeSeconds: time.Since(r.start).Seconds(),
 		Counters:      map[string]int64{},
 		Gauges:        map[string]float64{},
-		Timers:        map[string]TimerStats{},
 	}
 	r.mu.Lock()
 	counters := make(map[string]*Counter, len(r.counters))
@@ -224,10 +150,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	for k, v := range r.gauges {
 		gauges[k] = v
 	}
-	timers := make(map[string]*Timer, len(r.timers))
-	for k, v := range r.timers {
-		timers[k] = v
-	}
 	r.mu.Unlock()
 	for k, v := range counters {
 		s.Counters[k] = v.Value()
@@ -235,20 +157,8 @@ func (r *Registry) Snapshot() *Snapshot {
 	for k, v := range gauges {
 		s.Gauges[k] = v.Value()
 	}
-	for k, v := range timers {
-		s.Timers[k] = v.Stats()
-	}
 	s.Spans = r.root.childStats()
 	return s
-}
-
-// TimerStats is the exported aggregate of one Timer.
-type TimerStats struct {
-	Count        int64   `json:"count"`
-	TotalSeconds float64 `json:"total_seconds"`
-	MinSeconds   float64 `json:"min_seconds"`
-	MaxSeconds   float64 `json:"max_seconds"`
-	MeanSeconds  float64 `json:"mean_seconds"`
 }
 
 // SpanStats is the exported aggregate of one span-tree node: all
@@ -262,21 +172,11 @@ type SpanStats struct {
 	Children     []SpanStats `json:"children,omitempty"`
 }
 
-// Snapshot is a point-in-time export of a registry, the unit Sinks emit.
+// Snapshot is a point-in-time export of a registry, the unit JSONSink
+// emits.
 type Snapshot struct {
-	UptimeSeconds float64               `json:"uptime_seconds"`
-	Counters      map[string]int64      `json:"counters"`
-	Gauges        map[string]float64    `json:"gauges"`
-	Timers        map[string]TimerStats `json:"timers"`
-	Spans         []SpanStats           `json:"spans"`
-}
-
-// sortedKeys returns map keys in lexical order (deterministic emission).
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	UptimeSeconds float64            `json:"uptime_seconds"`
+	Counters      map[string]int64   `json:"counters"`
+	Gauges        map[string]float64 `json:"gauges"`
+	Spans         []SpanStats        `json:"spans"`
 }

@@ -123,19 +123,6 @@ func equalCoords(a, b []float64) bool {
 	return true
 }
 
-// Project drops all but the listed dimensions from each point.
-func Project(points []Point, dims ...int) []Point {
-	out := make([]Point, len(points))
-	for i, p := range points {
-		c := make([]float64, len(dims))
-		for k, d := range dims {
-			c[k] = p.Coords[d]
-		}
-		out[i] = Point{ID: p.ID, Coords: c}
-	}
-	return out
-}
-
 // Norm selects the scalarization used for selection.
 type Norm uint8
 
@@ -232,46 +219,4 @@ func Select(points []Point, weights []float64, norm Norm) (int, error) {
 		}
 	}
 	return best, nil
-}
-
-// SortByDim orders points ascending in the given dimension (stable;
-// useful for printing fronts as curves).
-func SortByDim(points []Point, dim int) {
-	sort.SliceStable(points, func(a, b int) bool {
-		return points[a].Coords[dim] < points[b].Coords[dim]
-	})
-}
-
-// SameFront reports whether two fronts (as coordinate sets) are equal up
-// to ordering and eps tolerance — used to check the paper's claim that the
-// 3-D front's area-time projection preserves the 2-D front.
-func SameFront(a, b []Point, eps float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	used := make([]bool, len(b))
-	for _, pa := range a {
-		found := false
-		for j, pb := range b {
-			if used[j] || len(pa.Coords) != len(pb.Coords) {
-				continue
-			}
-			match := true
-			for d := range pa.Coords {
-				if math.Abs(pa.Coords[d]-pb.Coords[d]) > eps {
-					match = false
-					break
-				}
-			}
-			if match {
-				used[j] = true
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }

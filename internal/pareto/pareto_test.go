@@ -157,34 +157,6 @@ func TestSelectDegenerateDimension(t *testing.T) {
 	}
 }
 
-func TestProjectAndSameFront(t *testing.T) {
-	p := pts([]float64{1, 2, 9}, []float64{3, 4, 7})
-	pr := Project(p, 0, 1)
-	if len(pr[0].Coords) != 2 || pr[0].Coords[1] != 2 || pr[1].Coords[0] != 3 {
-		t.Fatalf("bad projection %+v", pr)
-	}
-	a := pts([]float64{1, 2}, []float64{3, 4})
-	b := pts([]float64{3, 4}, []float64{1, 2})
-	if !SameFront(a, b, 1e-9) {
-		t.Error("order-insensitive equality failed")
-	}
-	c := pts([]float64{3, 4}, []float64{1, 2.5})
-	if SameFront(a, c, 1e-9) {
-		t.Error("different fronts reported equal")
-	}
-	if SameFront(a, pts([]float64{1, 2}), 1e-9) {
-		t.Error("different sizes reported equal")
-	}
-}
-
-func TestSortByDim(t *testing.T) {
-	p := pts([]float64{3, 0}, []float64{1, 0}, []float64{2, 0})
-	SortByDim(p, 0)
-	if p[0].Coords[0] != 1 || p[2].Coords[0] != 3 {
-		t.Fatalf("sort broken: %+v", p)
-	}
-}
-
 // naiveFront is the reference O(n²) all-pairs implementation Front was
 // optimized from; the property test below pins the two to identical
 // output (members and order) on adversarial inputs.

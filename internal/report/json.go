@@ -22,7 +22,6 @@ type JSONCandidate struct {
 	TestCost int     `json:"test_cost,omitempty"`
 	FullScan int     `json:"full_scan,omitempty"`
 	Spills   int     `json:"spills,omitempty"`
-	Energy   float64 `json:"energy,omitempty"`
 	Degraded bool    `json:"degraded,omitempty"`
 }
 

@@ -68,19 +68,19 @@ func TestUsageAdmitsOracle(t *testing.T) {
 	type probe struct{ cases, differ int }
 	var alu, cmpUnits, bus probe
 	for _, name := range jobspec.Workloads {
-		g := workloadKernel(t, name)
+		plans := plansFor(t, workloadKernel(t, name))
 		for _, arch := range archs {
 			from := sched.CountsOf(arch)
 			for _, prio := range []sched.Priority{sched.CriticalPath, sched.SourceOrder} {
-				opts := sched.Options{Priority: prio}
-				want, err := sched.MeasureContext(ctx, g, arch, opts)
+				plan, opts := plans[prio], sched.Options{Priority: prio}
+				want, err := plan.Measure(ctx, arch, opts)
 				if err != nil {
 					continue
 				}
 				schedules++
 				u := want.Usage
 				measure := func(to sched.Counts) sched.Summary {
-					got, err := sched.MeasureContext(ctx, g, withCounts(arch, to), opts)
+					got, err := plan.Measure(ctx, withCounts(arch, to), opts)
 					if err != nil {
 						t.Fatalf("%s on %s (%s) with %+v: %v", name, arch.Name, prio, to, err)
 					}

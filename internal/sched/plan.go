@@ -57,10 +57,12 @@ func NewPlan(g *program.Graph, priority Priority) (*Plan, error) {
 	return p, nil
 }
 
-// Measure schedules the plan's graph onto arch exactly as Schedule does,
-// with the same errors and "sched.*" counters, but returns only the
-// schedule's Summary, which it copies out of a pooled state: a warm call
-// does not allocate. opts.Priority must be the plan's priority.
+// Measure schedules the plan's graph onto arch exactly as
+// ScheduleContext does, with the same errors and "sched.*" counters, but
+// returns only the schedule's Summary. It fills none of Result's maps,
+// records no move and copies only the Summary out of a pooled state, so
+// a warm call does not allocate. opts.Priority must be the plan's
+// priority.
 func (p *Plan) Measure(ctx context.Context, arch *tta.Architecture, opts Options) (Summary, error) {
 	s := states.Get().(*scheduler)
 	defer s.release()
@@ -70,20 +72,9 @@ func (p *Plan) Measure(ctx context.Context, arch *tta.Architecture, opts Options
 	return s.summary(), nil
 }
 
-// Schedule maps the plan's graph onto arch, as ScheduleContext does for
-// a graph. opts.Priority must be the plan's priority.
-func (p *Plan) Schedule(ctx context.Context, arch *tta.Architecture, opts Options) (*Result, error) {
-	s := states.Get().(*scheduler)
-	defer s.release()
-	if err := s.schedule(ctx, p, arch, opts, true); err != nil {
-		return nil, err
-	}
-	return s.result(), nil
-}
-
 // build validates g and fills the plan for it, reusing the plan's
 // buffers: the pooled state's own plan is rebuilt for every
-// ScheduleContext and MeasureContext call.
+// ScheduleContext call.
 func (p *Plan) build(g *program.Graph, priority Priority) error {
 	if err := g.Validate(); err != nil {
 		return err

@@ -35,8 +35,8 @@ func TestNewPlanValidatesGraph(t *testing.T) {
 }
 
 // TestPlanRejectsOtherPriority: a plan orders by the priority it was
-// built for; options asking for the other one get an error from both
-// entry points, and no schedule.
+// built for; Plan.Measure refuses options asking for the other one with
+// an error and no summary.
 func TestPlanRejectsOtherPriority(t *testing.T) {
 	g := workloadKernel(t, "crc16")
 	arch := structArch(2, 1, 1, rfShapes([3]int{8, 1, 1}, [3]int{12, 1, 1}))
@@ -51,18 +51,11 @@ func TestPlanRejectsOtherPriority(t *testing.T) {
 			other = sched.CriticalPath
 		}
 		want := fmt.Sprintf("sched: options ask for %s priority, the plan orders by %s", other, prio)
-		if _, err := plan.Measure(ctx, arch, sched.Options{Priority: other}); err == nil || err.Error() != want {
-			t.Errorf("Measure with %s on a %s plan: error %v, want %q", other, prio, err, want)
+		if sum, err := plan.Measure(ctx, arch, sched.Options{Priority: other}); sum != (sched.Summary{}) || err == nil || err.Error() != want {
+			t.Errorf("Measure with %s on a %s plan: summary %+v, error %v, want %q", other, prio, sum, err, want)
 		}
-		if res, err := plan.Schedule(ctx, arch, sched.Options{Priority: other}); res != nil || err == nil || err.Error() != want {
-			t.Errorf("Schedule with %s on a %s plan: result %v, error %v, want %q", other, prio, res, err, want)
-		}
-		sum, err := plan.Measure(ctx, arch, sched.Options{Priority: prio})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want, _ := sched.MeasureContext(ctx, g, arch, sched.Options{Priority: prio}); sum != want {
-			t.Errorf("%s plan measures %+v, MeasureContext %+v", prio, sum, want)
+		if _, err := plan.Measure(ctx, arch, sched.Options{Priority: prio}); err != nil {
+			t.Errorf("Measure with %s on a %s plan: %v", prio, prio, err)
 		}
 	}
 }
@@ -121,7 +114,11 @@ func TestManyUnitsAndRegisters(t *testing.T) {
 		t.Fatalf("simulation: outputs %x, error %v; reference %x", out, err, want)
 	}
 	sum := sched.Summary{Cycles: res.Cycles, Spills: res.Spills, Reloads: res.Reloads, PeakLive: res.PeakLive, Usage: u}
-	tight, err := sched.MeasureContext(ctx, g, arch(u.Units[tta.ALU]), sched.Options{})
+	plan, err := sched.NewPlan(g, sched.CriticalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight, err := plan.Measure(ctx, arch(u.Units[tta.ALU]), sched.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -294,8 +294,9 @@ func (u Usage) admitsUnits(k tta.Kind, from, to int) bool {
 // The scheduling loop checks ctx periodically and returns ctx.Err() when
 // it is done, so a pathological schedule inside a large exploration
 // cannot outlive its caller's deadline. It builds the graph's plan for
-// opts.Priority in the pooled state for this one call; a caller that
-// schedules one graph many times builds the plan once (NewPlan).
+// opts.Priority in the pooled state for this one call. A caller that
+// prices one graph on many architectures builds the plan once (NewPlan)
+// and measures from it (Plan.Measure).
 func ScheduleContext(ctx context.Context, g *program.Graph, arch *tta.Architecture, opts Options) (*Result, error) {
 	s := states.Get().(*scheduler)
 	defer s.release()
@@ -306,22 +307,6 @@ func ScheduleContext(ctx context.Context, g *program.Graph, arch *tta.Architectu
 		return nil, err
 	}
 	return s.result(), nil
-}
-
-// MeasureContext schedules exactly as ScheduleContext does, with the same
-// errors and "sched.*" counters, but returns only the schedule's Summary.
-// It fills none of Result's maps, records no move and copies nothing out
-// of the reused scheduler state, so a warm call does not allocate.
-func MeasureContext(ctx context.Context, g *program.Graph, arch *tta.Architecture, opts Options) (Summary, error) {
-	s := states.Get().(*scheduler)
-	defer s.release()
-	if err := s.own.build(g, opts.Priority); err != nil {
-		return Summary{}, err
-	}
-	if err := s.schedule(ctx, &s.own, arch, opts, false); err != nil {
-		return Summary{}, err
-	}
-	return s.summary(), nil
 }
 
 // states pools scheduler states across calls and goroutines. A state
@@ -379,8 +364,7 @@ type scheduler struct {
 // reset resizes for the next graph and architecture instead of
 // reallocating.
 type buffers struct {
-	// own is the plan ScheduleContext and MeasureContext build for their
-	// one call.
+	// own is the plan ScheduleContext builds for its one call.
 	own Plan
 
 	// Architecture tables, built once per schedule so the cycle loop

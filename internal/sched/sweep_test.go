@@ -351,11 +351,10 @@ var raceEnabled bool
 
 // TestScheduleAllocsFlatInCycles pins that the scheduler's per-cycle
 // state is reused, not reallocated: a 1-bus structure takes far more
-// cycles than a 4-bus one, yet no entry point may allocate more per
-// schedule. ScheduleContext copies its Result out of the pooled state
-// (16 allocations); MeasureContext, which also builds the graph's plan
-// in that state, and Plan.Measure copy nothing out and do not allocate
-// once warm.
+// cycles than a 4-bus one, yet neither entry point may allocate more per
+// schedule. ScheduleContext, which builds the graph's plan in the pooled
+// state, copies its Result out of it (16 allocations); Plan.Measure
+// copies nothing out and does not allocate once warm.
 func TestScheduleAllocsFlatInCycles(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop pooled states at random; allocation counts vary")
@@ -378,10 +377,6 @@ func TestScheduleAllocsFlatInCycles(t *testing.T) {
 				return 0, err
 			}
 			return res.Cycles, nil
-		}},
-		{"MeasureContext", 0, func(arch *tta.Architecture) (int, error) {
-			sum, err := sched.MeasureContext(ctx, g, arch, sched.Options{})
-			return sum.Cycles, err
 		}},
 		{"Plan.Measure", 0, func(arch *tta.Architecture) (int, error) {
 			sum, err := plan.Measure(ctx, arch, sched.Options{})
@@ -417,24 +412,41 @@ func TestScheduleAllocsFlatInCycles(t *testing.T) {
 }
 
 // scheduleCase is one (workload, structure, priority) triple of the pin
-// suite.
+// suite, with the plan of its workload under its priority.
 type scheduleCase struct {
 	workload string
 	g        *program.Graph
 	arch     *tta.Architecture
 	prio     sched.Priority
+	plan     *sched.Plan
+}
+
+// plansFor returns g's plan under each priority.
+func plansFor(tb testing.TB, g *program.Graph) map[sched.Priority]*sched.Plan {
+	tb.Helper()
+	plans := make(map[sched.Priority]*sched.Plan)
+	for _, prio := range []sched.Priority{sched.CriticalPath, sched.SourceOrder} {
+		plan, err := sched.NewPlan(g, prio)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		plans[prio] = plan
+	}
+	return plans
 }
 
 // pinCases returns the pin suite's triples in pin order: each workload
-// over pinStructures under both priorities.
+// over pinStructures under both priorities. The cases of one workload
+// and priority share one plan.
 func pinCases(tb testing.TB) []scheduleCase {
 	archs := pinStructures(tb)
 	var out []scheduleCase
 	for _, name := range jobspec.Workloads {
 		g := workloadKernel(tb, name)
+		plans := plansFor(tb, g)
 		for _, arch := range archs {
 			for _, prio := range []sched.Priority{sched.CriticalPath, sched.SourceOrder} {
-				out = append(out, scheduleCase{name, g, arch, prio})
+				out = append(out, scheduleCase{name, g, arch, prio, plans[prio]})
 			}
 		}
 	}
@@ -462,49 +474,32 @@ func resultDigest(res *sched.Result, err error) (string, sched.Summary) {
 	}
 }
 
-// TestMeasureMatchesSchedule: on every pin case MeasureContext returns
-// exactly the scalar fields of ScheduleContext's Result, and the same
-// error where the structure is infeasible.
-func TestMeasureMatchesSchedule(t *testing.T) {
-	ctx := context.Background()
-	var feasible, infeasible int
-	for _, c := range pinCases(t) {
-		opts := sched.Options{Priority: c.prio}
-		res, err := sched.ScheduleContext(ctx, c.g, c.arch, opts)
-		sum, merr := sched.MeasureContext(ctx, c.g, c.arch, opts)
-		if err != nil || merr != nil {
-			infeasible++
-			if err == nil || merr == nil || err.Error() != merr.Error() {
-				t.Errorf("%s on %s (%s): ScheduleContext error %v, MeasureContext error %v",
-					c.workload, c.arch.Name, c.prio, err, merr)
-			}
-			continue
-		}
-		feasible++
-		want := sched.Summary{Cycles: res.Cycles, Spills: res.Spills, Reloads: res.Reloads, PeakLive: res.PeakLive, Usage: res.Usage}
-		if sum != want {
-			t.Errorf("%s on %s (%s): MeasureContext %+v, ScheduleContext %+v",
-				c.workload, c.arch.Name, c.prio, sum, want)
-		}
-	}
-	t.Logf("%d feasible, %d infeasible cases", feasible, infeasible)
-}
-
 // TestScheduleStateReuse schedules the pin cases on one goroutine, so
 // each call reuses the pooled state the previous one left, in a seeded
 // shuffle that interleaves workloads of different sizes with the wide
 // and spilling shapes. Between them it runs schedules that stop midway,
 // at a small cycle bound or on a cancelled context, leaving ops in
 // flight, spill jobs pending and the ready set populated. Every schedule
-// and summary must equal its pin-order counterpart: no state leaks from
-// one schedule into the next.
+// must equal its pin-order counterpart, and every case's Plan.Measure
+// must return exactly the scalar fields of the pin-order
+// ScheduleContext Result, or the same error where the structure is
+// infeasible: no state leaks from one schedule into the next, and a
+// measure is the schedule without its moves.
 func TestScheduleStateReuse(t *testing.T) {
 	cases := pinCases(t)
 	wantDigest := make([]string, len(cases))
 	wantSum := make([]sched.Summary, len(cases))
+	wantErr := make([]string, len(cases))
+	infeasible := 0
 	for i, c := range cases {
-		wantDigest[i], wantSum[i] = scheduleDigest(c)
+		res, err := sched.ScheduleContext(context.Background(), c.g, c.arch, sched.Options{Priority: c.prio})
+		wantDigest[i], wantSum[i] = resultDigest(res, err)
+		if err != nil {
+			wantErr[i] = err.Error()
+			infeasible++
+		}
 	}
+	t.Logf("%d feasible, %d infeasible cases", len(cases)-infeasible, infeasible)
 	ctx := context.Background()
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
@@ -512,7 +507,7 @@ func TestScheduleStateReuse(t *testing.T) {
 	for _, i := range rng.Perm(len(cases)) {
 		abort := cases[rng.Intn(len(cases))]
 		if rng.Intn(2) == 0 {
-			_, _ = sched.MeasureContext(ctx, abort.g, abort.arch, sched.Options{Priority: abort.prio, MaxCycles: 1 + rng.Intn(200)})
+			_, _ = abort.plan.Measure(ctx, abort.arch, sched.Options{Priority: abort.prio, MaxCycles: 1 + rng.Intn(200)})
 		} else {
 			_, _ = sched.ScheduleContext(cancelled, abort.g, abort.arch, sched.Options{Priority: abort.prio})
 		}
@@ -520,7 +515,15 @@ func TestScheduleStateReuse(t *testing.T) {
 		if got, _ := scheduleDigest(c); got != wantDigest[i] {
 			t.Errorf("%s on %s (%s): schedule differs after reuse", c.workload, c.arch.Name, c.prio)
 		}
-		sum, _ := sched.MeasureContext(ctx, c.g, c.arch, sched.Options{Priority: c.prio})
+		sum, err := c.plan.Measure(ctx, c.arch, sched.Options{Priority: c.prio})
+		gotErr := ""
+		if err != nil {
+			gotErr = err.Error()
+		}
+		if gotErr != wantErr[i] {
+			t.Errorf("%s on %s (%s): Plan.Measure error %q, ScheduleContext error %q",
+				c.workload, c.arch.Name, c.prio, gotErr, wantErr[i])
+		}
 		if sum != wantSum[i] {
 			t.Errorf("%s on %s (%s): summary %+v after reuse, %+v in pin order",
 				c.workload, c.arch.Name, c.prio, sum, wantSum[i])
@@ -530,10 +533,10 @@ func TestScheduleStateReuse(t *testing.T) {
 
 // TestScheduleConcurrentReuse: eight goroutines share the state pool
 // and one plan per workload, each scheduling its own seeded shuffle of
-// the default structures for one workload through the plan (workloads
-// alternate between goroutines, so pooled states move between graph
-// sizes). Every Result and Summary must equal the serial one, which
-// ScheduleContext makes from a plan of its own. Run it under -race.
+// the default structures for one workload, with ScheduleContext and
+// through the shared plan's Measure (workloads alternate between
+// goroutines, so pooled states move between graph sizes). Every Result
+// and Summary must equal the serial one. Run it under -race.
 func TestScheduleConcurrentReuse(t *testing.T) {
 	archs := defaultStructures(t)
 	type want struct {
@@ -541,26 +544,26 @@ func TestScheduleConcurrentReuse(t *testing.T) {
 		sum    sched.Summary
 	}
 	serial := make(map[string][]want)
-	plans := make(map[string]*sched.Plan)
+	kernels := make(map[string]scheduleCase) // every field but arch
 	for _, name := range jobspec.Workloads {
 		g := workloadKernel(t, name)
-		ws := make([]want, len(archs))
-		for i, arch := range archs {
-			ws[i].digest, ws[i].sum = scheduleDigest(scheduleCase{name, g, arch, sched.CriticalPath})
-		}
-		serial[name] = ws
 		plan, err := sched.NewPlan(g, sched.CriticalPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plans[name] = plan
+		kernels[name] = scheduleCase{name, g, nil, sched.CriticalPath, plan}
+		ws := make([]want, len(archs))
+		for i, arch := range archs {
+			ws[i].digest, ws[i].sum = scheduleDigest(scheduleCase{name, g, arch, sched.CriticalPath, plan})
+		}
+		serial[name] = ws
 	}
 	const goroutines = 8
 	errs := make(chan error, goroutines)
 	var wg sync.WaitGroup
 	for gi := 0; gi < goroutines; gi++ {
 		name := jobspec.Workloads[gi%len(jobspec.Workloads)]
-		plan := plans[name]
+		c := kernels[name]
 		order := rand.New(rand.NewSource(int64(gi))).Perm(len(archs))
 		wg.Add(1)
 		go func() {
@@ -568,11 +571,12 @@ func TestScheduleConcurrentReuse(t *testing.T) {
 			ctx := context.Background()
 			for _, i := range order {
 				w := serial[name][i]
-				if got, _ := resultDigest(plan.Schedule(ctx, archs[i], sched.Options{})); got != w.digest {
+				c.arch = archs[i]
+				if got, _ := scheduleDigest(c); got != w.digest {
 					errs <- fmt.Errorf("%s on %s: schedule differs from the serial one", name, archs[i].Name)
 					return
 				}
-				sum, _ := plan.Measure(ctx, archs[i], sched.Options{})
+				sum, _ := c.plan.Measure(ctx, archs[i], sched.Options{})
 				if sum != w.sum {
 					errs <- fmt.Errorf("%s on %s: summary %+v, serial %+v", name, archs[i].Name, sum, w.sum)
 					return
@@ -604,66 +608,17 @@ func BenchmarkScheduleDefaultSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkMeasureDefaultSweep is BenchmarkScheduleDefaultSweep through
-// MeasureContext, the entry point the explorer's structural memo calls:
-// the same schedules, with only their summaries read out.
-func BenchmarkMeasureDefaultSweep(b *testing.B) {
-	g := workloadKernel(b, "crypt")
-	archs := defaultStructures(b)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, arch := range archs {
-			_, _ = sched.MeasureContext(ctx, g, arch, sched.Options{})
-		}
-	}
-}
-
-// BenchmarkPlanMeasureDefaultSweep is BenchmarkMeasureDefaultSweep from a
-// plan built once, as the explorer schedules: only the per-structure
-// work is timed.
+// BenchmarkPlanMeasureDefaultSweep measures the same schedules as
+// BenchmarkScheduleDefaultSweep from one plan built outside the timer,
+// as the explorer's structural memo does: only their summaries are read
+// out, and only the per-structure work is timed.
 func BenchmarkPlanMeasureDefaultSweep(b *testing.B) {
 	benchmarkPlanMeasure(b, defaultStructures(b))
 }
 
-// BenchmarkPlanScheduleDefaultSweep is BenchmarkScheduleDefaultSweep
-// from a plan built once.
-func BenchmarkPlanScheduleDefaultSweep(b *testing.B) {
-	g := workloadKernel(b, "crypt")
-	archs := defaultStructures(b)
-	plan, err := sched.NewPlan(g, sched.CriticalPath)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, arch := range archs {
-			_, _ = plan.Schedule(ctx, arch, sched.Options{})
-		}
-	}
-}
-
-// BenchmarkMeasureSearchSpace measures the crypt kernel on the 256
-// searchSpaceStructures through MeasureContext: the wide and spilling
-// shapes the guided search's screen schedules.
-func BenchmarkMeasureSearchSpace(b *testing.B) {
-	g := workloadKernel(b, "crypt")
-	archs := searchSpaceStructures(256)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, arch := range archs {
-			_, _ = sched.MeasureContext(ctx, g, arch, sched.Options{})
-		}
-	}
-}
-
-// BenchmarkPlanMeasureSearchSpace is BenchmarkMeasureSearchSpace from a
-// plan built once.
+// BenchmarkPlanMeasureSearchSpace measures the crypt kernel on the 256
+// searchSpaceStructures from one plan: the wide and spilling shapes the
+// guided search's screen schedules.
 func BenchmarkPlanMeasureSearchSpace(b *testing.B) {
 	benchmarkPlanMeasure(b, searchSpaceStructures(256))
 }
