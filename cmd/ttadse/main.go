@@ -14,8 +14,10 @@
 // durations per stage, scheduler/ATPG counters, annotator cache hit rate,
 // worker utilization) as JSON to the given file, or to stdout with "-"
 // (which then replaces the default report so the output stays valid
-// JSON). -progress streams the run's typed events to stderr: candidate
-// completions, isolated panics, degraded annotations and warnings.
+// JSON). -progress prints the run's typed events to stderr as they
+// happen: candidate completions, isolated panics, degraded annotations
+// and warnings. Printing is synchronous, so a slow stderr reader slows
+// the run rather than losing lines.
 //
 // Resilience: -timeout bounds the exploration; on expiry the completed
 // evaluations are still reported (with a partial-result summary on
@@ -26,7 +28,8 @@
 // -degraded-policy decides whether such points may win the selection.
 // -checkpoint persists completed evaluations to a file and resumes from
 // it after a kill, producing byte-identical output to an uninterrupted
-// run.
+// run. A checkpoint is bound to the run's spec hash, ATPG budget
+// included, so a run with another budget ignores it as stale.
 //
 // Scale: -search switches from the exhaustive sweep to the guided
 // GA + successive-halving exploration over the widened parameter space
@@ -97,6 +100,9 @@ func main() {
 		WT:             *wt,
 		WC:             *wc,
 		DegradedPolicy: *degradedPolicy,
+		// The ATPG budget is part of the result's identity (Spec.Hash),
+		// which binds a checkpoint to the run that wrote it.
+		ATPGDeadline: jobspec.Duration(*atpgDeadline),
 	}
 	if *search || *searchPop != 0 || *searchGens != 0 || *searchEta != 0 || *searchSeed != 0 {
 		spec.Search = &jobspec.SearchSpec{
@@ -124,8 +130,9 @@ func main() {
 		}
 		*lf.dst = vals
 	}
-	// FromSpec validates everything — workload, lists, norm, weights and
-	// degraded policy — before the exploration spends any time.
+	// FromSpec validates everything — workload, lists, norm, weights,
+	// degraded policy and ATPG budget — before the exploration spends any
+	// time.
 	cfg, selSpec, err := dse.FromSpec(spec)
 	if err != nil {
 		log.Fatal(err)
@@ -164,15 +171,12 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if *atpgDeadline < 0 {
-		log.Fatalf("-atpg-deadline %v is negative (use 0 for no budget)", *atpgDeadline)
-	}
-	if *atpgDeadline > 0 {
+	if spec.ATPGDeadline > 0 {
 		if cfg.Annotator == nil {
 			cfg.Annotator = testcost.NewAnnotator(cfg.Width, cfg.Seed)
 			cfg.Annotator.Obs = cfg.Obs
 		}
-		cfg.Annotator.ATPGDeadline = *atpgDeadline
+		cfg.Annotator.ATPGDeadline = spec.ATPGDeadline.Std()
 	}
 
 	// Checkpoint/resume: restore completed evaluations from a previous
@@ -211,30 +215,22 @@ func main() {
 	}
 
 	// -progress prints the typed event stream's candidate, panic,
-	// degraded and warning events; restored and done stay internal.
-	progressDone := make(chan struct{})
+	// degraded and warning events; restored and done stay internal. The
+	// sink runs on the emitting worker, one event at a time, and every
+	// event precedes ExploreContext's return, so no line is lost and none
+	// interleaves with the report.
 	if *progress {
-		events := cfg.Events(ctx)
-		go func() {
-			defer close(progressDone)
-			for ev := range events {
-				switch ev.Kind {
-				case dse.EventCandidate, dse.EventPanic, dse.EventDegraded, dse.EventWarning:
-					fmt.Fprintf(os.Stderr, "ttadse: [%d/%d] %s\n", ev.N, ev.Total, ev.Msg)
-				}
+		cfg.EventSink = func(ev dse.Event) {
+			switch ev.Kind {
+			case dse.EventCandidate, dse.EventPanic, dse.EventDegraded, dse.EventWarning:
+				fmt.Fprintf(os.Stderr, "ttadse: [%d/%d] %s\n", ev.N, ev.Total, ev.Msg)
 			}
-		}()
-	} else {
-		close(progressDone)
+		}
 	}
 
 	study := core.NewStudyWithConfig(cfg)
 	exitCode := 0
-	exploreErr := study.ExploreContext(ctx)
-	// The exploration has emitted its final ("done") event; wait for the
-	// printer to drain so progress lines never interleave with the report.
-	<-progressDone
-	if err := exploreErr; err != nil {
+	if err := study.ExploreContext(ctx); err != nil {
 		var partial *dse.PartialError
 		if !errors.As(err, &partial) {
 			log.Fatal(err)

@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestMain doubles as the CLI under test: re-execing this test binary
@@ -107,6 +110,84 @@ func TestProgressReportsTornCheckpoint(t *testing.T) {
 	want := "ttadse: [0/0] checkpoint " + ckpt + " was torn"
 	if !strings.Contains(errText, want) || !strings.Contains(errText, "recovered 11 entries from the valid prefix") {
 		t.Fatalf("stderr lacks the torn-prefix warning %q:\n%s", want, errText)
+	}
+}
+
+// TestProgressPrintsEveryCandidate starts a 3,072-candidate sweep with
+// -progress and reads its stderr only after a pause, long enough for the
+// whole sweep to finish if nothing held it back. Every candidate must
+// still get its line, exactly once: a progress printer that drops events
+// while stderr is not being read fails here.
+func TestProgressPrintsEveryCandidate(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, "-buses", "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16",
+		"-alus", "1,2,3,4,5,6,7,8", "-cmps", "1,2", "-progress")
+	cmd.Env = append(os.Environ(), "TTADSE_RUN_MAIN=1")
+	cmd.Stdout = io.Discard
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(time.Second)
+	errText, err := io.ReadAll(stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("sweep failed: %v\n%s", err, errText)
+	}
+	const total = 3072
+	seen := make(map[int]bool, total)
+	for _, line := range strings.Split(string(errText), "\n") {
+		var n, of int
+		if _, err := fmt.Sscanf(line, "ttadse: [%d/%d] c", &n, &of); err != nil || of != total {
+			continue
+		}
+		if seen[n] {
+			t.Fatalf("candidate line %d/%d printed twice", n, total)
+		}
+		seen[n] = true
+	}
+	if len(seen) != total {
+		t.Fatalf("stderr carries %d of %d candidate lines", len(seen), total)
+	}
+}
+
+// TestCheckpointBoundToATPGBudget resumes a plain run from the checkpoint
+// of a run whose ATPG budget degraded every annotation. The budget is
+// part of the spec hash the checkpoint is bound to, so the plain run must
+// ignore that checkpoint as stale and print the plain report, not the
+// degraded one.
+func TestCheckpointBoundToATPGBudget(t *testing.T) {
+	base := []string{"-buses", "1", "-alus", "1", "-cmps", "1"}
+	ref, errText, code := runCLI(t, base...)
+	if code != 0 {
+		t.Fatalf("plain run exited %d: %s", code, errText)
+	}
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	withCkpt := append(append([]string(nil), base...), "-checkpoint", ckpt)
+	degraded, errText, code := runCLI(t, append(withCkpt, "-atpg-deadline", "1ns")...)
+	if code != 0 {
+		t.Fatalf("budgeted run exited %d: %s", code, errText)
+	}
+	if !strings.Contains(degraded, "(degraded)") {
+		t.Fatal("a 1ns ATPG budget degraded no annotation")
+	}
+	out, errText, code := runCLI(t, withCkpt...)
+	if code != 0 {
+		t.Fatalf("plain rerun exited %d: %s", code, errText)
+	}
+	if !strings.Contains(errText, "ignoring stale checkpoint") {
+		t.Errorf("plain rerun did not reject the budgeted run's checkpoint:\n%s", errText)
+	}
+	if out != ref {
+		t.Fatal("plain rerun on the budgeted run's checkpoint differs from the plain run")
 	}
 }
 

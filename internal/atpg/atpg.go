@@ -130,17 +130,17 @@ func (r *Result) String() string {
 // loops never touch the registry (Registry.Counter takes a mutex and a map
 // lookup per call) and flushed to the registry once per run.
 type runMetrics struct {
-	laneWidth int64 // active lane width (64/256/512)
-	blocks    int64 // fault-simulation blocks evaluated (laneWidth lanes each)
-	lanes     int64 // lanes across those blocks that carried real patterns
+	blocks int64 // fault-simulation blocks evaluated (64 lanes each)
+	lanes  int64 // lanes across those blocks that carried real patterns
 
 	decisions  int64 // PODEM decisions
 	backtracks int64 // PODEM backtracks
 }
 
 // flush publishes the tallies. Lane utilization is lanes divided by the
-// block capacity laneWidth*blocks: 1.0 means every simulated block was
-// fully saturated at the active lane width.
+// block capacity 64*blocks: 1.0 means every simulated block was fully
+// saturated. The lane-width gauge always reads 64, the simulator's only
+// width; readers that divide by it keep working.
 func (m *runMetrics) flush(r *obs.Registry, res *Result) {
 	if r == nil {
 		return
@@ -160,11 +160,9 @@ func (m *runMetrics) flush(r *obs.Registry, res *Result) {
 	if res.DeadlineExceeded {
 		r.Counter("atpg.deadline.exceeded").Inc()
 	}
-	if m.laneWidth > 0 {
-		r.Gauge("atpg.faultsim.lane_width").Set(float64(m.laneWidth))
-	}
+	r.Gauge("atpg.faultsim.lane_width").Set(64)
 	if m.blocks > 0 {
-		r.Gauge("atpg.faultsim.lane_util").SetRatio(m.lanes, m.laneWidth*m.blocks)
+		r.Gauge("atpg.faultsim.lane_util").SetRatio(m.lanes, 64*m.blocks)
 	}
 }
 
@@ -188,30 +186,14 @@ func (b budget) expired() bool { return !b.at.IsZero() && time.Now().After(b.at)
 // and return (nil, ctx.Err()) when it is done. With a background context
 // and no Deadline the error is always nil; an exhausted Deadline is not
 // an error — see Config.Deadline. The run executes on the calling
-// goroutine.
-//
-// The fault simulator's lane width (64, 256 or 512 parallel patterns per
-// block) is chosen per netlist by resolveLaneWidth. The detected-fault
-// sets, patterns and every report field are byte-identical at every
-// width; only throughput and the block-granular atpg.faultsim.{blocks,
-// lanes} tallies change.
+// goroutine, on one 64-lane Simulator.
 func RunContext(ctx context.Context, n *netlist.Netlist, cfg Config) (*Result, error) {
-	return runAtWidth(ctx, n, cfg, 0)
-}
-
-// runAtWidth is RunContext at a forced lane width: 64, 256 or 512, or 0
-// for resolveLaneWidth's choice. Tests and benchmarks force a width to
-// check and time the width invariance; everything else passes 0.
-func runAtWidth(ctx context.Context, n *netlist.Netlist, cfg Config, lanes int) (*Result, error) {
 	cfg = cfg.withDefaults()
 	u := NewUniverse(n)
-	if lanes == 0 {
-		lanes = resolveLaneWidth(n, u)
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	bs := newBlockSim(newSimTopo(n), lanes)
+	sim := NewSimulator(n)
 	res := &Result{Netlist: n, TotalFaults: len(u.Faults)}
-	m := &runMetrics{laneWidth: int64(lanes)}
+	m := &runMetrics{}
 	defer m.flush(cfg.Obs, res)
 	bud := newBudget(cfg.Deadline)
 
@@ -219,7 +201,7 @@ func runAtWidth(ctx context.Context, n *netlist.Netlist, cfg Config, lanes int) 
 	var patterns []Pattern
 
 	if cfg.MaxRandomPatterns > 0 {
-		patterns = randomPhase(ctx, bs, u, cfg, detected, res, m, bud)
+		patterns = randomPhase(ctx, sim, u, cfg, detected, res, m, bud)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -227,7 +209,7 @@ func runAtWidth(ctx context.Context, n *netlist.Netlist, cfg Config, lanes int) 
 
 	if !cfg.SkipPODEM && !bud.expired() {
 		var err error
-		patterns, err = podemTopUp(ctx, bs.sim, u, cfg, rng, detected, res, patterns, m, bud)
+		patterns, err = podemTopUp(ctx, sim, u, cfg, rng, detected, res, patterns, m, bud)
 		if err != nil {
 			return nil, err
 		}
@@ -242,42 +224,8 @@ func runAtWidth(ctx context.Context, n *netlist.Netlist, cfg Config, lanes int) 
 		res.Patterns = patterns
 		return res, nil
 	}
-	res.Patterns = compactReverse(bs, u, patterns, detected, m)
+	res.Patterns = compactReverse(sim, u, patterns, detected, m)
 	return res, nil
-}
-
-// resolveLaneWidth picks the fault simulator's lane width for a netlist.
-// Wide blocks only pay when fault simulation dominates the run: the fixed
-// per-Detects and per-gate costs amortize over more lanes. On PODEM-bound
-// classes (deep, sparse netlists like cmp16: many levels, few faults per
-// level) the run spends its time in the single-pattern engine and wide
-// blocks just add per-block overhead — in the lanes × class grid of
-// EXPERIMENTS.md ("Lane-width sweep") cmp16 runs slower at 256 and 512
-// lanes than at 64. So the choice is class-aware: it needs BOTH a
-// large netlist and a high fault density per topological level (the
-// measurable proxy for the fault-to-pattern ratio; dense shallow fabrics
-// like register files converge in few patterns per fault-heavy level and
-// are exactly the wide-sim winners). Every width produces identical
-// output, so the rule only steers throughput.
-func resolveLaneWidth(n *netlist.Netlist, u *Universe) int {
-	levels := 0
-	for _, l := range n.Flat().GateLevel {
-		if int(l)+1 > levels {
-			levels = int(l) + 1
-		}
-	}
-	if levels < 1 {
-		return 64
-	}
-	density := float64(len(u.Faults)) / float64(levels)
-	switch {
-	case len(n.Gates) >= 2048 && density >= 400:
-		return 512
-	case len(n.Gates) >= 256 && density >= 400:
-		return 256
-	default:
-		return 64
-	}
 }
 
 // markRemainingAborted counts every still-undetected fault as aborted —
@@ -303,10 +251,10 @@ func markRemainingAborted(detected []bool, res *Result) {
 // fault universe in index order and generates a test for every fault
 // still undetected. The don't-care fill consumes the rng at accept time,
 // in fault order, so the patterns are a pure function of (netlist, seed,
-// config). Accepted patterns are fault-dropped in lane-width batches by
+// config). Accepted patterns are fault-dropped in 64-pattern batches by
 // a batchDropper instead of one LoadBlock per pattern.
-func podemTopUp(ctx context.Context, ws faultSim, u *Universe, cfg Config, rng *rand.Rand, detected []bool, res *Result, patterns []Pattern, m *runMetrics, bud budget) ([]Pattern, error) {
-	eng := newPodem(ws.topo(), cfg.BacktrackLimit)
+func podemTopUp(ctx context.Context, sim *Simulator, u *Universe, cfg Config, rng *rand.Rand, detected []bool, res *Result, patterns []Pattern, m *runMetrics, bud budget) ([]Pattern, error) {
+	eng := newPodem(sim.t, cfg.BacktrackLimit)
 	if cfg.SCOAPGuidance {
 		eng.scoap = ComputeScoap(u.N)
 	}
@@ -315,7 +263,7 @@ func podemTopUp(ctx context.Context, ws faultSim, u *Universe, cfg Config, rng *
 		m.backtracks += eng.totalBacktracks
 	}()
 
-	drop := newBatchDropper(ws, u, detected, res, m)
+	drop := newBatchDropper(sim, u, detected, res, m)
 	for fi := range u.Faults {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -362,13 +310,13 @@ func podemTopUp(ctx context.Context, ws faultSim, u *Universe, cfg Config, rng *
 	return patterns, nil
 }
 
-// batchDropper accumulates accepted PODEM patterns into up-to-lane-width
-// blocks and fault-drops whole blocks at once, replacing the serial
+// batchDropper accumulates accepted PODEM patterns into blocks of up to
+// 64 and fault-drops whole blocks at once, replacing the serial
 // algorithm's one-pattern LoadBlock per accepted pattern.
 //
 // The serial algorithm drops each new pattern against every fault at or
 // beyond its target, immediately. The batched replay preserves those
-// decisions exactly, at any batch width:
+// decisions exactly:
 //
 //   - a fault reaching its merge slot is checked against all pending
 //     lanes (covers) — the same "was it dropped by an earlier pattern"
@@ -382,10 +330,10 @@ func podemTopUp(ctx context.Context, ws faultSim, u *Universe, cfg Config, rng *
 //     position were already screened by covers at their own slots.
 //
 // Detection outcomes, counters and patterns are therefore independent of
-// where the flush boundaries fall — which is exactly why widening the
-// batch from 64 to 256/512 lanes cannot move a single output byte.
+// where the flush boundaries fall (TestBatchDropperMatchesPerPatternDrop
+// checks them against the serial algorithm).
 type batchDropper struct {
-	sim      faultSim
+	sim      *Simulator
 	u        *Universe
 	detected []bool
 	res      *Result
@@ -396,19 +344,19 @@ type batchDropper struct {
 	loaded  bool    // sim currently holds the pending block
 }
 
-func newBatchDropper(sim faultSim, u *Universe, detected []bool, res *Result, m *runMetrics) *batchDropper {
+func newBatchDropper(sim *Simulator, u *Universe, detected []bool, res *Result, m *runMetrics) *batchDropper {
 	return &batchDropper{
 		sim:      sim,
 		u:        u,
 		detected: detected,
 		res:      res,
 		m:        m,
-		pending:  make([]Pattern, 0, sim.lanes()),
-		targets:  make([]int32, 0, sim.lanes()),
+		pending:  make([]Pattern, 0, 64),
+		targets:  make([]int32, 0, 64),
 	}
 }
 
-func (d *batchDropper) full() bool { return len(d.pending) == d.sim.lanes() }
+func (d *batchDropper) full() bool { return len(d.pending) == 64 }
 
 // add accepts a pattern generated for fault fi into the next free lane.
 func (d *batchDropper) add(pat Pattern, fi int) {
@@ -423,15 +371,14 @@ func (d *batchDropper) covers(fi int) bool {
 		return false
 	}
 	d.load()
-	m := d.sim.detectsMask(d.u.Faults[fi])
-	return m.any()
+	return d.sim.Detects(d.u.Faults[fi]) != 0
 }
 
 func (d *batchDropper) load() {
 	if d.loaded {
 		return
 	}
-	d.sim.loadBlock(d.pending)
+	d.sim.LoadBlock(d.pending)
 	d.loaded = true
 }
 
@@ -447,8 +394,7 @@ func (d *batchDropper) flush(pos int) {
 	d.m.blocks++
 	d.m.lanes += int64(len(d.pending))
 	for k, t := range d.targets {
-		m := d.sim.detectsMask(d.u.Faults[t])
-		if m.bit(k) {
+		if d.sim.Detects(d.u.Faults[t])>>uint(k)&1 == 1 {
 			d.detected[t] = true
 			d.res.Detected++
 		} else {
@@ -462,8 +408,7 @@ func (d *batchDropper) flush(pos int) {
 		if d.detected[fj] {
 			continue
 		}
-		m := d.sim.detectsMask(d.u.Faults[fj])
-		if m.any() {
+		if d.sim.Detects(d.u.Faults[fj]) != 0 {
 			d.detected[fj] = true
 			d.res.Detected++
 		}
@@ -473,117 +418,13 @@ func (d *batchDropper) flush(pos int) {
 	d.loaded = false
 }
 
-// blockSim is the fault simulator the ATPG phases share: one engine at
-// the run's lane width plus, above 64 lanes, a 64-lane tier that
-// firstLanes uses to screen a block sub-block by sub-block. Both engines
-// bind the run's read-only simTopo.
-type blockSim struct {
-	sim    faultSim
-	narrow *wideSim[[1]uint64] // nil at width 64
-}
-
-func newBlockSim(t *simTopo, lanes int) *blockSim {
-	b := &blockSim{sim: newFaultSimFromTopo(t, lanes)}
-	if lanes > 64 {
-		b.narrow = newWideSim[[1]uint64](t)
-	}
-	return b
-}
-
-// firstLanes fills laneOf[fi] with the first block lane detecting fault fi
-// (-1 if none), considering only faults with skip(fi) == false. With screen
-// set, blocks wider than 64 lanes run sub-block by sub-block on the 64-lane
-// tier, dropping each fault at its first detecting sub-block — in a
-// detection-dense block that retires most faults at a fraction of the word
-// cost. With screen clear, the full-width engine simulates every live fault
-// in one pass, amortizing per-call overhead across the whole block — the
-// cheaper plan when most faults stay alive to the end anyway. The wide
-// mask's sub-block words are identical to the narrow masks (the
-// width-invariance property), so both tiers report the same first lane.
-// Screening is purely an execution strategy: laneOf is identical either
-// way, so callers may toggle it by any heuristic without affecting results.
-func (b *blockSim) firstLanes(faults []Fault, block []Pattern, screen bool, skip func(int) bool, laneOf []int16) {
-	nSub := (len(block) + 63) / 64
-	b.firstLanesBy(faults, nSub, screen, skip, laneOf,
-		func(s int) {
-			sub := block[s*64:]
-			if len(sub) > 64 {
-				sub = sub[:64]
-			}
-			b.narrow.loadBlock(sub)
-		},
-		func() { b.sim.loadBlock(block) })
-}
-
-// firstLanesWords is firstLanes for a block already in transposed word form:
-// words[s] holds sub-block s's per-controllable lane words.
-func (b *blockSim) firstLanesWords(faults []Fault, words [][]uint64, screen bool, skip func(int) bool, laneOf []int16) {
-	b.firstLanesBy(faults, len(words), screen, skip, laneOf,
-		func(s int) { b.narrow.loadWords(words[s : s+1]) },
-		func() { b.sim.loadWords(words) })
-}
-
-// firstLanesBy is the shared body of firstLanes and firstLanesWords:
-// loadSub(s) loads sub-block s into the 64-lane tier, loadFull loads the
-// whole block into the full-width engine.
-func (b *blockSim) firstLanesBy(faults []Fault, nSub int, screen bool, skip func(int) bool, laneOf []int16,
-	loadSub func(s int), loadFull func()) {
-	for i := range laneOf {
-		laneOf[i] = -1
-	}
-	if screen && b.narrow != nil && nSub > 1 {
-		b.screenSubs(faults, nSub, skip, laneOf, loadSub)
-		return
-	}
-	loadFull()
-	for fi, f := range faults {
-		if skip(fi) {
-			continue
-		}
-		mk := b.sim.detectsMask(f)
-		if first := mk.first(); first >= 0 {
-			laneOf[fi] = int16(first)
-		}
-	}
-}
-
-// screenSubs runs the 64-lane tier over each sub-block in serial order,
-// dropping every fault at its first detecting sub-block. The tier is the
-// concrete 64-lane instantiation, so the per-fault inner loop pays no
-// interface dispatch or laneMask widening — at tens of thousands of
-// detects calls per run those fixed costs rival the simulation work
-// itself.
-func (b *blockSim) screenSubs(faults []Fault, nSub int, skip func(int) bool, laneOf []int16, loadSub func(s int)) {
-	live := 0
-	for fi := range faults {
-		if !skip(fi) {
-			live++
-		}
-	}
-	for s := 0; s < nSub && live > 0; s++ {
-		loadSub(s)
-		base := int16(s * 64)
-		for fi := range faults {
-			if skip(fi) || laneOf[fi] >= 0 {
-				continue
-			}
-			if mk := b.narrow.detects(faults[fi])[0]; mk != 0 {
-				laneOf[fi] = base + int16(bits.TrailingZeros64(mk))
-				live--
-			}
-		}
-	}
-}
-
-// fillSubWords generates the pattern content of global 64-pattern sub-block
-// `sub`: one lane word per controllable (bit k = pattern sub*64+k's value),
-// from a splitmix64 stream seeded by subSeed. Each sub-block's content is a
-// pure function of (seed, sub), so any lane width generates exactly the
-// same pattern sequence, speculative sub-blocks past a mid-block stop cost
-// nothing but their own generation, and the driver rng stream is left
-// untouched for the PODEM phase's don't-care fill. Generating words rather
-// than pattern bytes feeds the simulator's transposed layout directly —
-// one RNG step per 64 lanes of a controllable instead of one per lane.
+// fillSubWords generates the pattern content of random block `sub`: one
+// lane word per controllable (bit k = pattern sub*64+k's value), from a
+// splitmix64 stream seeded by subSeed. Each block's content is a pure
+// function of (seed, sub), and the driver rng stream is left untouched for
+// the PODEM phase's don't-care fill. Generating words rather than pattern
+// bytes feeds the simulator's transposed layout directly — one RNG step
+// per 64 lanes of a controllable instead of one per lane.
 func fillSubWords(seed, sub int64, w []uint64) {
 	st := uint64(subSeed(seed, sub))
 	for ci := range w {
@@ -598,8 +439,8 @@ func fillSubWords(seed, sub int64, w []uint64) {
 	}
 }
 
-// subSeed derives the pattern-generator state of a global 64-pattern
-// sub-block from the configured seed (splitmix64 finalizer).
+// subSeed derives the pattern-generator state of random block `sub` from
+// the configured seed (splitmix64 finalizer).
 func subSeed(seed, sub int64) int64 {
 	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(sub+1)
 	z ^= z >> 30
@@ -610,93 +451,49 @@ func subSeed(seed, sub int64) int64 {
 	return int64(z)
 }
 
-// randomPhase applies seeded random blocks with fault dropping and returns
-// the patterns that were first detectors of at least one fault. Blocks are
-// simulated bs.sim.lanes() patterns at a time, but pattern content is keyed
-// to the global 64-pattern sub-block index (subSeed) and detection credit
-// and the dry/total stopping rule replay the sub-blocks in serial order, so
-// the detected set, counters and kept patterns are identical at every lane
-// width. The 64-lane screening tier of firstLanes is enabled while it pays
-// — while at least 1/16th of the live faults drop per block — and skipped
-// once the survivors dominate, where a single full-width pass is cheaper.
-func randomPhase(ctx context.Context, bs *blockSim, u *Universe, cfg Config, detected []bool, res *Result, m *runMetrics, bud budget) []Pattern {
-	nSub := bs.sim.lanes() / 64
-	nCtrl := bs.sim.NumControls()
+// randomPhase applies seeded random 64-pattern blocks with fault dropping
+// and returns the patterns that were first detectors of at least one
+// fault, in block and lane order. It stops after MaxRandomPatterns
+// patterns or RandomDryBlocks consecutive blocks without a new detection.
+func randomPhase(ctx context.Context, sim *Simulator, u *Universe, cfg Config, detected []bool, res *Result, m *runMetrics, bud budget) []Pattern {
+	nCtrl := sim.NumControls()
 	var kept []Pattern
 	dry := 0
-	total := 0
-	sub := 0 // global sub-block counter: seeds pattern generation
-	screen := true
-	laneOf := make([]int16, len(u.Faults))
-	words := make([][]uint64, nSub)
-	for s := range words {
-		words[s] = make([]uint64, nCtrl)
-	}
-	subHits := make([][]int32, nSub) // newly detected fault indices per sub-block
-	for total < cfg.MaxRandomPatterns && dry < cfg.RandomDryBlocks {
+	words := make([]uint64, nCtrl)
+	for sub := int64(0); 64*sub < int64(cfg.MaxRandomPatterns) && dry < cfg.RandomDryBlocks; sub++ {
 		if ctx.Err() != nil || bud.expired() {
 			return kept
 		}
-		// Fill up to nSub sub-blocks. The total bound is known in advance;
-		// the dry bound is only resolved during replay below, so later
-		// sub-blocks are generated speculatively.
-		gen := 0
-		for s := 0; s < nSub && total+64*s < cfg.MaxRandomPatterns; s++ {
-			fillSubWords(cfg.Seed, int64(sub+s), words[s])
-			gen++
-		}
-		sub += gen
+		fillSubWords(cfg.Seed, sub, words)
+		sim.loadWords(words)
 		m.blocks++
-		m.lanes += int64(gen * 64)
-		bs.firstLanesWords(u.Faults, words[:gen], screen, func(fi int) bool { return detected[fi] }, laneOf)
-		cands, hits := 0, 0
-		for s := range subHits {
-			subHits[s] = subHits[s][:0]
-		}
-		for fi := range u.Faults {
+		m.lanes += 64
+		newly := 0
+		laneUseful := uint64(0)
+		for fi, f := range u.Faults {
 			if detected[fi] {
 				continue
 			}
-			cands++
-			if lane := laneOf[fi]; lane >= 0 {
-				hits++
-				subHits[lane>>6] = append(subHits[lane>>6], int32(fi))
+			if d := sim.Detects(f); d != 0 {
+				detected[fi] = true
+				newly++
+				laneUseful |= d & -d // the first detecting lane
 			}
 		}
-		screen = hits*16 >= cands
-		// Replay the sub-blocks in serial order: a fault's first detecting
-		// lane falls in the same sub-block the 64-lane schedule would have
-		// detected it in, and the stopping rule is applied exactly where
-		// that schedule would have stopped. A mid-block stop leaves later
-		// sub-blocks' detections unapplied, exactly as if never simulated.
-		for s := 0; s < gen; s++ {
-			total += 64
-			lo := int16(s * 64)
-			laneUseful := uint64(0)
-			for _, fi := range subHits[s] {
-				detected[fi] = true
-				laneUseful |= 1 << uint(laneOf[fi]-lo)
+		res.Detected += newly
+		res.RandomDetected += newly
+		if newly == 0 {
+			dry++
+			continue
+		}
+		dry = 0
+		for ; laneUseful != 0; laneUseful &= laneUseful - 1 {
+			k := uint(bits.TrailingZeros64(laneUseful))
+			p := make(Pattern, nCtrl)
+			for ci, w := range words {
+				p[ci] = uint8(w >> k & 1)
 			}
-			newly := len(subHits[s])
-			res.Detected += newly
-			res.RandomDetected += newly
-			if newly == 0 {
-				dry++
-			} else {
-				dry = 0
-				for k := 0; k < 64; k++ {
-					if laneUseful>>uint(k)&1 == 1 {
-						p := make(Pattern, nCtrl)
-						for ci, w := range words[s] {
-							p[ci] = uint8(w >> uint(k) & 1)
-						}
-						kept = append(kept, p)
-					}
-				}
-			}
-			if total >= cfg.MaxRandomPatterns || dry >= cfg.RandomDryBlocks {
-				return kept
-			}
+			kept = append(kept, p)
 		}
 	}
 	return kept
@@ -720,50 +517,31 @@ func fillPattern(asg []v3, rng *rand.Rand) Pattern {
 }
 
 // compactReverse performs reverse-order static compaction: patterns are
-// re-fault-simulated from last to first, bs.sim.lanes() per block, and kept
-// only if they are the first (in that order) to detect some fault. The
-// first-detecting-lane credit is in lane order, so widening the block
-// keeps the decision — and the kept set — identical to the 64-lane
-// schedule.
-func compactReverse(bs *blockSim, u *Universe, patterns []Pattern, detected []bool, m *runMetrics) []Pattern {
+// re-fault-simulated from last to first, 64 per block, and kept only if
+// they are the first (in that order) to detect some fault.
+func compactReverse(sim *Simulator, u *Universe, patterns []Pattern, detected []bool, m *runMetrics) []Pattern {
 	if len(patterns) == 0 {
 		return patterns
 	}
-	width := bs.sim.lanes()
 	reversed := make([]Pattern, len(patterns))
 	for i, p := range patterns {
 		reversed[len(patterns)-1-i] = p
 	}
 	covered := make([]bool, len(u.Faults))
 	useful := make([]bool, len(reversed))
-	laneOf := make([]int16, len(u.Faults))
-	screen := true
-	for start := 0; start < len(reversed); start += width {
-		end := start + width
-		if end > len(reversed) {
-			end = len(reversed)
-		}
-		block := reversed[start:end]
+	for start := 0; start < len(reversed); start += 64 {
+		block := reversed[start:min(start+64, len(reversed))]
 		m.blocks++
 		m.lanes += int64(len(block))
-		bs.firstLanes(u.Faults, block, screen, func(fi int) bool { return !detected[fi] || covered[fi] }, laneOf)
-		cands, hits := 0, 0
-		for fi := range u.Faults {
+		sim.LoadBlock(block)
+		for fi, f := range u.Faults {
 			if !detected[fi] || covered[fi] {
 				continue
 			}
-			cands++
-			if laneOf[fi] >= 0 {
-				hits++
+			if d := sim.Detects(f); d != 0 {
+				covered[fi] = true
+				useful[start+bits.TrailingZeros64(d)] = true
 			}
-		}
-		screen = hits*16 >= cands
-		for fi, lane := range laneOf {
-			if lane < 0 {
-				continue
-			}
-			covered[fi] = true
-			useful[start+int(lane)] = true
 		}
 	}
 	var out []Pattern

@@ -356,7 +356,7 @@ func fullDetects(s *Simulator, f Fault) uint64 {
 	n := s.t.n
 	work := make([]uint64, n.NumNets())
 	for _, net := range s.t.ctrl {
-		work[net] = s.good[net][0]
+		work[net] = s.good[net]
 	}
 	for _, gi := range n.TopoOrder() {
 		g := &n.Gates[gi]
@@ -377,9 +377,9 @@ func fullDetects(s *Simulator, f Fault) uint64 {
 	}
 	var diff uint64
 	for _, o := range s.t.obs {
-		diff |= work[o] ^ s.good[o][0]
+		diff |= work[o] ^ s.good[o]
 	}
-	return diff & s.valid[0]
+	return diff & s.valid
 }
 
 // evalGateFast and evalGateWithPin are the retired gate-pointer scalar

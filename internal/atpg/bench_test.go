@@ -2,7 +2,6 @@ package atpg
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/gatelib"
@@ -108,13 +107,10 @@ func BenchmarkDetectsWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkFaultSimCold is the lanes × component-class grid behind
-// EXPERIMENTS.md's "Lane-width sweep": one cold annotation (a full run —
-// random phase, PODEM top-up, compaction) per iteration, at every
-// supported lane width, for each component class of the default DSE
-// space. The detected sets and patterns are byte-identical across the
-// lanes= variants (see TestRunIdenticalAcrossLaneWidths); only
-// wall time may differ.
+// BenchmarkFaultSimCold times one cold annotation (a full run — random
+// phase, PODEM top-up, compaction) per iteration for each component class
+// of the default DSE space: the per-class grid behind EXPERIMENTS.md's
+// "Lane-width sweep".
 func BenchmarkFaultSimCold(b *testing.B) {
 	lib := gatelib.NewLibrary()
 	classes := []struct {
@@ -143,19 +139,17 @@ func BenchmarkFaultSimCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, lanes := range laneWidths {
-			b.Run(fmt.Sprintf("%s/lanes=%d", cl.name, lanes), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := runAtWidth(context.Background(), comp.Seq, Config{Seed: 7}, lanes)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Coverage() < 0.9 {
-						b.Fatalf("coverage collapsed: %v", res)
-					}
+		b.Run(cl.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := RunContext(context.Background(), comp.Seq, Config{Seed: 7})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if res.Coverage() < 0.9 {
+					b.Fatalf("coverage collapsed: %v", res)
+				}
+			}
+		})
 	}
 }
 

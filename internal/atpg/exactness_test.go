@@ -18,10 +18,15 @@ type libraryClass struct {
 	comp *gatelib.Component
 }
 
-// libraryClasses builds every class the default 288-candidate sweep and
-// the guided search touch at the paper's 16-bit width: both ALU adders,
-// the comparator, the six register-file shapes of the default RF sets,
-// the singleton units and both sockets (6 id bits).
+// libraryClasses builds the classes the exactness pins and the region
+// checks run on, at the paper's 16-bit width: every class the default
+// 288-candidate sweep touches (both ALU adders, the comparator, the six
+// register-file shapes of the default RF sets, the singleton units and
+// both sockets with 6 id bits), then two more of the guided search's 36
+// register-file shapes, rf16x24_2w3r (2,746 gates) and rf16x32_1w2r
+// (2,053 gates). The other 28 search shapes are not covered. New classes
+// go at the end, so that the seeded draws TestRegionSoundness makes for
+// the earlier ones stay the same.
 func libraryClasses(t testing.TB) []libraryClass {
 	t.Helper()
 	lib := gatelib.NewLibrary()
@@ -55,6 +60,10 @@ func libraryClasses(t testing.TB) []libraryClass {
 	add("isock6", c, err)
 	c, err = lib.OutputSocket(6)
 	add("osock6", c, err)
+	for _, rf := range []struct{ regs, in, out int }{{24, 2, 3}, {32, 1, 2}} {
+		c, err = lib.RF(gatelib.RFConfig{Width: 16, NumRegs: rf.regs, NumIn: rf.in, NumOut: rf.out})
+		add(fmt.Sprintf("rf16x%d_%dw%dr", rf.regs, rf.in, rf.out), c, err)
+	}
 	return out
 }
 
@@ -115,7 +124,9 @@ type exactnessPin struct {
 // PODEM optimization must reproduce them exactly: not only the same
 // patterns, but the same search — every decision and every backtrack.
 // "w1" is a full run (the tag dates from when a run took a worker count)
-// and "p1" a PODEM-only run.
+// and "p1" a PODEM-only run. The two register files at the end were
+// recorded later, when a density rule still ran them on a 512-lane
+// simulator; they hold the 64-lane one to that engine's results.
 var exactnessPins = map[string]exactnessPin{
 	"alu16_ripple/w1": {"175cd0ddbd8bb36f46e07fb2fe1d93714c7df7609dec9dd9b0558f8bfce954dc", 24194, 24036},
 	"alu16_ripple/p1": {"498a6bb9400b09a19e7eed50934f81c09e5085109ef3495d67794e9e41b356b7", 24848, 24039},
@@ -145,4 +156,8 @@ var exactnessPins = map[string]exactnessPin{
 	"isock6/p1":       {"feed16755f4b08770090c55069a5e69aa550819ae626f83eaa61232e15a44f2e", 87, 0},
 	"osock6/w1":       {"fa129cd178f9b6b3db522b5d4f67522efa1ff3dd6626e7b2b386228b8e8cdb53", 0, 0},
 	"osock6/p1":       {"9af8f386f2c367f5e8a439b21cb28e1725782fd3e86974f1065e2a1a805b864b", 74, 0},
+	"rf16x24_2w3r/w1": {"babd0e4f364179e2bf1038107491878d7bb5563bcc55f2959c5a236e48ac509e", 12288, 12288},
+	"rf16x24_2w3r/p1": {"f26afcf0e0ac81c3bf86001c4464cee3043e6196adfbc16ddd0149e00550b96e", 15052, 12288},
+	"rf16x32_1w2r/w1": {"32f07f76801058019d22876608829cbfe032ca28d9b061197da6303ac18a4bf6", 7, 0},
+	"rf16x32_1w2r/p1": {"41d6b7cf6715068986a2d04aa16c11d7ec4ecd7e786a0630b90377e0af3c588a", 2480, 0},
 }

@@ -2,10 +2,13 @@ package atpg
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/gatelib"
+	"repro/internal/obs"
 )
 
 // TestDetectsZeroAllocOnWarmedSimulator pins the zero-alloc contract of
@@ -65,7 +68,7 @@ func TestBatchDropperMatchesPerPatternDrop(t *testing.T) {
 		detected := make([]bool, len(u.Faults))
 		res := &Result{Netlist: n, TotalFaults: len(u.Faults)}
 		m := &runMetrics{}
-		patterns := randomPhase(context.Background(), newBlockSim(sim.t, 64), u, cfg, detected, res, m, budget{})
+		patterns := randomPhase(context.Background(), sim, u, cfg, detected, res, m, budget{})
 		eng := newPodem(sim.t, cfg.BacktrackLimit)
 		for fi := range u.Faults {
 			if detected[fi] {
@@ -105,7 +108,7 @@ func TestBatchDropperMatchesPerPatternDrop(t *testing.T) {
 	detected := make([]bool, len(u.Faults))
 	res := &Result{Netlist: n, TotalFaults: len(u.Faults)}
 	m := &runMetrics{}
-	patterns := randomPhase(context.Background(), newBlockSim(sim.t, 64), u, cfg, detected, res, m, budget{})
+	patterns := randomPhase(context.Background(), sim, u, cfg, detected, res, m, budget{})
 	patterns, err = podemTopUp(context.Background(), sim, u, cfg, rng, detected, res, patterns, m, budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -120,5 +123,70 @@ func TestBatchDropperMatchesPerPatternDrop(t *testing.T) {
 	if refRes.Detected != res.Detected || refRes.Redundant != res.Redundant ||
 		refRes.Aborted != res.Aborted || refRes.PodemPatterns != res.PodemPatterns {
 		t.Errorf("batched drop counters differ: got %+v want %+v", res, refRes)
+	}
+}
+
+// TestSharedTopoRaceStress drives many simulators — plus PODEM engines —
+// off one shared simTopo concurrently. Its value is under the tier-1
+// -race leg: every field of simTopo and netlist.Flat is read-shared
+// across goroutines while per-engine value state is written.
+func TestSharedTopoRaceStress(t *testing.T) {
+	alu, err := gatelib.NewALU(gatelib.ALUConfig{Width: 8, Adder: gatelib.AdderRipple})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := alu.Seq
+	u := NewUniverse(n)
+	topo := newSimTopo(n)
+	var wg sync.WaitGroup
+	for w := 0; w < 12; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			sim := newSimulator(topo)
+			block := make([]Pattern, 64)
+			for k := range block {
+				p := make(Pattern, sim.NumControls())
+				for i := range p {
+					p[i] = uint8(rng.Intn(2))
+				}
+				block[k] = p
+			}
+			sim.LoadBlock(block)
+			eng := newPodem(topo, 1000)
+			for fi := w; fi < len(u.Faults); fi += 3 {
+				sim.Detects(u.Faults[fi])
+				eng.generate(u.Faults[fi])
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestLaneMetricsUseActiveWidth pins the lane metrics a run publishes:
+// the atpg.faultsim.lane_width gauge reads the simulator's 64 lanes, and
+// lane_util is lanes/(64*blocks), the ratio benchmark harnesses rebuild
+// from the gauge and the two counters.
+func TestLaneMetricsUseActiveWidth(t *testing.T) {
+	alu, err := gatelib.NewALU(gatelib.ALUConfig{Width: 8, Adder: gatelib.AdderRipple})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	if _, err := RunContext(context.Background(), alu.Seq, Config{Seed: 7, Obs: reg}); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Gauge("atpg.faultsim.lane_width").Value(); got != 64 {
+		t.Fatalf("lane_width gauge %v, want 64", got)
+	}
+	util := reg.Gauge("atpg.faultsim.lane_util").Value()
+	if util <= 0 || util > 1 {
+		t.Fatalf("lane_util %v outside (0, 1]", util)
+	}
+	blocks := reg.Counter("atpg.faultsim.blocks").Value()
+	used := reg.Counter("atpg.faultsim.lanes").Value()
+	if want := float64(used) / float64(64*blocks); util != want {
+		t.Fatalf("lane_util %v, want lanes/(64*blocks) = %v", util, want)
 	}
 }

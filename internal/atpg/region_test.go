@@ -159,7 +159,7 @@ func TestRippleAbortsHaveNoObservableCone(t *testing.T) {
 	topo := newSimTopo(n)
 	detected := make([]bool, len(u.Faults))
 	scratch := &Result{Netlist: n, TotalFaults: len(u.Faults)}
-	randomPhase(context.Background(), newBlockSim(topo, 64), u, cfg, detected, scratch, &runMetrics{}, budget{})
+	randomPhase(context.Background(), newSimulator(topo), u, cfg, detected, scratch, &runMetrics{}, budget{})
 	eng := newPodem(topo, cfg.BacktrackLimit)
 	var aborted []Fault
 	for fi, f := range u.Faults {

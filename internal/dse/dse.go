@@ -82,11 +82,11 @@ type Config struct {
 	// EventSink, when non-nil, receives the exploration's typed progress
 	// events (candidate/restored completions, isolated panics, degraded
 	// annotations, warnings, and a final "done") synchronously from the
-	// emitting goroutine — it must be fast and concurrency-safe. Calls
-	// are serialized in Seq order, so the sink must not block. It is the
-	// run's only event path. See Event for the schema, Config.Events for
-	// a channel adapter, and FrontTracker for a ready-made live-front
-	// consumer. A nil sink costs nothing.
+	// emitting goroutine. Calls are serialized in Seq order, so a slow
+	// sink slows every worker that emits, and no event is ever dropped.
+	// It is the run's only event path. See Event for the schema and
+	// FrontTracker for a ready-made live-front consumer. A nil sink costs
+	// nothing.
 	EventSink func(Event)
 
 	// Obs, when non-nil, collects the exploration's metrics: per-stage
@@ -285,8 +285,8 @@ func ExploreContext(ctx context.Context, cfg Config) (*Result, error) {
 	nEvents := &atomic.Int64{}
 	total := 0
 	// Every exploration ends its typed stream with exactly one "done"
-	// event, whatever the exit path — consumers (Config.Events, the
-	// daemon's stream endpoint) key their termination on it.
+	// event, whatever the exit path — consumers (the daemon's stream
+	// endpoint) key their termination on it.
 	defer func() {
 		em.emit(Event{Kind: EventDone, N: int(nEvents.Load()), Total: total})
 	}()

@@ -1,9 +1,8 @@
 // Typed progress events: the public, structured view of a running
-// exploration. Config.EventSink receives every event synchronously;
-// Config.Events wraps the sink in a channel for select-style consumers
-// (the ttadse -progress flag, tests); FrontTracker folds candidate
-// events into a live Pareto-front snapshot (the ttadsed daemon's
-// GET /front endpoint).
+// exploration. Config.EventSink receives every event synchronously, one
+// at a time, on the emitting goroutine (the ttadse -progress printer,
+// the daemon's job streams); FrontTracker folds candidate events into a
+// live Pareto-front snapshot (the ttadsed daemon's GET /front endpoint).
 //
 // Event schema (stable, serialized as JSON by the daemon's event
 // stream):
@@ -39,7 +38,6 @@
 package dse
 
 import (
-	"context"
 	"sync"
 
 	"repro/internal/obs"
@@ -139,56 +137,6 @@ func candidateUpdate(index int, arch *tta.Architecture, c *Candidate, err error)
 		u.Feasible = false
 	}
 	return u
-}
-
-// Events installs a typed event stream on the config and returns its
-// receive side. The channel closes after the "done" event (every
-// exploration emits exactly one, on every exit path) or when ctx is
-// cancelled, whichever comes first, so a plain range loop terminates.
-// Any previously installed EventSink keeps receiving everything. The
-// cancellation hook is a context.AfterFunc that "done" stops, so a
-// stream that ends normally leaves nothing waiting on a live ctx.
-//
-// Delivery is best-effort for a slow consumer: the channel is buffered
-// and a send that would block drops the event rather than stall the
-// worker pool ("done" never drops — the channel just closes). Consumers
-// needing every event (e.g. the daemon's stream endpoint) should install
-// a synchronous EventSink instead.
-func (c *Config) Events(ctx context.Context) <-chan Event {
-	ch := make(chan Event, 1024)
-	var mu sync.Mutex
-	closed := false
-	closeCh := func() {
-		mu.Lock()
-		defer mu.Unlock()
-		if !closed {
-			closed = true
-			close(ch)
-		}
-	}
-	stop := func() bool { return false }
-	if ctx != nil {
-		stop = context.AfterFunc(ctx, closeCh)
-	}
-	prev := c.EventSink
-	c.EventSink = func(ev Event) {
-		if prev != nil {
-			prev(ev)
-		}
-		mu.Lock()
-		if !closed {
-			select {
-			case ch <- ev:
-			default: // slow consumer: drop rather than block the sweep
-			}
-		}
-		mu.Unlock()
-		if ev.Kind == EventDone {
-			stop()
-			closeCh()
-		}
-	}
-	return ch
 }
 
 // FrontTracker folds candidate events into a live Pareto-front snapshot,

@@ -24,22 +24,12 @@ func TestEventStreamLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var sinkEvents []Event
-	cfg.EventSink = func(ev Event) {
-		mu.Lock()
-		sinkEvents = append(sinkEvents, ev)
-		mu.Unlock()
-	}
-	ch := cfg.Events(context.Background())
+	var got []Event
+	cfg.EventSink = func(ev Event) { got = append(got, ev) } // calls are serialized
 	if _, err := ExploreContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 
-	var got []Event
-	for ev := range ch { // must terminate via the done event
-		got = append(got, ev)
-	}
 	nCand, nDone := 0, 0
 	var last Event
 	for _, ev := range got {
@@ -71,12 +61,6 @@ func TestEventStreamLifecycle(t *testing.T) {
 		if ev.Seq != int64(i+1) {
 			t.Fatalf("event %d has seq %d", i, ev.Seq)
 		}
-	}
-	// The chained sink saw the same events.
-	mu.Lock()
-	defer mu.Unlock()
-	if len(sinkEvents) != len(got) {
-		t.Errorf("chained sink saw %d events, channel %d", len(sinkEvents), len(got))
 	}
 }
 
@@ -140,13 +124,10 @@ func TestEventStreamDoneOnConfigError(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Parallelism = -1 // configuration error: no evaluation runs
-	ch := cfg.Events(context.Background())
+	var kinds []EventKind
+	cfg.EventSink = func(ev Event) { kinds = append(kinds, ev.Kind) }
 	if _, err := ExploreContext(context.Background(), cfg); err == nil {
 		t.Fatal("want configuration error")
-	}
-	var kinds []EventKind
-	for ev := range ch {
-		kinds = append(kinds, ev.Kind)
 	}
 	if len(kinds) != 1 || kinds[0] != EventDone {
 		t.Fatalf("config-error stream = %v, want exactly [done]", kinds)
@@ -294,8 +275,8 @@ func TestFrontTrackerRejectsNaN(t *testing.T) {
 }
 
 // TestEventsLeavesNoGoroutine runs five explorations, each with its own
-// Config.Events stream, on one live context: a stream that ends with its
-// "done" event must leave nothing waiting on that context.
+// event sink, on one live context: a stream that ends with its "done"
+// event must leave nothing running or waiting on that context.
 func TestEventsLeavesNoGoroutine(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -304,11 +285,13 @@ func TestEventsLeavesNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
 		c := cfg
-		ch := c.Events(ctx)
+		var last Event
+		c.EventSink = func(ev Event) { last = ev }
 		if _, err := ExploreContext(ctx, c); err != nil {
 			t.Fatal(err)
 		}
-		for range ch {
+		if last.Kind != EventDone {
+			t.Fatalf("exploration %d: last event %q, want done", i, last.Kind)
 		}
 	}
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
@@ -319,22 +302,20 @@ func TestEventsLeavesNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestEventsClosesOnCancel cancels the context at the first candidate:
-// the AfterFunc hook closes the channel while workers may still emit,
-// and the events after it, "done" included, are dropped rather than
-// sent on the closed channel.
+// TestEventsClosesOnCancel cancels the context at the first candidate,
+// while other workers may still emit: the stream must still end with
+// exactly one "done" event, and nothing may follow it.
 func TestEventsClosesOnCancel(t *testing.T) {
 	cfg := smallConfig(t)
 	cfg.Buses = []int{1, 2}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ch := cfg.Events(ctx)
-	send := cfg.EventSink
+	var kinds []EventKind
 	cfg.EventSink = func(ev Event) {
 		if ev.Kind == EventCandidate {
 			cancel()
 		}
-		send(ev)
+		kinds = append(kinds, ev.Kind)
 	}
 	if _, err := ExploreContext(ctx, cfg); err != nil {
 		var pe *PartialError
@@ -342,6 +323,12 @@ func TestEventsClosesOnCancel(t *testing.T) {
 			t.Fatalf("err = %v, want nil or *PartialError", err)
 		}
 	}
-	for range ch { // must terminate: cancel, or done, closed the channel
+	if len(kinds) == 0 {
+		t.Fatal("the cancelled exploration emitted no event")
+	}
+	for i, k := range kinds {
+		if (k == EventDone) != (i == len(kinds)-1) {
+			t.Fatalf("event %d of %d is %q: the stream must end with its only done event", i+1, len(kinds), k)
+		}
 	}
 }

@@ -17,11 +17,12 @@ import (
 // lists are normalized (sorted, deduplicated) without mutating spec.
 //
 // Only serializable knobs are applied. The caller wires the live
-// objects the spec merely names: the annotator and its warm-start cache
-// (Spec.Cache), the checkpoint file (Spec.Checkpoint via OpenCheckpoint),
-// the job deadline (Spec.Timeout via context.WithTimeout), the ATPG
-// budget (Spec.ATPGDeadline onto Annotator.ATPGDeadline), and the
-// observability registry / event sink.
+// objects: the annotator and its warm-start cache, the checkpoint file
+// (OpenCheckpoint), the job deadline (Spec.Timeout via
+// context.WithTimeout), the ATPG budget (Spec.ATPGDeadline onto
+// Annotator.ATPGDeadline), and the observability registry / event sink.
+// Cache and checkpoint paths come from the caller's own flags, never
+// from the spec (Spec.Cache and Spec.Checkpoint are ignored).
 func FromSpec(spec jobspec.Spec) (Config, SelectionSpec, error) {
 	if err := spec.Validate(); err != nil {
 		return Config{}, SelectionSpec{}, err

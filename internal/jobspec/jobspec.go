@@ -100,13 +100,13 @@ type Spec struct {
 	DegradedPolicy  string  `json:"degraded_policy,omitempty"`
 	DegradedPenalty float64 `json:"degraded_penalty,omitempty"`
 
-	// Cache names the warm-start annotation cache file. The CLI loads and
-	// rewrites it; the daemon ignores it (its warm cache is process-wide,
-	// see cmd/ttadsed -cache).
-	Cache string `json:"cache,omitempty"`
-
-	// Checkpoint names the checkpoint/resume file: completed evaluations
-	// are persisted there and restored by the next job with the same spec.
+	// Cache and Checkpoint are ignored: no code reads them. The ttadse
+	// CLI takes its cache and checkpoint paths from its -cache and
+	// -checkpoint flags, and the ttadsed daemon from its own -cache and
+	// -checkpoint-dir flags (a job's checkpoint is named by its Hash).
+	// The fields remain so that bodies carrying cache or checkpoint still
+	// decode; Hash clears both.
+	Cache      string `json:"cache,omitempty"`
 	Checkpoint string `json:"checkpoint,omitempty"`
 
 	// Timeout bounds the whole exploration's wall clock (0 = none);
@@ -126,8 +126,8 @@ type Spec struct {
 	// still decode; Validate accepts any value and Hash clears it.
 	ATPGWorkers int `json:"atpg_workers,omitempty"`
 
-	// LaneWidth is ignored: the fault simulator picks its lane width per
-	// netlist. The field remains so that bodies carrying lane_width still
+	// LaneWidth is ignored: the fault simulator always runs 64 pattern
+	// lanes. The field remains so that bodies carrying lane_width still
 	// decode; Validate accepts any value and Hash clears it.
 	LaneWidth int `json:"lane_width,omitempty"`
 
