@@ -10,6 +10,7 @@ package dse
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"runtime"
@@ -69,6 +70,13 @@ type Config struct {
 	// Annotator supplies the gate-level back-annotation. Sharing one
 	// across explorations reuses its ATPG cache.
 	Annotator *testcost.Annotator
+
+	// Schedules, when non-nil, shares schedules across explorations: a
+	// structure that an exploration on the same cache already scheduled
+	// for this workload kernel is priced from the cached outcome instead
+	// of being scheduled again (see ScheduleCache). Results are identical
+	// with or without it. Nil (the default) schedules every structure.
+	Schedules *ScheduleCache
 
 	// Parallelism bounds the number of evaluation workers. They first run
 	// the warm-up jobs (one schedule per distinct structure, one
@@ -319,6 +327,9 @@ func ExploreContext(ctx context.Context, cfg Config) (*Result, error) {
 	res := &Result{Config: cfg, Selected: -1}
 
 	memo := newSchedMemo(plan)
+	if cfg.Schedules != nil {
+		memo.shared, memo.kernel = cfg.Schedules, kernelDigest(cfg.Workload)
+	}
 	archs, err := produceArchs(ctx, &cfg, root, memo)
 	if err != nil {
 		cfg.Obs.Gauge("dse.worker.utilization").Set(0)
@@ -772,7 +783,9 @@ func structureKey(a *tta.Architecture, class bool) string {
 //
 // There is one memo per exploration, and it holds the exploration's
 // schedule plan: the workload graph validated, ordered and indexed once
-// (sched.NewPlan), which every schedule of the exploration reads.
+// (sched.NewPlan), which every schedule of the exploration reads. When
+// the exploration shares a ScheduleCache, a structure the memo misses is
+// looked up there before it is scheduled.
 type schedMemo struct {
 	mu sync.Mutex
 	m  map[string]*schedMemoEntry
@@ -780,6 +793,10 @@ type schedMemo struct {
 	// since the last seal; sealed holds those computed before it.
 	fresh, sealed map[string][]classSched
 	plan          *sched.Plan
+	// shared is Config.Schedules, and kernel the digest of the plan's
+	// graph that keys it.
+	shared *ScheduleCache
+	kernel [sha256.Size]byte
 	// eval computes a missing entry: evalStructural, or a stand-in in
 	// tests of the latch.
 	eval func(context.Context, *Config, *tta.Architecture, *obs.Span) (structEval, error)
@@ -901,25 +918,54 @@ func (m *schedMemo) seal() {
 // the structural part of the guided search's screen.
 func (m *schedMemo) evalStructural(ctx context.Context, cfg *Config, arch *tta.Architecture, sp *obs.Span) (structEval, error) {
 	// Throughput axis: schedule the kernel; its summary is enough.
-	schedSp := sp.Child("sched")
-	sum, err := m.plan.Measure(ctx, arch, sched.Options{Obs: cfg.Obs})
-	schedSp.End()
+	o, err := m.measure(ctx, cfg, arch, sp)
 	if err != nil {
-		if ctx.Err() != nil {
-			return structEval{}, ctx.Err()
-		}
-		return structEval{feasible: false, reason: err.Error()}, nil
+		return structEval{}, err
+	}
+	if !o.feasible {
+		return structEval{feasible: false, reason: o.reason}, nil
 	}
 	se := structEval{
 		feasible: true,
-		cycles:   sum.Cycles,
-		spills:   sum.Spills,
-		usage:    sum.Usage,
+		cycles:   o.sum.Cycles,
+		spills:   o.sum.Spills,
+		usage:    o.sum.Usage,
 	}
 	if se.area, se.clock, err = areaClock(ctx, cfg, arch); err != nil {
 		return structEval{}, err
 	}
 	return se, nil
+}
+
+// measure schedules the kernel on arch from the memo's plan, or takes
+// the outcome from the shared cache ("dse.sched.shared.hit"/".miss"). A
+// hit records no "sched" span and no "sched.*" counter. A schedule cut
+// short by ctx returns ctx's error, and nothing is stored once ctx has
+// ended.
+func (m *schedMemo) measure(ctx context.Context, cfg *Config, arch *tta.Architecture, sp *obs.Span) (scheduleOutcome, error) {
+	var key scheduleKey
+	if m.shared != nil {
+		key = scheduleKey{m.kernel, structKey(arch)}
+		if o, ok := m.shared.lookup(key); ok {
+			cfg.Obs.Counter("dse.sched.shared.hit").Inc()
+			return o, nil
+		}
+		cfg.Obs.Counter("dse.sched.shared.miss").Inc()
+	}
+	schedSp := sp.Child("sched")
+	sum, err := m.plan.Measure(ctx, arch, sched.Options{Obs: cfg.Obs})
+	schedSp.End()
+	if err != nil && ctx.Err() != nil {
+		return scheduleOutcome{}, ctx.Err()
+	}
+	o := scheduleOutcome{sum: sum, feasible: err == nil}
+	if err != nil {
+		o.reason = err.Error()
+	}
+	if m.shared != nil && ctx.Err() == nil {
+		m.shared.store(key, o)
+	}
+	return o, nil
 }
 
 // areaClock returns the area and the clock period of a structure, read

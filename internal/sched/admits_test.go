@@ -62,6 +62,9 @@ func priced(s sched.Summary) sched.Summary {
 // moved) is measured and logged, not asserted: the proof does not cover
 // it.
 func TestUsageAdmitsOracle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine oracle, 26 s under the race detector; the plain go test ./... leg runs it (TestScheduleConcurrentReuse covers the shared state)")
+	}
 	archs := searchSpaceStructures(256)
 	ctx := context.Background()
 	var schedules, variants int

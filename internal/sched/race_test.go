@@ -2,4 +2,6 @@
 
 package sched_test
 
-func init() { raceEnabled = true }
+// raceEnabled reports a build with the race detector (norace_test.go
+// holds the other value).
+const raceEnabled = true

@@ -232,6 +232,9 @@ var searchSpacePins = map[string]string{
 // bus counts and register-file shapes the guided search schedules: the
 // start walk's behaviour depends on all three and on spill traffic.
 func TestScheduleSearchSpacePins(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine pins, 20 s under the race detector; the plain go test ./... leg runs them (TestScheduleConcurrentReuse covers the shared state)")
+	}
 	archs := searchSpaceStructures(256)
 	for _, name := range jobspec.Workloads {
 		t.Run(name, func(t *testing.T) {
@@ -345,9 +348,6 @@ func TestScheduleOracleDefaultSweep(t *testing.T) {
 		})
 	}
 }
-
-// raceEnabled reports a build with the race detector (race_test.go).
-var raceEnabled bool
 
 // TestScheduleAllocsFlatInCycles pins that the scheduler's per-cycle
 // state is reused, not reallocated: a 1-bus structure takes far more

@@ -96,9 +96,8 @@ func TestDrainCheckpointsAndResumesByteIdentically(t *testing.T) {
 	}
 
 	// It actually restored the interrupted run's finished prefix.
-	replay, _, _ := resumed.hub.subscribe()
 	restored := 0
-	for _, ev := range replay {
+	for _, ev := range history(resumed) {
 		if ev.Kind == dse.EventRestored {
 			restored++
 		}
@@ -182,9 +181,8 @@ func TestResumeThenPollProgressAccounting(t *testing.T) {
 		t.Fatalf("final progress %d/%d, want %d/%d", final.Evaluated, final.Total, space, space)
 	}
 	// The run really was a resume: restored events are in the history.
-	replay, _, _ := resumed.hub.subscribe()
 	restored := 0
-	for _, ev := range replay {
+	for _, ev := range history(resumed) {
 		if ev.Kind == dse.EventRestored {
 			restored++
 		}

@@ -1,7 +1,11 @@
 package service
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,9 +19,8 @@ import (
 
 // history returns a finished job's full event stream.
 func history(j *Job) []dse.Event {
-	replay, _, cancel := j.hub.subscribe()
-	cancel()
-	return replay
+	evs, _, _ := j.hub.since(0)
+	return evs
 }
 
 // TestDegradedEventsReachEveryJob runs two jobs one after the other on
@@ -125,4 +128,92 @@ func TestTornArtifactWarnsOnJobStream(t *testing.T) {
 		tear(t, cache)
 		requireOneWarningFirst(t, runDone(t, NewServer(Options{CachePath: cache})), "annotation cache was torn")
 	})
+}
+
+// follow reads h the way a stream handler does, from cursor 0 until the
+// end of the stream, and returns what it read.
+func follow(t *testing.T, h *hub) []dse.Event {
+	t.Helper()
+	var got []dse.Event
+	for {
+		evs, end, wake := h.since(len(got))
+		got = append(got, evs...)
+		if end {
+			return got
+		}
+		select {
+		case <-wake:
+		case <-time.After(time.Minute):
+			t.Fatalf("stream stalled after %d events", len(got))
+		}
+	}
+}
+
+// TestHubDeliversEveryEvent: a stream that joins before the run and
+// reads nothing until 1,000 events are published gets every one of them,
+// in order, and then the end of the stream. (A hub that buffered 256
+// events per stream and dropped the rest delivered 256.)
+func TestHubDeliversEveryEvent(t *testing.T) {
+	h := new(hub)
+	if _, end, _ := h.since(0); end {
+		t.Fatal("an open hub's stream ended")
+	}
+	const n = 1000
+	for i := 1; i <= n; i++ {
+		h.publish(dse.Event{Kind: dse.EventCandidate, N: i})
+	}
+	h.close()
+	h.publish(dse.Event{Kind: dse.EventCandidate, N: n + 1}) // after close: dropped
+	got := follow(t, h)
+	if len(got) != n {
+		t.Fatalf("stream delivered %d events, want %d", len(got), n)
+	}
+	for i, ev := range got {
+		if ev.N != i+1 {
+			t.Fatalf("event %d carries N %d: out of order", i, ev.N)
+		}
+	}
+}
+
+// TestEventStreamKeepsUpWithSlowReader streams a job's events over HTTP
+// to a reader that sleeps on every line while a publisher emits 400
+// events and then closes the hub, as a finishing job does. The reader
+// must get all of them, in order, and the stream must then end.
+func TestEventStreamKeepsUpWithSlowReader(t *testing.T) {
+	srv := NewServer(Options{})
+	job := newJob("job-slow", smallSpec())
+	srv.jobs[job.ID] = job
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	const n = 400
+	go func() {
+		for i := 1; i <= n; i++ {
+			job.hub.publish(dse.Event{Kind: dse.EventCandidate, N: i})
+		}
+		job.hub.close()
+	}()
+	sc := bufio.NewScanner(resp.Body)
+	got := 0
+	for sc.Scan() {
+		var ev dse.Event
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatal(err)
+		}
+		got++
+		if ev.N != got {
+			t.Fatalf("line %d carries N %d", got, ev.N)
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got != n {
+		t.Fatalf("stream delivered %d events, want %d", got, n)
+	}
 }

@@ -22,6 +22,7 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.withJob(s.handleEvents))
 	s.mux.HandleFunc("GET /v1/jobs/{id}/front", s.withJob(s.handleFront))
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.withJob(s.handleResult))
+	s.mux.HandleFunc("GET /v1/jobs/{id}/metrics", s.withJob(s.handleJobMetrics))
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 }
@@ -139,9 +140,10 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request, job *Job) 
 }
 
 // handleEvents streams the job's typed events: history first, then live
-// until the job finishes or the client goes away. NDJSON by default;
-// Accept: text/event-stream switches to SSE ("event: <kind>" +
-// "data: <json>").
+// until the job's last event or until the client goes away. Every event
+// is written, in order, however far the client falls behind; each batch
+// is flushed once. NDJSON by default; Accept: text/event-stream switches
+// to SSE ("event: <kind>" + "data: <json>").
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, job *Job) {
 	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 	if sse {
@@ -151,7 +153,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, job *Job) 
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 	w.WriteHeader(http.StatusOK)
+	// The client gets the headers at once, even before the first event.
 	flusher, _ := w.(http.Flusher)
+	if flusher != nil {
+		flusher.Flush()
+	}
 	writeEv := func(ev dse.Event) bool {
 		data, err := json.Marshal(ev)
 		if err != nil {
@@ -162,35 +168,35 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, job *Job) 
 		} else {
 			_, err = fmt.Fprintf(w, "%s\n", data)
 		}
-		if err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
+		return err == nil
 	}
 
-	replay, live, cancel := job.hub.subscribe()
-	defer cancel()
-	for _, ev := range replay {
-		if !writeEv(ev) {
-			return
-		}
-	}
-	for {
-		select {
-		case ev, ok := <-live:
-			if !ok {
-				return
-			}
+	for cursor := 0; ; {
+		evs, end, wake := job.hub.since(cursor)
+		for _, ev := range evs {
 			if !writeEv(ev) {
 				return
 			}
+		}
+		cursor += len(evs)
+		if flusher != nil && len(evs) > 0 {
+			flusher.Flush()
+		}
+		if end {
+			return
+		}
+		select {
+		case <-wake:
 		case <-r.Context().Done():
 			return
 		}
 	}
+}
+
+// handleJobMetrics serves the job's own registry snapshot: its counters,
+// gauges and span tree.
+func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request, job *Job) {
+	writeJSON(w, http.StatusOK, job.reg.Snapshot())
 }
 
 // healthBody is the GET /v1/healthz response.
@@ -209,7 +215,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics serves the server registry's snapshot with the per-job
 // exploration metrics folded in: the streaming-front metrics
-// (pareto.stream.*) and the durability incidents (durability.*) live on
+// (pareto.stream.*), the durability incidents (durability.*) and the
+// shared schedule cache's hits and misses (dse.sched.shared.*) live on
 // each job's own registry, so the server-wide view sums them across
 // jobs, counters and gauges alike.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -231,5 +238,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func aggregatedMetric(name string) bool {
-	return strings.HasPrefix(name, "pareto.stream.") || strings.HasPrefix(name, "durability.")
+	return strings.HasPrefix(name, "pareto.stream.") || strings.HasPrefix(name, "durability.") ||
+		strings.HasPrefix(name, "dse.sched.shared.")
 }

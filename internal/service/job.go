@@ -59,7 +59,7 @@ func newJob(id string, spec jobspec.Spec) *Job {
 		Spec:     spec,
 		ctx:      ctx,
 		cancelFn: cancel,
-		hub:      newHub(),
+		hub:      new(hub),
 		tracker:  dse.NewFrontTrackerObs(reg),
 		reg:      reg,
 		done:     make(chan struct{}),
@@ -175,6 +175,7 @@ func (s *Server) run(job *Job) {
 	cfg.Obs = job.reg
 	cfg.Inject = s.opts.Inject
 	cfg.Annotator = s.annotator(&job.Spec)
+	cfg.Schedules = s.schedules
 	cfg.EventSink = job.sink
 	if path := s.checkpointPath(job.Spec); path != "" {
 		ck, ckErr := dse.OpenCheckpoint(path, cfg)
@@ -200,6 +201,7 @@ func (s *Server) run(job *Job) {
 	// disk, dir-fsynced, before its "done" event.
 	study := core.NewStudyWithConfig(cfg)
 	runErr := study.ExploreContext(runCtx)
+	s.reg.Gauge("service.sched_cache.entries").Set(float64(s.schedules.Len()))
 
 	report := buildReport(study, sel)
 	if runErr == nil {
@@ -255,21 +257,19 @@ func buildReport(study *core.Study, sel dse.SelectionSpec) []byte {
 	return b
 }
 
-// hub fans one job's event stream out to any number of HTTP streams:
-// the full history replays to a new subscriber before live delivery
-// begins, so a late GET /events still sees every event. Slow consumers
-// drop events rather than stall the exploration's worker pool (each
-// subscriber channel buffers 256; the stream's final close is reliable).
+// hub keeps one job's event history and lets any number of HTTP streams
+// follow it. Delivery is lossless: publish appends to the history and
+// wakes the waiting streams, and each stream reads the history through
+// its own cursor (since), so a stream that falls behind catches up
+// instead of losing events, and no worker ever waits on a stream. A
+// stream ends once it has read the last event of a closed hub.
 type hub struct {
 	mu      sync.Mutex
 	history []dse.Event
-	subs    map[int]chan dse.Event
-	nextID  int
 	closed  bool
-}
-
-func newHub() *hub {
-	return &hub{subs: make(map[int]chan dse.Event)}
+	// wake is closed, and cleared, by the next publish or close; since
+	// makes it when a stream must wait.
+	wake chan struct{}
 }
 
 func (h *hub) publish(ev dse.Event) {
@@ -279,11 +279,14 @@ func (h *hub) publish(ev dse.Event) {
 		return
 	}
 	h.history = append(h.history, ev)
-	for _, ch := range h.subs {
-		select {
-		case ch <- ev:
-		default: // slow consumer: drop, the history keeps the record
-		}
+	h.signal()
+}
+
+// signal wakes every stream waiting on the hub. h.mu is held.
+func (h *hub) signal() {
+	if h.wake != nil {
+		close(h.wake)
+		h.wake = nil
 	}
 }
 
@@ -293,40 +296,25 @@ func (h *hub) len() int {
 	return len(h.history)
 }
 
-// subscribe returns the history so far plus a live channel. The channel
-// closes when the job finishes; cancel detaches early. Subscribing to a
-// finished job replays the full history over an already-closed channel.
-func (h *hub) subscribe() (replay []dse.Event, ch <-chan dse.Event, cancel func()) {
+// since returns the events past cursor and whether they end the stream
+// (the hub is closed). Otherwise wake closes when there is more to read.
+// The returned slice is never written again: publish only appends.
+func (h *hub) since(cursor int) (evs []dse.Event, end bool, wake <-chan struct{}) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	replay = make([]dse.Event, len(h.history))
-	copy(replay, h.history)
-	c := make(chan dse.Event, 256)
+	evs = h.history[cursor:len(h.history):len(h.history)]
 	if h.closed {
-		close(c)
-		return replay, c, func() {}
+		return evs, true, nil
 	}
-	id := h.nextID
-	h.nextID++
-	h.subs[id] = c
-	return replay, c, func() {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		if _, ok := h.subs[id]; ok {
-			delete(h.subs, id)
-		}
+	if h.wake == nil {
+		h.wake = make(chan struct{})
 	}
+	return evs, false, h.wake
 }
 
 func (h *hub) close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
 	h.closed = true
-	for id, ch := range h.subs {
-		close(ch)
-		delete(h.subs, id)
-	}
+	h.signal()
 }

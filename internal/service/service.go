@@ -11,16 +11,20 @@
 //	DELETE /v1/jobs/{id}         cancel the job
 //	GET    /v1/jobs/{id}/events  stream typed progress events (NDJSON by
 //	                             default, SSE with Accept: text/event-stream);
-//	                             the full history replays first, then live
+//	                             the full history replays first, then live,
+//	                             and no event is ever dropped
 //	GET    /v1/jobs/{id}/front   the partial Pareto fronts so far
 //	GET    /v1/jobs/{id}/result  the final report (202 while running)
+//	GET    /v1/jobs/{id}/metrics the job's own metrics snapshot
 //	GET    /v1/healthz           liveness + drain state
 //	GET    /v1/metrics           the server metrics snapshot
 //
 // One process-wide testcost.Annotator pool is shared across jobs (keyed
 // by width/seed/ATPG budget), so concurrent explorations of overlapping
 // component spaces hit each other's warm annotations instead of
-// re-running gate-level ATPG. Admission is a bounded queue: at most
+// re-running gate-level ATPG. One dse.ScheduleCache is shared the same
+// way, so a structure an earlier job scheduled for the same kernel is
+// not scheduled again. Admission is a bounded queue: at most
 // MaxConcurrent jobs explore at once, QueueDepth more may wait, and
 // overflow is rejected with 429. Drain stops intake (503), interrupts
 // running jobs — their checkpoints persist the finished prefix — and
@@ -37,6 +41,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"repro/internal/dse"
 	"repro/internal/faultinject"
 	"repro/internal/jobspec"
 	"repro/internal/obs"
@@ -95,7 +100,9 @@ type Server struct {
 	draining bool
 	anns     map[string]*testcost.Annotator
 	cacheAnn *testcost.Annotator // the annotator Drain persists to CachePath
-	wg       sync.WaitGroup
+	// schedules is every job's dse.Config.Schedules.
+	schedules *dse.ScheduleCache
+	wg        sync.WaitGroup
 }
 
 // NewServer builds a daemon over opts.
@@ -117,12 +124,13 @@ func NewServer(opts Options) *Server {
 		inj = faultinject.New(0)
 	}
 	s := &Server{
-		opts: opts,
-		reg:  opts.Obs,
-		sem:  make(chan struct{}, opts.MaxConcurrent),
-		inj:  inj,
-		jobs: make(map[string]*Job),
-		anns: make(map[string]*testcost.Annotator),
+		opts:      opts,
+		reg:       opts.Obs,
+		sem:       make(chan struct{}, opts.MaxConcurrent),
+		inj:       inj,
+		jobs:      make(map[string]*Job),
+		anns:      make(map[string]*testcost.Annotator),
+		schedules: new(dse.ScheduleCache),
 	}
 	s.routes()
 	return s
