@@ -39,26 +39,10 @@ func (s *Study) JSONResult(spec dse.SelectionSpec) (*report.JSONResult, error) {
 		out.Width = 16
 	}
 	for i := range r.Candidates {
-		c := &r.Candidates[i]
-		jc := report.JSONCandidate{
-			Index:    i,
-			Feasible: c.Feasible,
-			Reason:   c.Reason,
-			Area:     c.Area,
-			Cycles:   c.Cycles,
-			Clock:    c.Clock,
-			ExecTime: c.ExecTime,
-			TestCost: c.TestCost,
-			FullScan: c.FullScan,
-			Spills:   c.Spills,
-			Degraded: c.Degraded,
-		}
-		if c.Arch != nil {
-			jc.Arch = c.Arch.Name
-		} else {
+		out.Candidates[i] = r.Candidates[i].Record(i)
+		if r.Candidates[i].Arch == nil {
 			out.Missing++
 		}
-		out.Candidates[i] = jc
 	}
 	out.Partial = out.Missing > 0
 	if r.Selected >= 0 && r.Selected < len(r.Candidates) {

@@ -3,15 +3,15 @@
 // run killed mid-sweep (power loss, OOM, operator ^C) resumes from the
 // finished prefix instead of re-measuring every gate-level ATPG run.
 //
-// On disk a checkpoint is a sequence of CRC32C-framed records (package
-// durable): one compact header record, then one record per entry in
-// sorted key order. Writes go through an fsync-before-rename atomic
-// path, and a torn or bit-flipped file loads its longest valid record
-// prefix — the run resumes from the last intact evaluation instead of
-// going cold. Files written by pre-framing builds (one indented JSON
-// document) still load, flagged by a legacy-format warning; files that
-// yield no usable prefix are quarantined as *.corrupt and reported as a
-// typed durable.CorruptArtifactError.
+// On disk a checkpoint is a keyed artifact of package durable
+// (durable.EncodeKeyed/DecodeKeyed): a checkpointFile header and one
+// checkpointEntry per candidate key, written through an
+// fsync-before-rename atomic path. A torn or bit-flipped file loads its
+// longest valid record prefix — the run resumes from the last intact
+// evaluation instead of going cold. Pre-CRC files still load, flagged
+// by a legacy-format warning; files that yield no usable prefix are
+// quarantined as *.corrupt and reported as a typed
+// durable.CorruptArtifactError.
 //
 // The file is keyed by everything that determines a candidate's value:
 // the checkpoint format version, the gate-level library generation
@@ -28,10 +28,8 @@
 package dse
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 
 	"repro/internal/durable"
@@ -50,7 +48,7 @@ const CheckpointFormatVersion = 1
 // completion).
 const checkpointFlushEvery = 16
 
-// checkpointFile is the serialized form. SpecHash was added without
+// checkpointFile is the checkpoint's header. SpecHash was added without
 // bumping the format version: it is omitempty, so a file written before
 // it decodes as a checkpoint with an unknown spec, exactly what it is.
 // Files written by the process-sharded workers of earlier builds carry
@@ -69,17 +67,6 @@ type checkpointFile struct {
 	// Empty when the writer predates the field or ran outside a spec
 	// (direct Config use).
 	SpecHash string `json:"spec_hash,omitempty"`
-
-	// Entries is populated in the legacy whole-document format and left
-	// empty in the framed header record (entries follow as records).
-	Entries map[string]checkpointEntry `json:"entries,omitempty"`
-}
-
-// checkpointRecord is one framed entry record: the candidate key and its
-// completed evaluation, compact JSON on a single line.
-type checkpointRecord struct {
-	Key   string          `json:"k"`
-	Entry checkpointEntry `json:"e"`
 }
 
 // checkpointEntry is one completed candidate evaluation — every
@@ -168,7 +155,7 @@ type Checkpoint struct {
 	mu         sync.Mutex
 	flushMu    sync.Mutex // serializes flush snapshot+write; acquired before mu, never while holding it
 	path       string
-	header     checkpointFile // Entries nil; header fields only
+	header     checkpointFile
 	entries    map[string]checkpointEntry
 	sinceFlush int
 
@@ -228,7 +215,8 @@ func OpenCheckpoint(path string, cfg Config) (ck *Checkpoint, err error) {
 	if err != nil {
 		return ck, &CheckpointCorruptError{Reason: "read", Err: err}
 	}
-	f, rec, derr := decodeCheckpointData(data)
+	var f checkpointFile
+	entries, rec, derr := durable.DecodeKeyed[checkpointEntry](data, &f)
 	reg := ck.obs
 	if rec.CRCFail {
 		reg.Counter("durability.crc_fail").Inc()
@@ -253,18 +241,18 @@ func OpenCheckpoint(path string, cfg Config) (ck *Checkpoint, err error) {
 	if ck.header.SpecHash != "" && f.SpecHash != "" && ck.header.SpecHash != f.SpecHash {
 		return ck, &CheckpointMismatchError{Field: "spec hash", Want: ck.header.SpecHash, Got: f.SpecHash}
 	}
-	for k, e := range f.Entries {
+	for k, e := range entries {
 		if err := validCheckpointEntry(e); err != nil {
 			return ck, ck.quarantine(&CheckpointCorruptError{Reason: fmt.Sprintf("entry %q", k), Err: err})
 		}
 	}
-	for k, e := range f.Entries {
-		ck.entries[k] = e
+	if entries != nil {
+		ck.entries = entries
 	}
 	if rec.Torn {
 		reg.Counter("durability.prefix_recovered").Inc()
 		ck.warnings = append(ck.warnings, fmt.Sprintf(
-			"checkpoint %s was torn (%s); recovered %d entries from the valid prefix", path, rec.Cause, len(f.Entries)))
+			"checkpoint %s was torn (%s); recovered %d entries from the valid prefix", path, rec.Cause, len(entries)))
 	}
 	if rec.Legacy {
 		reg.Counter("durability.legacy_loads").Inc()
@@ -280,64 +268,8 @@ func OpenCheckpoint(path string, cfg Config) (ck *Checkpoint, err error) {
 // overwriting a damaged file at the next flush. errors.As still finds
 // the wrapped *CheckpointCorruptError.
 func (ck *Checkpoint) quarantine(cause *CheckpointCorruptError) error {
-	q := durable.Quarantine(ck.path)
 	ck.obs.Counter("durability.quarantined").Inc()
-	return &durable.CorruptArtifactError{Artifact: "checkpoint", Path: ck.path, QuarantinedTo: q, Err: cause}
-}
-
-// decodeCheckpointData parses either checkpoint format via
-// durable.DecodeDocument. For a framed file it recovers the longest
-// valid record prefix, reporting the damage in the recovery summary;
-// the error return is reserved for files that yield nothing usable (no
-// intact header record, or a legacy document that does not parse).
-func decodeCheckpointData(data []byte) (checkpointFile, durable.Recovery, error) {
-	var f checkpointFile
-	rec, err := durable.DecodeDocument(data,
-		func(doc []byte) error { return json.Unmarshal(doc, &f) },
-		func(head []byte) error {
-			if err := json.Unmarshal(head, &f); err != nil {
-				return err
-			}
-			if f.Entries == nil {
-				f.Entries = make(map[string]checkpointEntry)
-			}
-			return nil
-		},
-		func(p []byte) error {
-			var r checkpointRecord
-			if err := json.Unmarshal(p, &r); err != nil {
-				return err
-			}
-			f.Entries[r.Key] = r.Entry
-			return nil
-		})
-	return f, rec, err
-}
-
-// encodeCheckpoint renders f in the framed on-disk format: one compact
-// header record, then one record per entry in sorted key order —
-// deterministic bytes for identical content.
-func encodeCheckpoint(f checkpointFile) ([]byte, error) {
-	entries := f.Entries
-	f.Entries = nil
-	head, err := json.Marshal(&f)
-	if err != nil {
-		return nil, err
-	}
-	buf := durable.AppendRecord(nil, head)
-	keys := make([]string, 0, len(entries))
-	for k := range entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		p, err := json.Marshal(&checkpointRecord{Key: k, Entry: entries[k]})
-		if err != nil {
-			return nil, err
-		}
-		buf = durable.AppendRecord(buf, p)
-	}
-	return buf, nil
+	return durable.Quarantine(ck.path, "checkpoint", cause)
 }
 
 // validCheckpointEntry rejects values no honest flush could have
@@ -453,14 +385,14 @@ func (ck *Checkpoint) flush(dirSync bool) error {
 	ck.flushMu.Lock()
 	defer ck.flushMu.Unlock()
 	ck.mu.Lock()
-	f := ck.header
-	f.Entries = make(map[string]checkpointEntry, len(ck.entries))
+	head := ck.header
+	entries := make(map[string]checkpointEntry, len(ck.entries))
 	for k, e := range ck.entries {
-		f.Entries[k] = e
+		entries[k] = e
 	}
 	inj := ck.inject
 	ck.mu.Unlock()
-	data, err := encodeCheckpoint(f)
+	data, err := durable.EncodeKeyed(&head, entries)
 	if err != nil {
 		return err
 	}

@@ -27,6 +27,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pareto"
 	"repro/internal/program"
+	"repro/internal/report"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/testcost"
@@ -61,11 +62,6 @@ type Config struct {
 	// cycle count to the full application (crypt: 400 DES rounds).
 	Workload     *program.Graph
 	WorkloadReps int
-
-	// BusAreaPerBit models the wiring/driver area of one bus bit line;
-	// BusDelay adds the interconnect contribution to the clock period.
-	BusAreaPerBit float64
-	BusDelay      float64
 
 	// Annotator supplies the gate-level back-annotation. Sharing one
 	// across explorations reuses its ATPG cache.
@@ -164,11 +160,9 @@ func DefaultConfig() (Config, error) {
 			{{16, 1, 2}},
 			{{16, 2, 2}, {16, 1, 2}},
 		},
-		Assigns:       []tta.AssignStrategy{tta.SpreadFirst, tta.Packed},
-		Workload:      kernel,
-		WorkloadReps:  crypt.RoundsPerHash,
-		BusAreaPerBit: 3.0,
-		BusDelay:      1.5,
+		Assigns:      []tta.AssignStrategy{tta.SpreadFirst, tta.Packed},
+		Workload:     kernel,
+		WorkloadReps: crypt.RoundsPerHash,
 	}, nil
 }
 
@@ -204,12 +198,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if len(c.RFSets) == 0 {
 		c.RFSets = [][]RFSpec{{{8, 1, 1}, {12, 1, 1}}}
-	}
-	if c.BusAreaPerBit == 0 {
-		c.BusAreaPerBit = 3.0
-	}
-	if c.BusDelay == 0 {
-		c.BusDelay = 1.5
 	}
 	if c.Annotator == nil {
 		c.Annotator = testcost.NewAnnotator(c.Width, c.Seed)
@@ -248,6 +236,22 @@ type Candidate struct {
 	// test costs are pessimistic upper bounds; SelectionSpec's
 	// DegradedPolicy controls whether such points may win the selection.
 	Degraded bool
+}
+
+// Record is the candidate's record in the JSON report and on the event
+// stream, at enumeration index index. Arch is empty for a slot that was
+// never evaluated.
+func (c *Candidate) Record(index int) report.JSONCandidate {
+	r := report.JSONCandidate{
+		Index: index, Feasible: c.Feasible, Reason: c.Reason,
+		Area: c.Area, Cycles: c.Cycles, Clock: c.Clock, ExecTime: c.ExecTime,
+		TestCost: c.TestCost, FullScan: c.FullScan, Spills: c.Spills,
+		Degraded: c.Degraded,
+	}
+	if c.Arch != nil {
+		r.Arch = c.Arch.Name
+	}
+	return r
 }
 
 // Coords returns the (area, time, test) vector.
@@ -511,7 +515,7 @@ func runEvaluations(ctx context.Context, cfg *Config, root *obs.Span, archs []*t
 				Msg:       candidateEventMsg(arch, &res.Candidates[i], nil),
 				N:         nRestored,
 				Total:     len(archs),
-				Candidate: candidateUpdate(i, arch, &res.Candidates[i], nil),
+				Candidate: candidateUpdate(i, &res.Candidates[i], nil),
 			})
 			nEvents.Add(1)
 		}
@@ -581,7 +585,7 @@ func runEvaluations(ctx context.Context, cfg *Config, root *obs.Span, archs []*t
 					Msg:       candidateEventMsg(archs[i], &res.Candidates[i], errs[i]),
 					N:         int(completed.Add(1)),
 					Total:     len(archs),
-					Candidate: candidateUpdate(i, archs[i], &res.Candidates[i], errs[i]),
+					Candidate: candidateUpdate(i, &res.Candidates[i], errs[i]),
 				})
 				nEvents.Add(1)
 			}
@@ -968,19 +972,27 @@ func (m *schedMemo) measure(ctx context.Context, cfg *Config, arch *tta.Architec
 	return o, nil
 }
 
+// The interconnect model: busAreaPerBit is the wiring/driver area of
+// one bus bit line, busDelay the interconnect's contribution to the
+// clock period.
+const (
+	busAreaPerBit = 3.0
+	busDelay      = 1.5
+)
+
 // areaClock returns the area and the clock period of a structure, read
 // off the component netlists (Annotator.AreaDelayContext), so they never
 // wait on a gate-level ATPG run.
 func areaClock(ctx context.Context, cfg *Config, arch *tta.Architecture) (area, clock float64, err error) {
-	clock = cfg.BusDelay
+	clock = busDelay
 	for ci := range arch.Components {
 		ar, dl, err := cfg.Annotator.AreaDelayContext(ctx, &arch.Components[ci])
 		if err != nil {
 			return 0, 0, err
 		}
 		area += ar
-		if dl+cfg.BusDelay > clock {
-			clock = dl + cfg.BusDelay
+		if dl+busDelay > clock {
+			clock = dl + busDelay
 		}
 	}
 	inA, outA, err := cfg.Annotator.SocketArea()
@@ -991,7 +1003,7 @@ func areaClock(ctx context.Context, cfg *Config, arch *tta.Architecture) (area, 
 		in, out := arch.Components[ci].PortCounts()
 		area += float64(in)*inA + float64(out)*outA
 	}
-	area += float64(arch.Buses) * float64(arch.Width) * cfg.BusAreaPerBit
+	area += float64(arch.Buses) * float64(arch.Width) * busAreaPerBit
 	return area, clock, nil
 }
 

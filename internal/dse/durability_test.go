@@ -14,6 +14,13 @@ import (
 	"repro/internal/obs"
 )
 
+// legacyCheckpoint is the pre-CRC whole-document checkpoint: the
+// header's fields and an "entries" object, in one JSON document.
+type legacyCheckpoint struct {
+	checkpointFile
+	Entries map[string]checkpointEntry `json:"entries"`
+}
+
 // recordedCheckpoint runs a checkpointed two-candidate exploration and
 // returns the reference result plus the on-disk checkpoint bytes.
 func recordedCheckpoint(t *testing.T) (Config, *Result, []byte) {
@@ -150,12 +157,13 @@ func TestCheckpointTruncationSweep(t *testing.T) {
 // never-legacy run would have.
 func TestCheckpointLegacyFormatRoundTrip(t *testing.T) {
 	cfg, ref, framed := recordedCheckpoint(t)
-	f, rec, err := decodeCheckpointData(framed)
+	var f checkpointFile
+	entries, rec, err := durable.DecodeKeyed[checkpointEntry](framed, &f)
 	if err != nil || rec.Torn || rec.Legacy {
 		t.Fatalf("decode framed: %v (recovery %+v)", err, rec)
 	}
 
-	legacy, err := json.MarshalIndent(&f, "", "  ")
+	legacy, err := json.MarshalIndent(&legacyCheckpoint{f, entries}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,9 +340,9 @@ func FuzzOpenCheckpoint(f *testing.F) {
 	flipped := append([]byte(nil), seed...)
 	flipped[len(flipped)/3] ^= 0x08
 	f.Add(flipped)
-	var legacyFile checkpointFile
-	if lf, _, err := decodeCheckpointData(seed); err == nil {
-		legacyFile = lf
+	var legacyFile legacyCheckpoint
+	if es, _, err := durable.DecodeKeyed[checkpointEntry](seed, &legacyFile.checkpointFile); err == nil {
+		legacyFile.Entries = es
 	}
 	if legacy, err := json.MarshalIndent(&legacyFile, "", "  "); err == nil {
 		f.Add(append(legacy, '\n'))
@@ -387,7 +395,8 @@ func FuzzOpenCheckpoint(f *testing.F) {
 // run, with neither an "energy" key nor a "shard" block.
 func TestOldShardCheckpointResumes(t *testing.T) {
 	cfg, ref, framed := recordedCheckpoint(t)
-	f, _, err := decodeCheckpointData(framed)
+	var header checkpointFile
+	entries, _, err := durable.DecodeKeyed[checkpointEntry](framed, &header)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,19 +404,20 @@ func TestOldShardCheckpointResumes(t *testing.T) {
 	// "energy" right after "spills".
 	oldRecord := func(buf []byte, i int) []byte {
 		key := checkpointKey(ref.Candidates[i].Arch)
-		entry, ok := f.Entries[key]
+		entry, ok := entries[key]
 		if !ok {
 			t.Fatalf("recorded checkpoint has no entry %q", key)
 		}
-		rec, err := json.Marshal(&checkpointRecord{Key: key, Entry: entry})
+		rec, err := json.Marshal(&struct {
+			Key   string          `json:"k"`
+			Entry checkpointEntry `json:"e"`
+		}{key, entry})
 		if err != nil {
 			t.Fatal(err)
 		}
 		spills := []byte(fmt.Sprintf(`"spills":%d`, entry.Spills))
 		return durable.AppendRecord(buf, bytes.Replace(rec, spills, append(spills, `,"energy":0`...), 1))
 	}
-	header := f
-	header.Entries = nil
 	head, err := json.Marshal(&header)
 	if err != nil {
 		t.Fatal(err)

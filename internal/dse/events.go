@@ -14,7 +14,8 @@
 //	           -progress stderr text)
 //	n, total   progress counters when known (n completed of total)
 //	candidate  the full evaluation record, on "candidate" and
-//	           "restored" events
+//	           "restored" events: the JSON report's candidate record
+//	           (report.JSONCandidate) plus "err"
 //
 // Kinds:
 //
@@ -42,7 +43,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/pareto"
-	"repro/internal/tta"
+	"repro/internal/report"
 )
 
 // EventKind classifies a typed exploration event.
@@ -59,22 +60,12 @@ const (
 )
 
 // CandidateUpdate is the serializable record of one completed (or
-// restored) candidate evaluation — everything a consumer needs to build
-// live fronts or render progress without reaching into *Result.
+// restored) candidate evaluation: the report's record of the candidate
+// plus the evaluation error, if any — everything a consumer needs to
+// build live fronts or render progress without reaching into *Result.
 type CandidateUpdate struct {
-	Index    int     `json:"index"`
-	Arch     string  `json:"arch"`
-	Feasible bool    `json:"feasible"`
-	Reason   string  `json:"reason,omitempty"`
-	Area     float64 `json:"area,omitempty"`
-	Cycles   int     `json:"cycles,omitempty"`
-	Clock    float64 `json:"clock,omitempty"`
-	ExecTime float64 `json:"exec_time,omitempty"`
-	TestCost int     `json:"test_cost,omitempty"`
-	FullScan int     `json:"full_scan,omitempty"`
-	Spills   int     `json:"spills,omitempty"`
-	Degraded bool    `json:"degraded,omitempty"`
-	Err      string  `json:"err,omitempty"`
+	report.JSONCandidate
+	Err string `json:"err,omitempty"`
 }
 
 // Event is one typed progress notification from a running exploration.
@@ -116,22 +107,10 @@ func (e *emitter) emit(ev Event) {
 	e.sink(ev)
 }
 
-// candidateUpdate flattens one finished evaluation slot.
-func candidateUpdate(index int, arch *tta.Architecture, c *Candidate, err error) *CandidateUpdate {
-	u := &CandidateUpdate{
-		Index:    index,
-		Arch:     arch.Name,
-		Feasible: c.Feasible,
-		Reason:   c.Reason,
-		Area:     c.Area,
-		Cycles:   c.Cycles,
-		Clock:    c.Clock,
-		ExecTime: c.ExecTime,
-		TestCost: c.TestCost,
-		FullScan: c.FullScan,
-		Spills:   c.Spills,
-		Degraded: c.Degraded,
-	}
+// candidateUpdate records one finished evaluation slot; an evaluation
+// error marks it infeasible.
+func candidateUpdate(index int, c *Candidate, err error) *CandidateUpdate {
+	u := &CandidateUpdate{JSONCandidate: c.Record(index)}
 	if err != nil {
 		u.Err = err.Error()
 		u.Feasible = false

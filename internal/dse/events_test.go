@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/jobspec"
+	"repro/internal/report"
 	"repro/internal/testcost"
 )
 
@@ -181,7 +182,7 @@ func TestFrontTrackerLiveSnapshot(t *testing.T) {
 func TestFrontTrackerDedupesByIndex(t *testing.T) {
 	tr := NewFrontTracker()
 	upd := func(i int, area, et float64, tc int) *CandidateUpdate {
-		return &CandidateUpdate{Index: i, Arch: "a", Feasible: true, Area: area, ExecTime: et, TestCost: tc}
+		return &CandidateUpdate{JSONCandidate: report.JSONCandidate{Index: i, Arch: "a", Feasible: true, Area: area, ExecTime: et, TestCost: tc}}
 	}
 	// 3 distinct candidates, total 3 — but 6 deliveries: each index
 	// arrives once as "restored" and once more as "candidate".
@@ -227,9 +228,9 @@ func TestFrontTrackerMemoryIsFrontBound(t *testing.T) {
 	// size 1 while n candidates stream through.
 	for i := 0; i < n; i++ {
 		v := float64(n - i)
-		tr.Observe(Event{Kind: EventCandidate, Total: n, Candidate: &CandidateUpdate{
+		tr.Observe(Event{Kind: EventCandidate, Total: n, Candidate: &CandidateUpdate{JSONCandidate: report.JSONCandidate{
 			Index: i, Arch: "a", Feasible: true, Area: v, ExecTime: v, TestCost: int(v),
-		}})
+		}}})
 	}
 	if got := len(tr.members); got != 1 {
 		t.Fatalf("tracker retains %d candidate updates after %d evaluations; want 1 (front size)", got, n)
@@ -256,12 +257,12 @@ func TestFrontTrackerMemoryIsFrontBound(t *testing.T) {
 func TestFrontTrackerRejectsNaN(t *testing.T) {
 	tr := NewFrontTracker()
 	nan := math.NaN()
-	tr.Observe(Event{Kind: EventCandidate, Total: 2, Candidate: &CandidateUpdate{
+	tr.Observe(Event{Kind: EventCandidate, Total: 2, Candidate: &CandidateUpdate{JSONCandidate: report.JSONCandidate{
 		Index: 0, Arch: "bad", Feasible: true, Area: nan, ExecTime: 1, TestCost: 1,
-	}})
-	tr.Observe(Event{Kind: EventCandidate, Total: 2, Candidate: &CandidateUpdate{
+	}}})
+	tr.Observe(Event{Kind: EventCandidate, Total: 2, Candidate: &CandidateUpdate{JSONCandidate: report.JSONCandidate{
 		Index: 1, Arch: "ok", Feasible: true, Area: 1, ExecTime: 1, TestCost: 1,
-	}})
+	}}})
 	snap := tr.Snapshot()
 	if snap.Evaluated != 2 || snap.Feasible != 2 {
 		t.Fatalf("accounting = %d/%d, want 2/2", snap.Evaluated, snap.Feasible)

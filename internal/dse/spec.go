@@ -37,9 +37,6 @@ func FromSpec(spec jobspec.Spec) (Config, SelectionSpec, error) {
 	if spec.Seed != 0 {
 		cfg.Seed = spec.Seed
 	}
-	spec.Buses = append([]int(nil), spec.Buses...)
-	spec.ALUs = append([]int(nil), spec.ALUs...)
-	spec.CMPs = append([]int(nil), spec.CMPs...)
 	spec.Normalize()
 	if len(spec.Buses) > 0 {
 		cfg.Buses = spec.Buses

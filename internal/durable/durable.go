@@ -3,7 +3,7 @@
 // warm-annotation cache) is written through it and read back through
 // it.
 //
-// Two primitives:
+// Three primitives:
 //
 //   - Record framing. An artifact is a sequence of newline-delimited
 //     records, each a single-line payload followed by a CRC32C
@@ -11,9 +11,16 @@
 //     records in order and stops at the first damage — a missing
 //     newline, a malformed trailer, a checksum mismatch — so a torn or
 //     bit-flipped file yields its longest valid record prefix instead
-//     of nothing. ScanRecords reports exactly how the walk ended;
-//     callers decide whether a prefix is usable (a checkpoint resumes
-//     from it, a cache warm-starts from it).
+//     of nothing. ScanRecords reports exactly how the walk ended.
+//
+//   - The keyed-artifact codec. Both artifacts are a header plus a map
+//     of keyed entries, and EncodeKeyed/DecodeKeyed are the only code
+//     that knows their layout: one compact JSON header record, then one
+//     {"k":key,"e":entry} record per entry in ascending key order.
+//     DecodeKeyed also reads the pre-CRC whole-document form (the
+//     header's fields plus an "entries" object) and reports how it read
+//     a file in a Recovery; callers decide whether a prefix is usable (a
+//     checkpoint resumes from it, a cache warm-starts from it).
 //
 //   - Atomic, synced file replacement. WriteFileAtomic writes to a
 //     unique temp file in the destination directory, fsyncs the file,
@@ -32,11 +39,13 @@ package durable
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"repro/internal/faultinject"
 )
@@ -218,7 +227,38 @@ func syncDir(dir string) {
 	d.Close()
 }
 
-// Recovery describes how DecodeDocument read a file: which format it was
+// keyedRecord is one entry record of a keyed artifact: the entry's key
+// and value, compact JSON on a single line.
+type keyedRecord[E any] struct {
+	Key   string `json:"k"`
+	Entry E      `json:"e"`
+}
+
+// EncodeKeyed renders a keyed artifact in the framed format: header
+// marshalled as one compact JSON record, then one {"k","e"} record per
+// entry in ascending key order, so equal content encodes to equal bytes.
+func EncodeKeyed[E any](header any, entries map[string]E) ([]byte, error) {
+	head, err := json.Marshal(header)
+	if err != nil {
+		return nil, err
+	}
+	buf := AppendRecord(nil, head)
+	keys := make([]string, 0, len(entries))
+	for k := range entries {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		p, err := json.Marshal(&keyedRecord[E]{Key: k, Entry: entries[k]})
+		if err != nil {
+			return nil, err
+		}
+		buf = AppendRecord(buf, p)
+	}
+	return buf, nil
+}
+
+// Recovery describes how DecodeKeyed read a file: which format it was
 // in and whether (and why) only a record prefix survived.
 type Recovery struct {
 	Legacy  bool   // whole-document pre-CRC format
@@ -227,20 +267,28 @@ type Recovery struct {
 	Cause   string // human-readable damage description, "" when clean
 }
 
-// DecodeDocument parses data in either the framed or the legacy
-// whole-document format, via caller-supplied parsers: legacy takes the
-// entire pre-framing document, header the first framed record, record
-// each subsequent one. Framed damage — a torn tail, a checksum failure,
-// or a checksum-valid record the record parser rejects — stops the walk
-// and is reported in the Recovery; the parsed prefix stands. The error
-// return is reserved for files that yield nothing usable: an unparseable
-// legacy document, no intact first record, or a header record the header
-// parser rejects.
-func DecodeDocument(data []byte, legacy, header, record func([]byte) error) (Recovery, error) {
+// DecodeKeyed reads a keyed artifact written by EncodeKeyed, or a
+// pre-CRC whole-document one, unmarshalling the header into header (a
+// pointer) and returning the entries. Framed damage — a torn tail, a
+// checksum failure, or a checksum-valid entry record that does not
+// parse — stops the walk and is reported in the Recovery; the entries
+// read before it stand. The error return is reserved for files that
+// yield nothing usable: an unparseable legacy document, no intact first
+// record, or a header record that does not parse.
+func DecodeKeyed[E any](data []byte, header any) (map[string]E, Recovery, error) {
 	var rec Recovery
 	if !IsFramed(data) {
 		rec.Legacy = true
-		return rec, legacy(data)
+		var doc struct {
+			Entries map[string]E `json:"entries"`
+		}
+		if err := json.Unmarshal(data, header); err != nil {
+			return nil, rec, err
+		}
+		if err := json.Unmarshal(data, &doc); err != nil {
+			return nil, rec, err
+		}
+		return doc.Entries, rec, nil
 	}
 	payloads, _, torn := ScanRecords(data)
 	if torn != nil {
@@ -249,21 +297,24 @@ func DecodeDocument(data []byte, legacy, header, record func([]byte) error) (Rec
 		rec.Cause = torn.Error()
 	}
 	if len(payloads) == 0 {
-		return rec, fmt.Errorf("no intact record (%s)", rec.Cause)
+		return nil, rec, fmt.Errorf("no intact record (%s)", rec.Cause)
 	}
-	if err := header(payloads[0]); err != nil {
+	if err := json.Unmarshal(payloads[0], header); err != nil {
 		// A checksum-valid but unparseable header is a writer bug, not
 		// tearing — nothing to resume from.
-		return rec, fmt.Errorf("header record: %w", err)
+		return nil, rec, fmt.Errorf("header record: %w", err)
 	}
+	entries := make(map[string]E, len(payloads)-1)
 	for _, p := range payloads[1:] {
-		if err := record(p); err != nil {
+		var r keyedRecord[E]
+		if err := json.Unmarshal(p, &r); err != nil {
 			rec.Torn = true
 			rec.Cause = fmt.Sprintf("unparseable entry record: %v", err)
 			break
 		}
+		entries[r.Key] = r.Entry
 	}
-	return rec, nil
+	return entries, rec, nil
 }
 
 // CorruptArtifactError reports a persisted artifact that could not yield
@@ -289,13 +340,13 @@ func (e *CorruptArtifactError) Error() string {
 func (e *CorruptArtifactError) Unwrap() error { return e.Err }
 
 // Quarantine renames path to path+".corrupt" (replacing any previous
-// quarantine of the same file) and returns the destination. A failed
-// rename returns an empty destination; the caller's CorruptArtifactError
-// then records that the evidence could not be preserved.
-func Quarantine(path string) string {
-	dst := path + ".corrupt"
-	if err := os.Rename(path, dst); err != nil {
-		return ""
+// quarantine of the same file) and returns the *CorruptArtifactError
+// that reports it, wrapping cause. QuarantinedTo stays empty when the
+// rename fails: the evidence could not be preserved.
+func Quarantine(path, artifact string, cause error) *CorruptArtifactError {
+	e := &CorruptArtifactError{Artifact: artifact, Path: path, Err: cause}
+	if os.Rename(path, path+".corrupt") == nil {
+		e.QuarantinedTo = path + ".corrupt"
 	}
-	return dst
+	return e
 }

@@ -229,18 +229,19 @@ func TestQuarantine(t *testing.T) {
 	if err := os.WriteFile(path, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	dst := Quarantine(path)
-	if dst != path+".corrupt" {
-		t.Fatalf("dst = %q", dst)
+	cause := errors.New("bad header")
+	e := Quarantine(path, "checkpoint", cause)
+	if e.QuarantinedTo != path+".corrupt" || e.Path != path || e.Artifact != "checkpoint" || e.Err != cause {
+		t.Fatalf("quarantine error = %+v", e)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("original still present")
 	}
-	if got, _ := os.ReadFile(dst); string(got) != "junk" {
+	if got, _ := os.ReadFile(e.QuarantinedTo); string(got) != "junk" {
 		t.Fatalf("quarantined content %q", got)
 	}
-	if dst := Quarantine(filepath.Join(dir, "missing")); dst != "" {
-		t.Fatalf("quarantine of missing file returned %q", dst)
+	if e := Quarantine(filepath.Join(dir, "missing"), "checkpoint", cause); e.QuarantinedTo != "" {
+		t.Fatalf("quarantine of missing file returned %q", e.QuarantinedTo)
 	}
 }
 

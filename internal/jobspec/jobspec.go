@@ -16,7 +16,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -213,10 +213,11 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// Normalize sorts and deduplicates the space lists in place, exactly as
-// the CLI's list flags always have: repeated or unordered values would
-// otherwise enumerate (and evaluate) the same candidates twice. It is
-// idempotent; Validate does not require it.
+// Normalize replaces the space lists with sorted, deduplicated copies,
+// exactly as the CLI's list flags always have: repeated or unordered
+// values would otherwise enumerate (and evaluate) the same candidates
+// twice. The arrays the lists shared with a caller keep their order. It
+// is idempotent; Validate does not require it.
 func (s *Spec) Normalize() {
 	s.Buses = sortedUnique(s.Buses)
 	s.ALUs = sortedUnique(s.ALUs)
@@ -233,15 +234,6 @@ func (s *Spec) Normalize() {
 // the daemon's checkpoint files, so a resubmitted spec finds its
 // interrupted run's file at any parallelism.
 func (s Spec) Hash() string {
-	// The receiver is a shallow copy; Normalize would otherwise sort the
-	// caller's slices in place through the shared backing arrays.
-	s.Buses = append([]int(nil), s.Buses...)
-	s.ALUs = append([]int(nil), s.ALUs...)
-	s.CMPs = append([]int(nil), s.CMPs...)
-	if s.Search != nil {
-		sr := *s.Search
-		s.Search = &sr
-	}
 	s.Parallelism = 0
 	s.ATPGWorkers = 0
 	s.LaneWidth = 0
@@ -276,20 +268,15 @@ func (s *Spec) AnnotatorKey() string {
 	return fmt.Sprintf("w%d/s%d/d%s", w, seed, s.ATPGDeadline.Std())
 }
 
+// sortedUnique returns the distinct values of vals in ascending order,
+// in a new array; an empty list is returned as it is.
 func sortedUnique(vals []int) []int {
 	if len(vals) == 0 {
 		return vals
 	}
-	seen := make(map[int]bool, len(vals))
-	out := vals[:0]
-	for _, v := range vals {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	sort.Ints(out)
-	return out
+	out := slices.Clone(vals)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 func member(v string, allowed []string) bool {

@@ -159,6 +159,21 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
+// TestNormalizeLeavesCallerArrays: a spec whose lists alias a caller's
+// arrays gets fresh sorted lists, and the caller's arrays keep their
+// order — a running job and its submitter may share them.
+func TestNormalizeLeavesCallerArrays(t *testing.T) {
+	buses, alus := []int{4, 1, 4, 2}, []int{3, 3, 1}
+	s := Spec{Buses: buses, ALUs: alus[:2]}
+	s.Normalize()
+	if !reflect.DeepEqual(buses, []int{4, 1, 4, 2}) || !reflect.DeepEqual(alus, []int{3, 3, 1}) {
+		t.Fatalf("Normalize reordered the caller's arrays: buses %v, alus %v", buses, alus)
+	}
+	if !reflect.DeepEqual(s.Buses, []int{1, 2, 4}) || !reflect.DeepEqual(s.ALUs, []int{3}) {
+		t.Fatalf("normalized lists: buses %v, alus %v", s.Buses, s.ALUs)
+	}
+}
+
 func TestHashIgnoresTopology(t *testing.T) {
 	base := Spec{Workload: "crc16", Buses: []int{1, 2}, ALUs: []int{1}, Norm: "manhattan"}
 	want := base.Hash()

@@ -195,11 +195,6 @@ func (s *Server) Submit(spec jobspec.Spec) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	// Normalize sorts in place; give the job its own lists, or a caller
-	// that submits one spec twice rewrites them under the running job.
-	spec.Buses = append([]int(nil), spec.Buses...)
-	spec.ALUs = append([]int(nil), spec.ALUs...)
-	spec.CMPs = append([]int(nil), spec.CMPs...)
 	spec.Normalize()
 	s.mu.Lock()
 	if s.draining {

@@ -10,26 +10,25 @@
 // it as a *CacheMismatchError and leaves the annotator cold, never mixing
 // stale entries into a fresh run.
 //
-// On disk the cache uses the same CRC32C record framing as dse
-// checkpoints (package durable): one compact header record, then one
-// record per annotation in sorted key order, written through an
-// fsync-before-rename atomic path. A torn or bit-flipped file warm-loads
-// its longest valid record prefix (the cache is an optimization — a
-// shorter prefix just means a few re-measured annotations); files with
-// no usable prefix load cold with a typed error, and LoadFile quarantines
-// them to *.corrupt. Pre-framing whole-document files still load, flagged
-// by a legacy-format load warning (see LoadWarnings).
+// On disk the cache is a keyed artifact of package durable
+// (durable.EncodeKeyed/DecodeKeyed), like dse checkpoints: a cacheFile
+// header and one cacheEntry per annotation key, written through an
+// fsync-before-rename atomic path. A torn or bit-flipped file
+// warm-loads its longest valid record prefix (the cache is an
+// optimization — a shorter prefix just means a few re-measured
+// annotations); files with no usable prefix load cold with a typed
+// error, and LoadFile quarantines them to *.corrupt. Pre-CRC files
+// still load, flagged by a legacy-format load warning (see
+// LoadWarnings).
 package testcost
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"math"
 	"os"
-	"sort"
 
 	"repro/internal/durable"
 	"repro/internal/faultinject"
@@ -40,7 +39,8 @@ import (
 // entry layout or the meaning of a field changes.
 const CacheFormatVersion = 1
 
-// cacheFile is the serialized form of an annotator's cache.
+// cacheFile is the header of an annotator's cache file; the entries
+// follow it, keyed by annotation-cache key (e.g. "alu/16/ripple").
 type cacheFile struct {
 	Version int    `json:"version"`
 	Library string `json:"library"`
@@ -51,19 +51,6 @@ type cacheFile struct {
 	// Sockets carries the socket-library annotations (input, output) so a
 	// warm start skips the lazy socket ATPG too.
 	Sockets *socketCache `json:"sockets,omitempty"`
-
-	// Entries maps annotation-cache keys (e.g. "alu/16/ripple") to their
-	// back-annotated values. Populated in the legacy whole-document
-	// format; empty in the framed header record (entries follow as
-	// records).
-	Entries map[string]cacheEntry `json:"entries,omitempty"`
-}
-
-// cacheRecord is one framed annotation record: the cache key and its
-// value, compact JSON on a single line.
-type cacheRecord struct {
-	Key   string     `json:"k"`
-	Entry cacheEntry `json:"e"`
 }
 
 // cacheEntry is one persisted annotation.
@@ -163,10 +150,9 @@ func (a *Annotator) Save(w io.Writer) error {
 	return err
 }
 
-// encodeCache renders the annotator's cache in the framed on-disk
-// format: one compact header record (sockets included — they are forced
-// if not yet computed), then one record per annotation in sorted key
-// order — deterministic bytes for identical content.
+// encodeCache renders the annotator's cache as a keyed artifact: the
+// header (sockets included — they are forced if not yet computed) and
+// every annotation that is not degraded.
 func (a *Annotator) encodeCache() ([]byte, error) {
 	if err := a.sockets(); err != nil {
 		return nil, err
@@ -179,30 +165,15 @@ func (a *Annotator) encodeCache() ([]byte, error) {
 		March:   a.March.String(),
 		Sockets: &socketCache{In: toEntry(a.sockIn), Out: toEntry(a.sockOut)},
 	}
-	head, err := json.Marshal(&f)
-	if err != nil {
-		return nil, err
-	}
-	buf := durable.AppendRecord(nil, head)
 	a.mu.Lock()
-	keys := make([]string, 0, len(a.cache))
+	entries := make(map[string]cacheEntry, len(a.cache))
 	for k, an := range a.cache {
-		if an.degraded {
-			continue
+		if !an.degraded {
+			entries[k] = toEntry(an)
 		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		p, err := json.Marshal(&cacheRecord{Key: k, Entry: toEntry(a.cache[k])})
-		if err != nil {
-			a.mu.Unlock()
-			return nil, err
-		}
-		buf = durable.AppendRecord(buf, p)
 	}
 	a.mu.Unlock()
-	return buf, nil
+	return durable.EncodeKeyed(&f, entries)
 }
 
 // Load populates the annotation cache from a warm-start file written by
@@ -252,7 +223,8 @@ func (a *Annotator) load(r io.Reader) error {
 	if err != nil {
 		return &CacheCorruptError{Reason: "read", Err: err}
 	}
-	f, rec, derr := decodeCacheData(data)
+	var f cacheFile
+	entries, rec, derr := durable.DecodeKeyed[cacheEntry](data, &f)
 	if rec.CRCFail {
 		a.Obs.Counter("durability.crc_fail").Inc()
 	}
@@ -270,7 +242,7 @@ func (a *Annotator) load(r io.Reader) error {
 			return &CacheMismatchError{Field: m.field, Want: m.want, Got: m.got}
 		}
 	}
-	for k, e := range f.Entries {
+	for k, e := range entries {
 		if err := validEntry(e); err != nil {
 			return &CacheCorruptError{Reason: fmt.Sprintf("entry %q", k), Err: err}
 		}
@@ -285,7 +257,7 @@ func (a *Annotator) load(r io.Reader) error {
 	}
 	loaded := 0
 	a.mu.Lock()
-	for k, e := range f.Entries {
+	for k, e := range entries {
 		if _, ok := a.cache[k]; !ok {
 			a.cache[k] = fromEntry(e)
 			loaded++
@@ -312,32 +284,6 @@ func (a *Annotator) load(r io.Reader) error {
 	}
 	a.Obs.Counter("testcost.cache.loaded").Add(int64(loaded))
 	return nil
-}
-
-// decodeCacheData parses either cache format via durable.DecodeDocument;
-// see decodeCheckpointData in internal/dse for the twin.
-func decodeCacheData(data []byte) (cacheFile, durable.Recovery, error) {
-	var f cacheFile
-	rec, err := durable.DecodeDocument(data,
-		func(doc []byte) error { return json.Unmarshal(doc, &f) },
-		func(head []byte) error {
-			if err := json.Unmarshal(head, &f); err != nil {
-				return err
-			}
-			if f.Entries == nil {
-				f.Entries = make(map[string]cacheEntry)
-			}
-			return nil
-		},
-		func(p []byte) error {
-			var r cacheRecord
-			if err := json.Unmarshal(p, &r); err != nil {
-				return err
-			}
-			f.Entries[r.Key] = r.Entry
-			return nil
-		})
-	return f, rec, err
 }
 
 // SaveFile writes the cache to path through the crash-safe atomic path
@@ -370,9 +316,8 @@ func (a *Annotator) LoadFile(path string) error {
 	f.Close()
 	var cc *CacheCorruptError
 	if errors.As(err, &cc) && cc.Reason != "read" {
-		q := durable.Quarantine(path)
 		a.Obs.Counter("durability.quarantined").Inc()
-		err = &durable.CorruptArtifactError{Artifact: "annotation cache", Path: path, QuarantinedTo: q, Err: cc}
+		err = durable.Quarantine(path, "annotation cache", cc)
 	}
 	return a.noteLoad(err)
 }

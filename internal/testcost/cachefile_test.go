@@ -11,10 +11,30 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/gatelib"
 	"repro/internal/obs"
 	"repro/internal/tta"
 )
+
+// legacyCache is the pre-CRC whole-document cache: the header's fields
+// and an "entries" object, in one JSON document.
+type legacyCache struct {
+	cacheFile
+	Entries map[string]cacheEntry `json:"entries"`
+}
+
+// decodeCache reads a saved cache back into its legacy document form.
+func decodeCache(t *testing.T, blob []byte) legacyCache {
+	t.Helper()
+	var f legacyCache
+	entries, rec, err := durable.DecodeKeyed[cacheEntry](blob, &f.cacheFile)
+	if err != nil || rec.Torn || rec.Legacy {
+		t.Fatalf("decode saved cache: %v (recovery %+v)", err, rec)
+	}
+	f.Entries = entries
+	return f
+}
 
 // coldAnnotator returns a narrow-width annotator that has evaluated the
 // figure-9 architecture, plus its fully populated cache serialization.
@@ -118,10 +138,7 @@ func TestCacheLoadMissingFile(t *testing.T) {
 
 func TestCacheHeaderMismatch(t *testing.T) {
 	_, blob := coldAnnotator(t)
-	f, rec, err := decodeCacheData(blob)
-	if err != nil || rec.Torn {
-		t.Fatalf("decode saved cache: %v (recovery %+v)", err, rec)
-	}
+	f := decodeCache(t, blob)
 	cases := []struct {
 		name   string
 		mutate func(*cacheFile)
@@ -137,7 +154,7 @@ func TestCacheHeaderMismatch(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := f // copy header; entries shared is fine, they are not mutated
 			if tc.mutate != nil {
-				tc.mutate(&c)
+				tc.mutate(&c.cacheFile)
 			}
 			raw, err := json.Marshal(&c)
 			if err != nil {
@@ -169,10 +186,7 @@ func TestLibraryKeyInFile(t *testing.T) {
 	// The persisted header must carry the live library generation, so a
 	// generator bump invalidates old files automatically.
 	_, blob := coldAnnotator(t)
-	f, rec, err := decodeCacheData(blob)
-	if err != nil || rec.Torn {
-		t.Fatalf("decode saved cache: %v (recovery %+v)", err, rec)
-	}
+	f := decodeCache(t, blob)
 	if f.Library != gatelib.LibraryKey || f.Version != CacheFormatVersion {
 		t.Fatalf("header %+v does not carry the live library key/version", f)
 	}

@@ -52,10 +52,7 @@ func TestCacheTornPrefixRecovery(t *testing.T) {
 // never-legacy save would have.
 func TestCacheLegacyFormatRoundTrip(t *testing.T) {
 	_, blob := coldAnnotator(t)
-	f, rec, err := decodeCacheData(blob)
-	if err != nil || rec.Torn || rec.Legacy {
-		t.Fatalf("decode framed cache: %v (recovery %+v)", err, rec)
-	}
+	f := decodeCache(t, blob)
 	legacy, err := json.MarshalIndent(&f, "", "  ")
 	if err != nil {
 		t.Fatal(err)
