@@ -43,8 +43,8 @@ func BenchmarkExploreColdCheckpointed(b *testing.B) {
 }
 
 // BenchmarkCheckpointFlush isolates one flush of a fully populated
-// 288-entry checkpoint: snapshot, sorted CRC-framed encode, write,
-// fsync, rename, directory sync.
+// 288-entry checkpoint: snapshot of the kept entry records, join in key
+// order, write, fsync, rename, directory sync.
 func BenchmarkCheckpointFlush(b *testing.B) {
 	cfg := benchCacheConfig(b)
 	cfg.Parallelism = runtime.GOMAXPROCS(0)

@@ -6,12 +6,14 @@
 // On disk a checkpoint is a keyed artifact of package durable
 // (durable.EncodeKeyed/DecodeKeyed): a checkpointFile header and one
 // checkpointEntry per candidate key, written through an
-// fsync-before-rename atomic path. A torn or bit-flipped file loads its
-// longest valid record prefix — the run resumes from the last intact
-// evaluation instead of going cold. Pre-CRC files still load, flagged
-// by a legacy-format warning; files that yield no usable prefix are
-// quarantined as *.corrupt and reported as a typed
-// durable.CorruptArtifactError.
+// fsync-before-rename atomic path. Each entry's record is encoded once,
+// when the entry is recorded or restored, and every flush joins the
+// kept records (durable.JoinKeyed) into the bytes EncodeKeyed would
+// write. A torn or bit-flipped file loads its longest valid record
+// prefix — the run resumes from the last intact evaluation instead of
+// going cold. Pre-CRC files still load, flagged by a legacy-format
+// warning; files that yield no usable prefix are quarantined as
+// *.corrupt and reported as a typed durable.CorruptArtifactError.
 //
 // The file is keyed by everything that determines a candidate's value:
 // the checkpoint format version, the gate-level library generation
@@ -108,6 +110,13 @@ func (e checkpointEntry) candidate(arch *tta.Architecture) Candidate {
 	}
 }
 
+// checkpointSlot is one checkpoint entry with its framed record, encoded
+// once (durable.EncodeKeyedRecord) and copied into every later flush.
+type checkpointSlot struct {
+	entry  checkpointEntry
+	record []byte
+}
+
 // checkpointKey identifies one candidate: the structural signature plus
 // the architecture name (which embeds the enumeration id and the
 // port-assignment variant).
@@ -156,8 +165,11 @@ type Checkpoint struct {
 	flushMu    sync.Mutex // serializes flush snapshot+write; acquired before mu, never while holding it
 	path       string
 	header     checkpointFile
-	entries    map[string]checkpointEntry
+	entries    map[string]checkpointSlot
 	sinceFlush int
+	// encodeErr is the error of the first entry that failed to encode;
+	// every flush fails with it, as a flush encoding that entry would.
+	encodeErr error
 
 	// warnings lists what OpenCheckpoint recovered, quarantined or
 	// ignored; read-only once opened. ExploreContext streams them.
@@ -199,7 +211,7 @@ func OpenCheckpoint(path string, cfg Config) (ck *Checkpoint, err error) {
 			Workload: workloadSignature(&cfg),
 			SpecHash: cfg.SpecHash,
 		},
-		entries: make(map[string]checkpointEntry),
+		entries: make(map[string]checkpointSlot),
 		obs:     cfg.Obs,
 		inject:  cfg.Inject,
 	}
@@ -241,14 +253,22 @@ func OpenCheckpoint(path string, cfg Config) (ck *Checkpoint, err error) {
 	if ck.header.SpecHash != "" && f.SpecHash != "" && ck.header.SpecHash != f.SpecHash {
 		return ck, &CheckpointMismatchError{Field: "spec hash", Want: ck.header.SpecHash, Got: f.SpecHash}
 	}
+	// A restored entry's record is encoded here, from the decoded entry,
+	// so the next flush writes this build's form of it: a legacy file is
+	// rewritten framed and an old "energy" key is dropped.
+	slots := make(map[string]checkpointSlot, len(entries))
 	for k, e := range entries {
-		if err := validCheckpointEntry(e); err != nil {
+		err := validCheckpointEntry(e)
+		var rec []byte
+		if err == nil {
+			rec, err = durable.EncodeKeyedRecord(k, e)
+		}
+		if err != nil {
 			return ck, ck.quarantine(&CheckpointCorruptError{Reason: fmt.Sprintf("entry %q", k), Err: err})
 		}
+		slots[k] = checkpointSlot{entry: e, record: rec}
 	}
-	if entries != nil {
-		ck.entries = entries
-	}
+	ck.entries = slots
 	if rec.Torn {
 		reg.Counter("durability.prefix_recovered").Inc()
 		ck.warnings = append(ck.warnings, fmt.Sprintf(
@@ -323,21 +343,27 @@ func (ck *Checkpoint) lookup(key string) (checkpointEntry, bool) {
 	}
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
-	e, ok := ck.entries[key]
-	return e, ok
+	s, ok := ck.entries[key]
+	return s.entry, ok
 }
 
 // record persists one completed evaluation, rewriting the file every
 // checkpointFlushEvery new entries, and returns that rewrite's error.
 // The worker reports it as a warning on the run's stream, never as a
 // run failure: the exploration's result does not depend on the file.
+// The entry's record is encoded here, outside the lock, and never again.
 func (ck *Checkpoint) record(key string, c *Candidate) error {
 	if ck == nil {
 		return nil
 	}
+	e := toCheckpointEntry(c)
+	rec, encErr := durable.EncodeKeyedRecord(key, e)
 	ck.mu.Lock()
 	if _, ok := ck.entries[key]; !ok {
-		ck.entries[key] = toCheckpointEntry(c)
+		ck.entries[key] = checkpointSlot{entry: e, record: rec}
+		if ck.encodeErr == nil {
+			ck.encodeErr = encErr
+		}
 		ck.sinceFlush++
 	}
 	flush := ck.sinceFlush >= checkpointFlushEvery
@@ -386,13 +412,16 @@ func (ck *Checkpoint) flush(dirSync bool) error {
 	defer ck.flushMu.Unlock()
 	ck.mu.Lock()
 	head := ck.header
-	entries := make(map[string]checkpointEntry, len(ck.entries))
-	for k, e := range ck.entries {
-		entries[k] = e
+	records := make(map[string][]byte, len(ck.entries))
+	for k, s := range ck.entries {
+		records[k] = s.record
 	}
-	inj := ck.inject
+	inj, err := ck.inject, ck.encodeErr
 	ck.mu.Unlock()
-	data, err := durable.EncodeKeyed(&head, entries)
+	if err != nil {
+		return err
+	}
+	data, err := durable.JoinKeyed(&head, records)
 	if err != nil {
 		return err
 	}

@@ -325,8 +325,14 @@ func FuzzOpenCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	ck.entries["k1|a"] = checkpointEntry{Feasible: true, Area: 100, Cycles: 7, Clock: 2.5, ExecTime: 17.5, TestCost: 42, FullScan: 40}
-	ck.entries["k2|b"] = checkpointEntry{Reason: "infeasible: no route"}
+	for key, c := range map[string]Candidate{
+		"k1|a": {Feasible: true, Area: 100, Cycles: 7, Clock: 2.5, ExecTime: 17.5, TestCost: 42, FullScan: 40},
+		"k2|b": {Reason: "infeasible: no route"},
+	} {
+		if err := ck.record(key, &c); err != nil {
+			f.Fatal(err)
+		}
+	}
 	if err := ck.FlushErr(); err != nil {
 		f.Fatal(err)
 	}
@@ -529,5 +535,112 @@ func TestCheckpointSpecHashBinding(t *testing.T) {
 	hashless.SpecHash = "aaaaaaaaaaaaaaaa"
 	if ck, err := OpenCheckpoint(plain, hashless); err != nil || ck.Len() != 2 {
 		t.Fatalf("hashed run, hashless file: %d entries, err %v; want 2 and nil", ck.Len(), err)
+	}
+}
+
+// TestCheckpointPeriodicFlushesCanonical reads the checkpoint file at
+// every candidate event of a serial sweep, so it sees each periodic
+// flush. Every flushed file must decode cleanly, be byte for byte what
+// durable.EncodeKeyed writes for its own header and entries, keep every
+// entry of the flush before it with the same value, and hold exactly
+// the 16·k entries recorded up to the last flush.
+func TestCheckpointPeriodicFlushesCanonical(t *testing.T) {
+	cfg := smallConfig(t)
+	def, err := DefaultConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.RFSets, cfg.Assigns = def.RFSets, def.Assigns
+	cfg.Buses = []int{1, 2, 3, 4}
+	cfg.Parallelism = 1
+	path := filepath.Join(t.TempDir(), "flushes.ckpt")
+	ck, err := OpenCheckpoint(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Checkpoint = ck
+	var (
+		prev    map[string]checkpointEntry
+		flushes int
+	)
+	cfg.EventSink = func(ev Event) {
+		if ev.Kind != EventCandidate {
+			return
+		}
+		flushed := ev.N / checkpointFlushEvery * checkpointFlushEvery
+		data, err := os.ReadFile(path)
+		if os.IsNotExist(err) && flushed == 0 {
+			return
+		}
+		if err != nil {
+			t.Errorf("after candidate %d: %v", ev.N, err)
+			return
+		}
+		var head checkpointFile
+		entries, rec, err := durable.DecodeKeyed[checkpointEntry](data, &head)
+		if err != nil || rec != (durable.Recovery{}) {
+			t.Errorf("after candidate %d: decode error %v, recovery %+v", ev.N, err, rec)
+			return
+		}
+		canon, err := durable.EncodeKeyed(&head, entries)
+		if err != nil || !bytes.Equal(data, canon) {
+			t.Errorf("after candidate %d: the file is not the encoding of its own entries (%v)", ev.N, err)
+		}
+		if len(entries) != flushed {
+			t.Errorf("after candidate %d: the file holds %d entries, want %d", ev.N, len(entries), flushed)
+		}
+		for k, v := range prev {
+			if got, ok := entries[k]; !ok || got != v {
+				t.Errorf("after candidate %d: entry %q = %+v (present %t), the previous flush had %+v", ev.N, k, got, ok, v)
+			}
+		}
+		if len(entries) > len(prev) {
+			flushes++
+		}
+		prev = entries
+	}
+	res, err := ExploreContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.Candidates); n < 3*checkpointFlushEvery || flushes != n/checkpointFlushEvery {
+		t.Fatalf("%d candidates, %d periodic flushes seen, want at least 48 candidates and one flush per 16", n, flushes)
+	}
+	for i := range res.Candidates {
+		c := &res.Candidates[i]
+		if got, ok := prev[checkpointKey(c.Arch)]; ok && got != toCheckpointEntry(c) {
+			t.Errorf("candidate %d: flushed entry %+v, evaluated %+v", i, got, toCheckpointEntry(c))
+		}
+	}
+}
+
+// TestCheckpointFlushAllocs bounds what one periodic flush of a
+// 288-entry checkpoint allocates: the entry records are encoded when
+// recorded, so a flush copies them into one buffer, and its allocations
+// are the record map, the sorted keys, the header record, the buffer
+// and the atomic file write (18 with Go 1.24). Re-encoding every entry
+// at every flush made about 1,200.
+func TestCheckpointFlushAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	ck, err := OpenCheckpoint(filepath.Join(t.TempDir(), "allocs.ckpt"), smallConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 288; i++ {
+		c := Candidate{Feasible: true, Area: 1000 + float64(i)/7, Cycles: 300 + i, Clock: 2.5,
+			ExecTime: 2.5 * float64(300+i), TestCost: 40 + i, FullScan: 90 + i, Spills: i % 3}
+		if i%5 == 0 {
+			c = Candidate{Reason: "infeasible: no route"}
+		}
+		if err := ck.record(fmt.Sprintf("b%d/a%d/c1|arch-%03d", 1+i%4, 1+i%2, i), &c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, ck.Flush)
+	t.Logf("%.0f allocations per flush of %d entries", allocs, ck.Len())
+	if allocs > 30 {
+		t.Errorf("a flush allocates %.0f times, want at most 30", allocs)
 	}
 }

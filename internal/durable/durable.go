@@ -17,6 +17,9 @@
 //     of keyed entries, and EncodeKeyed/DecodeKeyed are the only code
 //     that knows their layout: one compact JSON header record, then one
 //     {"k":key,"e":entry} record per entry in ascending key order.
+//     EncodeKeyed is JoinKeyed over each entry's EncodeKeyedRecord, and
+//     a writer that rewrites a growing artifact (a checkpoint) keeps
+//     each entry's record and joins the kept records instead.
 //     DecodeKeyed also reads the pre-CRC whole-document form (the
 //     header's fields plus an "entries" object) and reports how it read
 //     a file in a Recovery; callers decide whether a prefix is usable (a
@@ -39,13 +42,15 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"repro/internal/faultinject"
 )
@@ -74,9 +79,11 @@ func Checksum(payload []byte) uint32 {
 // embedded newlines would desynchronize the reader and are rejected by
 // ScanRecords on the way back in.
 func AppendRecord(dst, payload []byte) []byte {
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], Checksum(payload))
 	dst = append(dst, payload...)
 	dst = append(dst, trailerMark...)
-	dst = append(dst, fmt.Sprintf("%08x", Checksum(payload))...)
+	dst = hex.AppendEncode(dst, sum[:])
 	return append(dst, '\n')
 }
 
@@ -113,11 +120,11 @@ func ScanRecords(data []byte) (payloads [][]byte, dropped int, torn *TornRecordE
 		if string(trailer[:len(trailerMark)]) != trailerMark {
 			return payloads, len(data) - off, &TornRecordError{Reason: "no trailer", Offset: off}
 		}
-		var want uint32
-		if _, err := fmt.Sscanf(string(trailer[len(trailerMark):]), "%08x", &want); err != nil {
+		var want [4]byte
+		if _, err := hex.Decode(want[:], trailer[len(trailerMark):]); err != nil {
 			return payloads, len(data) - off, &TornRecordError{Reason: "no trailer", Offset: off}
 		}
-		if Checksum(payload) != want {
+		if Checksum(payload) != binary.BigEndian.Uint32(want[:]) {
 			return payloads, len(data) - off, &TornRecordError{Reason: "crc mismatch", Offset: off}
 		}
 		payloads = append(payloads, payload)
@@ -237,23 +244,50 @@ type keyedRecord[E any] struct {
 // EncodeKeyed renders a keyed artifact in the framed format: header
 // marshalled as one compact JSON record, then one {"k","e"} record per
 // entry in ascending key order, so equal content encodes to equal bytes.
+// It is JoinKeyed over each entry's EncodeKeyedRecord.
 func EncodeKeyed[E any](header any, entries map[string]E) ([]byte, error) {
+	records := make(map[string][]byte, len(entries))
+	for k, e := range entries {
+		rec, err := EncodeKeyedRecord(k, e)
+		if err != nil {
+			return nil, err
+		}
+		records[k] = rec
+	}
+	return JoinKeyed(header, records)
+}
+
+// EncodeKeyedRecord returns the framed {"k":key,"e":entry} record that
+// EncodeKeyed writes for one entry. A writer that rewrites an artifact
+// as it grows (a checkpoint) encodes each entry once, keeps the record
+// and hands all of them to JoinKeyed at every rewrite.
+func EncodeKeyedRecord[E any](key string, entry E) ([]byte, error) {
+	p, err := json.Marshal(&keyedRecord[E]{Key: key, Entry: entry})
+	if err != nil {
+		return nil, err
+	}
+	return AppendRecord(make([]byte, 0, len(p)+trailerLen+1), p), nil
+}
+
+// JoinKeyed renders a keyed artifact from its entries' records, each
+// made by EncodeKeyedRecord under its key: the header as one compact
+// JSON record, then records[k] for every key k in ascending order —
+// the bytes EncodeKeyed writes for the entries the records encode.
+func JoinKeyed(header any, records map[string][]byte) ([]byte, error) {
 	head, err := json.Marshal(header)
 	if err != nil {
 		return nil, err
 	}
-	buf := AppendRecord(nil, head)
-	keys := make([]string, 0, len(entries))
-	for k := range entries {
+	keys := make([]string, 0, len(records))
+	size := len(head) + trailerLen + 1
+	for k, rec := range records {
 		keys = append(keys, k)
+		size += len(rec)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
+	buf := AppendRecord(make([]byte, 0, size), head)
 	for _, k := range keys {
-		p, err := json.Marshal(&keyedRecord[E]{Key: k, Entry: entries[k]})
-		if err != nil {
-			return nil, err
-		}
-		buf = AppendRecord(buf, p)
+		buf = append(buf, records[k]...)
 	}
 	return buf, nil
 }

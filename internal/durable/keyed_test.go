@@ -1,8 +1,10 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -86,6 +88,26 @@ func TestDecodeKeyed(t *testing.T) {
 	flipped := append([]byte(nil), full...)
 	flipped[ends[1]+3] ^= 0x01 // inside the second entry's payload
 	badRecord := AppendRecord(append([]byte(nil), full[:ends[2]]...), []byte(`{"k":"x","e":`))
+	// upper spells every trailer's digits in uppercase; nonHex ends the
+	// second entry's trailer with a 'g' after seven good digits.
+	upper := append([]byte(nil), full...)
+	for _, end := range ends {
+		digits := upper[end-9 : end-1]
+		copy(digits, bytes.ToUpper(digits))
+	}
+	if bytes.Equal(upper, full) {
+		t.Fatal("no trailer digit is a letter")
+	}
+	nonHex := append([]byte(nil), full...)
+	nonHex[ends[2]-2] = 'g'
+	// spaced frames an entry whose checksum starts with a zero digit and
+	// turns that '0' into a space, a one-bit flip.
+	var entry []byte
+	for n := 0; len(entry) == 0 || Checksum(entry)>>28 != 0; n++ {
+		entry = []byte(fmt.Sprintf(`{"k":"a","e":{"n":%d,"f":0}}`, n))
+	}
+	spaced := AppendRecord(append([]byte(nil), full[:ends[0]]...), entry)
+	spaced[ends[0]+len(entry)+len(trailerMark)] = ' '
 
 	for _, tc := range []struct {
 		name    string
@@ -104,6 +126,9 @@ func TestDecodeKeyed(t *testing.T) {
 		{name: "torn tail", data: full[:len(full)-3], want: firstTwo, rec: Recovery{Torn: true}, cause: "no newline"},
 		{name: "torn at a record boundary", data: full[:ends[2]], want: firstTwo},
 		{name: "crc flip", data: flipped, want: first, rec: Recovery{Torn: true, CRCFail: true}, cause: "crc mismatch"},
+		{name: "uppercase trailer digits", data: upper, want: three},
+		{name: "non-hex trailer digit", data: nonHex, want: first, rec: Recovery{Torn: true}, cause: "no trailer"},
+		{name: "space for a trailer's leading zero", data: spaced, want: map[string]testEntry{}, rec: Recovery{Torn: true}, cause: "no trailer"},
 		{name: "unparseable record after valid ones", data: badRecord, want: firstTwo, rec: Recovery{Torn: true}, cause: "unparseable entry record"},
 		{name: "unparseable legacy document", data: []byte(`{"version":`), rec: Recovery{Legacy: true}, wantErr: "unexpected end"},
 		{name: "no intact record", data: append([]byte(`{"version":1} #c=00000000`), '\n'), rec: Recovery{Torn: true, CRCFail: true}, cause: "crc mismatch", wantErr: "no intact record"},

@@ -203,17 +203,17 @@ func (s *Server) run(job *Job) {
 	runErr := study.ExploreContext(runCtx)
 	s.reg.Gauge("service.sched_cache.entries").Set(float64(s.schedules.Len()))
 
-	report := buildReport(study, sel)
+	// The report is built once, after any reselection: a failed
+	// Reselect leaves the selection as the exploration made it.
 	if runErr == nil {
 		if sel != (dse.SelectionSpec{}) {
 			if err := study.Reselect(sel); err != nil {
-				job.finish(StateFailed, err.Error(), report)
+				job.finish(StateFailed, err.Error(), buildReport(study, sel))
 				return
 			}
-			report = buildReport(study, sel)
 		}
 		s.reg.Counter("service.jobs.done").Inc()
-		job.finish(StateDone, "", report)
+		job.finish(StateDone, "", buildReport(study, sel))
 		return
 	}
 	st := terminalState(context.Cause(job.ctx))
@@ -221,7 +221,7 @@ func (s *Server) run(job *Job) {
 		runErr = fmt.Errorf("job timeout %v exceeded: %w", time.Duration(job.Spec.Timeout), runErr)
 	}
 	s.reg.Counter("service.jobs." + string(st)).Inc()
-	job.finish(st, runErr.Error(), report)
+	job.finish(st, runErr.Error(), buildReport(study, sel))
 }
 
 // terminalState maps a cancellation cause to the job's final state.

@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -11,10 +12,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dse"
 	"repro/internal/faultinject"
 	"repro/internal/jobspec"
 	"repro/internal/obs"
+	"repro/internal/report"
 )
 
 // smallSpec explores 1 bus x 1 ALU x 1 CMP x 6 RF sets x 2 assigns = 12
@@ -242,6 +245,67 @@ func TestSearchJobThroughDaemon(t *testing.T) {
 	}
 	if job.Report() == nil {
 		t.Fatal("search job produced no report")
+	}
+}
+
+// TestCustomSelectionJobsMatchDirectPath submits jobs with non-default
+// norms and weights over HTTP. Each /result must equal the report of
+// the direct path, an exploration reselected under the spec's selection
+// (dse.FromSpec, ExploreContext, Reselect, JSONResult), and each event
+// stream must end with "done". One spec must select another candidate
+// than the default selection does, or a daemon that skipped the
+// reselection would pass.
+func TestCustomSelectionJobsMatchDirectPath(t *testing.T) {
+	srv := NewServer(Options{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	base := jobspec.Spec{Buses: []int{1, 2}, ALUs: []int{1, 2}, CMPs: []int{1}}
+	direct := func(spec jobspec.Spec) *report.JSONResult {
+		t.Helper()
+		cfg, sel, err := dse.FromSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		study := core.NewStudyWithConfig(cfg)
+		if err := study.ExploreContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := study.Reselect(sel); err != nil {
+			t.Fatal(err)
+		}
+		jr, err := study.JSONResult(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return jr
+	}
+	defaultPick := direct(base).Selected
+	moved := false
+	for _, sel := range []jobspec.Spec{
+		{Norm: "manhattan", WA: 2},
+		{Norm: "chebyshev"},
+		{Norm: "chebyshev", WA: 1, WT: 3, WC: 0.5},
+	} {
+		spec := base
+		spec.Norm, spec.WA, spec.WT, spec.WC = sel.Norm, sel.WA, sel.WT, sel.WC
+		id, got, err := httpJob(ts.URL, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jr := direct(spec)
+		want, err := jr.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s (%s wa %g wt %g wc %g): /result differs from the direct path:\n%s\nvs\n%s",
+				id, spec.Norm, spec.WA, spec.WT, spec.WC, got, want)
+		}
+		moved = moved || jr.Selected != defaultPick
+	}
+	if !moved {
+		t.Errorf("every custom selection picks candidate %d, the default's", defaultPick)
 	}
 }
 
