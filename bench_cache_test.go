@@ -90,6 +90,37 @@ func BenchmarkExploreWarmSerial(b *testing.B) { benchExplore(b, 1, true) }
 // the repeated-exploration steady state.
 func BenchmarkExploreWarmParallel(b *testing.B) { benchExplore(b, runtime.GOMAXPROCS(0), true) }
 
+// benchSearch times the guided search of ttabench's search workload
+// (population 64, 8 generations, eta 20, seed 11) on an annotator warmed
+// by one untimed run of it, which the timed runs then share.
+func benchSearch(b *testing.B, parallelism int) {
+	cfg := benchCacheConfig(b)
+	cfg.Parallelism = parallelism
+	cfg.Search = &dse.SearchSpec{Population: 64, Generations: 8, Eta: 20, Seed: 11}
+	cfg.Annotator = testcost.NewAnnotator(cfg.Width, cfg.Seed)
+	if _, err := dse.ExploreContext(context.Background(), cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := dse.ExploreContext(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Selected < 0 {
+			b.Fatal("no selection")
+		}
+	}
+}
+
+// BenchmarkSearchWarmSerial runs the warm guided search on one worker:
+// the screen and the survivors' evaluations in order.
+func BenchmarkSearchWarmSerial(b *testing.B) { benchSearch(b, 1) }
+
+// BenchmarkSearchWarmParallel runs it on GOMAXPROCS workers; its ratio
+// to the serial run shows how well the workers share the screen.
+func BenchmarkSearchWarmParallel(b *testing.B) { benchSearch(b, runtime.GOMAXPROCS(0)) }
+
 // BenchmarkAnnotationColdSingleFlight measures the back-annotation alone
 // (no exploration): distinct components annotated concurrently against
 // one cold annotator, the workload the per-key latch parallelizes.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/testcost"
 	"repro/internal/tta"
 )
 
@@ -205,5 +206,49 @@ func TestExploreContextProgressEvents(t *testing.T) {
 	}
 	if candidates != 2 {
 		t.Fatalf("got %d candidate events, want 2", candidates)
+	}
+}
+
+// TestNoCandidateStartsAfterCancel cancels a serial sweep from its event
+// sink at the k-th candidate event, on an annotator warm enough that a
+// candidate needs no ATPG and may finish from memo and cache hits alone.
+// The worker sees the cancellation before it claims another candidate,
+// so every trial evaluates exactly k candidates and leaves no slot with
+// an error. A worker handed candidates through a channel could still get
+// one after the cancellation, which either ended in a context error or
+// evaluated to completion.
+func TestNoCandidateStartsAfterCancel(t *testing.T) {
+	cfg, err := DefaultConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Buses = []int{1, 2}
+	cfg.ALUCounts = []int{1}
+	cfg.CMPCounts = []int{1}
+	cfg.Parallelism = 1
+	cfg.Annotator = testcost.NewAnnotator(cfg.Width, cfg.Seed)
+	if _, err := ExploreContext(context.Background(), cfg); err != nil {
+		t.Fatal(err) // warms the annotator
+	}
+	const k, trials = 5, 100
+	for trial := 0; trial < trials; trial++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		seen := 0
+		cfg.EventSink = func(ev Event) { // calls are serialized
+			if ev.Kind == EventCandidate {
+				if seen++; seen == k {
+					cancel()
+				}
+			}
+		}
+		_, err := ExploreContext(ctx, cfg)
+		cancel()
+		var pe *PartialError
+		if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("trial %d: err = %v, want a *PartialError for the cancellation", trial, err)
+		}
+		if pe.Evaluated != k || len(pe.Errs) != 0 {
+			t.Fatalf("trial %d: %d evaluated and %d error slots (%v), want %d and none", trial, pe.Evaluated, len(pe.Errs), pe.Errs, k)
+		}
 	}
 }

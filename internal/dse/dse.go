@@ -13,7 +13,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"strconv"
@@ -302,17 +301,19 @@ func ExploreContext(ctx context.Context, cfg Config) (*Result, error) {
 	defer func() {
 		em.emit(Event{Kind: EventDone, N: int(nEvents.Load()), Total: total})
 	}()
+	// Every exit path leaves the worker gauges set: 0 until the workers
+	// run and overwrite them (the screen's only in a search).
+	cfg.Obs.Gauge("dse.worker.utilization").Set(0)
+	if cfg.Search != nil {
+		cfg.Obs.Gauge("dse.search.worker.utilization").Set(0)
+	}
 	if err := cfg.fillDefaults(); err != nil {
-		// No evaluation ran; still publish the gauge so every exit path
-		// leaves "dse.worker.utilization" set.
-		cfg.Obs.Gauge("dse.worker.utilization").Set(0)
 		return nil, err
 	}
 	// Every schedule of the exploration reads one plan of the workload
 	// graph, which NewPlan validates.
 	plan, err := sched.NewPlan(cfg.Workload, sched.CriticalPath)
 	if err != nil {
-		cfg.Obs.Gauge("dse.worker.utilization").Set(0)
 		return nil, fmt.Errorf("dse: malformed workload kernel: %w", err)
 	}
 	reg := cfg.Obs
@@ -336,7 +337,6 @@ func ExploreContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	archs, err := produceArchs(ctx, &cfg, root, memo)
 	if err != nil {
-		cfg.Obs.Gauge("dse.worker.utilization").Set(0)
 		return nil, err
 	}
 	total = len(archs)
@@ -355,7 +355,8 @@ func ExploreContext(ctx context.Context, cfg Config) (*Result, error) {
 		c := &res.Candidates[i]
 		// Fronts are built over candidates that evaluated cleanly:
 		// error'd slots may carry a half-filled evaluation, and
-		// never-started slots (cancelled feed) are zero values.
+		// never-started slots (claimed by no worker before the context
+		// ended) are zero values.
 		if !c.Feasible || errs[i] != nil || c.Arch == nil {
 			continue
 		}
@@ -467,7 +468,7 @@ func partialErrorFor(ctx context.Context, res *Result, errs []error) *PartialErr
 	}
 	if cause == nil {
 		// No context error and no per-candidate error, yet holes remain —
-		// defensive; the feed loop only skips candidates on ctx.Done().
+		// defensive; workers stop claiming candidates only on ctx.Done().
 		cause = fmt.Errorf("dse: %d candidates never evaluated", len(errs)-evaluated)
 	}
 	return &PartialError{
@@ -487,8 +488,10 @@ func partialErrorFor(ctx context.Context, res *Result, errs []error) *PartialErr
 // is not scheduled again. Evaluations recorded in cfg.Checkpoint are
 // restored instead of recomputed, and new completions are recorded
 // back. The workers first run the warm-up stage (warmUp: every schedule
-// and every annotation the candidates will read), then the candidates;
-// a run cancelled during the stage evaluates no candidate. A panicking
+// and every annotation the candidates will read), then claim the
+// candidates by index (forEachIndex), skipping restored ones. A run
+// cancelled during the stage evaluates no candidate, and a worker that
+// sees the context end claims no further candidate. A panicking
 // evaluation is recovered into its own error slot (*EvalPanicError),
 // and a failed warm-up job into the slot of the lowest-index candidate
 // depending on it; the sweep continues. The "dse.worker.utilization"
@@ -500,7 +503,7 @@ func runEvaluations(ctx context.Context, cfg *Config, root *obs.Span, archs []*t
 	errs := make([]error, len(archs))
 
 	// Restore the finished prefix of an interrupted run before spinning
-	// up workers: restored slots never enter the feed. Each restore is
+	// up workers: the workers skip restored slots. Each restore is
 	// announced on the typed stream (kind "restored"), so live-front
 	// consumers of a resumed run see the full picture.
 	restored := make([]bool, len(archs))
@@ -532,13 +535,7 @@ func runEvaluations(ctx context.Context, cfg *Config, root *obs.Span, archs []*t
 		}
 	}()
 
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(archs)-nRestored {
-		workers = len(archs) - nRestored
-	}
+	workers := workerCount(cfg, len(archs)-nRestored)
 	reg.Gauge("dse.workers").Set(float64(workers))
 	evalStart := time.Now()
 	var busyNS, completed atomic.Int64
@@ -554,56 +551,38 @@ func runEvaluations(ctx context.Context, cfg *Config, root *obs.Span, archs []*t
 	if ctx.Err() != nil {
 		return errs
 	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				t0 := time.Now()
-				sp := root.Child("evaluate")
-				if f := handoff[i]; f != nil {
-					res.Candidates[i], errs[i] = Candidate{Arch: archs[i]}, f.report(cfg, em, archs[i])
-				} else {
-					res.Candidates[i], errs[i] = safeEvaluate(ctx, cfg, archs[i], sp, memo, em)
-				}
-				sp.End()
-				busyNS.Add(int64(time.Since(t0)))
-				if errs[i] == nil {
-					if res.Candidates[i].Feasible {
-						reg.Counter("dse.candidates.feasible").Inc()
-					} else {
-						reg.Counter("dse.candidates.infeasible").Inc()
-					}
-					if err := cfg.Checkpoint.record(checkpointKey(archs[i]), &res.Candidates[i]); err != nil {
-						flushWarning(em, err)
-					}
-				}
-				em.emit(Event{
-					Kind:      EventCandidate,
-					Msg:       candidateEventMsg(archs[i], &res.Candidates[i], errs[i]),
-					N:         int(completed.Add(1)),
-					Total:     len(archs),
-					Candidate: candidateUpdate(i, &res.Candidates[i], errs[i]),
-				})
-				nEvents.Add(1)
-			}
-		}()
-	}
-feed:
-	for i := range archs {
+	forEachIndex(ctx, len(archs), workers, func(i int) {
 		if restored[i] {
-			continue
+			return
 		}
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break feed
+		t0 := time.Now()
+		sp := root.Child("evaluate")
+		if f := handoff[i]; f != nil {
+			res.Candidates[i], errs[i] = Candidate{Arch: archs[i]}, f.report(cfg, em, archs[i])
+		} else {
+			res.Candidates[i], errs[i] = safeEvaluate(ctx, cfg, archs[i], sp, memo, em)
 		}
-	}
-	close(next)
-	wg.Wait()
+		sp.End()
+		busyNS.Add(int64(time.Since(t0)))
+		if errs[i] == nil {
+			if res.Candidates[i].Feasible {
+				reg.Counter("dse.candidates.feasible").Inc()
+			} else {
+				reg.Counter("dse.candidates.infeasible").Inc()
+			}
+			if err := cfg.Checkpoint.record(checkpointKey(archs[i]), &res.Candidates[i]); err != nil {
+				flushWarning(em, err)
+			}
+		}
+		em.emit(Event{
+			Kind:      EventCandidate,
+			Msg:       candidateEventMsg(archs[i], &res.Candidates[i], errs[i]),
+			N:         int(completed.Add(1)),
+			Total:     len(archs),
+			Candidate: candidateUpdate(i, &res.Candidates[i], errs[i]),
+		})
+		nEvents.Add(1)
+	})
 	return errs
 }
 

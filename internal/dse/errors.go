@@ -37,7 +37,8 @@ type PartialError struct {
 	Panics    int
 	// Errs maps candidate index to its evaluation error (panics
 	// included, as *EvalPanicError). Candidates missing from both Errs
-	// and the evaluated set were never started (cancelled feed).
+	// and the evaluated set were never started (the context ended
+	// before a worker claimed them).
 	Errs map[int]error
 	// Cause is the context error when the run was cut short by its
 	// context, else the first per-candidate error in candidate order.

@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strconv"
-	"sync"
+	"time"
 
 	"repro/internal/gatelib"
 	"repro/internal/obs"
@@ -293,42 +292,20 @@ type cheapResult struct {
 	feasible bool
 	coords   [3]float64 // area, exec time, bound-tier test cost
 	err      error
+	busy     time.Duration // the measurement's time on its worker
 }
 
 // evalCheap screens one generation on the cheap tier: schedule (shared
 // structural memo, so duplicated structures cost one schedule) plus the
-// annotator's SCOAP-bound cost model. Results are collected by index —
-// deterministic at any parallelism.
+// annotator's SCOAP-bound cost model. Workers claim genomes by index and
+// results are collected by index — deterministic at any parallelism.
 func evalCheap(ctx context.Context, cfg *Config, pop []genome, memo *schedMemo, sp *obs.Span) []cheapResult {
 	out := make([]cheapResult, len(pop))
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pop) {
-		workers = len(pop)
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i] = cheapEvalOne(ctx, cfg, &pop[i], memo, sp)
-			}
-		}()
-	}
-feed:
-	for i := range pop {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
+	forEachIndex(ctx, len(pop), workerCount(cfg, len(pop)), func(i int) {
+		t0 := time.Now()
+		out[i] = cheapEvalOne(ctx, cfg, &pop[i], memo, sp)
+		out[i].busy = time.Since(t0)
+	})
 	return out
 }
 
@@ -455,6 +432,17 @@ func nextGeneration(rng *rand.Rand, pop []genome, order []int, fitness []float64
 // structural evaluation ignores names and port assignment.
 func searchCandidates(ctx context.Context, cfg *Config, sp *obs.Span, spec SearchSpec, memo *schedMemo) ([]*tta.Architecture, error) {
 	reg := cfg.Obs
+	// The screen's worker utilization: busy worker time over workers ×
+	// the screen's wall time, both summed over generations, published on
+	// every exit path of the screen.
+	var busy, capacity time.Duration
+	defer func() {
+		util := 0.0
+		if capacity > 0 {
+			util = float64(busy) / float64(capacity)
+		}
+		reg.Gauge("dse.search.worker.utilization").Set(util)
+	}()
 	rng := rand.New(rand.NewSource(spec.Seed))
 	pop := make([]genome, spec.Population)
 	for i := range pop {
@@ -469,7 +457,12 @@ func searchCandidates(ctx context.Context, cfg *Config, sp *obs.Span, spec Searc
 			return nil, err
 		}
 		genSp := sp.Child("generation")
+		t0 := time.Now()
 		res := evalCheap(ctx, cfg, pop, memo, genSp)
+		capacity += time.Since(t0) * time.Duration(workerCount(cfg, len(pop)))
+		for i := range res {
+			busy += res[i].busy
+		}
 		if err := ctx.Err(); err != nil {
 			genSp.End()
 			return nil, err

@@ -2,6 +2,7 @@ package dse
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -368,5 +369,62 @@ func TestSearchRejectsBadSpec(t *testing.T) {
 		if _, err := ExploreContext(context.Background(), cfg); err == nil {
 			t.Errorf("spec %+v: want configuration error", spec)
 		}
+	}
+}
+
+// TestSearchUtilizationGauge: a search publishes the screen's worker
+// utilization, busy worker time over workers × the screen's wall time,
+// in (0, 1] when it completes and on every other exit path too; a sweep
+// leaves the gauge unset.
+func TestSearchUtilizationGauge(t *testing.T) {
+	const name = "dse.search.worker.utilization"
+	explore := func(ctx context.Context, cfg Config) (map[string]float64, error) {
+		reg := obs.NewRegistry()
+		cfg.Obs = reg
+		_, err := ExploreContext(ctx, cfg)
+		return reg.Snapshot().Gauges, err
+	}
+	ann := testcost.NewAnnotator(16, 7)
+	for _, parallelism := range []int{1, 2} {
+		cfg, err := searchTestConfig(ann, parallelism)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gauges, err := explore(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, ok := gauges[name]
+		if !ok || u <= 0 || u > 1 {
+			t.Errorf("parallelism %d: %s = %v (set %v), want in (0, 1]", parallelism, name, u, ok)
+		}
+		t.Logf("parallelism %d: %s = %.3f", parallelism, name, u)
+	}
+
+	cfg, err := searchTestConfig(ann, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Search.Eta = 1
+	if gauges, err := explore(context.Background(), cfg); err == nil {
+		t.Error("eta 1 accepted")
+	} else if _, ok := gauges[name]; !ok {
+		t.Errorf("%s unset after a configuration error", name)
+	}
+	cfg.Search.Eta = 3
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if gauges, err := explore(ctx, cfg); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled search: err = %v, want context.Canceled", err)
+	} else if _, ok := gauges[name]; !ok {
+		t.Errorf("%s unset after a cancelled search", name)
+	}
+
+	gauges, err := explore(context.Background(), smallConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, ok := gauges[name]; ok {
+		t.Errorf("a sweep set %s to %v", name, g)
 	}
 }
