@@ -258,12 +258,11 @@ func main() {
 		}
 	}
 
-	// Optional re-selection under custom weights/norm/degraded policy.
-	if *normFlag != "euclid" || *wa != 1 || *wt != 1 || *wc != 1 ||
-		(*degradedPolicy != "allow" && *degradedPolicy != "") {
-		if err := study.Reselect(selSpec); err != nil {
-			log.Fatal(err)
-		}
+	// The selection under the flags' norm, weights and degraded policy,
+	// on a full or a partial result alike (the default flags pick what
+	// the exploration picked).
+	if err := study.Reselect(selSpec); err != nil {
+		log.Fatal(err)
 	}
 
 	// With -metrics to stdout the JSON snapshot replaces the default

@@ -12,6 +12,15 @@ import (
 	"repro/internal/obs"
 )
 
+// The run's fixed limits.
+const (
+	// randomDryBlocks stops the random phase after this many consecutive
+	// 64-pattern blocks without a new detection.
+	randomDryBlocks = 2
+	// backtrackLimit aborts a PODEM run after this many backtracks.
+	backtrackLimit = 4000
+)
+
 // Config controls the ATPG driver. The zero value selects sensible
 // defaults; Seed 0 is a valid deterministic seed.
 type Config struct {
@@ -21,14 +30,6 @@ type Config struct {
 	// to whole 64-pattern blocks). Zero selects the default; negative
 	// disables the random phase (PODEM-only, the ablation variant).
 	MaxRandomPatterns int
-	// RandomDryBlocks stops the random phase after this many consecutive
-	// blocks without a new detection (default 2).
-	RandomDryBlocks int
-	// BacktrackLimit aborts a PODEM run after this many backtracks
-	// (default 4000).
-	BacktrackLimit int
-	// SkipPODEM runs only the random phase (coverage will be partial).
-	SkipPODEM bool
 	// SkipCompaction keeps the raw pattern list.
 	SkipCompaction bool
 	// SCOAPGuidance steers PODEM's input choices by controllability cost
@@ -63,12 +64,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxRandomPatterns == 0 {
 		c.MaxRandomPatterns = 1024
-	}
-	if c.RandomDryBlocks == 0 {
-		c.RandomDryBlocks = 2
-	}
-	if c.BacktrackLimit == 0 {
-		c.BacktrackLimit = 4000
 	}
 	return c
 }
@@ -207,7 +202,7 @@ func RunContext(ctx context.Context, n *netlist.Netlist, cfg Config) (*Result, e
 		}
 	}
 
-	if !cfg.SkipPODEM && !bud.expired() {
+	if !bud.expired() {
 		var err error
 		patterns, err = podemTopUp(ctx, sim, u, cfg, rng, detected, res, patterns, m, bud)
 		if err != nil {
@@ -254,7 +249,7 @@ func markRemainingAborted(detected []bool, res *Result) {
 // config). Accepted patterns are fault-dropped in 64-pattern batches by
 // a batchDropper instead of one LoadBlock per pattern.
 func podemTopUp(ctx context.Context, sim *Simulator, u *Universe, cfg Config, rng *rand.Rand, detected []bool, res *Result, patterns []Pattern, m *runMetrics, bud budget) ([]Pattern, error) {
-	eng := newPodem(sim.t, cfg.BacktrackLimit)
+	eng := newPodem(sim.t, backtrackLimit)
 	if cfg.SCOAPGuidance {
 		eng.scoap = ComputeScoap(u.N)
 	}
@@ -454,13 +449,13 @@ func subSeed(seed, sub int64) int64 {
 // randomPhase applies seeded random 64-pattern blocks with fault dropping
 // and returns the patterns that were first detectors of at least one
 // fault, in block and lane order. It stops after MaxRandomPatterns
-// patterns or RandomDryBlocks consecutive blocks without a new detection.
+// patterns or randomDryBlocks consecutive blocks without a new detection.
 func randomPhase(ctx context.Context, sim *Simulator, u *Universe, cfg Config, detected []bool, res *Result, m *runMetrics, bud budget) []Pattern {
 	nCtrl := sim.NumControls()
 	var kept []Pattern
 	dry := 0
 	words := make([]uint64, nCtrl)
-	for sub := int64(0); 64*sub < int64(cfg.MaxRandomPatterns) && dry < cfg.RandomDryBlocks; sub++ {
+	for sub := int64(0); 64*sub < int64(cfg.MaxRandomPatterns) && dry < randomDryBlocks; sub++ {
 		if ctx.Err() != nil || bud.expired() {
 			return kept
 		}

@@ -69,7 +69,7 @@ func TestBatchDropperMatchesPerPatternDrop(t *testing.T) {
 		res := &Result{Netlist: n, TotalFaults: len(u.Faults)}
 		m := &runMetrics{}
 		patterns := randomPhase(context.Background(), sim, u, cfg, detected, res, m, budget{})
-		eng := newPodem(sim.t, cfg.BacktrackLimit)
+		eng := newPodem(sim.t, backtrackLimit)
 		for fi := range u.Faults {
 			if detected[fi] {
 				continue

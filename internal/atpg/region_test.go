@@ -160,7 +160,7 @@ func TestRippleAbortsHaveNoObservableCone(t *testing.T) {
 	detected := make([]bool, len(u.Faults))
 	scratch := &Result{Netlist: n, TotalFaults: len(u.Faults)}
 	randomPhase(context.Background(), newSimulator(topo), u, cfg, detected, scratch, &runMetrics{}, budget{})
-	eng := newPodem(topo, cfg.BacktrackLimit)
+	eng := newPodem(topo, backtrackLimit)
 	var aborted []Fault
 	for fi, f := range u.Faults {
 		if detected[fi] {

@@ -172,7 +172,7 @@ func TestScoapPredictsRandomPatternResistance(t *testing.T) {
 	sim := NewSimulator(n)
 	detected := make([]bool, len(u.Faults))
 	res := &Result{Netlist: n, TotalFaults: len(u.Faults)}
-	randomPhase(context.Background(), sim, u, Config{Seed: 7, MaxRandomPatterns: 256, RandomDryBlocks: 2}, detected, res, &runMetrics{}, budget{})
+	randomPhase(context.Background(), sim, u, Config{Seed: 7, MaxRandomPatterns: 256}, detected, res, &runMetrics{}, budget{})
 
 	var easySum, hardSum float64
 	var easyN, hardN int

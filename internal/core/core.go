@@ -28,6 +28,8 @@ import (
 // Study bundles one exploration run and its back-annotation state. The
 // zero value is not usable; construct with NewStudy or NewStudyWithConfig.
 type Study struct {
+	// Config is the exploration's input; Result.Config is the same
+	// config with its defaults filled in, the annotator included.
 	Config dse.Config
 	Result *dse.Result
 }
@@ -57,13 +59,6 @@ func NewStudyWithConfig(cfg dse.Config) *Study {
 func (s *Study) ExploreContext(ctx context.Context) error {
 	if s.Result != nil {
 		return nil
-	}
-	if s.Config.Annotator == nil {
-		w := s.Config.Width
-		if w == 0 {
-			w = 16
-		}
-		s.Config.Annotator = testcost.NewAnnotator(w, s.Config.Seed)
 	}
 	res, err := dse.ExploreContext(ctx, s.Config)
 	if res != nil && (err == nil || res.Selected >= 0) {
@@ -201,7 +196,7 @@ func (s *Study) Table1() (*report.Table, error) {
 	if err := s.ensure(); err != nil {
 		return nil, err
 	}
-	return Table1For(s.Config.Annotator, s.SelectedArchitecture())
+	return Table1For(s.Result.Config.Annotator, s.SelectedArchitecture())
 }
 
 // Table1For renders a Table-1 comparison for any architecture.

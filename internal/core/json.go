@@ -23,20 +23,15 @@ func (s *Study) JSONResult(spec dse.SelectionSpec) (*report.JSONResult, error) {
 	}
 	r := s.Result
 	out := &report.JSONResult{
-		Width:      s.Config.Width,
-		Seed:       s.Config.Seed,
+		Workload:   r.Config.Workload.Name,
+		Width:      r.Config.Width,
+		Seed:       r.Config.Seed,
 		Candidates: make([]report.JSONCandidate, len(r.Candidates)),
 		Feasible:   append([]int{}, r.Feasible...),
 		Front2D:    append([]int{}, r.Front2D...),
 		Front3D:    append([]int{}, r.Front3D...),
 		Selected:   r.Selected,
 		Verified:   r.Verified,
-	}
-	if s.Config.Workload != nil {
-		out.Workload = s.Config.Workload.Name
-	}
-	if out.Width == 0 {
-		out.Width = 16
 	}
 	for i := range r.Candidates {
 		out.Candidates[i] = r.Candidates[i].Record(i)

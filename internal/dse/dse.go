@@ -41,7 +41,8 @@ type RFSpec struct {
 func (r RFSpec) String() string { return fmt.Sprintf("%dx(%dw%dr)", r.Regs, r.In, r.Out) }
 
 // Config spans the explored space. Zero-value fields take the defaults of
-// DefaultConfig.
+// DefaultConfig, except Seed: 0 is a valid ATPG seed and is used as given
+// (DefaultConfig sets 7).
 type Config struct {
 	Width int
 	Seed  int64
@@ -139,38 +140,44 @@ type Config struct {
 
 // DefaultConfig returns the exploration used for the paper's figures: the
 // crypt round kernel over 1-4 buses, 1-3 ALUs, 1-2 comparators and six
-// register-file arrangements.
+// register-file arrangements, with ATPG seed 7.
 func DefaultConfig() (Config, error) {
-	kernel, err := crypt.BuildCryptKernel(1)
-	if err != nil {
+	cfg := Config{Seed: 7}
+	if err := cfg.fillSpace(); err != nil {
 		return Config{}, err
 	}
-	return Config{
-		Width:     16,
-		Seed:      7,
-		Buses:     []int{1, 2, 3, 4},
-		ALUCounts: []int{1, 2, 3},
-		CMPCounts: []int{1, 2},
-		RFSets: [][]RFSpec{
+	return cfg, nil
+}
+
+// fillSpace gives each zero field of the explored space the paper's value:
+// width 16, 1-4 buses, 1-3 ALUs, 1-2 comparators, six register-file
+// arrangements, both assignment strategies, and the crypt round kernel
+// scaled to the full hash. It builds the kernel only when Workload is nil.
+func (c *Config) fillSpace() error {
+	if c.Width == 0 {
+		c.Width = 16
+	}
+	if len(c.Buses) == 0 {
+		c.Buses = []int{1, 2, 3, 4}
+	}
+	if len(c.ALUCounts) == 0 {
+		c.ALUCounts = []int{1, 2, 3}
+	}
+	if len(c.CMPCounts) == 0 {
+		c.CMPCounts = []int{1, 2}
+	}
+	if len(c.RFSets) == 0 {
+		c.RFSets = [][]RFSpec{
 			{{8, 1, 1}, {8, 1, 1}},
 			{{8, 1, 1}, {12, 1, 1}},
 			{{8, 1, 2}, {12, 1, 1}},
 			{{12, 1, 2}, {12, 1, 2}},
 			{{16, 1, 2}},
 			{{16, 2, 2}, {16, 1, 2}},
-		},
-		Assigns:      []tta.AssignStrategy{tta.SpreadFirst, tta.Packed},
-		Workload:     kernel,
-		WorkloadReps: crypt.RoundsPerHash,
-	}, nil
-}
-
-func (c *Config) fillDefaults() error {
-	if c.Parallelism < 0 {
-		return fmt.Errorf("dse: Parallelism %d is negative (use 0 for GOMAXPROCS)", c.Parallelism)
+		}
 	}
-	if c.Width == 0 {
-		c.Width = 16
+	if len(c.Assigns) == 0 {
+		c.Assigns = []tta.AssignStrategy{tta.SpreadFirst, tta.Packed}
 	}
 	if c.Workload == nil {
 		k, err := crypt.BuildCryptKernel(1)
@@ -180,23 +187,20 @@ func (c *Config) fillDefaults() error {
 		c.Workload = k
 		c.WorkloadReps = crypt.RoundsPerHash
 	}
-	if len(c.Assigns) == 0 {
-		c.Assigns = []tta.AssignStrategy{tta.SpreadFirst}
-	}
 	if c.WorkloadReps == 0 {
 		c.WorkloadReps = 1
 	}
-	if len(c.Buses) == 0 {
-		c.Buses = []int{1, 2, 3, 4}
+	return nil
+}
+
+// fillDefaults fills the zero space fields (fillSpace) and builds the
+// annotator when the config carries none.
+func (c *Config) fillDefaults() error {
+	if c.Parallelism < 0 {
+		return fmt.Errorf("dse: Parallelism %d is negative (use 0 for GOMAXPROCS)", c.Parallelism)
 	}
-	if len(c.ALUCounts) == 0 {
-		c.ALUCounts = []int{1, 2}
-	}
-	if len(c.CMPCounts) == 0 {
-		c.CMPCounts = []int{1}
-	}
-	if len(c.RFSets) == 0 {
-		c.RFSets = [][]RFSpec{{{8, 1, 1}, {12, 1, 1}}}
+	if err := c.fillSpace(); err != nil {
+		return err
 	}
 	if c.Annotator == nil {
 		c.Annotator = testcost.NewAnnotator(c.Width, c.Seed)

@@ -2,6 +2,7 @@ package dse
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -347,5 +348,42 @@ func TestParallelExplorationMatchesSerial(t *testing.T) {
 		if a.Area != b.Area || a.Cycles != b.Cycles || a.TestCost != b.TestCost || a.Feasible != b.Feasible {
 			t.Fatalf("candidate %d differs between serial and parallel runs", i)
 		}
+	}
+}
+
+// TestZeroConfigIsDefaultSpace checks the one table of the paper's
+// space: a zero Config fills to DefaultConfig's space and enumerates the
+// same 288 candidates, while its Seed stays 0 (a valid ATPG seed).
+func TestZeroConfigIsDefaultSpace(t *testing.T) {
+	def, err := DefaultConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var zero Config
+	if err := zero.fillDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	names := func(cfg *Config) []string {
+		t.Helper()
+		archs, err := produceArchs(context.Background(), cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(archs))
+		for i, a := range archs {
+			out[i] = a.Name
+		}
+		return out
+	}
+	got, want := names(&zero), names(&def)
+	if len(want) != 288 || !slices.Equal(got, want) {
+		t.Fatalf("zero config enumerates %d candidates, DefaultConfig %d (want 288, equal names)", len(got), len(want))
+	}
+	if zero.Width != def.Width || zero.WorkloadReps != def.WorkloadReps || zero.Workload.Name != def.Workload.Name {
+		t.Fatalf("zero config fills width %d, reps %d, workload %q; DefaultConfig has %d, %d, %q",
+			zero.Width, zero.WorkloadReps, zero.Workload.Name, def.Width, def.WorkloadReps, def.Workload.Name)
+	}
+	if zero.Seed != 0 || def.Seed != 7 {
+		t.Fatalf("seeds %d and %d, want 0 kept and DefaultConfig's 7", zero.Seed, def.Seed)
 	}
 }

@@ -66,28 +66,13 @@ func NewLDST(width int) (*Component, error) {
 	loadT := b.Input("load_t")
 	memRData := b.InputBus("mem_rdata", width)
 
-	oq := make([]netlist.Net, width)
-	for i := 0; i < width; i++ {
-		q, ff := b.FFDecl(bitName(name, "A", i), false)
-		b.SetD(ff, b.Mux(loadO, q, busO[i]))
-		oq[i] = q
-	}
-	tq := make([]netlist.Net, width)
-	for i := 0; i < width; i++ {
-		q, ff := b.FFDecl(bitName(name, "D", i), false)
-		b.SetD(ff, b.Mux(loadT, q, busT[i]))
-		tq[i] = q
-	}
+	oq := loadReg(b, name, "A", loadO, busO)
+	tq := loadReg(b, name, "D", loadT, busT)
 	stq, stFF := b.FFDecl(name+".ST", false)
 	b.SetD(stFF, b.Mux(loadT, stq, isStore))
 	vt := b.DFF(name+".VT", loadT, false)
 
-	rq := make([]netlist.Net, width)
-	for i := 0; i < width; i++ {
-		q, ff := b.FFDecl(bitName(name, "R", i), false)
-		b.SetD(ff, b.Mux(vt, q, memRData[i]))
-		rq[i] = q
-	}
+	rq := loadReg(b, name, "R", vt, memRData)
 	rv := b.DFF(name+".RV", b.And(vt, b.Not(stq)), false)
 
 	// Store: address from the operand register; load: address from the
@@ -124,13 +109,7 @@ func NewIMM(width int) (*Component, error) {
 	b := netlist.NewBuilder(name)
 	field := b.InputBus("imm_field", width)
 	load := b.Input("load")
-	q := make([]netlist.Net, width)
-	for i := 0; i < width; i++ {
-		qi, ff := b.FFDecl(bitName(name, "I", i), false)
-		b.SetD(ff, b.Mux(load, qi, field[i]))
-		q[i] = qi
-	}
-	b.OutputBus("imm_out", q)
+	b.OutputBus("imm_out", loadReg(b, name, "I", load, field))
 	seq, err := b.Build()
 	if err != nil {
 		return nil, err

@@ -39,26 +39,11 @@ func buildPipelinedWrapper(name string, width, opBits int, core coreFn) (*netlis
 	loadT := b.Input("load_t")
 
 	// Operand register with load enable: O <- bus_o when load_o.
-	oq := make([]netlist.Net, width)
-	for i := 0; i < width; i++ {
-		q, ff := b.FFDecl(bitName(name, "O", i), false)
-		b.SetD(ff, b.Mux(loadO, q, busO[i]))
-		oq[i] = q
-	}
+	oq := loadReg(b, name, "O", loadO, busO)
 	// Trigger register: T <- bus_t when load_t.
-	tq := make([]netlist.Net, width)
-	for i := 0; i < width; i++ {
-		q, ff := b.FFDecl(bitName(name, "T", i), false)
-		b.SetD(ff, b.Mux(loadT, q, busT[i]))
-		tq[i] = q
-	}
+	tq := loadReg(b, name, "T", loadT, busT)
 	// Opcode latched with the trigger.
-	opq := make([]netlist.Net, opBits)
-	for i := 0; i < opBits; i++ {
-		q, ff := b.FFDecl(bitName(name, "OP", i), false)
-		b.SetD(ff, b.Mux(loadT, q, opIn[i]))
-		opq[i] = q
-	}
+	opq := loadReg(b, name, "OP", loadT, opIn)
 	// Stage control: VT marks "operation triggered last cycle".
 	vt := b.DFF(name+".VT", loadT, false)
 
@@ -66,17 +51,25 @@ func buildPipelinedWrapper(name string, width, opBits int, core coreFn) (*netlis
 
 	// Result register loads the core output one cycle after the trigger
 	// (relation (3): C(R) - C(T) >= 1).
-	rq := make([]netlist.Net, width)
-	for i := 0; i < width; i++ {
-		q, ff := b.FFDecl(bitName(name, "R", i), false)
-		b.SetD(ff, b.Mux(vt, q, res[i]))
-		rq[i] = q
-	}
+	rq := loadReg(b, name, "R", vt, res)
 	rv := b.DFF(name+".RV", vt, false)
 
 	b.OutputBus("r_out", rq)
 	b.Output("r_valid", rv)
 	return b.Build()
+}
+
+// loadReg declares the register comp.reg[0..len(d)-1] with a load enable:
+// bit i takes d[i] on a clock edge with load high and keeps its value
+// otherwise. It returns the Q nets.
+func loadReg(b *netlist.Builder, comp, reg string, load netlist.Net, d []netlist.Net) []netlist.Net {
+	q := make([]netlist.Net, len(d))
+	for i := range d {
+		qi, ff := b.FFDecl(bitName(comp, reg, i), false)
+		b.SetD(ff, b.Mux(load, qi, d[i]))
+		q[i] = qi
+	}
+	return q
 }
 
 func bitName(comp, reg string, i int) string {

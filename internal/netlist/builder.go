@@ -191,6 +191,37 @@ func (b *Builder) MuxBus(sel Net, a0, a1 []Net) []Net {
 	return out
 }
 
+// Gate emits a gate of type t over the inputs through the matching typed
+// constructor above and returns its output net. Const0 and Const1 take no
+// inputs, Buf and Not one, Mux2 three (select, a0, a1). Instantiate and
+// scan insertion copy netlists gate by gate through it.
+func (b *Builder) Gate(t GateType, in ...Net) Net {
+	switch t {
+	case Const0:
+		return b.Const(false)
+	case Const1:
+		return b.Const(true)
+	case Buf:
+		return b.Buf(in[0])
+	case Not:
+		return b.Not(in[0])
+	case And:
+		return b.And(in...)
+	case Or:
+		return b.Or(in...)
+	case Nand:
+		return b.Nand(in...)
+	case Nor:
+		return b.Nor(in...)
+	case Xor:
+		return b.Xor(in...)
+	case Xnor:
+		return b.Xnor(in...)
+	default: // Mux2
+		return b.Mux(in[0], in[1], in[2])
+	}
+}
+
 // Wire forward-declares a net whose driver is connected later with Drive —
 // the mechanism for assembling mutually referential structures (buses
 // reading component outputs that themselves sample the buses through

@@ -42,7 +42,7 @@ func Instantiate(b *Builder, sub *Netlist, prefix string, inputs map[string][]Ne
 			}
 			ins[k] = remap[in]
 		}
-		remap[g.Out] = emitGateInto(b, g.Type, ins)
+		remap[g.Out] = b.Gate(g.Type, ins...)
 	}
 	for i, ff := range sub.FFs {
 		d := remap[ff.D]
@@ -64,31 +64,4 @@ func Instantiate(b *Builder, sub *Netlist, prefix string, inputs map[string][]Ne
 		out[p.Name] = nets
 	}
 	return out, nil
-}
-
-func emitGateInto(b *Builder, t GateType, in []Net) Net {
-	switch t {
-	case Const0:
-		return b.Const(false)
-	case Const1:
-		return b.Const(true)
-	case Buf:
-		return b.Buf(in[0])
-	case Not:
-		return b.Not(in[0])
-	case And:
-		return b.And(in...)
-	case Or:
-		return b.Or(in...)
-	case Nand:
-		return b.Nand(in...)
-	case Nor:
-		return b.Nor(in...)
-	case Xor:
-		return b.Xor(in...)
-	case Xnor:
-		return b.Xnor(in...)
-	default: // Mux2
-		return b.Mux(in[0], in[1], in[2])
-	}
 }

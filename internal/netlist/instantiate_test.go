@@ -191,3 +191,55 @@ func TestInstantiatePreservesFFInit(t *testing.T) {
 		t.Fatal("flip-flop name not prefixed")
 	}
 }
+
+// TestGateCopiesEveryType copies a netlist holding one gate of every type
+// through Instantiate, which emits each gate with Builder.Gate: the copy
+// drives each output bit y[i] with a gate of type i, as the source does,
+// and has the same truth table.
+func TestGateCopiesEveryType(t *testing.T) {
+	b := NewBuilder("all")
+	x := b.InputBus("x", 3)
+	b.OutputBus("y", []Net{
+		b.Const(false), b.Const(true), b.Buf(x[0]), b.Not(x[0]),
+		b.And(x...), b.Or(x...), b.Nand(x...), b.Nor(x...), b.Xor(x...), b.Xnor(x...),
+		b.Mux(x[0], x[1], x[2]),
+	})
+	src, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb := NewBuilder("copy")
+	outs, err := Instantiate(cb, src, "u", map[string][]Net{"x": cb.InputBus("x", 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb.OutputBus("y", outs["y"])
+	cp, err := cb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cp.Gates) != int(numGateTypes) {
+		t.Fatalf("copy has %d gates, want one of each of %d types", len(cp.Gates), numGateTypes)
+	}
+	gateOf := func(n *Netlist, i int) GateType {
+		return n.Gates[n.Driver(n.OutputPorts[0].Nets[i]).Index].Type
+	}
+	for i := 0; i < int(numGateTypes); i++ {
+		if got, want := gateOf(cp, i), GateType(i); got != want || gateOf(src, i) != want {
+			t.Errorf("y[%d] driven by %s in the copy, want %s", i, got, want)
+		}
+	}
+	for v := uint64(0); v < 8; v++ {
+		want, err := EvalFunc(src, map[string]uint64{"x": v}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := EvalFunc(cp, map[string]uint64{"x": v}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got["y"] != want["y"] {
+			t.Errorf("x=%03b: copy gives y=%#x, source %#x", v, got["y"], want["y"])
+		}
+	}
+}

@@ -110,8 +110,7 @@ func Insert(src *netlist.Netlist) (*Inserted, error) {
 			}
 			ins[k] = remap[in]
 		}
-		out := emitGate(b, g.Type, ins)
-		remap[g.Out] = out
+		remap[g.Out] = b.Gate(g.Type, ins...)
 	}
 
 	// Thread the chain: FF i's scan input is FF i-1's Q (or scan_in).
@@ -144,33 +143,6 @@ func Insert(src *netlist.Netlist) (*Inserted, error) {
 		return nil, err
 	}
 	return &Inserted{N: n, Order: order}, nil
-}
-
-func emitGate(b *netlist.Builder, t netlist.GateType, in []netlist.Net) netlist.Net {
-	switch t {
-	case netlist.Const0:
-		return b.Const(false)
-	case netlist.Const1:
-		return b.Const(true)
-	case netlist.Buf:
-		return b.Buf(in[0])
-	case netlist.Not:
-		return b.Not(in[0])
-	case netlist.And:
-		return b.And(in...)
-	case netlist.Or:
-		return b.Or(in...)
-	case netlist.Nand:
-		return b.Nand(in...)
-	case netlist.Nor:
-		return b.Nor(in...)
-	case netlist.Xor:
-		return b.Xor(in...)
-	case netlist.Xnor:
-		return b.Xnor(in...)
-	default: // Mux2
-		return b.Mux(in[0], in[1], in[2])
-	}
 }
 
 // Harness drives a scan-inserted netlist: shift in a state, capture, shift

@@ -203,15 +203,18 @@ func (s *Server) run(job *Job) {
 	runErr := study.ExploreContext(runCtx)
 	s.reg.Gauge("service.sched_cache.entries").Set(float64(s.schedules.Len()))
 
-	// The report is built once, after any reselection: a failed
-	// Reselect leaves the selection as the exploration made it.
-	if runErr == nil {
-		if sel != (dse.SelectionSpec{}) {
-			if err := study.Reselect(sel); err != nil {
-				job.finish(StateFailed, err.Error(), buildReport(study, sel))
-				return
-			}
+	// Whatever the exploration's outcome, a result it kept is reselected
+	// under the job's selection before the report is built once, so the
+	// report's selected candidate is the one its selection block names.
+	// A failed Reselect fails the job and leaves the exploration's own
+	// selection, labelled as the default.
+	if study.Result != nil {
+		if err := study.Reselect(sel); err != nil {
+			job.finish(StateFailed, err.Error(), buildReport(study, dse.SelectionSpec{}))
+			return
 		}
+	}
+	if runErr == nil {
 		s.reg.Counter("service.jobs.done").Inc()
 		job.finish(StateDone, "", buildReport(study, sel))
 		return

@@ -17,6 +17,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/jobspec"
 	"repro/internal/obs"
+	"repro/internal/pareto"
 	"repro/internal/report"
 )
 
@@ -306,6 +307,49 @@ func TestCustomSelectionJobsMatchDirectPath(t *testing.T) {
 	}
 	if !moved {
 		t.Errorf("every custom selection picks candidate %d, the default's", defaultPick)
+	}
+}
+
+// TestFailedJobReportsItsSelection fails a custom-selection job with one
+// injected candidate error. Its report must still pick what it says it
+// picks: the selected candidate is the argmin of the report's own
+// selection norm and weights over the report's own 3-D front. (The
+// failed exploration used to keep its default equal-weight Euclid pick
+// under the job's manhattan label.)
+func TestFailedJobReportsItsSelection(t *testing.T) {
+	inj := faultinject.New(1)
+	inj.Arm(faultinject.DSEEval, faultinject.Plan{Mode: faultinject.ModeError, Every: 5, Limit: 1})
+	srv := NewServer(Options{Inject: inj})
+	job, err := srv.Submit(jobspec.Spec{
+		Buses: []int{1, 2}, ALUs: []int{1, 2}, CMPs: []int{1}, Parallelism: 1,
+		Norm: "manhattan", WA: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, job); st != StateFailed {
+		t.Fatalf("job ended %s, want failed", st)
+	}
+	var jr report.JSONResult
+	if err := json.Unmarshal(job.Report(), &jr); err != nil {
+		t.Fatalf("report: %v", err)
+	}
+	sel := jr.Selection
+	if sel == nil || sel.Norm != "manhattan" || sel.WA != 2 || sel.WT != 0 || sel.WC != 0 {
+		t.Fatalf("selection block %+v, want the job's manhattan with wa 2", sel)
+	}
+	var pts []pareto.Point
+	for _, i := range jr.Front3D {
+		c := &jr.Candidates[i]
+		pts = append(pts, pareto.Point{ID: i, Coords: []float64{c.Area, c.ExecTime, float64(c.TestCost)}})
+	}
+	best, err := pareto.Select(pts, []float64{sel.WA, sel.WT, sel.WC}, pareto.Manhattan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := pts[best].ID; jr.Selected != want || sel.Index != want {
+		t.Fatalf("report selects %d (selection block %d); its manhattan wa 2 argmin over front3d %v is %d",
+			jr.Selected, sel.Index, jr.Front3D, want)
 	}
 }
 

@@ -17,6 +17,11 @@ import (
 type Instance struct {
 	res  *sched.Result
 	opts Options
+	// once marks the instance Run executes: its trace lines carry no
+	// iteration number, and under opts.Verify every transported value
+	// is checked against ref, the reference evaluation of the graph.
+	once bool
+	ref  []uint64
 
 	rfData  map[int][]uint64
 	fus     map[int]*fuState
@@ -35,12 +40,18 @@ func NewInstance(res *sched.Result, opts Options) (*Instance, error) {
 	if opts.Verify {
 		return nil, fmt.Errorf("sim: Verify is per-run; unsupported on persistent instances")
 	}
+	return newInstance(res, opts, program.Memory{}), nil
+}
+
+// newInstance builds the register files, function units and per-cycle
+// move groups of the schedule over the memory mem.
+func newInstance(res *sched.Result, opts Options, mem program.Memory) *Instance {
 	in := &Instance{
 		res:     res,
 		opts:    opts,
 		rfData:  map[int][]uint64{},
 		fus:     map[int]*fuState{},
-		Mem:     program.Memory{},
+		Mem:     mem,
 		byCycle: map[int][]sched.Move{},
 		mask:    uint64(1)<<uint(res.Graph.Width) - 1,
 	}
@@ -58,7 +69,7 @@ func NewInstance(res *sched.Result, opts Options) (*Instance, error) {
 			in.maxCyc = m.Cycle
 		}
 	}
-	return in, nil
+	return in
 }
 
 // SeedInputs writes the program inputs into their registers (once, before
@@ -113,6 +124,10 @@ func (in *Instance) RunIteration() error {
 		move  sched.Move
 		value uint64
 	}
+	var iter string
+	if in.opts.Trace != nil && !in.once {
+		iter = fmt.Sprintf("iter %3d ", in.Iterations)
+	}
 	for cycle := 0; cycle <= in.maxCyc; cycle++ {
 		moves := in.byCycle[cycle]
 		if len(moves) == 0 {
@@ -127,9 +142,15 @@ func (in *Instance) RunIteration() error {
 			if err != nil {
 				return err
 			}
+			if in.opts.Verify && m.Val != program.NoValue {
+				if want := in.ref[m.Val]; v != want {
+					return fmt.Errorf("sim: cycle %d move %v transports %#x, reference value %d is %#x",
+						cycle, m, v, m.Val, want)
+				}
+			}
 			if in.opts.Trace != nil {
 				in.opts.Trace.Lines = append(in.opts.Trace.Lines,
-					fmt.Sprintf("iter %3d cycle %4d: %v = %#04x", in.Iterations, cycle, m, v))
+					fmt.Sprintf("%scycle %4d: %v = %#04x", iter, cycle, m, v))
 			}
 			commits = append(commits, commit{move: m, value: v})
 		}

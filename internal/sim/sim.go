@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/obs"
 	"repro/internal/program"
@@ -50,131 +51,34 @@ type Options struct {
 
 // Run executes the schedule with the given program inputs and memory
 // image, returning the program outputs. The memory map is mutated by
-// stores (pass a copy to keep the original).
+// stores (pass a copy to keep the original). It is one iteration of an
+// Instance over mem, with the reference values computed before the inputs
+// are seeded when opts.Verify is set.
 func Run(res *sched.Result, inputs []uint64, mem program.Memory, opts Options) ([]uint64, error) {
-	g := res.Graph
-	arch := res.Arch
 	if mem == nil {
 		mem = program.Memory{}
 	}
-	mask := uint64(1)<<uint(g.Width) - 1
-
-	var refVals []uint64
+	in := newInstance(res, opts, mem)
+	in.once = true
 	if opts.Verify {
-		rv, err := referenceValues(g, inputs, cloneMem(mem))
+		ref, err := referenceValues(res.Graph, inputs, maps.Clone(mem))
 		if err != nil {
 			return nil, err
 		}
-		refVals = rv
+		in.ref = ref
 	}
-
-	// Register files.
-	rfData := make(map[int][]uint64)
-	for ci := range arch.Components {
-		if arch.Components[ci].Kind == tta.RF {
-			rfData[ci] = make([]uint64, arch.Components[ci].NumRegs)
-		}
+	if err := in.SeedInputs(inputs); err != nil {
+		return nil, err
 	}
-	// Seed program inputs into their allocated registers.
-	inIdx := 0
-	for i, op := range g.Ops {
-		if op.Op != program.Input {
-			continue
-		}
-		if inIdx >= len(inputs) {
-			return nil, fmt.Errorf("sim: %d inputs supplied, program needs more", len(inputs))
-		}
-		loc, ok := res.InputLoc[program.ValueID(i)]
-		if !ok {
-			return nil, fmt.Errorf("sim: input %d has no register allocation", i)
-		}
-		rfData[loc.RF][loc.Reg] = inputs[inIdx] & mask
-		inIdx++
+	if err := in.RunIteration(); err != nil {
+		return nil, err
 	}
-	if inIdx != len(inputs) {
-		return nil, fmt.Errorf("sim: %d inputs supplied, program declares %d", len(inputs), inIdx)
-	}
-
-	fus := make(map[int]*fuState)
-	for ci := range arch.Components {
-		switch arch.Components[ci].Kind {
-		case tta.ALU, tta.CMP, tta.LDST:
-			fus[ci] = &fuState{}
-		}
-	}
-
-	// Group moves by cycle (they arrive sorted).
-	byCycle := make(map[int][]sched.Move)
-	maxCycle := 0
-	for _, m := range res.Moves {
-		byCycle[m.Cycle] = append(byCycle[m.Cycle], m)
-		if m.Cycle > maxCycle {
-			maxCycle = m.Cycle
-		}
-	}
-
-	type commit struct {
-		move  sched.Move
-		value uint64
-	}
-	for cycle := 0; cycle <= maxCycle; cycle++ {
-		moves := byCycle[cycle]
-		if len(moves) == 0 {
-			continue
-		}
-		if len(moves) > arch.Buses {
-			return nil, fmt.Errorf("sim: cycle %d schedules %d moves on %d buses", cycle, len(moves), arch.Buses)
-		}
-		// Sample all sources against pre-cycle state.
-		commits := make([]commit, 0, len(moves))
-		for _, m := range moves {
-			v, err := sampleSource(arch, rfData, fus, m, cycle)
-			if err != nil {
-				return nil, err
-			}
-			if opts.Verify && m.Val != program.NoValue {
-				if want := refVals[m.Val]; v != want {
-					return nil, fmt.Errorf("sim: cycle %d move %v transports %#x, reference value %d is %#x",
-						cycle, m, v, m.Val, want)
-				}
-			}
-			if opts.Trace != nil {
-				opts.Trace.Lines = append(opts.Trace.Lines,
-					fmt.Sprintf("cycle %4d: %v = %#04x", cycle, m, v))
-			}
-			commits = append(commits, commit{move: m, value: v})
-		}
-		// Commit all destinations.
-		for _, c := range commits {
-			if err := commitDest(g, arch, rfData, fus, mem, c.move, c.value, cycle, mask, opts.ExecOverride); err != nil {
-				return nil, err
-			}
-		}
-	}
-
 	if r := opts.Obs; r != nil {
 		r.Counter("sim.runs").Inc()
-		r.Counter("sim.cycles").Add(int64(maxCycle + 1))
+		r.Counter("sim.cycles").Add(int64(in.maxCyc + 1))
 		r.Counter("sim.moves").Add(int64(len(res.Moves)))
 	}
-
-	out := make([]uint64, len(g.Outputs))
-	for i, o := range g.Outputs {
-		loc, ok := res.RegAlloc[o]
-		if !ok {
-			return nil, fmt.Errorf("sim: output value %d was never written back", o)
-		}
-		out[i] = rfData[loc.RF][loc.Reg]
-	}
-	return out, nil
-}
-
-func cloneMem(m program.Memory) program.Memory {
-	c := make(program.Memory, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
+	return in.ReadOutputs()
 }
 
 // referenceValues evaluates every op of the graph (not only outputs).

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"context"
+	"maps"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/program"
@@ -202,5 +205,88 @@ func TestTraceProducesLines(t *testing.T) {
 	}
 	if len(tr.Lines) != len(res.Moves) {
 		t.Fatalf("trace has %d lines for %d moves", len(tr.Lines), len(res.Moves))
+	}
+}
+
+// TestRunIsOneInstanceIteration checks that Run executes exactly one
+// iteration of an instance: the same outputs and stores, and Run's trace
+// is the instance's first iteration without its iteration number.
+func TestRunIsOneInstanceIteration(t *testing.T) {
+	g := program.NewGraph("memprog", 16)
+	a := g.In()
+	base := g.ConstV(0x100)
+	v := g.Load(base)
+	g.Store(g.Add(base, g.ConstV(1)), g.Add(v, a))
+	g.Output(g.Xor(v, a))
+	res, err := sched.ScheduleContext(context.Background(), g, arch(2), sched.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := []uint64{0x1234}
+
+	runTr := &Trace{}
+	runMem := program.Memory{0x100: 0x00FE}
+	got, err := Run(res, inputs, runMem, Options{Trace: runTr})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	instTr := &Trace{}
+	in, err := NewInstance(res, Options{Trace: instTr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Mem[0x100] = 0x00FE
+	if err := in.SeedInputs(inputs); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.RunIteration(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := in.ReadOutputs()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if !slices.Equal(got, want) || !maps.Equal(runMem, in.Mem) {
+		t.Fatalf("Run gave %#x with memory %v, the instance %#x with %v", got, runMem, want, in.Mem)
+	}
+	if len(runTr.Lines) != len(res.Moves) || len(instTr.Lines) != len(res.Moves) {
+		t.Fatalf("traces have %d and %d lines for %d moves", len(runTr.Lines), len(instTr.Lines), len(res.Moves))
+	}
+	for i, line := range instTr.Lines {
+		if !strings.HasPrefix(line, "iter   0 cycle ") || runTr.Lines[i] != strings.TrimPrefix(line, "iter   0 ") {
+			t.Fatalf("trace line %d: Run %q, instance %q", i, runTr.Lines[i], line)
+		}
+	}
+}
+
+// TestVerifyCatchesWrongTransport corrupts every ALU result through
+// ExecOverride: Verify must stop at the first move that carries it, and
+// without Verify the run completes with the wrong output.
+func TestVerifyCatchesWrongTransport(t *testing.T) {
+	g := program.NewGraph("v", 16)
+	a := g.In()
+	b := g.In()
+	g.Output(g.Xor(g.Add(a, b), b))
+	res, err := sched.ScheduleContext(context.Background(), g, arch(2), sched.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flip := func(_ int, op program.OpCode, o, x uint64) (uint64, bool) {
+		r, err := program.EvalBinary(op, o, x, 16)
+		return r ^ 1, err == nil
+	}
+	inputs := []uint64{0x1111, 0x2222}
+	if _, err := Run(res, inputs, nil, Options{Verify: true, ExecOverride: flip}); err == nil ||
+		!strings.Contains(err.Error(), "reference value") {
+		t.Fatalf("Verify let a corrupted result through: err = %v", err)
+	}
+	out, err := Run(res, inputs, nil, Options{ExecOverride: flip})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64((0x3333^1)^0x2222) ^ 1; out[0] != want {
+		t.Fatalf("unverified run: %#x, want %#x", out[0], want)
 	}
 }
